@@ -1,49 +1,73 @@
-"""Vectorized bisection for increasing scalar maps.
+"""Vectorized safeguarded Newton iteration for increasing scalar equations.
 
-Bisection is deliberately the only root finder used in this package: it is
-monotone, branch-free, and bit-reproducible, which matters more here than
-iteration counts.  Newton-type methods would stall on the extremely flat
-profiles the log-type moduli produce near zero.
+Every inverse in this package solves an equation F(u) = 0 with F increasing
+in u = log of the unknown.  In that variable the log-type moduli are no
+longer flat: F' is an elasticity-like slope of order 1/log(1/s) rather than
+phi'(s), so Newton steps make real progress even for preimages near the
+float floor.  The step is safeguarded as in ``rtsafe`` (Press et al.,
+Numerical Recipes, section 9.4): every evaluation shrinks the bracket, and a
+step that leaves the open bracket is replaced by its midpoint, so no iterate
+ever leaves the interval known to hold the root.
+
+Because F is a difference of logarithms, the stopping rule |F| <= tol is a
+*relative* residual on the original equation, valid at every scale.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-# Smallest bracket width worth resolving; below this the root is determined
-# to within floating-point resolution of the bracket endpoints.
-_WIDTH_FLOOR = 1e-320
+_EPS = np.finfo(float).eps
+# log of the smallest positive float: no unknown below it is representable
+_LOG_FLOOR = math.log(2.0 ** -1074)
+# Pure bisection over [_LOG_FLOOR, 0] reaches float resolution in about 50
+# halvings; Newton lanes stop far sooner.
+_MAX_ITER = 100
 
 
-def bisect_increasing(fn, lo, hi, target, value_tol: float, max_iter: int = 200) -> np.ndarray:
-    """Solve fn(x) = target for increasing fn on the bracket [lo, hi].
+class BracketError(RuntimeError):
+    """Raised when a root bracket does not straddle its target."""
 
-    All arguments broadcast; the solver runs every lane in lock step and
-    freezes lanes as they converge.  A lane stops when the residual
-    |fn(mid) - target| drops below value_tol or when the bracket collapses
-    to floating-point resolution.  With a valid straddling bracket the result
-    is always the best representable answer available at the iteration cap;
-    residual tolerances that are unattainable in float64 (value_tol smaller
-    than the function's local resolution) degrade gracefully into
-    bracket-exhaustion stops rather than errors.  Callers are responsible for
-    checking fn(lo) <= target <= fn(hi) beforehand and failing loudly.
+
+def newton_log(jet, hi, tol: float, straddle_message: str) -> np.ndarray:
+    """Solve F(u) = 0 lane by lane for u = log x, F increasing; returns x.
+
+    The bracket is [log 2^-1074, hi].  ``jet(u, idx)`` returns (F(u), F'(u))
+    for the lanes ``idx`` (indices into the 1-D lane array ``hi``) at the
+    points ``u``; it is only ever called on the lanes still active, so
+    callers slice their per-lane data with ``idx``.  The iteration starts at
+    ``hi``, where F must be >= 0: a lane with F(hi) < -1e-12 raises
+    BracketError(straddle_message).
+
+    A lane stops when |F| <= max(tol, 4 eps), when its bracket has shrunk to
+    the float resolution of u, or when its Newton correction falls below that
+    resolution.  A lane stopped on its residual returns its final Newton
+    iterate, which costs no evaluation and leaves a residual far below tol.
+    Lanes whose root lies below the float floor pin at the smallest float.
     """
-    lo = np.array(np.broadcast_to(np.asarray(lo, dtype=float), np.broadcast_shapes(
-        np.shape(lo), np.shape(hi), np.shape(target))), dtype=float)
-    hi = np.array(np.broadcast_to(np.asarray(hi, dtype=float), lo.shape), dtype=float)
-    target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
-
-    active = np.ones(lo.shape, dtype=bool)
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        fm = np.asarray(fn(mid), dtype=float)
-        resid_ok = np.abs(fm - target) <= value_tol
-        width_ok = (hi - lo) <= _WIDTH_FLOOR + 4.0 * np.finfo(float).eps * np.abs(hi)
-        active = active & ~resid_ok & ~width_ok
-        if not active.any():
+    u = np.array(hi, dtype=float)
+    hi = u.copy()
+    lo = np.full_like(u, _LOG_FLOOR)
+    stop = max(tol, 4.0 * _EPS)
+    idx = np.arange(u.size)
+    for it in range(_MAX_ITER):
+        x = u[idx]
+        f, df = jet(x, idx)
+        if it == 0 and np.any(f < -1e-12):
+            raise BracketError(straddle_message)
+        above = f > 0
+        a = np.where(above, lo[idx], x)
+        b = np.where(above, x, hi[idx])
+        lo[idx], hi[idx] = a, b
+        step = x - f / df
+        inside = (step > a) & (step < b)
+        resolution = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
+        done = ((np.abs(f) <= stop) | (b - a <= resolution)
+                | (np.abs(f) <= resolution * df))
+        u[idx] = np.where(inside, step, np.where(done, x, 0.5 * (a + b)))
+        idx = idx[~done]
+        if idx.size == 0:
             break
-        go_right = active & (fm < target)
-        go_left = active & ~go_right
-        lo = np.where(go_right, mid, lo)
-        hi = np.where(go_left, mid, hi)
-    return 0.5 * (lo + hi)
+    return np.exp(u)

@@ -30,7 +30,7 @@ from .energy import (biconformal_energy, conformal_energy_H,
                      energy_F_monte_carlo, inner_distortion_integral)
 from .moduli import (EnergyDivergenceError, ModulusFunction,
                      check_admissibility, measured_constants)
-from .reports import SCHEMA_VERSION, VerificationReport
+from .reports import SCHEMA_VERSION, VerificationReport, _jsonable
 
 
 class SpecError(ValueError):
@@ -233,7 +233,6 @@ def _cmd_energy(args) -> int:
         m = m.cone
     if isinstance(m, RadialMap):
         raise SpecError("energy integrals are defined for cone/glued maps")
-    status = "converged"
     try:
         if args.method == "quad":
             res = {"forward": conformal_energy_H,
@@ -248,12 +247,12 @@ def _cmd_energy(args) -> int:
     except EnergyDivergenceError as diverged:
         _emit_json(args, {"status": "divergent", "detail": str(diverged)})
         return 1
-    _emit_json(args, {"status": status, "value": res.value,
-                      "error_estimate": res.error_estimate,
-                      "method": res.method,
-                      "samples_or_nodes": res.samples_or_nodes,
-                      "seed": res.seed})
-    return 0
+    _emit_json(args, _jsonable({"status": res.status, "value": res.value,
+                                "error_estimate": res.error_estimate,
+                                "method": res.method,
+                                "samples_or_nodes": res.samples_or_nodes,
+                                "seed": res.seed}))
+    return 0 if res.status == "converged" else 1
 
 
 def _cmd_verify(args) -> int:
@@ -417,7 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", help="apply the inverse map to points")
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=float, default=1e-12,
+                   help="relative residual at which the inverse's root solve stops")
     common(p)
     p.set_defaults(func=_cmd_invert)
 

@@ -5,7 +5,8 @@ Three map families:
   ConeMap    (x, t) -> (x, t * phi(s)/s) with s = t + |x| on the upper cone.
              Fixes the base and the slant boundary pointwise, stretches the
              vertical axis by phi.  The inverse solves T * lambda(T + |y|) =
-             tau by bisection; the map from T to that product is strictly
+             tau by safeguarded Newton steps on log T to a relative
+             residual; the map from T to that product is strictly
              increasing with slope >= 1/M, so the bracket is guaranteed.
   GluedMap   the whole-space homeomorphism: ConeMap on the upper cone, the
              doubly reflected inverse on the lower cone, identity outside elsewhere.
@@ -28,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._roots import bisect_increasing
+from ._roots import BracketError, newton_log
 from .geometry import cone_norm, in_upper_cone, reflect
-from .moduli import BracketError, ModulusFunction
+from .moduli import ModulusFunction
 
 __all__ = [
     "ConeMap",
@@ -136,17 +137,27 @@ class ConeMap:
     def inverse(self, Y, tol: float = 1e-12):
         """Solve (y, T) with T * lambda(T + |y|) = tau for Y = (y, tau).
 
+        ``tol`` bounds the relative residual of that height equation.  The
+        unknown is u = log T and the equation
+
+            F(u) = log(T lambda(sigma)) - log tau,   sigma = T + |y|,
+            F'(u) = 1 - w (1 - g),                   w = T / sigma,
+
+        with g the elasticity of phi at sigma; F' = D / lambda > 0 (D the
+        Jacobian determinant), so F is increasing.  phi(sigma) and g come
+        from one ``profile_log`` call per Newton iteration.
+
         Bracket (0, tau]: the product vanishes as T -> 0 and at T = tau it
         is tau * lambda(tau + |y|) >= tau since lambda >= 1.  (This is
         tighter than the a-priori bound T <= M tau and needs no constant.)
         The straddle is still checked; its failure means lambda < 1
         somewhere, i.e. a modulus violating its own admissibility.
 
-        Bisection runs on log T, so preimages anywhere in the float range
-        (the log-type moduli push them to 1e-250 and beyond) resolve to
-        full relative precision in ~60 steps.  Heights below the value of
-        the smallest subnormal have no representable preimage at all; those
-        lanes pin at the float floor.
+        Newton starts at T = tau, so preimages anywhere in the float range
+        (the log-type moduli push them to 1e-250 and beyond) resolve to the
+        relative tolerance in a handful of steps.  Heights below the value
+        of the smallest subnormal have no representable preimage at all;
+        those lanes pin at the float floor.
         """
         arr, single = _rows(Y)
         if not bool(np.all(in_upper_cone(arr, tol=1e-9))):
@@ -156,21 +167,22 @@ class ConeMap:
         out = arr.copy()
         pos = tau > 0
         if pos.any():
-            rho_p, tau_p = rho[pos], tau[pos]
+            rho_p = rho[pos]
+            log_tau = np.log(tau[pos])
 
-            def height(u):
+            def jet(u, idx):
                 T = np.exp(u)
-                sigma = T + rho_p
-                return T * self.phi(sigma) / np.maximum(sigma, 1e-320)
+                sigma = T + rho_p[idx]
+                v = np.maximum(-np.log(sigma), 0.0)   # sigma >= 1: lambda = g = 1
+                phi, g = self.phi.profile_log(v)
+                inner = v > 0
+                log_lam = np.where(inner, np.log(phi) + v, 0.0)
+                g = np.where(inner, g, 1.0)
+                return u + log_lam - log_tau[idx], 1.0 - T / sigma * (1.0 - g)
 
-            hi = np.log(tau_p)
-            f_hi = height(hi)
-            if np.any(f_hi < tau_p * (1.0 - 1e-12) - 1e-15):
-                raise BracketError(
-                    "T * lambda(T + |y|) < tau at T = tau: chord slope below 1")
-            lo = np.full_like(tau_p, math.log(2.0 ** -1074))
-            out[pos, -1] = np.exp(bisect_increasing(height, lo, hi, tau_p,
-                                                    value_tol=tol, max_iter=200))
+            out[pos, -1] = newton_log(
+                jet, log_tau, tol,
+                "T * lambda(T + |y|) < tau at T = tau: chord slope below 1")
         return _out(out, single)
 
     def inverted(self) -> "InverseView":
@@ -183,7 +195,8 @@ class GluedMap:
     Evaluation is the identity outside the double cone and on the base, so
     the two branches meet continuously.  The inverse is assembled from the
     same two branch maps with their roles swapped, which makes the pair
-    exactly inverse by construction (up to the bisection tolerance).
+    exactly inverse by construction (up to the relative tolerance ``tol`` of
+    the cone inverse).
     """
 
     domain = "whole_space"
@@ -233,7 +246,8 @@ class RadialMap:
 
     kind "logexample": stress(rho) = (1 - log rho)^(-1/n) * (log(e - log rho))^(-beta)
     for rho <= 1 (beta > 1/n) and the identity beyond 1; a map of the unit
-    ball onto itself with a smooth inverse, inverted by bisection.
+    ball onto itself with a smooth inverse, inverted by safeguarded Newton
+    steps on log rho against the closed-form log-stress.
     """
 
     domain = "whole_space"
@@ -280,11 +294,18 @@ class RadialMap:
         out = np.array(v, copy=True)
         inner = (v > 0) & (v < 1.0)
         if inner.any():
-            target = v[inner]
-            lo = np.full_like(target, math.log(2.0 ** -1074))
-            out[inner] = np.exp(bisect_increasing(
-                lambda u: self.stress(np.exp(u)), lo, np.zeros_like(target),
-                target, value_tol=self.tol, max_iter=200))
+            log_v = np.log(v[inner])
+            inv_n, beta = 1.0 / self.n, self.beta
+
+            def jet(u, idx):
+                # log stress(e^u) with L = -u, and its derivative in u
+                L = -u
+                loglog = np.log(math.e + L)
+                return (-inv_n * np.log1p(L) - beta * np.log(loglog) - log_v[idx],
+                        inv_n / (1.0 + L) + beta / ((math.e + L) * loglog))
+
+            out[inner] = newton_log(jet, np.zeros_like(log_v), self.tol,
+                                    "logexample stress below its target at rho = 1")
         return out
 
     def _radial(self, X, scalar_fn):

@@ -57,6 +57,8 @@ class EnergyResult:
     samples_or_nodes: int
     error_estimate: float
     seed: int | None = None
+    status: str = "converged"    # "converged" | "truncated" (quadrature hit
+                                 # its panel cap with the tolerance uncertified)
 
 
 # -- quadrature grids ---------------------------------------------------------
@@ -238,7 +240,10 @@ def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str,
                           for i in range(m - 2, m + 1)):
             return math.inf, math.inf, "diverged", nodes
     if math.isfinite(value):
-        return value, err, "truncated", nodes
+        # out of panels: the certified bound may still meet the request,
+        # just not with the 0.5 margin the early exit keeps
+        status = "converged" if err <= tol * max(1.0, abs(value)) else "truncated"
+        return value, err, status, nodes
     return sigma_factor * total, math.inf, "truncated", nodes
 
 
@@ -254,7 +259,8 @@ def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
             f"energy quadrature increments for {phi.describe()} grow without "
             f"decay at n={n}; treating the integral as divergent")
     return EnergyResult(value=value, method="tensor_quadrature",
-                        samples_or_nodes=nodes, error_estimate=err)
+                        samples_or_nodes=nodes, error_estimate=err,
+                        status=status)
 
 
 def conformal_energy_H(m: ConeMap, tol: float = 1e-6) -> EnergyResult:
@@ -309,14 +315,20 @@ def biconformal_energy(g: GluedMap, tol: float = 1e-6) -> EnergyResult:
 
     By reflection symmetry both terms assemble from the same two upper-cone
     integrals: each of H and F contributes one |DH|^n cone integral and one
-    |DF|^n = K_H cone integral, so the total is twice their sum.
+    |DF|^n = K_H cone integral, so the total is twice their sum.  The total
+    is converged when both parts are, or when its own certified bound meets
+    tol relative to the total (a truncated part can still be accurate enough).
     """
     e_h = conformal_energy_H(g.cone, tol=tol)
     e_f = inner_distortion_integral(g.cone, tol=tol)
-    return EnergyResult(value=2.0 * (e_h.value + e_f.value),
-                        method="tensor_quadrature",
+    value = 2.0 * (e_h.value + e_f.value)
+    err = 2.0 * (e_h.error_estimate + e_f.error_estimate)
+    converged = (e_h.status == e_f.status == "converged"
+                 or err <= tol * max(1.0, abs(value)))
+    return EnergyResult(value=value, method="tensor_quadrature",
                         samples_or_nodes=e_h.samples_or_nodes + e_f.samples_or_nodes,
-                        error_estimate=2.0 * (e_h.error_estimate + e_f.error_estimate))
+                        error_estimate=err,
+                        status="converged" if converged else "truncated")
 
 
 def energy_modulus_ratio(m: ConeMap, tol: float = 1e-6) -> float:

@@ -23,7 +23,8 @@ Built-in families:
                beta_k = alpha.  These decay slower than any power of s, which
                is what makes their deformations fail quasiconformality.
   custom       user-supplied evaluation; derivatives fall back to central
-               differences and inversion to bisection.
+               differences and inversion to Newton steps on
+               finite-difference slopes.
 
 Everything evaluates in float64 and is vectorized over numpy arrays.
 """
@@ -37,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._roots import bisect_increasing
+from ._roots import BracketError, newton_log
 from .reports import VerificationReport
 
 __all__ = [
@@ -57,10 +58,6 @@ __all__ = [
 
 class EnergyDivergenceError(ArithmeticError):
     """Raised when the energy integral of a modulus fails to converge."""
-
-
-class BracketError(RuntimeError):
-    """Raised when a bisection bracket does not straddle its target."""
 
 
 # Tower of iterated exponentials e_j = exp(e_{j-1}) with e_1 = 1; the j-th
@@ -340,14 +337,15 @@ class ModulusFunction:
     # -- inversion -----------------------------------------------------------
 
     def invert(self, v, tol: float = 1e-12):
-        """Inverse value psi(v) = phi^{-1}(v) by bisection on [0, min(v, 1)].
+        """Inverse value psi(v) = phi^{-1}(v) with relative residual <= tol.
 
-        The bracket is valid because phi(s) >= s on [0, 1]; it is checked and
-        a BracketError signals a modulus violating that (broken sandwich
-        condition).  The residual target |phi(result) - v| <= tol is met
-        whenever float64 can express it; for log-type moduli and very small v
-        the true preimage underflows and the bisection returns the best
-        representable bracket midpoint instead.
+        Safeguarded Newton on u = log s for F(u) = log phi(e^u) - log v,
+        whose slope F' = g is the elasticity; value and slope come from one
+        ``profile_log`` call per iteration.  The bracket [2^-1074, min(v, 1)]
+        is valid because phi(s) >= s on [0, 1]; it is checked and a
+        BracketError signals a modulus violating that (broken sandwich
+        condition).  For log-type moduli and very small v the true preimage
+        underflows and the result pins at the smallest subnormal.
         """
         arr, scalar = _as_array(v)
         if np.any(arr < 0):
@@ -355,14 +353,15 @@ class ModulusFunction:
         out = np.array(arr, dtype=float, copy=True)
         inner = (arr > 0) & (arr < 1.0)
         if inner.any():
-            target = arr[inner]
-            hi = np.minimum(target, 1.0)
-            f_hi = self(hi)
-            if np.any(f_hi < target * (1.0 - 1e-12) - 1e-15):
-                raise BracketError(
-                    "phi(min(v,1)) < v: modulus is below the identity, bracket invalid")
-            out[inner] = bisect_increasing(self, np.zeros_like(target), hi,
-                                           target, value_tol=tol, max_iter=200)
+            log_v = np.log(arr[inner])
+
+            def jet(u, idx):
+                phi, g = self.profile_log(-u)
+                return np.log(phi) - log_v[idx], g
+
+            out[inner] = newton_log(
+                jet, log_v, tol,
+                "phi(min(v,1)) < v: modulus is below the identity, bracket invalid")
         return _scalar_out(out, scalar)
 
     def inverse(self) -> "ModulusFunction":

@@ -1,5 +1,8 @@
+import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bicone.deformations import (BracketError, ConeMap, DomainError, GluedMap,
                                  InverseView, RadialMap)
@@ -90,6 +93,73 @@ def test_bracket_error_for_inadmissible_modulus():
     m = ConeMap(bad, n=2)
     with pytest.raises(BracketError):
         m.inverse(np.array([[0.1, 0.4]]))
+
+
+# -- relative precision of the inverse -------------------------------------
+
+def upper_point(n, rho, tau):
+    y = np.zeros(n)
+    y[0], y[-1] = rho, tau
+    return y
+
+
+@pytest.mark.parametrize("phi,n", family_grid())
+@pytest.mark.parametrize("tau", [1e-9, 1e-13, 1e-100, 1e-300])
+def test_inverse_relative_residual_at_small_heights(phi, n, tau):
+    X = ConeMap(phi, n=n).inverse(upper_point(n, 0.3, tau))
+    s = np.linalg.norm(X[:-1]) + X[-1]
+    assert abs(X[-1] * phi(s) / s - tau) <= 1e-12 * tau
+
+
+@given(k=st.integers(1, 3), n=st.integers(2, 3),
+       exponent=st.floats(-300.0, 0.0), frac=st.floats(1e-3, 0.99))
+def test_inverse_relative_round_trip_property(k, n, exponent, frac):
+    # |y| >= 1e-3 (1 - tau) keeps every preimage representable in float64
+    m = ConeMap(ModulusFunction.iterlog(depth=k, alpha=1.0, n=n), n=n)
+    tau = 10.0 ** exponent
+    y = upper_point(n, frac * (1.0 - tau), tau)
+    back = m(m.inverse(y))
+    assert np.array_equal(back[:-1], y[:-1])
+    assert abs(back[-1] - tau) <= 1e-12 * tau
+
+
+_MP_TOWER = (0, 1, mp.e, mp.exp(mp.e))
+
+
+def mp_iterlog(k, n, s):
+    """The alpha = 1 iterlog modulus at mpmath precision, from its definition."""
+    if s >= 1:
+        return s
+    u = -mp.log(s)
+    log_phi = mp.mpf(0)
+    for j in range(1, k + 1):
+        level = _MP_TOWER[j - 1] + u
+        for _ in range(j - 1):
+            level = mp.log(level)
+        beta = mp.mpf(1) / n if j < k else 1
+        log_phi -= beta * mp.log1p((1 - mp.mpf(1) / n) ** (j - 1) * level)
+    return mp.exp(log_phi)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("rho,tau", [(0.3, 1e-9), (0.3, 1e-100), (0.3, 1e-300),
+                                     (1e-4, 1e-6), (0.05, 0.5), (0.0, 0.2)])
+def test_inverse_matches_mpmath_height_equation(k, rho, tau):
+    n = 2
+    T = ConeMap(ModulusFunction.iterlog(depth=k, alpha=1.0, n=n), n=n) \
+        .inverse(upper_point(n, rho, tau))[-1]
+    with mp.workdps(50):
+        def F(u):
+            sigma = mp.exp(u) + rho
+            return u + mp.log(mp_iterlog(k, n, sigma) / sigma) - mp.log(tau)
+
+        root = mp.findroot(F, (mp.log(mp.mpf(2) ** -1074), mp.log(tau)),
+                           solver="anderson")
+        slope = mp.diff(F, root)
+        # the float answer solves the equation to the relative tolerance...
+        assert abs(F(mp.log(T))) <= 1e-12
+        # ...and so sits within tol / F' of the true preimage
+        assert abs(mp.mpf(T) / mp.exp(root) - 1) <= 1e-12 / slope
 
 
 # -- jacobian --------------------------------------------------------------
@@ -194,6 +264,15 @@ def test_glued_round_trip_whole_space(n):
     assert np.max(err2) <= 1e-9
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_glued_lower_branch_relative_round_trip(n):
+    g = GluedMap(ModulusFunction.iterlog(depth=2, alpha=1.0, n=n), n=n)
+    y = upper_point(n, 0.3, -1e-10)
+    for back in (g(g.inverse(y)), g.inverse(g(y))):
+        assert np.array_equal(back[:-1], y[:-1])
+        assert abs(back[-1] / y[-1] - 1.0) <= 1e-12
+
+
 def test_glued_continuity_across_slant():
     g = GluedMap(ModulusFunction.iterlog(depth=2, alpha=1.0, n=2), n=2)
     x = np.linspace(0.05, 0.95, 30)
@@ -225,6 +304,15 @@ def test_radial_logexample_monotone_and_invertible():
     err = euclid_norm(h.inverse(h(X)) - X)
     assert np.max(err) <= 1e-11
     assert np.array_equal(h(np.array([[1.5, 0.0]])), np.array([[1.5, 0.0]]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_radial_logexample_inverse_relative_at_small_values(n):
+    h = RadialMap("logexample", beta=1.0, n=n)
+    # below the stress of the smallest normal float the preimage is subnormal
+    floor = float(h.stress(np.finfo(float).tiny))
+    v = np.geomspace(floor * 1.01, 0.5, 25)
+    assert np.max(np.abs(h.stress(h.inverse_stress(v)) / v - 1.0)) <= 1e-12
 
 
 def test_radial_validation():

@@ -80,6 +80,22 @@ def test_biconformal_energy_frozen():
     assert abs(r.value - 2.0 * parts) <= 1e-12
 
 
+@pytest.mark.parametrize("n,tol,part,total", [
+    (2, 1e-10, "converged", "converged"),
+    (2, 1e-12, "truncated", "truncated"),
+    (3, 1e-10, "truncated", "converged"),
+])
+def test_status_says_whether_the_bound_meets_tol(n, tol, part, total):
+    # depth 3 runs out of panels in all three cases; a result is converged
+    # exactly when its certified bound meets tol, and the doubled total can
+    # meet it although its |DH|^n part alone does not
+    g = GluedMap(ModulusFunction.iterlog(depth=3, alpha=1.0, n=n), n=n)
+    for r, status in ((conformal_energy_H(g.cone, tol=tol), part),
+                      (biconformal_energy(g, tol=tol), total)):
+        assert r.status == status
+        assert (r.error_estimate <= tol * r.value) == (status == "converged")
+
+
 # -- pointwise distortion bound ----------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3])

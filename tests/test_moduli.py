@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bicone.moduli import (EnergyDivergenceError, ModulusFunction,
+from bicone.moduli import (BracketError, EnergyDivergenceError, ModulusFunction,
                            check_admissibility, doubling_constant,
                            energy_tail_bound, measured_constants,
                            modulus_energy, modulus_energy_detailed,
@@ -113,6 +113,20 @@ def test_invert_round_trip():
     assert np.max(np.abs(phi(s) - v)) <= 1e-12
     psi = phi.inverse()
     assert np.max(np.abs(phi(psi(v)) - v)) <= 1e-11
+
+
+@pytest.mark.parametrize("phi", admissible_families())
+def test_invert_relative_residual_at_small_values(phi):
+    # below phi(smallest normal float) the preimage is subnormal or underflows
+    floor = float(phi(np.finfo(float).tiny))
+    v = np.geomspace(floor * 1.01, 0.9, 40)
+    assert np.max(np.abs(phi(phi.invert(v)) / v - 1.0)) <= 1e-12
+
+
+def test_invert_bracket_error_for_inadmissible_modulus():
+    bad = ModulusFunction.custom(lambda s: np.where(s < 1.0, s ** 2, s))
+    with pytest.raises(BracketError):
+        bad.invert(np.array([0.25]))
 
 
 # -- measured constants ----------------------------------------------------
