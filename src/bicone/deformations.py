@@ -157,7 +157,8 @@ class ConeMap:
         (the log-type moduli push them to 1e-250 and beyond) resolve to the
         relative tolerance in a handful of steps.  Heights below the value
         of the smallest subnormal have no representable preimage at all;
-        those lanes pin at the float floor.
+        those lanes pin at the float floor, one evaluation after their
+        Newton step leaves through it.
         """
         arr, single = _rows(Y)
         if not bool(np.all(in_upper_cone(arr, tol=1e-9))):
@@ -287,7 +288,10 @@ class RadialMap:
             out[inner] = (1.0 + L) ** (-1.0 / self.n) * np.log(math.e + L) ** (-self.beta)
         return out
 
-    def inverse_stress(self, v):
+    def inverse_stress(self, v, tol: float | None = None):
+        """stress^-1(v); the logexample solve stops at relative residual
+        ``tol`` (default: the constructor's ``tol``)."""
+        tol = self.tol if tol is None else tol
         v = np.asarray(v, dtype=float)
         if self.kind == "power":
             return v ** (1.0 / self.eps)
@@ -304,7 +308,7 @@ class RadialMap:
                 return (-inv_n * np.log1p(L) - beta * np.log(loglog) - log_v[idx],
                         inv_n / (1.0 + L) + beta / ((math.e + L) * loglog))
 
-            out[inner] = newton_log(jet, np.zeros_like(log_v), self.tol,
+            out[inner] = newton_log(jet, np.zeros_like(log_v), tol,
                                     "logexample stress below its target at rho = 1")
         return out
 
@@ -321,7 +325,7 @@ class RadialMap:
         return self._radial(X, self.stress)
 
     def inverse(self, Y, tol: float | None = None):
-        return self._radial(Y, self.inverse_stress)
+        return self._radial(Y, lambda v: self.inverse_stress(v, tol))
 
     def inverted(self) -> "InverseView":
         return InverseView(self)

@@ -203,3 +203,17 @@ def test_mc_energy_seeded(capsys):
     doc = json.loads(out)
     assert doc["result"]["value"] == 2.145849123497004
     assert doc["result"]["method"] == "monte_carlo"
+
+
+def test_invert_radial_logexample_honours_tol(capsys):
+    h = RadialMap("logexample", beta=1.0, n=2)
+    images = {}
+    for tol in ("1e-2", "1e-12"):
+        code, out = run(["invert", "--map", "radial:logexample:beta=1,n=2",
+                         "--point", "0.3,0.4", "--tol", tol], capsys)
+        assert code == 0
+        images[tol] = np.array(json.loads(out)["result"]["images"][0])
+        # relative residual of stress(|x|) = |y| = 0.5
+        residual = abs(np.log(h.stress(np.linalg.norm(images[tol])) / 0.5))
+        assert residual <= float(tol)
+    assert not np.array_equal(images["1e-2"], images["1e-12"])

@@ -7,6 +7,7 @@ from bicone.continuity import (averaging_lemma_check, doubling_probe,
                                three_points_ratio, verify_global_modulus_F,
                                verify_global_modulus_H, verify_main_theorem)
 from bicone.deformations import ConeMap, GluedMap, RadialMap
+from bicone.geometry import cone_norm, euclid_norm, sample_cone_sphere
 from bicone.moduli import ModulusFunction, doubling_constant, measured_constants
 
 
@@ -117,6 +118,83 @@ def test_radial_pair_round_trip_is_identity():
                             norm="euclid", count=128, seed=0)
     assert np.max(np.abs(q.inverse_after_map - 1.0)) <= 1e-12
     assert np.max(np.abs(q.map_after_inverse - 1.0)) <= 1e-12
+
+
+# -- stacked sweeps equal per-radius sweeps, bit for bit -----------------------
+
+def _sweep_maps():
+    """(map, radius grid); the logexample inverse underflows below ~6e-3."""
+    radii = np.geomspace(1e-9, 0.5, 7)
+    maps = [(GluedMap(ModulusFunction.iterlog(depth=k, alpha=1.0, n=2), n=2),
+             radii) for k in (1, 2, 3)]
+    return maps + [(RadialMap("power", eps=0.5, n=2), radii),
+                   (RadialMap("logexample", beta=1.0, n=2),
+                    np.geomspace(1e-2, 0.5, 7))]
+
+
+def _sphere_displacements(map_obj, center, r, norm):
+    """One sphere, one map call: the per-radius reference."""
+    sphere = sample_cone_sphere(float(r), n=2, norm=norm, restrict="both",
+                                count=64, seed=5)
+    d = map_obj(center + sphere) - map_obj(center)
+    return cone_norm(d) if norm == "cone" else euclid_norm(d)
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.05, -0.02)],
+                         ids=["origin", "off-axis"])
+@pytest.mark.parametrize("m,radii", _sweep_maps(),
+                         ids=[m.describe() for m, _ in _sweep_maps()])
+def test_stacked_sweeps_equal_per_radius_sweeps(m, radii, center):
+    center = np.array(center)
+    sup = {norm: np.array([optimal_modulus(m, center, r, norm, 64, 5)
+                           for r in radii]) for norm in ("cone", "euclid")}
+    for norm in ("cone", "euclid"):
+        ref = [np.max(_sphere_displacements(m, center, r, norm))
+               for r in radii]
+        assert np.array_equal(sup[norm], ref)
+        p = modulus_profile(m, center, radii, norm, count=64, seed=5)
+        assert np.array_equal(p.values, np.maximum.accumulate(sup[norm]))
+
+    d = linear_dilatation(m, center, radii, count=64, seed=5)
+    ratios = []
+    for r in radii:
+        disp = _sphere_displacements(m, center, r, "euclid")
+        ratios.append(disp.max() / disp.min() if disp.min() > 0 else np.inf)
+    assert np.array_equal(d.ratios, ratios)
+
+    inv = m.inverted()
+    q = quasi_inverse_check(m, inv, center, radii, count=64, seed=5)
+    fwd, rev = [], []
+    for r in radii:
+        omega_h = optimal_modulus(m, center, r, "euclid", 64, 5)
+        omega_f = optimal_modulus(inv, center, r, "euclid", 64, 5)
+        fwd.append(optimal_modulus(m, center, omega_f, "euclid", 64, 5) / r)
+        rev.append(optimal_modulus(inv, center, omega_h, "euclid", 64, 5) / r)
+    assert np.array_equal(q.map_after_inverse, fwd)
+    assert np.array_equal(q.inverse_after_map, rev)
+
+
+def test_sweeps_keep_their_seeded_values():
+    # values of the per-radius implementation, before sweeps were stacked
+    g = GluedMap(ModulusFunction.iterlog(depth=2, alpha=1.0, n=2), n=2)
+    p = modulus_profile(g, [0.05, -0.02], np.geomspace(1e-6, 0.5, 5),
+                        norm="cone", count=64, seed=3)
+    assert p.values.tolist() == [
+        1.047412863138756e-06, 2.7852345075766657e-05, 0.0007406971769100324,
+        0.019747258631665862, 0.6163213361418559]
+    g = GluedMap(ModulusFunction.iterlog(depth=2, alpha=1.0, n=3), n=3)
+    d = linear_dilatation(g, [0.02, 0.01, -0.03], np.geomspace(1e-4, 0.2, 5),
+                          count=64, seed=4)
+    assert d.ratios.tolist() == [
+        10.821119093504768, 10.84061599154025, 10.971094749158267,
+        11.850656065131274, 15.686209046061782]
+    g = GluedMap(ModulusFunction.iterlog(depth=1, alpha=1.0, n=2), n=2)
+    q = quasi_inverse_check(g, g.inverted(), 0, np.geomspace(1e-6, 0.5, 5),
+                            norm="cone", count=64, seed=5)
+    expected = [270586.5901873019, 10914.91870127062, 454.62320036128835,
+                20.422216967491746, 1.3101102885413733]
+    assert q.map_after_inverse.tolist() == expected
+    assert q.inverse_after_map.tolist() == expected
 
 
 # -- three points and doubling ---------------------------------------------------

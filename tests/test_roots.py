@@ -1,0 +1,114 @@
+"""The float-floor step of the safeguarded Newton solver.
+
+A lane whose root lies below log 2^-1074 has no representable answer.  Once
+its Newton step leaves the bracket through the floor, the solver evaluates
+the floor once and pins the lane there, instead of halving the bracket down
+to it (about 50 evaluations, during which the whole call stays open).
+"""
+
+import numpy as np
+import pytest
+
+import bicone.deformations
+import bicone.moduli
+from bicone._roots import _LOG_FLOOR, newton_log
+from bicone.deformations import ConeMap
+from bicone.moduli import ModulusFunction
+
+TINY = 2.0 ** -1074
+
+
+class CountingJet:
+    """jet(u, idx) for F(u) = arctan(u - root), counting its calls.
+
+    F' = 1 / (1 + (u - root)^2) is tiny far from the root, so the Newton
+    step from u = 0 lands far below the floor for every root used here.
+    """
+
+    def __init__(self, roots):
+        self.roots = np.asarray(roots, dtype=float)
+        self.calls = 0
+
+    def __call__(self, u, idx):
+        self.calls += 1
+        d = u - self.roots[idx]
+        return np.arctan(d), 1.0 / (1.0 + d * d)
+
+
+def solve(roots, tol=1e-12):
+    jet = CountingJet(roots)
+    return newton_log(jet, np.zeros(len(roots)), tol, "no straddle"), jet
+
+
+def test_root_below_the_floor_pins_in_one_floor_evaluation():
+    x, jet = solve([_LOG_FLOOR - 10.0])
+    assert x[0] == TINY
+    assert jet.calls <= 3          # halving down to the floor took about 50
+
+
+def test_mixed_batch_keeps_the_representable_lanes():
+    representable = [-700.0, -300.0, -2.0]
+    alone, _ = solve(representable)
+    mixed, _ = solve(representable + [_LOG_FLOOR - 10.0, _LOG_FLOOR - 1e3])
+    assert np.array_equal(mixed[:3], alone)
+    assert np.array_equal(mixed[3:], [TINY, TINY])
+    residual = np.abs(np.arctan(np.log(mixed[:3]) - representable))
+    assert np.all(residual <= 1e-12)
+
+
+def test_floor_below_the_root_keeps_the_bracket():
+    # the first step leaves through the floor, F(floor) < 0 moves the lower
+    # end of the bracket, and the lane still converges to its root
+    x, jet = solve([-700.0])
+    assert jet.calls > 2
+    assert abs(np.log(x[0]) + 700.0) <= 1e-12
+
+
+@pytest.fixture
+def iterations(monkeypatch):
+    """Jet calls of every newton_log solve made by the maps and moduli."""
+    counts = []
+
+    def counting(jet, hi, tol, message):
+        calls = [0]
+
+        def counted(u, idx):
+            calls[0] += 1
+            return jet(u, idx)
+
+        out = newton_log(counted, hi, tol, message)
+        counts.append(calls[0])
+        return out
+
+    monkeypatch.setattr(bicone.deformations, "newton_log", counting)
+    monkeypatch.setattr(bicone.moduli, "newton_log", counting)
+    return counts
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_axis_heights_below_phi_of_the_floor_pin_quickly(k, n, iterations):
+    phi = ModulusFunction.iterlog(depth=k, alpha=1.0, n=n)
+    heights = np.array([1e-3, 1e-4, 1e-8, 1e-100, 1e-300])
+    heights = heights[heights < phi(TINY)]
+    assert heights.size >= 4
+    Y = np.zeros((heights.size, n))
+    Y[:, -1] = heights
+    assert np.all(ConeMap(phi, n=n).inverse(Y)[:, -1] == TINY)
+    assert np.all(phi.invert(heights) == TINY)
+    assert len(iterations) == 2
+    assert max(iterations) <= 10
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_floor_lanes_leave_the_other_heights_alone(k):
+    phi = ModulusFunction.iterlog(depth=k, alpha=1.0, n=2)
+    m = ConeMap(phi, n=2)
+    above = np.array([[0.3, 1e-9], [0.0, 0.05], [0.1, 0.4]])
+    below = np.array([[0.0, 1e-4], [0.0, 1e-200]])
+    mixed = m.inverse(np.concatenate([above, below]))
+    assert np.array_equal(mixed[:3], m.inverse(above))
+    assert np.all(mixed[3:, -1] == TINY)
+    T, rho, tau = mixed[:3, -1], np.abs(above[:, 0]), above[:, -1]
+    sigma = T + rho
+    assert np.all(np.abs(T * phi(sigma) / sigma / tau - 1.0) <= 1e-12)
