@@ -18,7 +18,7 @@ from .energy import (EnergyResult, biconformal_energy, conformal_energy_H,
                      energy_F_monte_carlo, energy_modulus_ratio,
                      inner_distortion_integral)
 from .geometry import (InteriorSample, cone_norm, cone_volume, euclid_norm,
-                       in_double_cone, in_lower_cone, in_upper_cone,
+                       in_double_cone, in_upper_cone,
                        kronecker_sequence, reflect, sample_cone_interior,
                        sample_cone_sphere, sphere_surface_area,
                        unit_ball_volume)
@@ -39,8 +39,7 @@ __all__ = [
     "averaging_lemma_check", "biconformal_energy", "check_admissibility",
     "cone_norm", "cone_volume", "conformal_energy_H", "doubling_constant",
     "doubling_probe", "energy_F_monte_carlo", "energy_modulus_ratio",
-    "energy_tail_bound", "euclid_norm", "in_double_cone", "in_lower_cone",
-    "in_upper_cone", "inner_distortion_integral", "kronecker_sequence",
+    "energy_tail_bound", "euclid_norm", "in_double_cone", "in_upper_cone", "inner_distortion_integral", "kronecker_sequence",
     "linear_dilatation", "measured_constants", "modulus_energy",
     "modulus_energy_detailed", "modulus_profile", "optimal_modulus",
     "quasi_inverse_check", "quasi_inverse_defect", "reflect",

@@ -26,7 +26,8 @@ import numpy as np
 
 from .deformations import ConeMap, GluedMap
 from .geometry import cone_norm, euclid_norm, sample_cone_interior, sample_cone_sphere
-from .moduli import _GL_NODES, _GL_WEIGHTS, measured_constants
+from .moduli import (_GL_NODES, _GL_WEIGHTS, _doubling_panels,
+                     _increment_verdict, measured_constants)
 from .reports import VerificationReport
 
 __all__ = [
@@ -186,7 +187,9 @@ def quasi_inverse_check(map_obj, inverse_map, center, radii, norm: str = "euclid
     For quasiconformal pairs both stay in a bounded band; for the glued cone
     deformations the first one equals phi(phi(s))/s at the origin and grows
     without bound as s -> 0.  The pair is spot-checked to actually be
-    inverse before any moduli are computed.
+    inverse before any moduli are computed.  A radius whose sampled sup
+    underflows to 0 (its preimage lies below the float floor, as for the
+    logexample radial map at small radii) gets a NaN ratio.
     """
     center = _center_row(center, getattr(map_obj, "n"))
     probe = center + 0.1 * np.eye(center.size)[-1:]
@@ -198,10 +201,15 @@ def quasi_inverse_check(map_obj, inverse_map, center, radii, norm: str = "euclid
     def sups(m, rs):
         return _displacements(m, center, rs, norm, count, seed).max(axis=1)
 
+    def composed(m, inner):             # NaN where the inner sup is 0
+        ratios = np.full(radii.shape, math.nan)
+        ratios[inner > 0] = sups(m, inner[inner > 0]) / radii[inner > 0]
+        return ratios
+
     omega_h, omega_f = sups(map_obj, radii), sups(inverse_map, radii)
     return QuasiInverseRatios(radii=radii,
-                              map_after_inverse=sups(map_obj, omega_f) / radii,
-                              inverse_after_map=sups(inverse_map, omega_h) / radii,
+                              map_after_inverse=composed(map_obj, omega_f),
+                              inverse_after_map=composed(inverse_map, omega_h),
                               samples_per_radius=count, seed=seed)
 
 
@@ -315,21 +323,19 @@ def _lower_integral(Phi, x: float, tol: float) -> float:
     if x <= 0:
         return 0.0
     total = 0.0
-    prev = math.inf
-    for m in range(64):
-        lo, hi = (0.0, 1.0) if m == 0 else (2.0 ** (m - 1), 2.0 ** m)
-        half = 0.5 * (hi - lo)
-        u = lo + half * (_GL_NODES + 1.0)
+    increments: list[float] = []
+    for _, u, wu in _doubling_panels(64):
         s = x * np.exp(-u)
         live = s >= 1e-300
-        inc = 0.0
-        if live.any():
-            inc = half * float(np.sum(
-                _GL_WEIGHTS[live] * np.asarray(Phi(s[live])) * s[live]))
+        inc = float(np.sum(wu[live] * np.asarray(Phi(s[live])) * s[live])) \
+            if live.any() else 0.0
         total += inc
-        if m >= 3 and inc <= tol * max(1.0, total) / 8.0 and inc <= prev:
+        increments.append(inc)
+        decided = _increment_verdict(increments, tol * max(1.0, total))
+        if decided == "converged":
             return total
-        prev = inc
+        if decided == "diverged":
+            break
     raise RuntimeError("kernel integral did not stabilize; "
                        "is Phi integrable near 0?")
 

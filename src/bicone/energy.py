@@ -34,8 +34,9 @@ import numpy as np
 
 from .deformations import ConeMap, GluedMap
 from .geometry import sample_cone_interior, sphere_surface_area, unit_ball_volume
-from .moduli import (EnergyDivergenceError, ModulusFunction, _GL_NODES,
-                     _GL_WEIGHTS, _analytic_energy_status, energy_tail_bound,
+from .moduli import (EnergyDivergenceError, ModulusFunction,
+                     _analytic_energy_status, _doubling_panels, _gl_panel,
+                     _increment_verdict, energy_tail_bound,
                      modulus_energy_detailed)
 
 __all__ = [
@@ -70,24 +71,14 @@ def _w_grid(depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0,1] with dyadic panels toward w=1."""
     if depth not in _W_GRIDS:
         edges = [0.0] + [1.0 - 2.0 ** (-j) for j in range(1, depth + 1)] + [1.0]
-        nodes, weights = [], []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            half = 0.5 * (hi - lo)
-            nodes.append(lo + half * (_GL_NODES + 1.0))
-            weights.append(half * _GL_WEIGHTS)
+        nodes, weights = zip(*map(_gl_panel, edges[:-1], edges[1:]))
         _W_GRIDS[depth] = (np.concatenate(nodes), np.concatenate(weights))
     return _W_GRIDS[depth]
 
 
-def _panel_u_nodes(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    half = 0.5 * (hi - lo)
-    return lo + half * (_GL_NODES + 1.0), half * _GL_WEIGHTS
-
-
-def _panel_value(phi: ModulusFunction, n: int, lo: float, hi: float,
+def _panel_value(phi: ModulusFunction, n: int, u: np.ndarray, wu: np.ndarray,
                  kind: str) -> tuple[float, int]:
     """Integral of one (u-panel) x [0,1] cell of the reduced integrand."""
-    u, wu = _panel_u_nodes(lo, hi)
     phi_u, g = phi.profile_log(u)
     g = np.clip(g, 0.0, 1.0)
     # K_H varies on the w-scale of the elasticity near w = 1
@@ -141,27 +132,15 @@ def _w_reference(n: int) -> float:
     return _W_REFERENCE[n]
 
 
-def _phi_remainder(phi: ModulusFunction, n: int, U: float, head_1d: float,
-                   full: tuple[float, float] | None) -> tuple[float, float] | None:
-    """(int_U^inf phi^n du, its error) or None when unavailable."""
-    base, exact = energy_tail_bound(phi, n, U)
-    if exact:
-        return base, 0.0
-    if full is not None:
-        value, err = full
-        return max(value - head_1d, 0.0), err
-    return None
-
-
 def _distortion_tail(phi: ModulusFunction, n: int, U: float) -> float:
     """Rigorous bound for the K_H integral beyond u = U.
 
     With z = 1 - w(1-g) one has P >= phi z / 2... more precisely
     P = phi z and z >= g(u), so the integrand is at most
     C_n z^{1-n} phi s^{n-1} with C_n = (4 (sigma^2+1) + n-1)^{n/2}.  The
-    built-in families give g(u) >= c0/(1+u) (iterlog, first factor alone),
-    g = eps (power) or 1 (identity), leaving a closed-form integral of
-    (1+u)^{n-1} e^{-(n-1)u}.
+    built-in families give g(u) >= c0/(1+u) (iterlog, first factor alone)
+    or g = eps (power, the identity at eps = 1), leaving a closed-form
+    integral of (1+u)^{n-1} e^{-(n-1)u}.
     """
     phi_U, g_U = phi.profile_log(U)
     if phi_U <= 0.0:
@@ -169,9 +148,7 @@ def _distortion_tail(phi: ModulusFunction, n: int, U: float) -> float:
     sigma = math.exp(-U) / phi_U
     C = (4.0 * (sigma ** 2 + 1.0) + (n - 1)) ** (n / 2.0)
     m = n - 1
-    if phi.family == "identity":
-        poly = 1.0 / m
-    elif phi.family == "power":
+    if phi.eps is not None:
         poly = phi.eps ** (1 - n) / m
     elif phi.family == "iterlog":
         c0 = phi.alpha if phi.depth == 1 else 1.0 / n
@@ -186,8 +163,7 @@ def _distortion_tail(phi: ModulusFunction, n: int, U: float) -> float:
 
 # -- the adaptive driver ------------------------------------------------------
 
-def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str,
-                        max_doublings: int = 60):
+def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str):
     sigma_factor = sphere_surface_area(n - 2)
     full_1d = None
     if kind == "conformal" and phi.family == "iterlog" and phi.depth == 3:
@@ -199,19 +175,19 @@ def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str,
     nodes = 0
     value = err = math.nan
     increments: list[float] = []
-    for m in range(max_doublings):
-        lo, hi = (0.0, 1.0) if m == 0 else (2.0 ** (m - 1), 2.0 ** m)
-        inc, used = _panel_value(phi, n, lo, hi, kind)
+    for U, u, wu in _doubling_panels(60):
+        inc, used = _panel_value(phi, n, u, wu, kind)
         total += inc
         nodes += used
         increments.append(inc)
-        U = hi
         if kind == "conformal":
-            u, wu = _panel_u_nodes(lo, hi)
-            head_1d += float(np.sum(wu * phi.profile_log(u)[0] ** n))
-            remainder = _phi_remainder(phi, n, U, head_1d, full_1d)
-            if remainder is not None:
-                T, T_err = remainder
+            # T = int_U^inf phi^n du: exact, or the depth-3 reference minus its head
+            T, exact = energy_tail_bound(phi, n, U)
+            T_err = 0.0
+            if full_1d is not None:
+                head_1d += float(np.sum(wu * phi.profile_log(u)[0] ** n))
+                T, T_err = max(full_1d[0] - head_1d, 0.0), full_1d[1]
+            if exact or full_1d is not None:
                 phi_U, _ = phi.profile_log(U)
                 s_U = math.exp(-U)
                 corr = (n / 2.0) * ((n - 1) * s_U ** 2 + 2.0 * phi_U ** 2) \
@@ -221,6 +197,8 @@ def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str,
                     + 8.0 * np.finfo(float).eps * abs(value)
                 if err <= 0.5 * tol * max(1.0, abs(value)):
                     return value, err, "converged", nodes
+                if err <= 1.01 * sigma_factor * T_err:
+                    break     # the 1-D reference's bound dominates err now
                 continue
         else:
             tail = _distortion_tail(phi, n, U)
@@ -231,17 +209,15 @@ def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str,
             if math.isfinite(tail):
                 continue
         # no usable remainder: decide from the panel increments alone
-        threshold = tol * max(1.0, abs(total))
-        if m >= 4 and inc <= threshold / 8.0 and all(
-                increments[i] < increments[i - 1] for i in range(m - 2, m + 1)):
+        decided = _increment_verdict(increments, tol * max(1.0, abs(total)))
+        if decided == "converged":
             return sigma_factor * total, sigma_factor * 8.0 * inc, \
                 "converged", nodes
-        if m >= 4 and all(increments[i] >= increments[i - 1]
-                          for i in range(m - 2, m + 1)):
+        if decided == "diverged":
             return math.inf, math.inf, "diverged", nodes
     if math.isfinite(value):
-        # out of panels: the certified bound may still meet the request,
-        # just not with the 0.5 margin the early exit keeps
+        # out of panels, or err within 1% of its floor: the certified bound
+        # may still meet the request, just not with the 0.5 margin above
         status = "converged" if err <= tol * max(1.0, abs(value)) else "truncated"
         return value, err, status, nodes
     return sigma_factor * total, math.inf, "truncated", nodes
@@ -279,8 +255,7 @@ def inner_distortion_integral(m: ConeMap, tol: float = 1e-6) -> EnergyResult:
 
 
 def energy_F_monte_carlo(m: ConeMap, samples: int, seed: int = 0,
-                         margin: float = 1e-6,
-                         method: str = "low_discrepancy") -> EnergyResult:
+                         margin: float = 1e-6) -> EnergyResult:
     """Monte-Carlo estimate of int over the upper cone of |DF(Y)|^n dY.
 
     Y is sampled uniformly from the cone trimmed by `margin` around the
@@ -296,8 +271,7 @@ def energy_F_monte_carlo(m: ConeMap, samples: int, seed: int = 0,
     n = m.n
     batch = sample_cone_interior(samples, n=n, seed=seed,
                                  exclude_axis_margin=margin,
-                                 exclude_boundary_margin=margin,
-                                 method=method)
+                                 exclude_boundary_margin=margin)
     X = m.inverse(batch.points, tol=1e-12)
     values = m.jacobian(X).inv_hs_norm ** n
     vol = unit_ball_volume(n - 1) / n

@@ -19,7 +19,6 @@ __all__ = [
     "euclid_norm",
     "reflect",
     "in_upper_cone",
-    "in_lower_cone",
     "in_double_cone",
     "cone_volume",
     "sphere_surface_area",
@@ -60,13 +59,6 @@ def in_upper_cone(X, tol: float = 1e-12):
     arr, single = _rows(X)
     t = arr[..., -1]
     out = (t >= -tol) & (cone_norm(arr) <= 1.0 + tol)
-    return bool(out) if single else out
-
-
-def in_lower_cone(X, tol: float = 1e-12):
-    arr, single = _rows(X)
-    t = arr[..., -1]
-    out = (t <= tol) & (cone_norm(arr) <= 1.0 + tol)
     return bool(out) if single else out
 
 
@@ -159,8 +151,7 @@ def _directions(u):
 
 
 def sample_cone_sphere(r: float, n: int = 3, norm: str = "cone",
-                       restrict: str = "upper", count: int = 64, seed: int = 0,
-                       require_in_cone: bool = False):
+                       restrict: str = "upper", count: int = 64, seed: int = 0):
     """Deterministic points on the sphere of radius r in the requested norm.
 
     The axis points (0, ..., 0, +-r) are placed first whenever the restriction
@@ -177,8 +168,6 @@ def sample_cone_sphere(r: float, n: int = 3, norm: str = "cone",
         raise ValueError(f"unknown norm {norm!r}")
     if restrict not in ("upper", "lower", "both"):
         raise ValueError(f"unknown restriction {restrict!r}")
-    if require_in_cone and r > 1.0:
-        raise ValueError("sphere of radius > 1 cannot lie inside the cone")
 
     rows = []
     if restrict in ("upper", "both"):
@@ -218,13 +207,11 @@ class InteriorSample:
     acceptance_rate: float
     attempts: int
     seed: int
-    method: str
 
 
 def sample_cone_interior(count: int, n: int = 2, seed: int = 0,
                          exclude_axis_margin: float = 0.0,
-                         exclude_boundary_margin: float = 0.0,
-                         method: str = "low_discrepancy") -> InteriorSample:
+                         exclude_boundary_margin: float = 0.0) -> InteriorSample:
     """Uniform points in the upper cone by rejection from the bounding cylinder.
 
     Margins carve out the neighborhoods where Jacobian formulas are refused:
@@ -238,10 +225,7 @@ def sample_cone_interior(count: int, n: int = 2, seed: int = 0,
         raise ValueError("count must be >= 1")
     if exclude_axis_margin < 0 or exclude_boundary_margin < 0:
         raise ValueError("margins must be >= 0")
-    if method not in ("low_discrepancy", "pseudo"):
-        raise ValueError(f"unknown method {method!r}")
 
-    rng = np.random.default_rng(seed)
     root2 = math.sqrt(2.0)
     accepted = []
     attempts = 0
@@ -253,19 +237,11 @@ def sample_cone_interior(count: int, n: int = 2, seed: int = 0,
         if attempts >= max_attempts:
             raise RuntimeError(
                 f"acceptance rate {got / max(attempts, 1):.2e} below 1e-3: margins degenerate")
-        if method == "low_discrepancy":
-            u = kronecker_sequence(batch, n + 1, seed=seed, skip=skip)
-            skip += batch
-            dirs = _directions(u[:, : n - 1])
-            radius = u[:, n - 1] ** (1.0 / (n - 1))
-            t = u[:, n]
-        else:
-            g = rng.standard_normal((batch, n - 1))
-            nrm = np.linalg.norm(g, axis=1, keepdims=True)
-            nrm[nrm == 0] = 1.0
-            dirs = g / nrm
-            radius = rng.random(batch) ** (1.0 / (n - 1))
-            t = rng.random(batch)
+        u = kronecker_sequence(batch, n + 1, seed=seed, skip=skip)
+        skip += batch
+        dirs = _directions(u[:, : n - 1])
+        radius = u[:, n - 1] ** (1.0 / (n - 1))
+        t = u[:, n]
         x = dirs * radius[:, None]
         rho = np.linalg.norm(x, axis=1)
         ok = (rho + t <= 1.0 - root2 * exclude_boundary_margin) \
@@ -280,4 +256,4 @@ def sample_cone_interior(count: int, n: int = 2, seed: int = 0,
     if rate < 1e-3:
         raise RuntimeError(f"acceptance rate {rate:.2e} below 1e-3: margins degenerate")
     return InteriorSample(points=points, acceptance_rate=rate,
-                          attempts=attempts, seed=seed, method=method)
+                          attempts=attempts, seed=seed)

@@ -71,8 +71,7 @@ def test_criterion_03_inversion_round_trip():
         m = ConeMap(phi, n=n)
         X = sample_cone_interior(10_000, n=n, seed=0,
                                  exclude_axis_margin=1e-12,
-                                 exclude_boundary_margin=1e-12,
-                                 method="low_discrepancy").points
+                                 exclude_boundary_margin=1e-12).points
         err = float(np.max(cone_norm(m.inverse(m(X), tol=1e-12) - X)))
         assert err <= 1e-9, (phi.describe(), err)
     ok("criterion 03 inversion round trip")

@@ -174,6 +174,20 @@ def test_stacked_sweeps_equal_per_radius_sweeps(m, radii, center):
     assert np.array_equal(q.inverse_after_map, rev)
 
 
+def test_quasi_inverse_masks_radii_whose_sup_underflows():
+    # below ~6e-3 the logexample inverse's sampled sup underflows to 0, which
+    # is no sphere radius: those ratios are NaN, and the others are unchanged
+    h = RadialMap("logexample", beta=1.0, n=2)
+    radii = np.geomspace(1e-9, 0.5, 7)
+    q = quasi_inverse_check(h, h.inverted(), 0.0, radii, count=64)
+    lost = np.isnan(q.map_after_inverse)
+    assert 0 < lost.sum() < radii.size
+    assert np.all(np.isfinite(q.inverse_after_map))
+    kept = quasi_inverse_check(h, h.inverted(), 0.0, radii[~lost], count=64)
+    assert np.array_equal(q.map_after_inverse[~lost], kept.map_after_inverse)
+    assert np.array_equal(q.inverse_after_map[~lost], kept.inverse_after_map)
+
+
 def test_sweeps_keep_their_seeded_values():
     # values of the per-radius implementation, before sweeps were stacked
     g = GluedMap(ModulusFunction.iterlog(depth=2, alpha=1.0, n=2), n=2)

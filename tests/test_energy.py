@@ -96,6 +96,17 @@ def test_status_says_whether_the_bound_meets_tol(n, tol, part, total):
         assert (r.error_estimate <= tol * r.value) == (status == "converged")
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_depth3_stops_once_the_reference_bound_dominates(n):
+    # the bound cannot fall below sigma * T_err of the 1-D reference, so the
+    # quadrature stops near that floor instead of after all 60 doublings
+    m = ConeMap(ModulusFunction.iterlog(depth=3, alpha=1.0, n=n), n=n)
+    r = conformal_energy_H(m, tol=1e-10)
+    fine = conformal_energy_H(m, tol=1e-12)
+    assert r.samples_or_nodes < 600_000
+    assert abs(r.value - fine.value) <= r.error_estimate
+
+
 # -- pointwise distortion bound ----------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -10,6 +10,7 @@ from bicone.moduli import (BracketError, EnergyDivergenceError, ModulusFunction,
                            energy_tail_bound, measured_constants,
                            modulus_energy, modulus_energy_detailed,
                            quasi_inverse_defect)
+from bicone.moduli import _increment_verdict
 
 
 def admissible_families():
@@ -104,6 +105,57 @@ def test_profile_log_handles_extreme_depth():
     # agreement with direct evaluation where s is representable
     mid = np.exp(-u[:3])
     assert np.max(np.abs(vals[:3] / phi(mid) - 1.0)) <= 1e-12
+
+
+# -- the kernel ---------------------------------------------------------------
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+def test_second_derivative_has_no_nan_down_to_1e_300(depth):
+    # the u-jet never squares 1/s; where |phi''| passes the float range the
+    # value is -inf (concave near 0), and elsewhere it matches differences
+    phi = ModulusFunction.iterlog(depth=depth, alpha=1.0, n=2)
+    s = np.geomspace(1e-300, 1.0, 601)
+    dd = phi.second_derivative(s)
+    assert not np.isnan(dd).any()
+    assert np.all(dd[s < 1e-3] < 0)
+    t = np.geomspace(1e-6, 0.5, 50)
+    h = 1e-6 * t
+    fd = (phi.derivative(t + h) - phi.derivative(t - h)) / (2 * h)
+    assert np.max(np.abs(phi.second_derivative(t) / fd - 1.0)) <= 1e-7
+
+
+def test_identity_is_exact():
+    phi = ModulusFunction.identity()
+    s = np.geomspace(5e-324, 1.0, 2001)
+    assert np.array_equal(phi(s), s)
+    assert np.array_equal(phi.derivative(s), np.ones_like(s))
+    assert measured_constants(phi).M == 1.0
+
+
+@pytest.mark.parametrize("phi", admissible_families(), ids=lambda p: p.describe())
+def test_calculus_comes_from_one_kernel(phi):
+    # phi' = g phi / s with g the elasticity, bit for bit; power keeps s**eps
+    s = np.geomspace(1e-300, 0.99, 97)
+    assert np.array_equal(phi.derivative(s), phi.elasticity(s) * phi(s) / s)
+    _, g = phi.profile_log(-np.log(s))
+    assert np.array_equal(g, phi.elasticity(s))
+    if phi.family != "iterlog":
+        assert np.array_equal(phi(s), s ** phi.eps)
+
+
+def test_custom_profile_log_takes_a_scalar():
+    root = ModulusFunction.custom(lambda s: np.sqrt(s))
+    phi, g = root.profile_log(2.0)
+    assert phi == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert g == pytest.approx(0.5, rel=1e-6)        # central differences
+
+
+def test_increment_verdict():
+    assert _increment_verdict([8.0, 4.0, 2.0, 1.0, 0.1], 1.0) == "converged"
+    assert _increment_verdict([8.0, 4.0, 2.0, 1.0, 0.2], 1.0) is None
+    assert _increment_verdict([4.0, 2.0, 1.0, 0.1], 1.0) is None   # four panels
+    assert _increment_verdict([1.0, 1.0, 2.0, 2.0, 3.0], 1.0) == "diverged"
+    assert _increment_verdict([1.0, 3.0, 2.0, 2.5, 3.0], 1.0) is None
 
 
 def test_invert_round_trip():
