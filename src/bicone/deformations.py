@@ -25,7 +25,9 @@ cannot cancel catastrophically since both terms are positive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -60,14 +62,23 @@ def _out(arr, single):
 
 @dataclass(frozen=True)
 class JacobianData:
-    """Derivative data of a cone map at one point or a stack of points."""
+    """Derivative data of a cone map at one point or a stack of points.
 
-    matrix: np.ndarray          # (n, n) or (m, n, n)
+    The norms come from closed forms; ``matrix`` is built on first access,
+    since most callers need only the scalar reductions.
+    """
+
     det: np.ndarray | float     # the Jacobian determinant D
     hs_norm: np.ndarray | float
     inv_hs_norm: np.ndarray | float
     cofactor_norm: np.ndarray | float
     inner_distortion: np.ndarray | float
+    _build_matrix: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """DH as an (n, n) matrix, or (m, n, n) for a stack of points."""
+        return self._build_matrix()
 
 
 class ConeMap:
@@ -119,18 +130,21 @@ class ConeMap:
         der = self.phi.derivative(s)
         det = (1.0 - w) * lam + w * der      # lambda(s) + t lambda'(s), no cancellation
         t_lam_prime = w * (der - lam)        # t * lambda'(s) <= 0
-        m = arr.shape[0]
-        matrix = np.tile(np.eye(n), (m, 1, 1))
-        matrix[:, -1, :-1] = (t_lam_prime / rho)[:, None] * arr[:, :-1]
-        matrix[:, -1, -1] = det
+
+        def build_matrix():
+            matrix = np.tile(np.eye(n), (arr.shape[0], 1, 1))
+            matrix[:, -1, :-1] = (t_lam_prime / rho)[:, None] * arr[:, :-1]
+            matrix[:, -1, -1] = det
+            return _out(matrix, single)
+
         hs = np.sqrt((n - 1) + t_lam_prime ** 2 + det ** 2)
         inv_hs = np.sqrt((1.0 + t_lam_prime ** 2) / det ** 2 + (n - 1))
         cof = np.sqrt((n - 1) * det ** 2 + t_lam_prime ** 2 + 1.0)
         K = inv_hs ** n * det
         if single:
-            return JacobianData(matrix[0], float(det[0]), float(hs[0]),
-                                float(inv_hs[0]), float(cof[0]), float(K[0]))
-        return JacobianData(matrix, det, hs, inv_hs, cof, K)
+            return JacobianData(float(det[0]), float(hs[0]), float(inv_hs[0]),
+                                float(cof[0]), float(K[0]), build_matrix)
+        return JacobianData(det, hs, inv_hs, cof, K, build_matrix)
 
     # -- inversion -----------------------------------------------------------
 

@@ -254,30 +254,33 @@ def inner_distortion_integral(m: ConeMap, tol: float = 1e-6) -> EnergyResult:
     return _quad_energy(m, tol, "distortion")
 
 
-def energy_F_monte_carlo(m: ConeMap, samples: int, seed: int = 0,
-                         margin: float = 1e-6) -> EnergyResult:
+# The Monte-Carlo sample keeps this distance from the axis, base and slant,
+# where the Jacobian evaluator refuses points.
+_MC_MARGIN = 1e-6
+
+
+def energy_F_monte_carlo(m: ConeMap, samples: int, seed: int = 0) -> EnergyResult:
     """Monte-Carlo estimate of int over the upper cone of |DF(Y)|^n dY.
 
-    Y is sampled uniformly from the cone trimmed by `margin` around the
-    axis, base and slant (where the Jacobian evaluator refuses points);
-    |DF(Y)| = |(DH)^{-1}| at X = F(Y).  The reported error adds to the
-    standard error a bound vol(margins) * (max + mean sampled integrand)
-    covering both the untrimmed-volume bias and the skipped mass; that
-    factor uses the observed extremes, so it is an estimate rather than a
-    certificate.
+    Y is sampled uniformly from the cone trimmed by _MC_MARGIN around the
+    axis, base and slant; |DF(Y)| = |(DH)^{-1}| at X = F(Y).  The reported
+    error adds to the standard error a bound vol(margins) * (max + mean
+    sampled integrand) covering both the untrimmed-volume bias and the
+    skipped mass; that factor uses the observed extremes, so it is an
+    estimate rather than a certificate.
     """
     if samples < 1000:
         raise ValueError("need at least 10^3 samples")
     n = m.n
     batch = sample_cone_interior(samples, n=n, seed=seed,
-                                 exclude_axis_margin=margin,
-                                 exclude_boundary_margin=margin)
+                                 exclude_axis_margin=_MC_MARGIN,
+                                 exclude_boundary_margin=_MC_MARGIN)
     X = m.inverse(batch.points, tol=1e-12)
     values = m.jacobian(X).inv_hs_norm ** n
     vol = unit_ball_volume(n - 1) / n
     mean = float(np.mean(values))
     std_err = float(np.std(values, ddof=1) / math.sqrt(samples)) * vol
-    margin_vol = unit_ball_volume(n - 1) * (margin ** (n - 1) + 3.0 * margin)
+    margin_vol = unit_ball_volume(n - 1) * (_MC_MARGIN ** (n - 1) + 3.0 * _MC_MARGIN)
     margin_term = margin_vol * float(np.max(values) + mean)
     return EnergyResult(value=mean * vol, method="monte_carlo",
                         samples_or_nodes=samples,

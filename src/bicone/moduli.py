@@ -73,9 +73,15 @@ _EXP_TOWER = (0.0, 1.0, math.e, math.exp(math.e), math.exp(math.exp(math.e)))
 _MAX_DEPTH = len(_EXP_TOWER)
 
 
-def _jet_log(f, d1, d2):
-    """Propagate (value, first, second derivative) through a logarithm."""
-    return np.log(f), d1 / f, (d2 * f - d1 * d1) / (f * f)
+def _jet_log(jet):
+    """Propagate a jet (value[, first[, second derivative]]) through a logarithm."""
+    f = jet[0]
+    out = [np.log(f)]
+    if len(jet) > 1:
+        out.append(jet[1] / f)
+    if len(jet) > 2:
+        out.append((jet[2] * f - jet[1] * jet[1]) / (f * f))
+    return out
 
 
 def _as_array(s):
@@ -167,28 +173,31 @@ class ModulusFunction:
 
     # -- the kernel ----------------------------------------------------------
 
-    def _kernel(self, s=None, u=None):
-        """(phi, g, h) of a built-in family at s = e^-u in (0, 1]; pass s or u.
+    def _kernel(self, s=None, u=None, order=1):
+        """(phi, g, h) of a built-in family at s = e^-u in (0, 1], cut to `order`.
 
-        Power keeps the closed form s**eps whenever s is given (the identity
-        stays exact) and returns g = eps, h = 0 as floats, except g as an
-        array for ``profile_log``, which passes u only.
+        Pass s or u.  The tuple holds the first order + 1 of phi, g and h,
+        and only those are computed: the value alone for order 0, (phi, g)
+        for order 1 and all three for order 2.  Power keeps the closed form
+        s**eps whenever s is given (the identity stays exact) and returns
+        g = eps, h = 0 as floats, except g as an array for ``profile_log``,
+        which passes u only.
         """
         if self.family != "iterlog":
             if s is None:
-                return np.exp(-self.eps * u), np.full_like(u, self.eps), 0.0
-            return s ** self.eps, self.eps, 0.0
+                return (np.exp(-self.eps * u), np.full_like(u, self.eps), 0.0)[:order + 1]
+            return (s ** self.eps, self.eps, 0.0)[:order + 1]
         if u is None:
             u = -np.log(s)
-        A = g = h = 0.0
+        A = [0.0] * (order + 1)                 # A = -log phi, then g and h
         for j, a in enumerate(self.coefficients, start=1):
             beta = self.alpha if j == self.depth else 1.0 / self.n
-            v = (_EXP_TOWER[j - 1] + u, 1.0, 0.0)
+            v = (_EXP_TOWER[j - 1] + u, 1.0, 0.0)[:order + 1]
             for _ in range(j - 1):
-                v = _jet_log(*v)
-            l0, l1, l2 = _jet_log(1.0 + a * v[0], a * v[1], a * v[2])
-            A, g, h = A + beta * l0, g + beta * l1, h + beta * l2
-        return np.exp(-A), g, h
+                v = _jet_log(v)
+            jet = _jet_log((1.0 + a * v[0], *(a * x for x in v[1:])))
+            A = [acc + beta * x for acc, x in zip(A, jet)]
+        return (np.exp(-A[0]), *A[1:])
 
     # -- evaluation ----------------------------------------------------------
 
@@ -200,15 +209,18 @@ class ModulusFunction:
         inner = (arr > 0) & (arr < 1.0)
         if inner.any():
             si = arr[inner]
-            out[inner] = self.fn(si) if self.family == "custom" else self._kernel(si)[0]
+            out[inner] = self.fn(si) if self.family == "custom" \
+                else self._kernel(si, order=0)[0]
         out[arr == 0] = 0.0
         return _scalar_out(out, scalar)
 
     def derivative(self, s):
-        """First derivative g phi / s; central differences for custom.
+        """First derivative g phi / s; finite differences for custom.
 
         Defined for s > 0.  For s > 1 the identity extension gives 1; at s = 1
         the one-sided family form is used, since the calculus lives on (0, 1].
+        A custom modulus takes central differences, or backward ones where
+        the forward step would cross s = 1 into the identity extension.
         """
         arr, scalar = _as_array(s)
         if (arr <= 0).any():
@@ -220,9 +232,11 @@ class ModulusFunction:
             if self.family == "custom":
                 h = np.maximum(1e-7, 1e-4 * si)
                 h = np.minimum(h, 0.5 * si)
-                out[inner] = (self(si + h) - self(si - h)) / (2.0 * h)
+                back = si + h > 1.0
+                ahead = np.where(back, si, si + h)
+                out[inner] = (self(ahead) - self(si - h)) / np.where(back, h, 2.0 * h)
             else:
-                phi, g, _ = self._kernel(si)
+                phi, g = self._kernel(si)
                 out[inner] = g * phi / si
         return _scalar_out(out, scalar)
 
@@ -240,7 +254,7 @@ class ModulusFunction:
             h = np.minimum(h, 0.5 * arr)
             out = (self(arr + h) - 2.0 * self(arr) + self(arr - h)) / (h * h)
         else:
-            phi, g, h = self._kernel(arr)
+            phi, g, h = self._kernel(arr, order=2)
             with np.errstate(over="ignore"):
                 out = phi / arr * ((g * g - g - h) / arr)
         return _scalar_out(out, scalar)
@@ -284,7 +298,7 @@ class ModulusFunction:
             pos = (s > 0) & (phi > 0)
             g[pos] = s[pos] * self.derivative(s[pos]) / phi[pos]
         else:
-            phi, g, _ = self._kernel(u=arr)
+            phi, g = self._kernel(u=arr)
         if scalar:
             return float(phi), float(g)
         return phi, g
@@ -627,15 +641,14 @@ def doubling_constant(phi: ModulusFunction, factor: float,
 
 
 def quasi_inverse_defect(phi: ModulusFunction, psi: ModulusFunction,
-                         grid_size: int = 1024,
-                         t_min: float = 1e-6) -> tuple[float, float]:
-    """(inf, sup) of psi(phi(t)) / t over a log grid on [t_min, 1].
+                         grid_size: int = 1024) -> tuple[float, float]:
+    """(inf, sup) of psi(phi(t)) / t over a log grid on [1e-6, 1].
 
     For psi the exact inverse of phi both bounds are 1 up to solver
     tolerance; for mismatched pairs the sup measures how badly the
     composition distorts scales (it grows without bound for log-type phi
     composed with itself).
     """
-    grid = np.geomspace(t_min, 1.0, grid_size)
+    grid = np.geomspace(1e-6, 1.0, grid_size)
     ratios = psi(phi(grid)) / grid
     return float(np.min(ratios)), float(np.max(ratios))

@@ -154,6 +154,19 @@ def test_verify_conditions_exit_codes(capsys):
     assert failed == ["finite energy (C3)"]
 
 
+@pytest.mark.parametrize("phi,worst,equality", [
+    ("identity,n=2", 2.220446049250313e-16, 0.0),
+    ("iterlog:k=2,alpha=1,n=2", -0.8607491661319394, 4.440892098500626e-16),
+    ("iterlog:k=4,alpha=1,n=4", -1.0338607206539456, 0.0),
+])
+def test_verify_averaging_keeps_its_seeded_defects(phi, worst, equality, capsys):
+    # exact floats: the suite's segment quadrature must keep every bit
+    code, out = run(["verify", "averaging", "--phi", phi, "--pairs", "50"], capsys)
+    assert code == 0
+    checks = json.loads(out)["result"]["checks"]
+    assert [c["measured_constant"] for c in checks] == [worst, equality]
+
+
 def test_verify_main_theorem_small(capsys):
     code, out = run(["verify", "main-theorem", "--phi", "iterlog:k=2,alpha=1,n=2",
                      "--count", "64", "--radii", "log:1e-3..0.9:6"], capsys)

@@ -1,14 +1,19 @@
+import math
+
 import numpy as np
 import pytest
 
+from bicone.cli import _averaging_suite
 from bicone.continuity import (averaging_lemma_check, doubling_probe,
                                linear_dilatation, modulus_profile,
                                optimal_modulus, quasi_inverse_check,
                                three_points_ratio, verify_global_modulus_F,
                                verify_global_modulus_H, verify_main_theorem)
+from bicone.continuity import _segment_integral
 from bicone.deformations import ConeMap, GluedMap, RadialMap
 from bicone.geometry import cone_norm, euclid_norm, sample_cone_sphere
-from bicone.moduli import ModulusFunction, doubling_constant, measured_constants
+from bicone.moduli import (_GL_NODES, _GL_WEIGHTS, ModulusFunction,
+                           doubling_constant, measured_constants)
 
 
 def k2(n=2):
@@ -305,6 +310,81 @@ def test_averaging_numeric_antiderivative_path():
     b = np.array([-0.1, 0.05])
     rep = averaging_lemma_check(phi.derivative, a, b)   # numeric fallback G
     assert rep.passed
+
+
+def _segment_integral_per_panel(Phi, a, b, G, depth=44):
+    """The segment quadrature with one Phi call per panel, as a reference."""
+    d = a - b
+    dd = float(d @ d)
+    if dd == 0:
+        return float(Phi(np.array([np.linalg.norm(a)]))[0]), 0.0
+    gamma_star = float(np.clip(-(b @ d) / dd, 0.0, 1.0))
+    c_star = b + gamma_star * d
+    total = 0.0
+    strip = 0.0
+    for length, sign in ((gamma_star, -1.0), (1.0 - gamma_star, 1.0)):
+        if length <= 0:
+            continue
+        bounds = np.concatenate(([length],
+                                 length * 2.0 ** -np.arange(1, depth + 1)))
+        for j in range(depth):
+            hi_off, lo_off = bounds[j], bounds[j + 1]
+            half = 0.5 * (hi_off - lo_off)
+            off = lo_off + half * (_GL_NODES + 1.0)
+            pts = c_star[None, :] + (sign * off)[:, None] * d[None, :]
+            total += half * float(np.sum(_GL_WEIGHTS * np.asarray(
+                Phi(np.linalg.norm(pts, axis=1)))))
+        w = float(bounds[-1])
+        bound = G(w * math.sqrt(dd)) / math.sqrt(dd)
+        c_min = float(np.linalg.norm(c_star))
+        if c_min > 0:
+            bound = min(bound, w * float(np.asarray(Phi(np.array([c_min])))[0]))
+        strip += bound
+    return total, strip
+
+
+def _segment_cases():
+    rng = np.random.default_rng(3)
+    cases = [("random", *rng.uniform(-0.5, 0.5, size=(2, n))) for n in (2, 3, 4)
+             for _ in range(3)]
+    cases += [("clipped-at-b", np.array([0.3, 0.1]), np.array([0.2, 0.05])),
+              ("clipped-at-a", np.array([0.2, 0.05]), np.array([0.3, 0.1])),
+              ("antiparallel", np.array([0.0, 0.25, 0.0]),
+               np.array([0.0, -0.25, 0.0])),
+              ("a-equals-b", np.array([0.1, -0.2]), np.array([0.1, -0.2]))]
+    return cases
+
+
+@pytest.mark.parametrize("phi", [ModulusFunction.power(0.5, n=2),
+                                 ModulusFunction.iterlog(depth=2, alpha=1.0, n=3)],
+                         ids=lambda p: p.describe())
+@pytest.mark.parametrize("case", _segment_cases(), ids=lambda c: c[0])
+def test_stacked_segment_integral_equals_per_panel_loop(phi, case):
+    _, a, b = case
+
+    def G(x):
+        return float(phi(x))
+
+    got = _segment_integral(phi.derivative, a, b, G)
+    assert got == _segment_integral_per_panel(phi.derivative, a, b, G)
+
+
+def test_averaging_suite_makes_few_kernel_calls(monkeypatch):
+    # one kernel call for all panels of a segment: 6 per pair here, where
+    # one call per panel made about 88
+    phi = ModulusFunction.iterlog(depth=4, alpha=1.0, n=4)
+    calls = []
+    kernel = ModulusFunction._kernel
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModulusFunction, "_kernel", counted)
+    measured_constants.cache_clear()
+    report = _averaging_suite(phi, 4, pairs=50, seed=0, tol=1e-10)
+    assert report.passed
+    assert len(calls) <= 8 * 51 + 5
 
 
 # -- whole-theorem verification ---------------------------------------------------

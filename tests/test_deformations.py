@@ -209,6 +209,17 @@ def test_determinant_bounds(phi, n):
     assert np.all(jd.det <= lam + 1e-12)
 
 
+def test_jacobian_builds_its_matrix_on_first_access():
+    m = ConeMap(ModulusFunction.iterlog(depth=2, alpha=1.0, n=3), n=3)
+    X = interior(3, 50, seed=6)
+    jd = m.jacobian(X)
+    assert "matrix" not in vars(jd)        # the norms alone build no matrix
+    assert jd.matrix.shape == (50, 3, 3) and jd.matrix is jd.matrix
+    one = m.jacobian(X[7])
+    assert np.array_equal(one.matrix, jd.matrix[7])
+    assert one.inv_hs_norm == jd.inv_hs_norm[7]
+
+
 def test_jacobian_rejects_degenerate_points():
     m = ConeMap(ModulusFunction.power(0.5), n=2)
     with pytest.raises(DomainError):

@@ -150,6 +150,30 @@ def test_custom_profile_log_takes_a_scalar():
     assert g == pytest.approx(0.5, rel=1e-6)        # central differences
 
 
+@pytest.mark.parametrize("phi", admissible_families() + [
+    ModulusFunction.iterlog(depth=5, alpha=0.7, n=4)], ids=lambda p: p.describe())
+def test_kernel_orders_agree_bit_for_bit(phi):
+    # a lower order only drops the trailing jets; phi and g keep every bit
+    s = np.geomspace(1e-300, 0.99, 97)
+    (p0,), (p1, g1), (p2, g2, _) = (phi._kernel(s, order=k) for k in (0, 1, 2))
+    assert np.array_equal(p0, p1) and np.array_equal(p1, p2)
+    assert np.array_equal(g1, g2)
+    u = -np.log(s)
+    (q1, h1), (q2, h2, _) = (phi._kernel(u=u, order=k) for k in (1, 2))
+    assert np.array_equal(q1, q2) and np.array_equal(h1, h2)
+
+
+@pytest.mark.parametrize("s", [1.0, 1.0 - 1e-6, 0.5])
+def test_custom_derivative_stays_one_sided_at_the_kink(s):
+    # phi = sqrt on (0, 1] and the identity beyond: no difference may
+    # straddle s = 1, so slope and elasticity are those of sqrt
+    root = ModulusFunction.custom(np.sqrt)
+    assert root.derivative(s) == pytest.approx(0.5 / math.sqrt(s), abs=1e-3)
+    assert root.profile_log(-math.log(s))[1] == pytest.approx(0.5, abs=1e-3)
+    if s < 1.0:
+        assert root.elasticity(s) == pytest.approx(0.5, abs=1e-3)
+
+
 def test_increment_verdict():
     assert _increment_verdict([8.0, 4.0, 2.0, 1.0, 0.1], 1.0) == "converged"
     assert _increment_verdict([8.0, 4.0, 2.0, 1.0, 0.2], 1.0) is None
