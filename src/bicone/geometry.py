@@ -4,7 +4,10 @@ Points are rows (x_1, ..., x_{n-1}, t); the cone norm is |x| + |t|, whose
 closed unit ball is the double cone.  The upper cone is the part with t >= 0.
 Samplers are deterministic functions of their seed, and the quasi-random ones
 have the prefix property: the first N points of a longer run coincide with a
-shorter run, so sampled suprema are monotone under sample growth.
+shorter run, so sampled suprema are monotone under sample growth.  Both map a
+Kronecker stream onto their target directly: the sphere sampler by a split
+into direction and height, the solid-cone sampler by inverse CDF, rejecting
+only the points its axis margin excludes.
 """
 
 from __future__ import annotations
@@ -99,7 +102,9 @@ def kronecker_sequence(count: int, dim: int, seed: int = 0, skip: int = 0):
     alphas = np.array([phi ** -(j + 1) for j in range(dim)])
     offset = np.random.default_rng(seed).random(dim)
     idx = np.arange(skip + 1, skip + count + 1, dtype=float)[:, None]
-    return (offset + idx * alphas) % 1.0
+    out = offset + idx * alphas
+    out -= np.floor(out)          # the same bits as % 1.0, at a fraction of the cost
+    return out
 
 
 def _inv_norm_cdf(p):
@@ -212,48 +217,45 @@ class InteriorSample:
 def sample_cone_interior(count: int, n: int = 2, seed: int = 0,
                          exclude_axis_margin: float = 0.0,
                          exclude_boundary_margin: float = 0.0) -> InteriorSample:
-    """Uniform points in the upper cone by rejection from the bounding cylinder.
+    """Uniform points in the upper cone, mapped from a Kronecker stream by inverse CDF.
 
     Margins carve out the neighborhoods where Jacobian formulas are refused:
-    |x| >= exclude_axis_margin, t >= exclude_boundary_margin, and Euclidean
-    distance to the slant face (1 - |x| - t)/sqrt(2) >= exclude_boundary_margin.
-    The acceptance rate estimates vol(cone)/vol(cylinder) = 1/n and is
-    reported for volume cross-checks.  Raises if margins push acceptance
-    below 1e-3.
+    |x| >= a = exclude_axis_margin, t >= b = exclude_boundary_margin, and
+    Euclidean distance to the slant face (1 - |x| - t)/sqrt(2) >= b.  The
+    last two leave the cone {t >= b, |x| + t <= 1 - sqrt(2) b} of height
+    L = 1 - (1 + sqrt(2)) b, onto which each point u of [0,1)^(n+1) maps
+    exactly: the height from its marginal density, proportional to
+    (L - (t - b))^(n-1); the radius from density rho^(n-2) on
+    [0, L - (t - b)]; the direction by Gaussian shaping of u[:n-1].
+    Only the axis cylinder |x| < a, of mass O(a^(n-1)), is rejected.  The
+    shortfall is drawn from the continuing stream, so accepted points keep
+    stream order and the prefix property holds; `acceptance_rate` is the
+    kept share of the `attempts` points drawn.  Raises if the margins leave
+    an acceptance below 1e-3.
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    if exclude_axis_margin < 0 or exclude_boundary_margin < 0:
+    a, b = exclude_axis_margin, exclude_boundary_margin
+    if a < 0 or b < 0:
         raise ValueError("margins must be >= 0")
-
-    root2 = math.sqrt(2.0)
-    accepted = []
-    attempts = 0
-    got = 0
-    skip = 0
-    batch = max(4096, 2 * count)
-    max_attempts = max(10_000_000, 10_000 * count)
-    while got < count:
-        if attempts >= max_attempts:
-            raise RuntimeError(
-                f"acceptance rate {got / max(attempts, 1):.2e} below 1e-3: margins degenerate")
-        u = kronecker_sequence(batch, n + 1, seed=seed, skip=skip)
-        skip += batch
-        dirs = _directions(u[:, : n - 1])
-        radius = u[:, n - 1] ** (1.0 / (n - 1))
-        t = u[:, n]
-        x = dirs * radius[:, None]
-        rho = np.linalg.norm(x, axis=1)
-        ok = (rho + t <= 1.0 - root2 * exclude_boundary_margin) \
-            & (rho >= exclude_axis_margin) \
-            & (t >= exclude_boundary_margin)
-        attempts += batch
-        pts = np.column_stack([x[ok], t[ok]])
-        accepted.append(pts)
-        got += pts.shape[0]
-    points = np.vstack(accepted)[:count]
-    rate = got / attempts
+    height = 1.0 - (1.0 + math.sqrt(2.0)) * b
+    # share of the trimmed cone inside the axis cylinder |x| < a
+    lost = (n * (height - a) * a ** (n - 1) + a ** n) / height ** n if height > a else 1.0
+    rate = 1.0 - lost
     if rate < 1e-3:
         raise RuntimeError(f"acceptance rate {rate:.2e} below 1e-3: margins degenerate")
-    return InteriorSample(points=points, acceptance_rate=rate,
-                          attempts=attempts, seed=seed)
+
+    accepted = []
+    got = attempts = 0
+    while got < count:
+        batch = math.ceil((count - got) / rate)
+        u = kronecker_sequence(batch, n + 1, seed=seed, skip=attempts)
+        attempts += batch
+        t = b + height * (1.0 - (1.0 - u[:, n]) ** (1.0 / n))
+        rho = (height - (t - b)) * u[:, n - 1] ** (1.0 / (n - 1))
+        ok = rho >= a
+        x = _directions(u[ok, : n - 1]) * rho[ok, None]
+        accepted.append(np.column_stack([x, t[ok]]))
+        got += x.shape[0]
+    return InteriorSample(points=np.vstack(accepted)[:count],
+                          acceptance_rate=got / attempts, attempts=attempts, seed=seed)

@@ -245,6 +245,9 @@ class ModulusFunction:
 
         Rejects arguments outside that range.  Where |phi''| exceeds the
         float range (iterlog near s = 1e-300) the result is -inf, not NaN.
+        A custom modulus takes central differences, or the backward stencil
+        (s, s - h, s - 2h) where s + h would cross s = 1 into the identity
+        extension.
         """
         arr, scalar = _as_array(s)
         if (arr <= 0).any() or (arr > 1.0).any():
@@ -252,7 +255,10 @@ class ModulusFunction:
         if self.family == "custom":
             h = np.maximum(1e-5, 1e-3 * arr)
             h = np.minimum(h, 0.5 * arr)
-            out = (self(arr + h) - 2.0 * self(arr) + self(arr - h)) / (h * h)
+            back = arr + h > 1.0
+            mid = np.where(back, arr - h, arr)
+            out = (self(np.where(back, arr, arr + h)) - 2.0 * self(mid)
+                   + self(mid - h)) / (h * h)
         else:
             phi, g, h = self._kernel(arr, order=2)
             with np.errstate(over="ignore"):
@@ -271,12 +277,16 @@ class ModulusFunction:
         return _scalar_out(self(arr) / arr, scalar)
 
     def elasticity(self, s):
-        """g = s * phi'(s) / phi(s), the logarithmic slope; <= 1 for admissible moduli."""
+        """g = s * phi'(s) / phi(s), the logarithmic slope; <= 1 for admissible moduli.
+
+        Like ``derivative``, it is one-sided at s = 1 (the family form, equal
+        to the g of ``profile_log(0)``) and 1 beyond, on the identity extension.
+        """
         arr, scalar = _as_array(s)
         if (arr <= 0).any():
             raise ValueError("elasticity needs s > 0")
         out = np.ones_like(arr)
-        inner = arr < 1.0
+        inner = arr <= 1.0
         if inner.any():
             out[inner] = self.profile_log(-np.log(arr[inner]))[1]
         return _scalar_out(out, scalar)

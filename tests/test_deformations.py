@@ -123,6 +123,20 @@ def test_inverse_relative_round_trip_property(k, n, exponent, frac):
     assert abs(back[-1] - tau) <= 1e-12 * tau
 
 
+@given(k=st.integers(1, 3), n=st.integers(2, 3),
+       exponent=st.floats(-307.0, 0.0), frac=st.floats(1e-3, 0.99))
+def test_forward_then_inverse_relative_round_trip_property(k, n, exponent, frac):
+    # The solve holds the height equation to a relative 1e-12; its slope in
+    # log T is 1 - (T/s)(1 - g(s)) >= g(s), so T itself is good to 1e-12/g(s).
+    phi = ModulusFunction.iterlog(depth=k, alpha=1.0, n=n)
+    m = ConeMap(phi, n=n)
+    t = 10.0 ** exponent
+    x = upper_point(n, frac * (1.0 - t), t)
+    back = m.inverse(m(x), tol=1e-12)
+    assert np.array_equal(back[:-1], x[:-1])
+    assert abs(back[-1] - t) <= 1e-12 / phi.elasticity(x[0] + t) * t
+
+
 _MP_TOWER = (0, 1, mp.e, mp.exp(mp.e))
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bicone import geometry
 from bicone.geometry import (cone_norm, cone_volume, euclid_norm,
                              in_double_cone, in_upper_cone, kronecker_sequence,
                              reflect, sample_cone_interior, sample_cone_sphere,
@@ -115,3 +116,96 @@ def test_interior_sample_fills_cone_uniformly():
     s = sample_cone_interior(40_000, n=2, seed=1)
     frac = float(np.mean(s.points[:, -1] > 0.5))
     assert frac == pytest.approx(0.25, abs=0.01)
+
+
+def _kronecker_mod(count, dim, seed=0, skip=0):
+    """The additive recurrence reduced with % 1.0, the reference for the floor form."""
+    phi = 2.0
+    for _ in range(64):
+        phi = (1.0 + phi) ** (1.0 / (dim + 1))
+    alphas = np.array([phi ** -(j + 1) for j in range(dim)])
+    offset = np.random.default_rng(seed).random(dim)
+    idx = np.arange(skip + 1, skip + count + 1, dtype=float)[:, None]
+    return (offset + idx * alphas) % 1.0
+
+
+@pytest.mark.parametrize("dim,count,seed,skip", [
+    (1, 500, 0, 0), (2, 4096, 3, 7), (3, 1000, 11, 10**6), (4, 2000, 5, 2**40)])
+def test_kronecker_floor_reduction_keeps_the_modulo_bits(dim, count, seed, skip):
+    assert np.array_equal(kronecker_sequence(count, dim, seed=seed, skip=skip),
+                          _kronecker_mod(count, dim, seed=seed, skip=skip))
+
+
+@pytest.mark.parametrize("n,count,seed", [(2, 64, 0), (3, 257, 4), (4, 1000, 13)])
+def test_sphere_sample_keeps_the_modulo_bits(monkeypatch, n, count, seed):
+    def draw():
+        return [sample_cone_sphere(0.3, n=n, norm=norm, restrict=restrict,
+                                   count=count, seed=seed)
+                for norm in ("cone", "euclid") for restrict in ("upper", "lower", "both")]
+
+    fast = draw()
+    monkeypatch.setattr(geometry, "kronecker_sequence", _kronecker_mod)
+    for got, ref in zip(fast, draw()):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_interior_sample_moments_match_the_uniform_cone(n):
+    # uniform on the cone: t has density n (1 - t)^(n-1), so E[t] = 1/(n+1),
+    # and given t, rho has density proportional to rho^(n-2) on [0, 1 - t]
+    pts = sample_cone_interior(100_000, n=n, seed=3).points
+    rho = np.linalg.norm(pts[:, :-1], axis=1)
+    assert np.mean(pts[:, -1]) == pytest.approx(1.0 / (n + 1), abs=2e-4)
+    assert np.mean(rho) == pytest.approx((n - 1) / (n + 1), abs=2e-4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_interior_sample_meets_margins_with_little_rejection(n):
+    margin = 1e-3
+    s = sample_cone_interior(20_000, n=n, seed=4, exclude_axis_margin=margin,
+                             exclude_boundary_margin=margin)
+    pts = s.points
+    rho, t = np.linalg.norm(pts[:, :-1], axis=1), pts[:, -1]
+    rounding = 4.0 * np.finfo(float).eps
+    assert pts.shape == (20_000, n)
+    assert np.all(rho >= margin * (1.0 - rounding))
+    assert np.all(t >= margin)
+    assert np.all((1.0 - rho - t) / math.sqrt(2.0) >= margin - rounding)
+    assert s.acceptance_rate >= 0.99
+    assert s.attempts >= 20_000
+
+
+@pytest.mark.parametrize("n,margin", [(2, 0.05), (3, 0.2)])
+def test_interior_prefix_survives_axis_redraws(monkeypatch, n, margin):
+    # the axis cylinder rejects several per cent of the stream, so some
+    # counts fall short on the first draw and continue the stream
+    kw = dict(n=n, seed=9, exclude_axis_margin=margin, exclude_boundary_margin=0.01)
+    longest = sample_cone_interior(400, **kw).points
+    assert np.all(np.linalg.norm(longest[:, :-1], axis=1) >= margin)
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(kwargs["skip"])
+        return kronecker_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "kronecker_sequence", counted)
+    redrawn = 0
+    for count in range(1, 401, 3):
+        draws.clear()
+        assert np.array_equal(sample_cone_interior(count, **kw).points, longest[:count])
+        redrawn += len(draws) > 1
+    assert redrawn > 0
+
+
+def test_interior_sample_refuses_degenerate_margins():
+    with pytest.raises(ValueError):
+        sample_cone_interior(10, n=3, exclude_axis_margin=-1e-3)
+    # the trimmed cone has height 1 - (1 + sqrt 2) 0.3 < 0.5: nothing is left
+    with pytest.raises(RuntimeError):
+        sample_cone_interior(10, n=3, exclude_axis_margin=0.5,
+                             exclude_boundary_margin=0.3)
+    # the axis cylinder holds all but 3e-4 of the trimmed cone
+    height = 1.0 - (1.0 + math.sqrt(2.0)) * 0.1
+    with pytest.raises(RuntimeError):
+        sample_cone_interior(10, n=3, exclude_axis_margin=0.99 * height,
+                             exclude_boundary_margin=0.1)

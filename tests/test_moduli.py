@@ -174,6 +174,24 @@ def test_custom_derivative_stays_one_sided_at_the_kink(s):
         assert root.elasticity(s) == pytest.approx(0.5, abs=1e-3)
 
 
+@pytest.mark.parametrize("s", [1.0, 1.0 - 1e-6])
+def test_custom_second_derivative_stays_one_sided_at_the_kink(s):
+    # sqrt'' = -1/4 s^(-3/2); a central difference across s = 1 would see
+    # the identity extension's kink and turn positive
+    root = ModulusFunction.custom(np.sqrt)
+    assert root.second_derivative(s) == pytest.approx(-0.25, abs=1e-2)
+    assert measured_constants(root).concavity_radius == 1.0
+
+
+@pytest.mark.parametrize("phi", admissible_families() + [
+    ModulusFunction.power(0.3), ModulusFunction.iterlog(depth=4, alpha=1.0, n=2),
+    ModulusFunction.iterlog(depth=5, alpha=0.7, n=4)], ids=lambda p: p.describe())
+def test_elasticity_is_one_sided_at_one(phi):
+    # s = 1 belongs to (0, 1], where derivative and profile_log live too
+    assert phi.elasticity(1.0) == phi.profile_log(0.0)[1]
+    assert phi.derivative(1.0) == phi.elasticity(1.0)
+
+
 def test_increment_verdict():
     assert _increment_verdict([8.0, 4.0, 2.0, 1.0, 0.1], 1.0) == "converged"
     assert _increment_verdict([8.0, 4.0, 2.0, 1.0, 0.2], 1.0) is None
