@@ -342,7 +342,7 @@ def _lower_integral(Phi, x: float, tol: float) -> float:
         total += inc
         increments.append(inc)
         decided = _increment_verdict(increments, tol * max(1.0, total))
-        if decided == "converged":
+        if decided in ("converged", "truncated"):   # truncated: s < 1e-300, dropped
             return total
         if decided == "diverged":
             break

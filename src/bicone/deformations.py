@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from ._roots import BracketError, newton_log
-from .geometry import cone_norm, in_upper_cone, reflect
+from .geometry import _horizontal_norm, cone_norm, in_upper_cone, reflect
 from .moduli import ModulusFunction
 
 __all__ = [
@@ -101,7 +101,7 @@ class ConeMap:
         arr, single = _rows(X)
         if not bool(np.all(in_upper_cone(arr, tol=1e-9))):
             raise DomainError("point outside the upper cone")
-        rho = np.linalg.norm(arr[:, :-1], axis=1)
+        rho = _horizontal_norm(arr)
         t = arr[:, -1]
         s = rho + t
         out = arr.copy()
@@ -117,7 +117,7 @@ class ConeMap:
         arr, single = _rows(X)
         if not bool(np.all(in_upper_cone(arr, tol=1e-9))):
             raise DomainError("point outside the upper cone")
-        rho = np.linalg.norm(arr[:, :-1], axis=1)
+        rho = _horizontal_norm(arr)
         t = arr[:, -1]
         s = rho + t
         if np.any(rho <= 0):
@@ -133,13 +133,20 @@ class ConeMap:
 
         def build_matrix():
             matrix = np.tile(np.eye(n), (arr.shape[0], 1, 1))
-            matrix[:, -1, :-1] = (t_lam_prime / rho)[:, None] * arr[:, :-1]
+            matrix[:, -1, :-1] = t_lam_prime[:, None] * (arr[:, :-1] / rho[:, None])
             matrix[:, -1, -1] = det
             return _out(matrix, single)
 
-        hs = np.sqrt((n - 1) + t_lam_prime ** 2 + det ** 2)
-        inv_hs = np.sqrt((1.0 + t_lam_prime ** 2) / det ** 2 + (n - 1))
-        cof = np.sqrt((n - 1) * det ** 2 + t_lam_prime ** 2 + 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            hs = np.sqrt((n - 1) + t_lam_prime ** 2 + det ** 2)
+            inv_hs = np.sqrt((1.0 + t_lam_prime ** 2) / det ** 2 + (n - 1))
+            cof = np.sqrt((n - 1) * det ** 2 + t_lam_prime ** 2 + 1.0)
+        big = ~(np.isfinite(hs) & np.isfinite(inv_hs) & np.isfinite(cof))
+        if big.any():       # the squares overflow (|x| near 1e-265): use hypot
+            tl, d, r = t_lam_prime[big], det[big], math.sqrt(n - 1)
+            hs[big] = np.hypot(np.hypot(tl, d), r)
+            inv_hs[big] = np.hypot(np.hypot(1.0, tl) / d, r)
+            cof[big] = np.hypot(np.hypot(r * d, tl), 1.0)
         K = inv_hs ** n * det
         if single:
             return JacobianData(float(det[0]), float(hs[0]), float(inv_hs[0]),
@@ -177,7 +184,7 @@ class ConeMap:
         arr, single = _rows(Y)
         if not bool(np.all(in_upper_cone(arr, tol=1e-9))):
             raise DomainError("point outside the upper cone")
-        rho = np.linalg.norm(arr[:, :-1], axis=1)
+        rho = _horizontal_norm(arr)
         tau = arr[:, -1]
         out = arr.copy()
         pos = tau > 0

@@ -20,9 +20,10 @@ u-panels double geometrically as in the one-dimensional E[phi] quadrature;
 w-panels refine dyadically toward w = 1 because the K_H integrand varies on
 the scale of the elasticity there.  Convergence is certified by rigorous
 remainders: the |DH|^n tail reduces (up to an error of order phi(U)^n) to
-the one-dimensional E[phi] remainder, known exactly for the closed-form
-families; the K_H tail has a majorant decaying like e^{-(n-1)U}, because
-the s^{n-1} factor saves it even when E[phi] barely converges.
+the one-dimensional remainder T(U) of moduli.energy_tail_bound, available
+for every built-in family; the K_H tail has a majorant decaying like
+e^{-(n-1)U}, because the s^{n-1} factor saves it even when E[phi] barely
+converges.
 """
 
 from __future__ import annotations
@@ -116,9 +117,8 @@ def _panel_value(phi: ModulusFunction, n: int, u: np.ndarray, wu: np.ndarray,
 # W_n(c) = int_0^1 Q^{n/2} (1-w)^{n-2} dw.  Since |dQ/dc| <= 2 and Q <= 1,
 # |W_n(c) - W_n(1)| <= (n/(n-1)) g, and int_U^inf phi^n g du = phi(U)^n / n
 # exactly (g is -dlog phi/du), so replacing W_n(c) by the constant W_n(1)
-# costs at most phi(U)^n / (n-1).  The remaining int_U^inf phi^n du is the
-# exact one-dimensional remainder where available (identity, power, iterlog
-# depths 1-2) and full-minus-head from the depth-3 change of variables.
+# costs at most phi(U)^n / (n-1).  The remaining T(U) = int_U^inf phi^n du
+# comes from energy_tail_bound, with its own bound T_err (0 where closed form).
 
 _W_REFERENCE: dict[int, float] = {}
 
@@ -165,13 +165,7 @@ def _distortion_tail(phi: ModulusFunction, n: int, U: float) -> float:
 
 def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str):
     sigma_factor = sphere_surface_area(n - 2)
-    full_1d = None
-    if kind == "conformal" and phi.family == "iterlog" and phi.depth == 3:
-        ref = modulus_energy_detailed(phi, n=n, tol=min(tol, 1e-9))
-        if ref.status == "converged":
-            full_1d = (ref.value, ref.error_bound)
     total = 0.0
-    head_1d = 0.0
     nodes = 0
     value = err = math.nan
     increments: list[float] = []
@@ -181,13 +175,8 @@ def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str):
         nodes += used
         increments.append(inc)
         if kind == "conformal":
-            # T = int_U^inf phi^n du: exact, or the depth-3 reference minus its head
-            T, exact = energy_tail_bound(phi, n, U)
-            T_err = 0.0
-            if full_1d is not None:
-                head_1d += float(np.sum(wu * phi.profile_log(u)[0] ** n))
-                T, T_err = max(full_1d[0] - head_1d, 0.0), full_1d[1]
-            if exact or full_1d is not None:
+            T, T_err = energy_tail_bound(phi, n, U)    # int_U^inf phi^n du
+            if math.isfinite(T):
                 phi_U, _ = phi.profile_log(U)
                 s_U = math.exp(-U)
                 corr = (n / 2.0) * ((n - 1) * s_U ** 2 + 2.0 * phi_U ** 2) \
@@ -197,8 +186,6 @@ def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str):
                     + 8.0 * np.finfo(float).eps * abs(value)
                 if err <= 0.5 * tol * max(1.0, abs(value)):
                     return value, err, "converged", nodes
-                if err <= 1.01 * sigma_factor * T_err:
-                    break     # the 1-D reference's bound dominates err now
                 continue
         else:
             tail = _distortion_tail(phi, n, U)
@@ -215,9 +202,11 @@ def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str):
                 "converged", nodes
         if decided == "diverged":
             return math.inf, math.inf, "diverged", nodes
+        if decided == "truncated":
+            break
     if math.isfinite(value):
-        # out of panels, or err within 1% of its floor: the certified bound
-        # may still meet the request, just not with the 0.5 margin above
+        # out of panels: the certified bound may still meet the request,
+        # just not with the 0.5 margin above
         status = "converged" if err <= tol * max(1.0, abs(value)) else "truncated"
         return value, err, status, nodes
     return sigma_factor * total, math.inf, "truncated", nodes

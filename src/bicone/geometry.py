@@ -37,11 +37,29 @@ def _rows(X):
     return arr, arr.ndim == 1
 
 
+def _horizontal_norm(arr: np.ndarray) -> np.ndarray:
+    """|x| of the points (x, t) in the last axis of arr.
+
+    Where |x| < 1e-150 the squares of its coordinates lose bits in the
+    subnormal range or vanish, so those rows are divided by their largest
+    |x_i| first; every other row keeps the bits of np.linalg.norm.
+    """
+    x = arr[..., :-1]
+    out = np.linalg.norm(x, axis=-1)
+    tiny = out < 1e-150
+    if np.any(tiny):
+        small = x[tiny]
+        scale = np.max(np.abs(small), axis=-1)
+        safe = np.where(scale > 0.0, scale, 1.0)
+        out[tiny] = scale * np.linalg.norm(small / safe[:, None], axis=-1)
+    return out
+
+
 def cone_norm(X):
     """|x| + |t| for points with coordinates (..., x_{n-1}, t)."""
     arr, single = _rows(X)
-    out = np.linalg.norm(arr[..., :-1], axis=-1) + np.abs(arr[..., -1])
-    return float(out) if single else out
+    out = _horizontal_norm(np.atleast_2d(arr)) + np.abs(arr[..., -1])
+    return float(out[0]) if single else out
 
 
 def euclid_norm(X):

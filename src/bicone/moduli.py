@@ -388,7 +388,7 @@ def measured_constants(phi: ModulusFunction, grid_size: int = 4096) -> MeasuredC
 
 @dataclass(frozen=True)
 class ModulusEnergy:
-    """Result of integrating phi^n ds/s over (0, 1] after u = log(1/s)."""
+    """E[phi] with its bound; panels and last panel end U are 0 unless custom."""
 
     value: float
     error_bound: float
@@ -420,10 +420,15 @@ def _doubling_panels(count: int):
 def _increment_verdict(increments: list[float], threshold: float) -> str | None:
     """Judge a doubling quadrature from its panel increments alone.
 
-    "converged" once the last four increments decrease and the last is at
-    most threshold/8, "diverged" once they grew three times running, and
-    None before five panels or while undecided.
+    "truncated" as soon as an increment is exactly zero: the integrand has
+    underflowed (e^-u leaves the float range near u = 745), so the mass
+    beyond is unknown, not small.  Otherwise "converged" once the last four
+    increments decrease and the last is at most threshold/8, "diverged"
+    once they grew three times running, and None before five panels or
+    while undecided.
     """
+    if increments[-1] == 0.0:
+        return "truncated"
     if len(increments) < 5:
         return None
     a, b, c, d = increments[-4:]
@@ -440,133 +445,134 @@ def _analytic_energy_status(phi: ModulusFunction, n: int) -> str:
     return "unknown" if phi.eps is None else "convergent"
 
 
-def energy_tail_bound(phi: ModulusFunction, n: int, U: float) -> tuple[float, bool]:
-    """Bound for int_U^inf phi(e^-u)^n du with an exactness flag.
+@lru_cache(maxsize=None)
+def _stacked_panels(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """All nodes and weights of ``_doubling_panels(count)`` in one array each."""
+    _, nodes, weights = zip(*_doubling_panels(count))
+    return np.concatenate(nodes), np.concatenate(weights)
 
-    For identity/power and iterlog depths 1 and 2 the u-substitution chain
-    closes and the remainder is available in exact form (flag True), so it
-    can be added to a truncated quadrature rather than merely bounding it.
-    Depth 3 gets a rigorous non-exact majorant: substituting w = L_3(u) and
-    using (e+u)/(1+u) <= e, log(e+u) <= 1 + log(1+u) and
-    (1+l)/(1+a2 l) <= 1/a2 gives phi^n du <= (e/a2)(1+a3 w)^(-n alpha) dw.
-    It decays only in the doubly iterated logarithm of U, so quadratures for
-    depth 3 should prefer the dedicated change of variables in
-    _iterlog3_profile; deeper towers and custom moduli return inf.
+
+def _iterlog_density(phi: ModulusFunction, v: np.ndarray) -> np.ndarray:
+    """C_k(v) = prod_{j<k} F_j, F_j = w_{k-j} / (1 + a_j L_j), at u = L_k^{-1}(v).
+
+    The tower w_0 = v, w_i = exp(w_{i-1}) gives u = w_{k-1} - e_{k-1} and
+    du/dv = w_1 ... w_{k-1}.  The offsets d_i = w_i - e_i = e_i expm1(d_{i-1})
+    keep u accurate near v = 0.  Where u overflows, L_j equals w_{k-j} to
+    double precision (their gap is below e_{k-1}/u), so F_j = 1/(a_j + 1/w_{k-j}).
+    """
+    k, a = phi.depth, phi.coefficients
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = [v]
+        for i in range(1, k):
+            d.append(_EXP_TOWER[i] * np.expm1(d[-1]))
+        u = d[-1]
+        finite = np.isfinite(u)
+        C = np.ones_like(v)
+        for j in range(1, k):
+            w = _EXP_TOWER[k - j] + d[k - j]
+            L = _EXP_TOWER[j - 1] + u
+            for _ in range(j - 1):
+                L = np.log(L)
+            C /= a[j - 1] * np.where(finite, L / w, 1.0) + 1.0 / w
+    return C
+
+
+_V_SPAN = 64.0          # energy_tail_bound integrates C_k - C_inf over [V, V + 64]
+_EPS = float(np.finfo(float).eps)
+
+
+def energy_tail_bound(phi: ModulusFunction, n: int, U: float) -> tuple[float, float]:
+    """(T, T_err): the remainder T(U) = int_U^inf phi(e^-u)^n du and its error bound.
+
+    E[phi] = T(0), and the tensor quadrature adds T(U) past its last panel.
+    Power (the identity at eps = 1) has T = e^{-n eps U}/(n eps), T_err = 0;
+    custom moduli and iterlog with n alpha <= 1 give (inf, inf).  Iterlog
+    of any depth k is written in v = L_k(u): phi^n du = C_k(v) (1 + a_k v)
+    ^(-n alpha) dv, with C_k -> C_inf = 1/prod_{j<k} a_j (_iterlog_density).
+    With V = L_k(U),
+
+        T = C_inf (1 + a_k V)^(1 - n alpha) / (a_k (n alpha - 1))
+            + int_V^inf (C_k - C_inf) (1 + a_k v)^(-n alpha) dv.
+
+    The integral vanishes for k <= 2 (C_1 = C_2 = 1, T_err = 0).  Otherwise
+    Gauss-Legendre panels cover [V, V + 64], doubling away from V from a
+    first width of (1 + U) / (2 u'(V)).  The nearest singularity of C_k, the
+    pole of 1/(1 + a_2 L_2) at u = e^(-1/a_2) - 1 <= -0.63, is at least
+    0.63 (1 + U) / u'(V) away in v, since u is convex in v.
+
+    Past V + 64 a majorant takes over.  With e = e_{k-1} and w = w_{k-j},
+    0 <= w - L_j <= e (mean value theorem; every log of the chain has an
+    argument >= 1), so |a_j F_j - 1| = |w - L_j - 1/a_j| / (L_j + 1/a_j)
+    <= (e + 1/a_j) / (w - e) <= 2 B e^-v with B = e + 1/a_{k-1}, because
+    w >= w_1 = e^v >= 2e for v >= 64.  The k - 1 factors give |C_k - C_inf|
+    <= 4 (k - 1) B C_inf e^-v, and the remainder past V + 64 at most
+    4 (k - 1) B C_inf (1 + a_k (V + 64))^(-n alpha) e^-(V + 64).  T_err is
+    that plus a rounding allowance of 8 k eps times the panels' mass; the
+    panels resolve the integral to that level (checked against a 40-digit
+    oracle).
     """
     if phi.eps is not None:                  # power, and the identity at eps = 1
         rate = n * phi.eps
-        return math.exp(-rate * U) / rate, True
-    if phi.family != "iterlog":
-        return math.inf, False
-    na = n * phi.alpha
+        return math.exp(-rate * U) / rate, 0.0
+    na = n * phi.alpha if phi.family == "iterlog" else 0.0
     if na <= 1.0:
-        return math.inf, False
-    a = phi.coefficients
-    if phi.depth == 1:
-        return (1.0 + U) ** (1.0 - na) / (na - 1.0), True
-    if phi.depth == 2:
-        a2 = a[1]
-        return (1.0 + a2 * math.log1p(U)) ** (1.0 - na) / (a2 * (na - 1.0)), True
-    if phi.depth == 3:
-        a2, a3 = a[1], a[2]
-        W = math.log(math.log(math.e + U))
-        return (math.e / a2) * (1.0 + a3 * W) ** (1.0 - na) / (a3 * (na - 1.0)), False
-    return math.inf, False
-
-
-def _iterlog3_profile(phi: ModulusFunction, n: int):
-    """Integrand and tail bound for depth-3 iterlog energy in v = L_3(u).
-
-    With v the innermost iterated logarithm, u = exp(exp(v)) - e and the
-    integrand becomes
-
-        (1 + a3 v)^(-n alpha) * D(v) / (e^-v + a2 (1 + c(v) e^-v))
-
-    where D(v) = 1 / (1 - (e-1) exp(-exp(v))) >= 1 is decreasing and
-    c(v) = log1p(-(e-1) exp(-exp(v))) lies in [-1, 0].  Both corrections are
-    written so nothing overflows for any v >= 0.  Since c >= -1 and D is
-    decreasing, the integrand beyond V is at most D(V)/a2 times
-    (1 + a3 v)^(-n alpha), which integrates in closed form; that majorant is
-    the returned tail bound and it decays polynomially in V.
-    """
-    a2, a3 = phi.coefficients[1], phi.coefficients[2]
-    na = n * phi.alpha
-
-    def integrand(v):
-        t = np.exp(np.minimum(v, 700.0))
-        w = np.exp(-t)
-        c = np.log1p(-(math.e - 1.0) * w)
-        D = 1.0 / (1.0 + (1.0 - math.e) * w)
-        ev = np.exp(-v)
-        return D * (1.0 + a3 * v) ** (-na) / (ev + a2 * (1.0 + c * ev))
-
-    def tail(V):            # only called for n alpha > 1, where E[phi] is finite
-        DV = 1.0 / (1.0 - (math.e - 1.0) * math.exp(-min(math.exp(min(V, 700.0)), 700.0)))
-        return DV / a2 * (1.0 + a3 * V) ** (1.0 - na) / (a3 * (na - 1.0)), False
-
-    return integrand, tail
+        return math.inf, math.inf
+    k, a = phi.depth, phi.coefficients
+    V, slope = U, 1.0
+    for i in range(k - 1, 0, -1):            # V = L_k(U), slope = u'(V)
+        slope *= _EXP_TOWER[i] + V
+        V = math.log1p(V / _EXP_TOWER[i])
+    C_inf = 1.0 / math.prod(a[:-1])
+    T = C_inf * (1.0 + a[-1] * V) ** (1.0 - na) / (a[-1] * (na - 1.0))
+    if k <= 2:
+        return T, 0.0
+    h = min(1.0, 0.5 * (1.0 + U) / slope)
+    count = math.ceil(math.log2(_V_SPAN / h)) + 1
+    scale = _V_SPAN / 2.0 ** (count - 1)
+    x, wx = _stacked_panels(count)
+    v = V + scale * x
+    decay = (1.0 + a[-1] * v) ** (-na)
+    density = _iterlog_density(phi, v)
+    T += scale * float(np.sum(wx * (density - C_inf) * decay))
+    end = V + _V_SPAN
+    B = _EXP_TOWER[k - 1] + 1.0 / a[-2]
+    beyond = 4.0 * (k - 1) * B * C_inf * (1.0 + a[-1] * end) ** (-na) * math.exp(-end)
+    mass = scale * float(np.sum(wx * density * decay))
+    return T, beyond + 8.0 * k * _EPS * mass
 
 
 def modulus_energy_detailed(phi: ModulusFunction, n: int | None = None,
-                            tol: float = 1e-9,
-                            max_doublings: int = 128) -> ModulusEnergy:
-    """Adaptive evaluation of E[phi] with an explicit convergence verdict.
+                            tol: float = 1e-9) -> ModulusEnergy:
+    """E[phi] = int_0^1 phi(s)^n ds/s with an explicit convergence verdict.
 
-    The substitution u = log(1/s) removes the ds/s singularity exactly; the
-    integrand phi(e^-u)^n is then integrated over geometrically growing
-    panels [2^{m-1}, 2^m] by Gauss-Legendre.  Where the remainder past the
-    last panel is known exactly (identity, power, iterlog depths 1-2) it is
-    added and the run stops once that sum stabilizes; depth 3 integrates in
-    the innermost log variable where its tail bound actually decays; deeper
-    towers report an honest truncation.  Divergence is decided analytically
-    for the built-in families (iterlog diverges exactly when n * alpha <= 1)
-    and by a growth monitor on the panel increments otherwise.
+    Built-in families: E[phi] = T(0) of ``energy_tail_bound``, bounded by
+    T_err + 8 eps E[phi] and "converged" when that meets tol; iterlog
+    diverges exactly when n alpha <= 1.  A custom modulus is integrated in
+    u = log(1/s) on the doubling panels and judged by ``_increment_verdict``.
     """
     n = phi.n if n is None else int(n)
-    verdict = _analytic_energy_status(phi, n)
-    if verdict == "divergent":
+    if _analytic_energy_status(phi, n) == "divergent":
         return ModulusEnergy(math.inf, math.inf, "diverged", 0, 0.0)
-
-    if phi.family == "iterlog" and phi.depth == 3:
-        integrand, tail_fn = _iterlog3_profile(phi, n)
-    else:
-        def integrand(u):
-            return phi.profile_log(u)[0] ** n
-
-        def tail_fn(U):
-            return energy_tail_bound(phi, n, U)
+    T, T_err = energy_tail_bound(phi, n, 0.0)
+    if math.isfinite(T):
+        err = T_err + 8.0 * _EPS * abs(T)
+        status = "converged" if err <= tol * max(1.0, abs(T)) else "truncated"
+        return ModulusEnergy(T, err, status, 0, 0.0)
 
     total = 0.0
     increments: list[float] = []
-    prev_value = None
-    U = 0.0
-    for m, (U, u, wu) in enumerate(_doubling_panels(max_doublings)):
-        inc = float(np.sum(wu * integrand(u)))
+    for m, (U, u, wu) in enumerate(_doubling_panels(128)):
+        inc = float(np.sum(wu * phi.profile_log(u)[0] ** n))
         total += inc
         increments.append(inc)
-        tail, exact = tail_fn(U)
-        threshold = tol * max(1.0, abs(total))
-        if exact:
-            value = total + tail
-            if prev_value is not None and abs(value - prev_value) <= 0.25 * threshold:
-                err = max(abs(value - prev_value), 8.0 * np.finfo(float).eps * abs(value))
-                return ModulusEnergy(value, err, "converged", m + 1, U)
-            prev_value = value
-            continue
-        if tail <= threshold:
-            return ModulusEnergy(total, tail, "converged", m + 1, U)
-        if not math.isfinite(tail):
-            # no usable tail bound: rely on the decay of the increments
-            decided = _increment_verdict(increments, threshold)
-            if decided == "converged":
-                return ModulusEnergy(total, 8.0 * inc, "converged", m + 1, U)
-            if decided == "diverged" and verdict == "unknown":
-                return ModulusEnergy(math.inf, math.inf, "diverged", m + 1, U)
-    tail, exact = tail_fn(U)
-    if exact:
-        return ModulusEnergy(total + tail, 8.0 * np.finfo(float).eps * abs(total + tail),
-                             "converged", max_doublings, U)
-    return ModulusEnergy(total, tail, "truncated", max_doublings, U)
+        decided = _increment_verdict(increments, tol * max(1.0, abs(total)))
+        if decided == "converged":
+            return ModulusEnergy(total, 8.0 * inc, "converged", m + 1, U)
+        if decided == "diverged":
+            return ModulusEnergy(math.inf, math.inf, "diverged", m + 1, U)
+        if decided == "truncated":
+            break
+    return ModulusEnergy(total, math.inf, "truncated", m + 1, U)
 
 
 def modulus_energy(phi: ModulusFunction, n: int | None = None,
@@ -611,13 +617,13 @@ def check_admissibility(phi: ModulusFunction, grid_size: int = 4096,
                detail="phi' <= phi/s everywhere and phi/s <= M phi'^2 with finite M")
 
     # finite energy under refinement: decided analytically where possible
-    energy = modulus_energy_detailed(phi, tol=energy_tol, max_doublings=400)
+    energy = modulus_energy_detailed(phi, tol=energy_tol)
     energy_ok = (_analytic_energy_status(phi, phi.n) == "convergent"
                  or energy.status == "converged")
     report.add("finite energy (C3)", energy_ok,
                measured_constant=energy.value if math.isfinite(energy.value) else None,
                tolerance=energy_tol,
-               detail=f"quadrature status: {energy.status} after {energy.panels} panels")
+               detail=f"status {energy.status}, error bound {energy.error_bound:.3g}")
 
     # concavity near the origin
     report.add("concavity near 0 (C4)", constants.concavity_radius > 0.0,

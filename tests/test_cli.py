@@ -110,12 +110,23 @@ def _strict(name):
     ["--integrand", "bi", "--map", "glued:phi=iterlog:k=4,alpha=1,n=2"],
 ])
 def test_energy_truncated_exits_one(args, capsys):
-    # depth 4 has no usable tail bound, so the quadrature cannot certify tol
-    code, out = run(["energy", *args], capsys)
+    # tol 1e-15 lies below the 8 eps rounding floor of the |DH|^n part, so
+    # the certified bound cannot meet it
+    code, out = run(["energy", *args, "--tol", "1e-15"], capsys)
     assert code == 1
     doc = json.loads(out, parse_constant=_strict)
     assert doc["result"]["status"] == "truncated"
-    assert doc["result"]["error_estimate"] == "inf"
+    assert doc["result"]["error_estimate"] > 1e-15 * doc["result"]["value"]
+
+
+@pytest.mark.parametrize("args", [
+    ["--map", "cone:phi=iterlog:k=4,alpha=1,n=2"],
+    ["--integrand", "bi", "--map", "glued:phi=iterlog:k=4,alpha=1,n=2"],
+])
+def test_energy_depth4_certifies(args, capsys):
+    code, out = run(["energy", *args], capsys)
+    assert code == 0
+    assert json.loads(out, parse_constant=_strict)["result"]["status"] == "converged"
 
 
 def test_eval_csv_columns(capsys):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bicone.cli import _averaging_suite
 from bicone.continuity import (averaging_lemma_check, doubling_probe,
@@ -62,6 +64,18 @@ def test_profile_sup_grows_with_sample_count():
     big = modulus_profile(g, center=0, radii=radii, norm="euclid",
                           count=512, seed=5)
     assert np.all(big.values >= small.values - 1e-15)
+
+
+@given(k=st.integers(1, 3), count=st.integers(1, 48), extra=st.integers(0, 48),
+       seed=st.integers(0, 50), norm=st.sampled_from(["cone", "euclid"]),
+       center=st.sampled_from([(0.0, 0.0), (0.05, -0.02)]))
+def test_profile_is_monotone_in_count_property(k, count, extra, seed, norm, center):
+    # the sphere stream has the prefix property, so more points only add rows
+    g = GluedMap(ModulusFunction.iterlog(k, 1.0, n=2), n=2)
+    radii = np.geomspace(1e-6, 0.1, 4)
+    small = modulus_profile(g, center, radii, norm, count=count, seed=seed)
+    big = modulus_profile(g, center, radii, norm, count=count + extra, seed=seed)
+    assert np.all(big.values >= small.values)
 
 
 # -- linear dilatation ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -80,31 +81,113 @@ def test_biconformal_energy_frozen():
     assert abs(r.value - 2.0 * parts) <= 1e-12
 
 
+def _statuses(depth, n, tol):
+    """Status of |DH|^n and of the doubled total, each checked against its bound."""
+    g = GluedMap(ModulusFunction.iterlog(depth=depth, alpha=1.0, n=n), n=n)
+    out = []
+    for r in (conformal_energy_H(g.cone, tol=tol), biconformal_energy(g, tol=tol)):
+        assert (r.error_estimate <= tol * r.value) == (r.status == "converged")
+        out.append(r.status)
+    return out
+
+
 @pytest.mark.parametrize("n,tol,part,total", [
     (2, 1e-10, "converged", "converged"),
-    (2, 1e-12, "truncated", "truncated"),
-    (3, 1e-10, "truncated", "converged"),
+    (2, 1e-15, "truncated", "truncated"),
+    (3, 1e-15, "truncated", "truncated"),
 ])
 def test_status_says_whether_the_bound_meets_tol(n, tol, part, total):
-    # depth 3 runs out of panels in all three cases; a result is converged
-    # exactly when its certified bound meets tol, and the doubled total can
-    # meet it although its |DH|^n part alone does not
-    g = GluedMap(ModulusFunction.iterlog(depth=3, alpha=1.0, n=n), n=n)
-    for r, status in ((conformal_energy_H(g.cone, tol=tol), part),
-                      (biconformal_energy(g, tol=tol), total)):
-        assert r.status == status
-        assert (r.error_estimate <= tol * r.value) == (status == "converged")
+    # a result is converged exactly when its certified bound meets tol;
+    # tol 1e-15 lies below the 8 eps rounding floor of the |DH|^n part
+    assert _statuses(3, n, tol) == [part, total]
+
+
+def test_total_can_certify_where_its_part_does_not():
+    # the doubled total meets tol although its |DH|^n part alone does not
+    assert _statuses(4, 3, 1e-14) == ["truncated", "converged"]
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_depth3_stops_once_the_reference_bound_dominates(n):
-    # the bound cannot fall below sigma * T_err of the 1-D reference, so the
-    # quadrature stops near that floor instead of after all 60 doublings
+def test_depth3_certifies_well_inside_the_panel_cap(n):
     m = ConeMap(ModulusFunction.iterlog(depth=3, alpha=1.0, n=n), n=n)
     r = conformal_energy_H(m, tol=1e-10)
     fine = conformal_energy_H(m, tol=1e-12)
     assert r.samples_or_nodes < 600_000
     assert abs(r.value - fine.value) <= r.error_estimate
+
+
+def mp_conformal_energy(k, n):
+    """int |DH|^n over the upper cone from the reduced (u, w) form, 20 digits.
+
+    The outer integral runs in v = L_k(u) with phi and g from their
+    definition; the inner w integral is closed form for n = 2 and a
+    30-point Gauss-Legendre sum otherwise (its integrand is analytic within
+    distance 1/2 of [0, 1]).  Past u = 1e40, s = e^-u and g are below
+    1e-40, so the inner integral is W_n(1) phi^n.
+    """
+    x, wx = np.polynomial.legendre.leggauss(30)
+    with mp.workdps(20):
+        gl = [((mp.mpf(xi) + 1) / 2, mp.mpf(wi) / 2) for xi, wi in zip(x, wx)]
+        tower = [mp.mpf(0), mp.mpf(1), mp.e, mp.exp(mp.e)]
+        a = [(1 - mp.mpf(1) / n) ** j for j in range(k)]
+        beta = [mp.mpf(1) / n] * (k - 1) + [1]
+
+        def inner(c, s2, phi2):
+            if n == 2:
+                return s2 + phi2 * (1 - c + 2 * c * c / 3)
+            return mp.fsum(ww * ((n - 1) * s2 + phi2 * ((1 - w * c) ** 2 + (w * c) ** 2))
+                           ** (mp.mpf(n) / 2) * (1 - w) ** (n - 2) for w, ww in gl)
+
+        switch = mp.mpf(10) ** 40
+        for _ in range(k - 1):
+            switch = mp.log(switch)
+
+        def integrand(v):
+            w = [v]
+            for _ in range(1, k - 1):
+                w.append(mp.exp(w[-1]) if w[-1] < 1e4 else mp.inf)
+            if v >= switch:
+                out = inner(mp.mpf(1), 0, 1) * (1 + a[-1] * v) ** (-n)
+                for j in range(1, k):
+                    x = w[k - j - 1]
+                    out /= a[j - 1] + (mp.exp(-x) if x < 1e4 else 0)
+                return out
+            w.append(mp.exp(w[-1]))
+            u = w[-1] - tower[k - 1]
+            log_phi = g = 0
+            for j in range(1, k + 1):
+                L, dL = tower[j - 1] + u, 1
+                for _ in range(j - 1):
+                    dL /= L
+                    L = mp.log(L)
+                log_phi -= beta[j - 1] * mp.log1p(a[j - 1] * L)
+                g += beta[j - 1] * a[j - 1] * dL / (1 + a[j - 1] * L)
+            s2 = mp.exp(-2 * u) if u < 1e6 else 0
+            return mp.fprod(w[1:]) * inner(1 - g, s2, mp.exp(2 * log_phi))
+
+        sigma = 2 * mp.pi ** ((n - 1) / mp.mpf(2)) / mp.gamma((n - 1) / mp.mpf(2))
+        return sigma * mp.quad(integrand, [0, 1, switch, 16, mp.inf])
+
+
+@pytest.mark.parametrize("depth", [3, 4])
+@pytest.mark.parametrize("n", [2, 3])
+def test_conformal_energy_against_an_mpmath_oracle(depth, n):
+    oracle = mp_conformal_energy(depth, n)
+    m = cone_map("iterlog", n=n, depth=depth, alpha=1.0)
+    for tol in (1e-6, 1e-10):
+        r = conformal_energy_H(m, tol=tol)
+        assert r.status == "converged"
+        assert abs(r.value - oracle) <= r.error_estimate
+
+
+def test_custom_modulus_energy_is_truncated_when_it_underflows():
+    # the custom twin of the built-in k=2, n=2 modulus loses its mass past
+    # u = 745, where e^-u underflows; it must not certify that shortfall
+    builtin = ModulusFunction.iterlog(2, 1.0, n=2)
+    twin = ConeMap(ModulusFunction.custom(lambda s: builtin(s)), n=2)
+    r = conformal_energy_H(twin)
+    assert (r.status, r.error_estimate) == ("truncated", math.inf)
+    assert r.value < conformal_energy_H(ConeMap(builtin, n=2)).value
 
 
 # -- pointwise distortion bound ----------------------------------------------

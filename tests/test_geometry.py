@@ -14,6 +14,16 @@ from bicone.geometry import (cone_norm, cone_volume, euclid_norm,
 coords = st.floats(-2.0, 2.0, allow_nan=False)
 
 
+def test_horizontal_norm_keeps_ordinary_bits_and_rescales_tiny_rows():
+    X = sample_cone_interior(2000, n=3, seed=4).points
+    assert np.array_equal(geometry._horizontal_norm(X),
+                          np.linalg.norm(X[:, :-1], axis=1))
+    tiny = np.array([[math.ldexp(3.0, -700), math.ldexp(4.0, -700), 0.5],
+                     [0.0, 0.0, 1.0], [5e-324, 0.0, 0.0]])
+    assert geometry._horizontal_norm(tiny).tolist() == [math.ldexp(5.0, -700), 0.0, 5e-324]
+    assert cone_norm(np.array([2.2e-265, 1.25e-304])) == 2.2e-265
+
+
 def test_cone_norm_oracles():
     assert cone_norm(np.array([0.6, 0.8, 0.0])) == pytest.approx(1.0, abs=1e-15)
     assert cone_norm(np.array([0.0, 0.0, 0.5])) == 0.5

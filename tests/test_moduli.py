@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -198,6 +199,9 @@ def test_increment_verdict():
     assert _increment_verdict([4.0, 2.0, 1.0, 0.1], 1.0) is None   # four panels
     assert _increment_verdict([1.0, 1.0, 2.0, 2.0, 3.0], 1.0) == "diverged"
     assert _increment_verdict([1.0, 3.0, 2.0, 2.5, 3.0], 1.0) is None
+    # an underflowed (zero) panel never certifies, however the trend looks
+    assert _increment_verdict([8.0, 4.0, 2.0, 1.0, 0.0], 1.0) == "truncated"
+    assert _increment_verdict([1.0, 0.0], 1.0) == "truncated"
 
 
 def test_invert_round_trip():
@@ -282,31 +286,98 @@ def test_energy_divergence_detected():
 
 def test_energy_tail_bound_flags():
     U = 30.0
-    for phi, expect_exact in [
-            (ModulusFunction.identity(), True),
-            (ModulusFunction.power(0.5), True),
-            (ModulusFunction.iterlog(depth=1, alpha=1.0, n=2), True),
-            (ModulusFunction.iterlog(depth=2, alpha=1.0, n=2), True),
-            (ModulusFunction.iterlog(depth=3, alpha=1.0, n=2), False)]:
-        bound, exact = energy_tail_bound(phi, 2, U)
-        assert math.isfinite(bound) and bound >= 0
-        assert exact is expect_exact
-    bound, exact = energy_tail_bound(
-        ModulusFunction.iterlog(depth=4, alpha=1.0, n=2), 2, U)
-    assert bound == math.inf and not exact
+    for phi, closed in [
+            (ModulusFunction.identity(), math.exp(-60.0) / 2.0),
+            (ModulusFunction.power(0.5), math.exp(-30.0)),
+            (ModulusFunction.iterlog(depth=1, alpha=1.0, n=2), 1.0 / 31.0),
+            (ModulusFunction.iterlog(depth=2, alpha=1.0, n=2),
+             2.0 / (1.0 + 0.5 * math.log1p(U)))]:
+        assert energy_tail_bound(phi, 2, U) == (pytest.approx(closed, rel=1e-14), 0.0)
+    for depth in (3, 4, 5):
+        T, T_err = energy_tail_bound(ModulusFunction.iterlog(depth, 1.0, n=2), 2, U)
+        assert math.isfinite(T) and 0.0 < T_err <= 1e-12 * T
+    for phi in (ModulusFunction.custom(np.sqrt),
+                ModulusFunction.iterlog(depth=4, alpha=0.5, n=2)):   # n alpha = 1
+        assert energy_tail_bound(phi, 2, U) == (math.inf, math.inf)
 
 
 def test_tail_bound_dominates_true_tail():
-    # sum a brute-force remainder on [U, U + 4000] and check the majorant
-    phi = ModulusFunction.iterlog(depth=3, alpha=1.0, n=2)
-    for U in (5.0, 30.0, 200.0):
-        u = np.linspace(U, U + 4000.0, 400_001)
-        vals, _ = phi.profile_log(u)
-        remainder = float(np.trapezoid(vals ** 2, u))
-        bound, exact = energy_tail_bound(phi, 2, U)
-        assert not exact
-        assert remainder <= bound
-        assert bound <= 100.0 * remainder     # conservative, not absurd
+    # T(U) - T(U + 4000) against a trapezoid sum of phi^2 on [U, U + 4000]
+    for depth in (3, 4, 5):
+        phi = ModulusFunction.iterlog(depth=depth, alpha=1.0, n=2)
+        for U in (5.0, 30.0, 200.0):
+            u = np.linspace(U, U + 4000.0, 400_001)
+            head = float(np.trapezoid(phi.profile_log(u)[0] ** 2, u))
+            T, _ = energy_tail_bound(phi, 2, U)
+            T_end, _ = energy_tail_bound(phi, 2, U + 4000.0)
+            assert T_end > 0.0
+            assert T - T_end == pytest.approx(head, rel=1e-6)
+
+
+def mp_energy(k, n):
+    """40-digit E[phi] for iterlog alpha = 1, integrated in v = L_k(u).
+
+    From the definition: u = w_{k-1} - e_{k-1} for the tower w_0 = v,
+    w_i = exp(w_{i-1}), and the integrand phi^n du/dv is summed in log
+    space.  Once w_{k-1} leaves even mpmath's range, L_j equals w_{k-j} far
+    beyond 40 digits, and 1 + a_j L_j = w_{k-j} (a_j + exp(-w_{k-j-1})).
+    """
+    with mp.workdps(40):
+        tower = [mp.mpf(0), mp.mpf(1)]
+        while len(tower) < k:
+            tower.append(mp.exp(tower[-1]))
+        a = [(1 - mp.mpf(1) / n) ** j for j in range(k)]
+
+        def integrand(v):
+            w = [v]
+            for _ in range(1, k):
+                w.append(mp.exp(w[-1]) if w[-1] is not None and w[-1] < 1e5 else None)
+            log_f = -n * mp.log1p(a[-1] * v)
+            for j in range(1, k):
+                if w[-1] is not None:
+                    L = tower[j - 1] + w[-1] - tower[k - 1]
+                    for _ in range(j - 1):
+                        L = mp.log(L)
+                    log_f += w[k - j - 1] - mp.log1p(a[j - 1] * L)
+                else:
+                    x = w[k - j - 1]
+                    log_f -= mp.log(a[j - 1] + (mp.exp(-x) if x is not None and x < 1e4 else 0))
+            return mp.exp(log_f)
+
+        return mp.quad(integrand, [0, 1, 16, mp.inf])
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_energy_against_a_40_digit_oracle(depth, n):
+    e = modulus_energy_detailed(ModulusFunction.iterlog(depth, 1.0, n=n))
+    assert e.status == "converged"
+    assert abs(e.value - mp_energy(depth, n)) <= e.error_bound
+
+
+@pytest.mark.parametrize("n,before", [(2, 7.296401214965806),
+                                      (3, 1.6640812399537561),
+                                      (4, 0.9017319815337843)])
+def test_depth3_energy_keeps_its_value(n, before):
+    # the dedicated depth-3 substitution gave these at tol 1e-13
+    e = modulus_energy_detailed(ModulusFunction.iterlog(3, 1.0, n=n))
+    assert e.value == pytest.approx(before, rel=1e-12)
+
+
+def test_zero_increment_is_truncated_not_converged():
+    # equal to the built-in k=2, n=2 modulus, whose E[phi] is 2; past
+    # u = 745 e^-u underflows and the panel increments become exactly 0
+    builtin = ModulusFunction.iterlog(2, 1.0, n=2)
+    e = modulus_energy_detailed(ModulusFunction.custom(lambda s: builtin(s)))
+    assert (e.status, e.error_bound) == ("truncated", math.inf)
+    assert e.value < 2.0
+    assert modulus_energy_detailed(builtin).value == 2.0
+
+
+def test_custom_energy_still_converges():
+    e = modulus_energy_detailed(ModulusFunction.custom(np.sqrt))
+    assert (e.status, e.panels) == ("converged", 7)
+    assert abs(e.value - 1.0) <= e.error_bound
 
 
 # -- admissibility reports -------------------------------------------------
