@@ -17,7 +17,9 @@ numerical failure (the failing report is still emitted), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -123,20 +125,20 @@ def parse_radii(spec: str) -> np.ndarray:
         if len(parts) not in (1, 2) or ".." not in parts[0]:
             raise SpecError(f"radius grid must be log:a..b[:N], got {spec!r}")
         a_str, _, b_str = parts[0].partition("..")
-        count = int(parts[1]) if len(parts) == 2 else 24
         try:
             a, b = float(a_str), float(b_str)
+            count = int(parts[1]) if len(parts) == 2 else 24
         except ValueError:
-            raise SpecError(f"bad radius bounds in {spec!r}") from None
-        if not (0 < a < b) or count < 2:
-            raise SpecError("radius grid needs 0 < a < b and N >= 2")
+            raise SpecError(f"bad radius grid {spec!r}") from None
+        if not (0 < a < b < math.inf) or count < 2:
+            raise SpecError("radius grid needs 0 < a < b < inf and N >= 2")
         return np.geomspace(a, b, count)
     try:
         radii = np.array([float(v) for v in spec.split(",")])
     except ValueError:
         raise SpecError(f"bad radius list {spec!r}") from None
-    if radii.size == 0 or np.any(radii <= 0):
-        raise SpecError("radii must be positive")
+    if radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
+        raise SpecError("radii must be positive and finite")
     return radii
 
 
@@ -150,6 +152,8 @@ def parse_points(spec: str, n: int) -> np.ndarray:
     arr = np.array(rows)
     if arr.shape[1] != n:
         raise SpecError(f"points must have {n} coordinates, got {arr.shape[1]}")
+    if not np.all(np.isfinite(arr)):
+        raise SpecError("point coordinates must be finite")
     return arr
 
 
@@ -430,8 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main parses with one parser per process; parsing leaves it unchanged
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     try:
         return args.func(args)

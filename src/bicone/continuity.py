@@ -7,8 +7,9 @@ for the cone deformations, whose oscillation is attained on the vertical
 axis, the sampled sup at the origin is exact rather than a lower bound.
 Everything is deterministic under a fixed seed, and enlarging the sample
 count only extends the point set (never decreases an estimate).  A sweep
-over many radii stacks the spheres of all its radii into one batch, so the
-map is called once per sweep rather than once per radius.
+over many radii draws the spheres of all its radii in one sampler call and
+maps them in one batch, so the sampler and the map are called once per
+sweep rather than once per radius.
 
 The verification suites assert the bounds that come with explicit constants
 (the global 4 phi bound of the forward map, the 3 M phi near-origin bound of
@@ -106,19 +107,20 @@ def _displacements(map_obj, center: np.ndarray, radii, norm: str,
                    count: int, seed: int) -> np.ndarray:
     """||map(X) - map(center)|| on the sphere of each radius, one row per radius.
 
-    The spheres of all radii are stacked, so one map call serves the whole
-    sweep, plus one call for map(center).  The maps act row by row, so each
-    row has the same bits as a sweep that calls the map once per radius.
+    One sampler call draws the spheres of all radii, stacked, and one map
+    call serves the whole sweep, plus one call for map(center).  The maps
+    act row by row, so each row has the same bits as a sweep that samples
+    and maps once per radius.
     """
-    restrict = _restrict_for(map_obj)
-    spheres = [sample_cone_sphere(float(r), n=center.size, norm=norm,
-                                  restrict=restrict, count=count, seed=seed)
-               for r in radii]
-    if not spheres:
+    radii = np.asarray(radii, dtype=float)
+    if radii.size == 0:
         return np.empty((0, count))
-    image = np.atleast_2d(map_obj(center + np.concatenate(spheres)))
+    spheres = sample_cone_sphere(radii, n=center.size, norm=norm,
+                                 restrict=_restrict_for(map_obj), count=count,
+                                 seed=seed)
+    image = np.atleast_2d(map_obj(center + spheres))
     base = np.atleast_2d(map_obj(center))[0]
-    return _norm(image - base, norm).reshape(len(spheres), -1)
+    return _norm(image - base, norm).reshape(radii.size, -1)
 
 
 def optimal_modulus(map_obj, center, radius: float, norm: str = "cone",
@@ -159,6 +161,14 @@ def linear_dilatation(map_obj, center, radii, count: int = 256, seed: int = 0,
     radius shrinks through at least four consecutive grid steps and exceed
     `threshold` (or become non-finite); otherwise "qc_consistent".
     A heuristic probe, not a decision procedure.
+
+    At the origin the cone deformations attain both extremes on the forced
+    axis points, so the ratio there is exact.  Off the origin it is a
+    sampled lower bound of the true ratio, capped by the angular resolution
+    of `count` points: a map of local anisotropy K needs an angular step
+    below about 1/K to see its minimum.  For the cone map of iterlog k=2,
+    n=2 at center (1e-4, 1e-4) the probe at count 256 gives 68.29 at radii
+    1e-12 to 1e-8, while the singular values of its Jacobian there give 711.7.
     """
     center = _center_row(center, getattr(map_obj, "n"))
     radii = np.sort(np.asarray(radii, dtype=float))
@@ -298,10 +308,10 @@ def _global_modulus_F(m: ConeMap, block: np.ndarray, seed: int) -> VerificationR
     scale = min(1.0, r / M)
     pairs = block.shape[0] // 2
 
-    def ratio(Y):
-        Y, Y2 = Y[:pairs], Y[pairs:]
-        num = cone_norm(m.inverse(Y, tol=1e-13) - m.inverse(Y2, tol=1e-13))
-        return float(np.max(num / m.phi(cone_norm(Y - Y2))))
+    def ratio(Y):                 # one inverse call: its lanes are independent
+        X = m.inverse(Y, tol=1e-13)
+        num = cone_norm(X[:pairs] - X[pairs:])
+        return float(np.max(num / m.phi(cone_norm(Y[:pairs] - Y[pairs:]))))
 
     near_ratio = ratio(block * scale)
     global_ratio = ratio(_interior_block(m.n, pairs, seed + 1))

@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from ._roots import BracketError, newton_log
-from .geometry import _horizontal_norm, cone_norm, in_upper_cone, reflect
+from .geometry import _horizontal_norm, cone_norm, reflect
 from .moduli import ModulusFunction
 
 __all__ = [
@@ -58,6 +58,18 @@ def _rows(X):
 
 def _out(arr, single):
     return arr[0] if single else arr
+
+
+def _upper_cone_norm(arr):
+    """|x| of the rows (x, t) of arr; raises unless all lie in the upper cone.
+
+    The domain check is in_upper_cone's at tol 1e-9, run on this |x|.
+    """
+    rho = _horizontal_norm(arr)
+    t = arr[:, -1]
+    if not bool(np.all((t >= -1e-9) & (rho + np.abs(t) <= 1.0 + 1e-9))):
+        raise DomainError("point outside the upper cone")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -99,9 +111,7 @@ class ConeMap:
 
     def __call__(self, X):
         arr, single = _rows(X)
-        if not bool(np.all(in_upper_cone(arr, tol=1e-9))):
-            raise DomainError("point outside the upper cone")
-        rho = _horizontal_norm(arr)
+        rho = _upper_cone_norm(arr)
         t = arr[:, -1]
         s = rho + t
         out = arr.copy()
@@ -115,9 +125,7 @@ class ConeMap:
 
     def jacobian(self, X) -> JacobianData:
         arr, single = _rows(X)
-        if not bool(np.all(in_upper_cone(arr, tol=1e-9))):
-            raise DomainError("point outside the upper cone")
-        rho = _horizontal_norm(arr)
+        rho = _upper_cone_norm(arr)
         t = arr[:, -1]
         s = rho + t
         if np.any(rho <= 0):
@@ -182,9 +190,7 @@ class ConeMap:
         Newton step leaves through it.
         """
         arr, single = _rows(Y)
-        if not bool(np.all(in_upper_cone(arr, tol=1e-9))):
-            raise DomainError("point outside the upper cone")
-        rho = _horizontal_norm(arr)
+        rho = _upper_cone_norm(arr)
         tau = arr[:, -1]
         out = arr.copy()
         pos = tau > 0

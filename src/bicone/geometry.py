@@ -173,7 +173,7 @@ def _directions(u):
 # -- samplers -------------------------------------------------------------------
 
 
-def sample_cone_sphere(r: float, n: int = 3, norm: str = "cone",
+def sample_cone_sphere(r, n: int = 3, norm: str = "cone",
                        restrict: str = "upper", count: int = 64, seed: int = 0):
     """Deterministic points on the sphere of radius r in the requested norm.
 
@@ -182,9 +182,19 @@ def sample_cone_sphere(r: float, n: int = 3, norm: str = "cone",
     forcing them makes sampled suprema exact for those maps).  The rest come
     from a seeded low-discrepancy sequence split between a direction on the
     equatorial sphere and the share of r carried by the vertical coordinate.
+
+    A scalar r gives a (count, n) array.  A 1-D array of radii gives the
+    spheres stacked in radius order, count rows each, from one call: the
+    stream, its directions and its height split are drawn once and scaled
+    per radius, so each sphere has the same bits as a scalar call.  The
+    sphere sweeps of the continuity module make one such call per sweep,
+    and one map call on the stacked spheres.
     """
-    if r <= 0:
-        raise ValueError("radius must be positive")
+    radii = np.asarray(r, dtype=float)
+    if radii.ndim > 1:
+        raise ValueError("radii must be a scalar or a 1-D array")
+    if not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ValueError("radius must be positive and finite")
     if count < 1:
         raise ValueError("count must be >= 1")
     if norm not in ("cone", "euclid"):
@@ -192,16 +202,11 @@ def sample_cone_sphere(r: float, n: int = 3, norm: str = "cone",
     if restrict not in ("upper", "lower", "both"):
         raise ValueError(f"unknown restriction {restrict!r}")
 
-    rows = []
-    if restrict in ("upper", "both"):
-        axis = np.zeros(n)
-        axis[-1] = r
-        rows.append(axis)
-    if restrict in ("lower", "both") and len(rows) < count:
-        axis = np.zeros(n)
-        axis[-1] = -r
-        rows.append(axis)
-    remaining = count - len(rows)
+    rs = radii.reshape(-1, 1)
+    out = np.zeros((rs.shape[0], count, n))
+    poles = {"upper": [1.0], "lower": [-1.0], "both": [1.0, -1.0]}[restrict][:count]
+    out[:, : len(poles), -1] = rs * poles
+    remaining = count - len(poles)
     if remaining > 0:
         u = kronecker_sequence(remaining, n, seed=seed)
         dirs = _directions(u[:, : n - 1])
@@ -212,16 +217,15 @@ def sample_cone_sphere(r: float, n: int = 3, norm: str = "cone",
             sign = -np.ones(remaining)
         else:
             sign, w = np.where(w < 0.5, -1.0, 1.0), (2.0 * w) % 1.0
-        pts = np.empty((remaining, n))
+        pts = out[:, len(poles):]
         if norm == "cone":
-            pts[:, : n - 1] = dirs * ((1.0 - w) * r)[:, None]
-            pts[:, -1] = sign * w * r
+            pts[..., : n - 1] = dirs * ((1.0 - w) * rs)[..., None]
+            pts[..., -1] = sign * w * rs
         else:
             theta = 0.5 * math.pi * w
-            pts[:, : n - 1] = dirs * (np.cos(theta) * r)[:, None]
-            pts[:, -1] = sign * np.sin(theta) * r
-        rows.extend(pts[: remaining])
-    return np.array(rows[:count])
+            pts[..., : n - 1] = dirs * (np.cos(theta) * rs)[..., None]
+            pts[..., -1] = sign * np.sin(theta) * rs
+    return out[0] if radii.ndim == 0 else out.reshape(-1, n)
 
 
 @dataclass(frozen=True)

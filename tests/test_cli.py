@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bicone import cli
 from bicone.cli import (SpecError, main, parse_center, parse_family, parse_map,
                         parse_points, parse_radii)
 from bicone.deformations import ConeMap, GluedMap, RadialMap
@@ -20,7 +21,8 @@ def test_parse_radii_log_grid():
 
 @pytest.mark.parametrize("bad", [
     "log:0.5..0.1", "log:0..1", "log:1e-3..0.5:1", "log:abc..1",
-    "0.1,-0.2", "", "log:",
+    "0.1,-0.2", "", "log:", "1e-3,nan", "1e-3,inf", "log:1e-3..inf:4",
+    "log:1e-3..nan:4", "log:1e-3..1:x",
 ])
 def test_parse_radii_rejects_garbage(bad):
     with pytest.raises(SpecError):
@@ -216,6 +218,47 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main(["not-a-command"])
     assert e.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["modulus", "--radii", "1e-3,nan"],
+    ["modulus", "--radii", "log:1e-3..inf:4"],
+    ["modulus", "--center", "nan,0", "--radii", "1e-3,1e-2"],
+    ["eval", "--points", "inf,0"],
+    ["invert", "--point", "nan,0.1"]])
+def test_non_finite_input_is_a_usage_error(argv, capsys):
+    assert main([*argv, "--map", "glued:phi=iterlog:k=2,alpha=1,n=2"]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_main_reuses_one_parser_with_a_fresh_parsers_bytes(capsys):
+    calls = [["modulus", "--map", "glued:phi=iterlog:k=2,alpha=1,n=2",
+              "--radii", "log:1e-4..0.5:4", "--count", "32"],
+             ["energy", "--frobnicate"],                 # usage error: SystemExit
+             ["modulus", "--map", "cone:phi=mystery"],   # SpecError: exit 2
+             ["dilatation", "--map", "glued:phi=iterlog:k=2,alpha=1,n=2",
+              "--radii", "log:1e-6..0.1:5", "--count", "32", "--out", "csv"],
+             ["modulus", "--map", "glued:phi=iterlog:k=2,alpha=1,n=2",
+              "--radii", "log:1e-4..0.5:4", "--count", "32"]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = ("exit", stop.code)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    cli._parser.cache_clear()
+    fresh = []
+    for argv in calls:
+        fresh.append(outcome(argv))
+        cli._parser.cache_clear()
+    reused = [outcome(argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert reused == fresh
+    assert [code for code, _, _ in fresh] == [0, ("exit", 2), 2, 0, 0]
+    assert fresh[0][1] == fresh[-1][1]
 
 
 def test_mc_energy_seeded(capsys):

@@ -13,7 +13,9 @@ from bicone.continuity import (averaging_lemma_check, doubling_probe,
                                verify_global_modulus_H, verify_main_theorem)
 from bicone.continuity import _segment_integral
 from bicone.deformations import ConeMap, GluedMap, RadialMap
-from bicone.geometry import cone_norm, euclid_norm, sample_cone_sphere
+from bicone import geometry
+from bicone.geometry import (cone_norm, euclid_norm, kronecker_sequence,
+                             sample_cone_sphere)
 from bicone.moduli import (_GL_NODES, _GL_WEIGHTS, ModulusFunction,
                            doubling_constant, measured_constants)
 
@@ -191,6 +193,20 @@ def test_stacked_sweeps_equal_per_radius_sweeps(m, radii, center):
         rev.append(optimal_modulus(inv, center, omega_h, "euclid", 64, 5) / r)
     assert np.array_equal(q.map_after_inverse, fwd)
     assert np.array_equal(q.inverse_after_map, rev)
+
+
+def test_a_sweep_draws_its_sphere_stream_once(monkeypatch):
+    draws = []
+
+    def counted(*args, **kwargs):
+        draws.append(args)
+        return kronecker_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "kronecker_sequence", counted)
+    g = GluedMap(k2(), n=2)
+    p = modulus_profile(g, 0, np.geomspace(1e-6, 0.5, 24), count=64, seed=3)
+    assert p.values.size == 24
+    assert len(draws) == 1
 
 
 def test_quasi_inverse_masks_radii_whose_sup_underflows():

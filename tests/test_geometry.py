@@ -159,6 +159,27 @@ def test_sphere_sample_keeps_the_modulo_bits(monkeypatch, n, count, seed):
         assert np.array_equal(got, ref)
 
 
+@pytest.mark.parametrize("count", [1, 2, 3, 257])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stacked_spheres_equal_scalar_calls(n, count):
+    radii = np.array([0.3, 1e-9, 0.75, 2.0])
+    for norm in ("cone", "euclid"):
+        for restrict in ("upper", "lower", "both"):
+            kw = dict(n=n, norm=norm, restrict=restrict, count=count, seed=6)
+            got = sample_cone_sphere(radii, **kw)
+            assert got.shape == (radii.size * count, n)
+            assert np.array_equal(
+                got, np.vstack([sample_cone_sphere(r, **kw) for r in radii]))
+            assert sample_cone_sphere(np.empty(0), **kw).shape == (0, n)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -0.1, [0.1, np.nan],
+                                 [0.1, np.inf], [[0.1]]])
+def test_sphere_sample_rejects_bad_radii(bad):
+    with pytest.raises(ValueError):
+        sample_cone_sphere(bad, n=2, restrict="both", count=8)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_interior_sample_moments_match_the_uniform_cone(n):
     # uniform on the cone: t has density n (1 - t)^(n-1), so E[t] = 1/(n+1),
