@@ -15,6 +15,15 @@ evaluation, instead of halving its bracket down to the floor.
 
 Because F is a difference of logarithms, the stopping rule |F| <= tol is a
 *relative* residual on the original equation, valid at every scale.
+
+The lanes are solved in blocks of ``_BLOCK``, one block after the other.
+Each Newton iteration makes a few dozen elementwise passes over its lanes;
+over 16384 lanes the temporaries (128 KB each) stay in cache, while over
+1e5 lanes every pass streams from memory and costs two to four times as
+much per element.  Within a block, lanes that stop are written out and
+dropped at once, so the later iterations touch only the lanes still
+active.  Every lane runs the same arithmetic in any block, so the results
+keep their bits whatever the block size.
 """
 
 from __future__ import annotations
@@ -31,6 +40,9 @@ _LOG_FLOOR = math.log(2.0 ** -1074)
 # leaves through it.  Pure bisection over [_LOG_FLOOR, 0] would reach float
 # resolution in about 50 halvings.
 _MAX_ITER = 100
+# Lanes per block.  On 1e5-point Monte-Carlo batches (2-vCPU x86-64 VM)
+# 8192 and 32768 lanes ran at most as fast; see the module docstring.
+_BLOCK = 16384
 
 
 class BracketError(RuntimeError):
@@ -58,32 +70,47 @@ def newton_log(jet, hi, tol: float, straddle_message: str) -> np.ndarray:
     the floor, so lanes whose root lies below the float floor pin at the
     smallest float after that one evaluation; F(floor) <= 0 just moves the
     lower end of the bracket, and the lane goes on by the rules above.
+
+    The lanes are solved in consecutive blocks of ``_BLOCK``, one block
+    after the other (see the module docstring); ``idx`` holds indices into
+    the whole lane array all the same.
     """
-    u = np.array(hi, dtype=float)
-    hi = u.copy()
-    lo = np.full_like(u, _LOG_FLOOR)
+    hi = np.asarray(hi, dtype=float)
+    out = np.empty(hi.size)
     stop = max(tol, 4.0 * _EPS)
-    floor_open = np.ones(u.size, dtype=bool)    # floor not yet evaluated
-    idx = np.arange(u.size)
-    for it in range(_MAX_ITER):
-        x = u[idx]
-        f, df = jet(x, idx)
-        if it == 0 and np.any(f < -1e-12):
-            raise BracketError(straddle_message)
-        above = f > 0
-        a = np.where(above, lo[idx], x)
-        b = np.where(above, x, hi[idx])
-        lo[idx], hi[idx] = a, b
-        step = x - f / df
-        inside = (step > a) & (step < b)
-        to_floor = (step <= a) & (a == _LOG_FLOOR) & floor_open[idx]
-        floor_open[idx[to_floor]] = False
-        resolution = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
-        done = ((np.abs(f) <= stop) | (b - a <= resolution)
-                | (np.abs(f) <= resolution * df))
-        u[idx] = np.where(inside, step, np.where(
-            done, x, np.where(to_floor, _LOG_FLOOR, 0.5 * (a + b))))
-        idx = idx[~done]
-        if idx.size == 0:
-            break
-    return np.exp(u)
+    for first in range(0, hi.size, _BLOCK):
+        idx = np.arange(first, min(first + _BLOCK, hi.size))
+        x = b = hi[first:first + _BLOCK]
+        a = np.full(idx.size, _LOG_FLOOR)
+        floor_open = np.ones(idx.size, dtype=bool)   # floor not yet evaluated
+        for it in range(_MAX_ITER):
+            f, df = jet(x, idx)
+            if it == 0 and np.any(f < -1e-12):
+                raise BracketError(straddle_message)
+            above = f > 0
+            a = np.where(above, a, x)
+            b = np.where(above, x, b)
+            step = x - f / df
+            inside = (step > a) & (step < b)
+            resolution = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
+            size = np.abs(f)
+            done = (size <= stop) | (b - a <= resolution) | (size <= resolution * df)
+            x = np.where(inside, step, x)     # the Newton step, or the stopped iterate
+            bisect = ~(inside | done)
+            if bisect.any():      # the step left the bracket: the floor, or the midpoint
+                to_floor = bisect & (step <= a) & (a == _LOG_FLOOR) & floor_open
+                floor_open &= ~to_floor
+                x[bisect] = np.where(to_floor, _LOG_FLOOR, 0.5 * (a + b))[bisect]
+            stopped = np.count_nonzero(done)
+            if stopped == x.size:
+                out[idx] = x
+                break
+            if stopped:           # write the stopped lanes out, go on with the rest
+                lanes = np.flatnonzero(done)
+                out[idx[lanes]] = x[lanes]
+                keep = np.flatnonzero(~done)
+                x, a, b, idx, floor_open = (
+                    x[keep], a[keep], b[keep], idx[keep], floor_open[keep])
+        else:
+            out[idx] = x
+    return np.exp(out)

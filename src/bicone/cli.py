@@ -11,7 +11,8 @@ Spec strings:
 Every run echoes its fully resolved configuration (defaults included) into
 the output header, so outputs are self-describing and byte-identical under
 replay with the same seed.  Exit status: 0 all-pass, 1 verification or
-numerical failure (the failing report is still emitted), 2 usage error.
+numerical failure (the failing report is still emitted), 2 usage error
+(a malformed spec, or a numeric option outside its usable values).
 """
 
 from __future__ import annotations
@@ -164,6 +165,23 @@ def parse_center(spec: str, n: int) -> np.ndarray:
     if center.shape[0] != 1:
         raise SpecError("center must be a single point")
     return center[0]
+
+
+# The numeric options, each with the values a run can use; an option a
+# command lacks is skipped.
+_FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
+_AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
+_NUMBER_RULES = {"tol": _FINITE_POSITIVE, "threshold": _FINITE_POSITIVE,
+                 "samples": (float.is_integer, "a finite whole number"),
+                 "count": _AT_LEAST_ONE, "pairs": _AT_LEAST_ONE}
+
+
+def _check_numbers(args: argparse.Namespace) -> None:
+    """Raise SpecError on a numeric option outside its usable values."""
+    for name, (usable, what) in _NUMBER_RULES.items():
+        value = getattr(args, name, None)
+        if value is not None and not usable(value):
+            raise SpecError(f"--{name} must be {what}, got {value!r}")
 
 
 # -- output plumbing -------------------------------------------------------
@@ -442,6 +460,7 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
+        _check_numbers(args)
         return args.func(args)
     except SpecError as bad:
         sys.stderr.write(f"{parser.prog}: error: {bad}\n")

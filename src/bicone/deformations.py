@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from ._roots import BracketError, newton_log
-from .geometry import _horizontal_norm, cone_norm, reflect
+from .geometry import _horizontal_norm, reflect
 from .moduli import ModulusFunction
 
 __all__ = [
@@ -111,7 +111,10 @@ class ConeMap:
 
     def __call__(self, X):
         arr, single = _rows(X)
-        rho = _upper_cone_norm(arr)
+        return _out(self._forward(arr, _upper_cone_norm(arr)), single)
+
+    def _forward(self, arr, rho):
+        """The map on rows of the upper cone whose |x| is ``rho``."""
         t = arr[:, -1]
         s = rho + t
         out = arr.copy()
@@ -119,7 +122,7 @@ class ConeMap:
         if pos.any():
             w = t[pos] / s[pos]
             out[pos, -1] = w * self.phi(s[pos])
-        return _out(out, single)
+        return out
 
     # -- derivative data ----------------------------------------------------
 
@@ -134,8 +137,13 @@ class ConeMap:
             raise DomainError("Jacobian requested on the boundary of the cone")
         n = self.n
         w = t / s
-        lam = self.phi.chord_slope(s)
-        der = self.phi.derivative(s)
+        if self.phi.family == "custom":
+            lam = self.phi.chord_slope(s)
+            der = self.phi.derivative(s)
+        else:               # 0 < s < 1: both from one kernel call
+            phi, g = self.phi._kernel(s)
+            lam = phi / s
+            der = g * phi / s
         det = (1.0 - w) * lam + w * der      # lambda(s) + t lambda'(s), no cancellation
         t_lam_prime = w * (der - lam)        # t * lambda'(s) <= 0
 
@@ -190,7 +198,10 @@ class ConeMap:
         Newton step leaves through it.
         """
         arr, single = _rows(Y)
-        rho = _upper_cone_norm(arr)
+        return _out(self._solve(arr, _upper_cone_norm(arr), tol), single)
+
+    def _solve(self, arr, rho, tol):
+        """``inverse`` on rows of the upper cone whose |y| is ``rho``."""
         tau = arr[:, -1]
         out = arr.copy()
         pos = tau > 0
@@ -211,7 +222,7 @@ class ConeMap:
             out[pos, -1] = newton_log(
                 jet, log_tau, tol,
                 "T * lambda(T + |y|) < tau at T = tau: chord slope below 1")
-        return _out(out, single)
+        return out
 
     def inverted(self) -> "InverseView":
         return InverseView(self)
@@ -240,26 +251,33 @@ class GluedMap:
         return f"glued:phi={self.phi.describe()},n={self.n}"
 
     def _piecewise(self, X, upper_fn, lower_fn):
+        """Apply upper_fn(rows, |x|) above the base and its reflection below.
+
+        |x| is taken once here and handed to the branch, which skips the
+        upper-cone check: the rows passed satisfy it by construction.
+        """
         arr, single = _rows(X)
         out = arr.copy()
-        inside = cone_norm(arr) <= 1.0
+        rho = _horizontal_norm(arr)
         t = arr[:, -1]
+        inside = rho + np.abs(t) <= 1.0
         up = inside & (t >= 0)
         lo = inside & (t < 0)
         if up.any():
-            out[up] = upper_fn(arr[up])
+            out[up] = upper_fn(arr[up], rho[up])
         if lo.any():
-            out[lo] = reflect(lower_fn(reflect(arr[lo])))
+            out[lo] = reflect(lower_fn(reflect(arr[lo]), rho[lo]))
         return _out(out, single)
 
     def __call__(self, X):
-        return self._piecewise(X, self.cone,
-                               lambda Z: self.cone.inverse(Z, tol=self.tol))
+        return self._piecewise(
+            X, self.cone._forward,
+            lambda Z, rho: self.cone._solve(Z, rho, self.tol))
 
     def inverse(self, Y, tol: float | None = None):
         tol = self.tol if tol is None else tol
-        return self._piecewise(Y, lambda Z: self.cone.inverse(Z, tol=tol),
-                               self.cone)
+        return self._piecewise(
+            Y, lambda Z, rho: self.cone._solve(Z, rho, tol), self.cone._forward)
 
     def inverted(self) -> "InverseView":
         return InverseView(self)

@@ -231,6 +231,38 @@ def test_non_finite_input_is_a_usage_error(argv, capsys):
     assert capsys.readouterr().out == ""
 
 
+GLUED = "glued:phi=iterlog:k=1,alpha=1,n=2"
+MC = ["energy", "--map", "cone:phi=iterlog:k=1,alpha=1,n=2", "--method", "mc",
+      "--integrand", "inverse"]
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--tol", ["energy", "--integrand", "bi", "--map", GLUED, "--tol", "inf"]),
+    ("--tol", ["energy", "--integrand", "bi", "--map", GLUED, "--tol", "nan"]),
+    ("--tol", ["energy", "--integrand", "bi", "--map", GLUED, "--tol", "-1"]),
+    ("--tol", ["invert", "--map", GLUED, "--point", "0.3,0.1", "--tol", "nan"]),
+    ("--tol", ["verify", "averaging", "--phi", "iterlog:k=1,alpha=1,n=2",
+               "--tol", "0"]),
+    ("--threshold", ["dilatation", "--map", GLUED, "--threshold", "nan"]),
+    ("--threshold", ["dilatation", "--map", GLUED, "--threshold", "inf"]),
+    ("--samples", [*MC, "--samples", "nan"]),
+    ("--samples", [*MC, "--samples", "inf"]),
+    ("--samples", [*MC, "--samples", "1500.7"]),
+    ("--count", ["modulus", "--map", GLUED, "--count", "0"]),
+    ("--count", ["dilatation", "--map", GLUED, "--count", "0"]),
+    ("--count", ["verify", "main-theorem", "--phi", "iterlog:k=1,alpha=1,n=2",
+                 "--count", "0"]),
+    ("--pairs", ["verify", "averaging", "--phi", "iterlog:k=1,alpha=1,n=2",
+                 "--pairs", "0"]),
+    ("--pairs", ["verify", "global-f", "--phi", "iterlog:k=1,alpha=1,n=2",
+                 "--pairs", "0"])])
+def test_unusable_numbers_are_usage_errors(option, argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bicone: error: {option} must be ")
+
+
 def test_main_reuses_one_parser_with_a_fresh_parsers_bytes(capsys):
     calls = [["modulus", "--map", "glued:phi=iterlog:k=2,alpha=1,n=2",
               "--radii", "log:1e-4..0.5:4", "--count", "32"],

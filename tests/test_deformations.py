@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from bicone.deformations import (BracketError, ConeMap, DomainError, GluedMap,
                                  InverseView, RadialMap)
-from bicone.geometry import cone_norm, euclid_norm, reflect, sample_cone_interior
+from bicone.geometry import (_horizontal_norm, cone_norm, euclid_norm, reflect,
+                             sample_cone_interior)
 from bicone.moduli import ModulusFunction, measured_constants
 
 
@@ -256,6 +257,67 @@ def test_jacobian_rejects_degenerate_points():
         m.jacobian(np.array([[0.5, 0.0]]))      # on the base
 
 
+class ViaMethods:
+    """A built-in modulus seen through chord_slope and derivative only.
+
+    Its family reads "custom", so ConeMap.jacobian takes lambda and phi' from
+    the two public methods, one kernel call each: the reference for the
+    built-in families' one-call path.
+    """
+
+    family = "custom"
+
+    def __init__(self, phi):
+        self.chord_slope = phi.chord_slope
+        self.derivative = phi.derivative
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    calls = []
+    kernel = ModulusFunction._kernel
+
+    def counted(self, *args, **kwargs):
+        calls.append(self.family)
+        return kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModulusFunction, "_kernel", counted)
+    return calls
+
+
+@pytest.mark.parametrize("phi,n", family_grid())
+def test_jacobian_makes_one_kernel_call_with_the_same_bits(phi, n, kernel_calls):
+    X = interior(n, 3000, seed=9)
+    X[:3, 0] = [1e-200, 1e-270, 3e-300]        # the hypot branch of the norms
+    X[:3, 1:-1] = 0.0
+    jd = ConeMap(phi, n=n).jacobian(X)
+    assert len(kernel_calls) == 1
+    ref = ConeMap(ViaMethods(phi), n=n).jacobian(X)
+    assert len(kernel_calls) == 3
+    for name in ("det", "hs_norm", "inv_hs_norm", "cofactor_norm",
+                 "inner_distortion"):
+        assert np.array_equal(getattr(jd, name), getattr(ref, name)), name
+    one = ConeMap(phi, n=n).jacobian(X[5])
+    assert one.inner_distortion == jd.inner_distortion[5]
+
+
+def test_custom_jacobian_keeps_finite_differences(kernel_calls, monkeypatch):
+    derivative_calls = []
+    derivative = ModulusFunction.derivative
+
+    def counted(self, s):
+        derivative_calls.append(self.family)
+        return derivative(self, s)
+
+    monkeypatch.setattr(ModulusFunction, "derivative", counted)
+    X = interior(2, 200, seed=3)
+    jd = ConeMap(ModulusFunction.custom(np.sqrt, n=2), n=2).jacobian(X)
+    assert kernel_calls == [] and derivative_calls == ["custom"]
+    closed = ConeMap(ModulusFunction.power(0.5, n=2), n=2).jacobian(X)
+    assert np.allclose(jd.det, closed.det, rtol=1e-3, atol=0.0)
+    assert not np.array_equal(jd.det, closed.det)
+
+
 # -- glued whole-space map -------------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -310,6 +372,36 @@ def test_glued_lower_branch_relative_round_trip(n):
     for back in (g(g.inverse(y)), g.inverse(g(y))):
         assert np.array_equal(back[:-1], y[:-1])
         assert abs(back[-1] / y[-1] - 1.0) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_glued_map_takes_one_norm_per_call(n, monkeypatch):
+    g = GluedMap(ModulusFunction.iterlog(depth=2, alpha=1.0, n=n), n=n)
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-1.2, 1.2, size=(2000, n)) * 10.0 ** rng.uniform(-300, 0, (2000, 1))
+    X[:4] = 0.0
+    X[1, -1], X[2, 0], X[3, 0] = 0.5, 0.5, 1.0       # axis, base, slant corner
+    up, lo = X[:, -1] >= 0, X[:, -1] < 0
+    inside = cone_norm(X) <= 1.0
+    assert (inside & up).sum() > 100 and (inside & lo).sum() > 100
+    # the reference takes |x| in cone_norm and again in each public branch
+    expected = {}
+    for name, upper, lower in (("map", g.cone, g.cone.inverse),
+                               ("inverse", g.cone.inverse, g.cone)):
+        ref = X.copy()
+        ref[inside & up] = upper(X[inside & up])
+        ref[inside & lo] = reflect(lower(reflect(X[inside & lo])))
+        expected[name] = ref
+    calls = []
+
+    def counted(arr):
+        calls.append(arr.shape)
+        return _horizontal_norm(arr)
+
+    monkeypatch.setattr("bicone.deformations._horizontal_norm", counted)
+    assert np.array_equal(g(X), expected["map"])
+    assert np.array_equal(g.inverse(X), expected["inverse"])
+    assert calls == [X.shape, X.shape]
 
 
 def test_glued_continuity_across_slant():

@@ -1,17 +1,21 @@
-"""The float-floor step of the safeguarded Newton solver.
+"""The float-floor step and the lane blocks of the safeguarded Newton solver.
 
 A lane whose root lies below log 2^-1074 has no representable answer.  Once
 its Newton step leaves the bracket through the floor, the solver evaluates
 the floor once and pins the lane there, instead of halving the bracket down
 to it (about 50 evaluations, during which the whole call stays open).
+
+The solver runs its lanes in blocks of ``_BLOCK``; a lane's result does not
+depend on the block it lands in.
 """
 
 import numpy as np
 import pytest
 
+import bicone._roots
 import bicone.deformations
 import bicone.moduli
-from bicone._roots import _LOG_FLOOR, newton_log
+from bicone._roots import _BLOCK, _LOG_FLOOR, BracketError, newton_log
 from bicone.deformations import ConeMap
 from bicone.moduli import ModulusFunction
 
@@ -112,3 +116,80 @@ def test_floor_lanes_leave_the_other_heights_alone(k):
     T, rho, tau = mixed[:3, -1], np.abs(above[:, 0]), above[:, -1]
     sigma = T + rho
     assert np.all(np.abs(T * phi(sigma) / sigma / tau - 1.0) <= 1e-12)
+
+
+def mixed_roots(size, seed=0):
+    """Roots across the float range, every 97th one below the floor.
+
+    The scales make many Newton steps leave the bracket, so the solve takes
+    midpoints and floor steps as well as Newton steps.
+    """
+    rng = np.random.default_rng(seed)
+    roots = rng.uniform(-740.0, -1e-3, size)
+    roots[::97] = _LOG_FLOOR - rng.uniform(1.0, 1e3, roots[::97].size)
+    return roots, rng.uniform(0.05, 50.0, size)
+
+
+class ScaledJet(CountingJet):
+    """F(u) = arctan((u - root) / scale), recording the lanes of each call."""
+
+    def __init__(self, roots, scale):
+        super().__init__(roots)
+        self.scale = scale
+        self.lanes = []
+
+    def __call__(self, u, idx):
+        self.calls += 1
+        self.lanes.append(idx.copy())
+        d = (u - self.roots[idx]) / self.scale[idx]
+        return np.arctan(d), 1.0 / (self.scale[idx] * (1.0 + d * d))
+
+
+@pytest.mark.parametrize("size", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7])
+def test_blocks_give_the_bits_of_one_block(size, monkeypatch):
+    roots, scale = mixed_roots(size)
+    hi = np.where(np.arange(size) % 3 == 0, 0.0, np.maximum(roots, _LOG_FLOOR) + 5.0)
+    blocked = newton_log(ScaledJet(roots, scale), hi, 1e-12, "no straddle")
+    monkeypatch.setattr(bicone._roots, "_BLOCK", 10 * size)
+    one_block = newton_log(ScaledJet(roots, scale), hi, 1e-12, "no straddle")
+    assert np.array_equal(blocked, one_block)
+    assert np.all(blocked[::97] == TINY)
+
+
+def test_jet_sees_global_lane_indices():
+    size = 3 * _BLOCK + 7
+    roots, scale = mixed_roots(size, seed=1)
+    jet = ScaledJet(roots, scale)
+    newton_log(jet, np.zeros(size), 1e-12, "no straddle")
+    blocks = [lanes[0] // _BLOCK for lanes in jet.lanes]
+    assert blocks == sorted(blocks) and set(blocks) == {0, 1, 2, 3}
+    previous = None
+    for block, lanes in zip(blocks, jet.lanes):
+        if previous is None or block != previous[0]:      # a block's first call
+            start = block * _BLOCK
+            assert np.array_equal(lanes, np.arange(start, min(start + _BLOCK, size)))
+        else:                     # later calls keep a subset of the lanes, in order
+            assert np.all(np.isin(lanes, previous[1])) and np.all(np.diff(lanes) > 0)
+        previous = block, lanes
+
+
+def test_floor_lanes_pin_in_every_block():
+    size = 3 * _BLOCK + 7
+    roots = np.full(size, -20.0)
+    floor_lanes = np.append(np.arange(5, size, 4099), size - 1)
+    roots[floor_lanes] = _LOG_FLOOR - 10.0
+    x, jet = solve(roots)
+    assert len({int(i) // _BLOCK for i in floor_lanes}) == 4
+    assert np.all(x[floor_lanes] == TINY)
+    assert np.all(np.delete(x, floor_lanes) == x[0])
+    assert abs(np.log(x[0]) + 20.0) <= 1e-12
+
+
+def test_straddle_failure_past_the_first_block_raises():
+    size = 2 * _BLOCK
+    roots = np.full(size, -3.0)
+    roots[_BLOCK + 11] = 1.0           # F(hi = 0) = arctan(-1) < 0
+    jet = CountingJet(roots)
+    with pytest.raises(BracketError, match="no straddle"):
+        newton_log(jet, np.zeros(size), 1e-12, "no straddle")
+    assert jet.calls > 1               # the first block was solved first
