@@ -29,7 +29,7 @@ from .continuity import (averaging_lemma_check, linear_dilatation,
                          modulus_profile, verify_global_modulus_F,
                          verify_global_modulus_H, verify_main_theorem)
 from .deformations import ConeMap, GluedMap, RadialMap
-from .energy import (biconformal_energy, conformal_energy_H,
+from .energy import (_MC_MIN_SAMPLES, biconformal_energy, conformal_energy_H,
                      energy_F_monte_carlo, inner_distortion_integral)
 from .moduli import (EnergyDivergenceError, ModulusFunction,
                      check_admissibility, measured_constants)
@@ -57,31 +57,31 @@ def _no_extras(name: str, kv: dict) -> None:
         raise SpecError(f"{name} spec has unknown parameters {sorted(kv)}")
 
 
-def parse_family(spec: str) -> tuple[ModulusFunction, int | None]:
-    """Parse a modulus-family spec; returns (family, dimension hint)."""
+def parse_family(spec: str) -> ModulusFunction:
+    """Parse a modulus-family spec; its n= (2 if absent) is the family's dimension."""
     name, colon, body = spec.partition(":")
     if "," in name:          # bare family with trailing params: identity,n=2
         name, _, extra = name.partition(",")
         body = extra + ("," + body if colon else "")
     kv = _parse_kv(body)
-    n_hint = int(kv.pop("n")) if "n" in kv else None
+    n_given = "n" in kv
     try:
+        n = int(kv.pop("n", 2))
         if name == "identity":
             if kv:
                 raise SpecError(f"identity takes no parameters, got {kv}")
-            return ModulusFunction.identity(), n_hint
+            return ModulusFunction.identity(n)
         if name == "power":
             eps = float(kv.pop("eps"))
             _no_extras(name, kv)
-            return ModulusFunction.power(eps), n_hint
+            return ModulusFunction.power(eps, n)
         if name == "iterlog":
             depth = int(kv.pop("k"))
             alpha = float(kv.pop("alpha", 1.0))
             _no_extras(name, kv)
-            if n_hint is None:
+            if not n_given:
                 raise SpecError("iterlog needs n=, e.g. iterlog:k=2,alpha=1,n=2")
-            phi = ModulusFunction.iterlog(depth=depth, alpha=alpha, n=n_hint)
-            return phi, n_hint
+            return ModulusFunction.iterlog(depth=depth, alpha=alpha, n=n)
     except KeyError as missing:
         raise SpecError(f"family {name!r} is missing parameter {missing}") from None
     except (TypeError, ValueError) as bad:
@@ -96,9 +96,8 @@ def parse_map(spec: str):
         if kind in ("cone", "glued"):
             if not rest.startswith("phi="):
                 raise SpecError(f"{kind} map needs phi=<family>, got {spec!r}")
-            phi, n_hint = parse_family(rest[len("phi="):])
-            n = n_hint if n_hint is not None else 2
-            return ConeMap(phi, n=n) if kind == "cone" else GluedMap(phi, n=n)
+            phi = parse_family(rest[len("phi="):])
+            return ConeMap(phi) if kind == "cone" else GluedMap(phi)
         if kind == "radial":
             sub, _, body = rest.partition(":")
             kv = _parse_kv(body)
@@ -172,7 +171,8 @@ def parse_center(spec: str, n: int) -> np.ndarray:
 _FINITE_POSITIVE = (lambda v: math.isfinite(v) and v > 0, "finite and > 0")
 _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _NUMBER_RULES = {"tol": _FINITE_POSITIVE, "threshold": _FINITE_POSITIVE,
-                 "samples": (float.is_integer, "a finite whole number"),
+                 "samples": (lambda v: v.is_integer() and v >= _MC_MIN_SAMPLES,
+                             f"a whole number >= {_MC_MIN_SAMPLES}"),
                  "count": _AT_LEAST_ONE, "pairs": _AT_LEAST_ONE}
 
 
@@ -282,22 +282,21 @@ def _cmd_verify(args) -> int:
                       "averaging"):
         if not args.phi:
             raise SpecError(f"verify {args.suite} needs --phi")
-        phi, n_hint = parse_family(args.phi)
-        n = n_hint if n_hint is not None else 2
+        phi = parse_family(args.phi)
     if args.suite == "conditions":
         report = check_admissibility(phi)
     elif args.suite == "main-theorem":
         radii = parse_radii(args.radii) if args.radii else None
-        report = verify_main_theorem(GluedMap(phi, n=n), radii=radii,
+        report = verify_main_theorem(GluedMap(phi), radii=radii,
                                      count=args.count, seed=args.seed)
     elif args.suite == "global-h":
-        report = verify_global_modulus_H(ConeMap(phi, n=n), pairs=args.pairs,
+        report = verify_global_modulus_H(ConeMap(phi), pairs=args.pairs,
                                          seed=args.seed)
     elif args.suite == "global-f":
-        report = verify_global_modulus_F(ConeMap(phi, n=n), pairs=args.pairs,
+        report = verify_global_modulus_F(ConeMap(phi), pairs=args.pairs,
                                          seed=args.seed)
     elif args.suite == "averaging":
-        report = _averaging_suite(phi, n, args.pairs, args.seed, args.tol)
+        report = _averaging_suite(phi, phi.n, args.pairs, args.seed, args.tol)
     else:
         raise SpecError(f"unknown suite {args.suite!r}")
     return _report_result(args, report)
@@ -363,7 +362,7 @@ def _cmd_invert(args) -> int:
 
 def _cmd_eval(args) -> int:
     if args.phi:
-        phi, _ = parse_family(args.phi)
+        phi = parse_family(args.phi)
         s = parse_radii(args.points)
         rows = list(zip(s.tolist(), phi(s).tolist(), phi.derivative(s).tolist(),
                         phi.chord_slope(s).tolist(), phi.elasticity(s).tolist()))

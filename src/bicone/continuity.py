@@ -27,8 +27,8 @@ import numpy as np
 
 from .deformations import ConeMap, GluedMap
 from .geometry import cone_norm, euclid_norm, sample_cone_interior, sample_cone_sphere
-from .moduli import (_GL_NODES, _GL_WEIGHTS, _doubling_panels,
-                     _increment_verdict, measured_constants)
+from .moduli import (_GL_NODES, _GL_WEIGHTS, _doubling_quadrature,
+                     measured_constants)
 from .reports import VerificationReport
 
 __all__ = [
@@ -335,29 +335,26 @@ def _global_modulus_F(m: ConeMap, block: np.ndarray, seed: int) -> VerificationR
 def _lower_integral(Phi, x: float, tol: float) -> float:
     """int_0^x Phi(s) ds for non-increasing integrable Phi, via s = x e^-u.
 
-    Arguments below the float floor (s < 1e-300) are dropped, so kernels
-    whose mass extends into the subnormal range (the iterated-log slopes do)
-    come back short; callers with a closed-form antiderivative should pass
-    it to averaging_lemma_check instead of relying on this fallback.
+    Arguments below the float floor (s < 1e-300) are dropped.  A kernel
+    whose mass reaches into the subnormal range (the iterated-log slopes)
+    then has one of two outcomes: the sum stops on the first all-dropped
+    panel and returns short (iterlog k=1 at x = 1e-3 gives 0.12499 where
+    phi(x) = 0.12646), or its increments grow three panels running before
+    the floor and it raises RuntimeError as if Phi were not integrable
+    (iterlog k=2 at x = 1e-3, k=1 at x = 1e-14).  Callers with a
+    closed-form antiderivative should pass it to averaging_lemma_check.
     """
-    if x <= 0:
-        return 0.0
-    total = 0.0
-    increments: list[float] = []
-    for _, u, wu in _doubling_panels(64):
+    def panel(u, wu):
         s = x * np.exp(-u)
         live = s >= 1e-300
-        inc = float(np.sum(wu[live] * np.asarray(Phi(s[live])) * s[live])) \
+        return float(np.sum(wu[live] * np.asarray(Phi(s[live])) * s[live])) \
             if live.any() else 0.0
-        total += inc
-        increments.append(inc)
-        decided = _increment_verdict(increments, tol * max(1.0, total))
-        if decided in ("converged", "truncated"):   # truncated: s < 1e-300, dropped
-            return total
-        if decided == "diverged":
-            break
-    raise RuntimeError("kernel integral did not stabilize; "
-                       "is Phi integrable near 0?")
+
+    value, _, status, _, _ = _doubling_quadrature(panel, tol)
+    if status == "diverged":
+        raise RuntimeError("kernel integral did not stabilize; "
+                           "is Phi integrable near 0?")
+    return value
 
 
 _SEGMENT_DEPTH = 44          # dyadic panels on each side of gamma*

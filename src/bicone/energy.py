@@ -30,15 +30,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .deformations import ConeMap, GluedMap
 from .geometry import sample_cone_interior, sphere_surface_area, unit_ball_volume
 from .moduli import (EnergyDivergenceError, ModulusFunction,
-                     _analytic_energy_status, _doubling_panels, _gl_panel,
-                     _increment_verdict, energy_tail_bound,
-                     modulus_energy_detailed)
+                     _analytic_energy_status, _doubling_quadrature, _gl_panel,
+                     energy_tail_bound, modulus_energy_detailed)
 
 __all__ = [
     "EnergyResult",
@@ -59,22 +59,17 @@ class EnergyResult:
     samples_or_nodes: int
     error_estimate: float
     seed: int | None = None
-    status: str = "converged"    # "converged" | "truncated" (quadrature hit
-                                 # its panel cap with the tolerance uncertified)
+    status: str = "converged"    # "converged" | "truncated" (tol not certified)
 
 
 # -- quadrature grids ---------------------------------------------------------
 
-_W_GRIDS: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@cache
 def _w_grid(depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes/weights on [0,1] with dyadic panels toward w=1."""
-    if depth not in _W_GRIDS:
-        edges = [0.0] + [1.0 - 2.0 ** (-j) for j in range(1, depth + 1)] + [1.0]
-        nodes, weights = zip(*map(_gl_panel, edges[:-1], edges[1:]))
-        _W_GRIDS[depth] = (np.concatenate(nodes), np.concatenate(weights))
-    return _W_GRIDS[depth]
+    edges = [0.0] + [1.0 - 2.0 ** (-j) for j in range(1, depth + 1)] + [1.0]
+    nodes, weights = zip(*map(_gl_panel, edges[:-1], edges[1:]))
+    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _panel_value(phi: ModulusFunction, n: int, u: np.ndarray, wu: np.ndarray,
@@ -120,16 +115,12 @@ def _panel_value(phi: ModulusFunction, n: int, u: np.ndarray, wu: np.ndarray,
 # costs at most phi(U)^n / (n-1).  The remaining T(U) = int_U^inf phi^n du
 # comes from energy_tail_bound, with its own bound T_err (0 where closed form).
 
-_W_REFERENCE: dict[int, float] = {}
-
-
+@cache
 def _w_reference(n: int) -> float:
     """W_n(1) = int_0^1 (2w^2 - 2w + 1)^{n/2} (1-w)^{n-2} dw."""
-    if n not in _W_REFERENCE:
-        w, ww = _w_grid(16)
-        _W_REFERENCE[n] = float(np.sum(
-            ww * (2.0 * w * w - 2.0 * w + 1.0) ** (n / 2.0) * (1.0 - w) ** (n - 2)))
-    return _W_REFERENCE[n]
+    w, ww = _w_grid(16)
+    return float(np.sum(
+        ww * (2.0 * w * w - 2.0 * w + 1.0) ** (n / 2.0) * (1.0 - w) ** (n - 2)))
 
 
 def _distortion_tail(phi: ModulusFunction, n: int, U: float) -> float:
@@ -150,66 +141,49 @@ def _distortion_tail(phi: ModulusFunction, n: int, U: float) -> float:
     m = n - 1
     if phi.eps is not None:
         poly = phi.eps ** (1 - n) / m
-    elif phi.family == "iterlog":
+    else:
         c0 = phi.alpha if phi.depth == 1 else 1.0 / n
         # int_U^inf ((1+u)/c0)^{n-1} e^{-(n-1)(u-U)} du, expanded binomially
         poly = c0 ** (1 - n) * sum(
             math.comb(m, i) * (1.0 + U) ** (m - i) * math.factorial(i) / m ** (i + 1)
             for i in range(m + 1))
-    else:
-        return math.inf
     return C * phi_U * math.exp(-m * U) * poly
 
 
-# -- the adaptive driver ------------------------------------------------------
+# -- the tensor quadrature -----------------------------------------------------
 
 def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str):
     sigma_factor = sphere_surface_area(n - 2)
-    total = 0.0
-    nodes = 0
-    value = err = math.nan
-    increments: list[float] = []
-    for U, u, wu in _doubling_panels(60):
+    nodes = []
+
+    def panel(u, wu):
         inc, used = _panel_value(phi, n, u, wu, kind)
-        total += inc
-        nodes += used
-        increments.append(inc)
-        if kind == "conformal":
-            T, T_err = energy_tail_bound(phi, n, U)    # int_U^inf phi^n du
-            if math.isfinite(T):
-                phi_U, _ = phi.profile_log(U)
-                s_U = math.exp(-U)
-                corr = (n / 2.0) * ((n - 1) * s_U ** 2 + 2.0 * phi_U ** 2) \
-                    ** (n / 2.0 - 1.0) * math.exp(-2.0 * U) / 2.0
-                value = sigma_factor * (total + _w_reference(n) * T)
-                err = sigma_factor * (phi_U ** n / (n - 1) + corr + T_err) \
-                    + 8.0 * np.finfo(float).eps * abs(value)
-                if err <= 0.5 * tol * max(1.0, abs(value)):
-                    return value, err, "converged", nodes
-                continue
-        else:
-            tail = _distortion_tail(phi, n, U)
-            threshold = tol * max(1.0, abs(total))
-            if tail <= 0.5 * threshold and inc <= 0.5 * threshold:
-                return sigma_factor * total, sigma_factor * (tail + inc), \
-                    "converged", nodes
-            if math.isfinite(tail):
-                continue
-        # no usable remainder: decide from the panel increments alone
-        decided = _increment_verdict(increments, tol * max(1.0, abs(total)))
-        if decided == "converged":
-            return sigma_factor * total, sigma_factor * 8.0 * inc, \
-                "converged", nodes
-        if decided == "diverged":
-            return math.inf, math.inf, "diverged", nodes
-        if decided == "truncated":
-            break
-    if math.isfinite(value):
-        # out of panels: the certified bound may still meet the request,
-        # just not with the 0.5 margin above
-        status = "converged" if err <= tol * max(1.0, abs(value)) else "truncated"
-        return value, err, status, nodes
-    return sigma_factor * total, math.inf, "truncated", nodes
+        nodes.append(used)
+        return inc
+
+    def conformal_remainder(U, total, inc):
+        T, T_err = energy_tail_bound(phi, n, U)    # int_U^inf phi^n du
+        phi_U, _ = phi.profile_log(U)
+        s_U = math.exp(-U)
+        corr = (n / 2.0) * ((n - 1) * s_U ** 2 + 2.0 * phi_U ** 2) \
+            ** (n / 2.0 - 1.0) * math.exp(-2.0 * U) / 2.0
+        value = sigma_factor * (total + _w_reference(n) * T)
+        err = sigma_factor * (phi_U ** n / (n - 1) + corr + T_err) \
+            + 8.0 * np.finfo(float).eps * abs(value)
+        return value, err, err <= 0.5 * tol * max(1.0, abs(value))
+
+    def distortion_remainder(U, total, inc):
+        tail = _distortion_tail(phi, n, U)
+        threshold = tol * max(1.0, abs(total))
+        return sigma_factor * total, sigma_factor * (tail + inc), \
+            tail <= 0.5 * threshold and inc <= 0.5 * threshold
+
+    if phi.family == "custom":          # no remainder: the increments decide
+        value, err, status, _, _ = _doubling_quadrature(panel, tol)
+        return sigma_factor * value, sigma_factor * err, status, sum(nodes)
+    remainder = conformal_remainder if kind == "conformal" else distortion_remainder
+    value, err, status, _, _ = _doubling_quadrature(panel, tol, remainder)
+    return value, err, status, sum(nodes)
 
 
 def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
@@ -246,6 +220,7 @@ def inner_distortion_integral(m: ConeMap, tol: float = 1e-6) -> EnergyResult:
 # The Monte-Carlo sample keeps this distance from the axis, base and slant,
 # where the Jacobian evaluator refuses points.
 _MC_MARGIN = 1e-6
+_MC_MIN_SAMPLES = 1000
 
 
 def energy_F_monte_carlo(m: ConeMap, samples: int, seed: int = 0) -> EnergyResult:
@@ -258,8 +233,8 @@ def energy_F_monte_carlo(m: ConeMap, samples: int, seed: int = 0) -> EnergyResul
     skipped mass; that factor uses the observed extremes, so it is an
     estimate rather than a certificate.
     """
-    if samples < 1000:
-        raise ValueError("need at least 10^3 samples")
+    if samples < _MC_MIN_SAMPLES:
+        raise ValueError(f"need at least {_MC_MIN_SAMPLES} samples")
     n = m.n
     batch = sample_cone_interior(samples, n=n, seed=seed,
                                  exclude_axis_margin=_MC_MARGIN,

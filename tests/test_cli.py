@@ -30,18 +30,18 @@ def test_parse_radii_rejects_garbage(bad):
 
 
 def test_parse_family_specs():
-    phi, n = parse_family("identity")
-    assert phi.family == "identity"
-    phi, n = parse_family("power:eps=0.25")
-    assert phi.family == "power" and phi.eps == 0.25
-    phi, n = parse_family("iterlog:k=2,alpha=1,n=3")
-    assert phi.family == "iterlog" and phi.depth == 2 and n == 3
+    phi = parse_family("identity")
+    assert phi.family == "identity" and phi.n == 2
+    phi = parse_family("power:eps=0.25,n=3")
+    assert phi.family == "power" and phi.eps == 0.25 and phi.n == 3
+    phi = parse_family("iterlog:k=2,alpha=1,n=3")
+    assert phi.family == "iterlog" and phi.depth == 2 and phi.n == 3
 
 
 @pytest.mark.parametrize("bad", [
     "nope", "power", "power:eps=0", "power:eps=2", "power:eps=0.5,junk=1",
     "iterlog:k=2,alpha=1",          # n is required
-    "identity:x=1",
+    "identity:x=1", "identity,n=abc", "power:eps=0.5,n=1",
 ])
 def test_parse_family_rejects_garbage(bad):
     with pytest.raises(SpecError):
@@ -167,6 +167,15 @@ def test_verify_conditions_exit_codes(capsys):
     assert failed == ["finite energy (C3)"]
 
 
+@pytest.mark.parametrize("phi,energy", [("power:eps=0.5,n=3", 1.0 / (3 * 0.5)),
+                                        ("identity,n=4", 1.0 / 4)])
+def test_verify_conditions_integrates_at_the_spec_dimension(phi, energy, capsys):
+    # E[phi] = 1/(n eps) for the power family, the identity being eps = 1
+    code, out = run(["verify", "conditions", "--phi", phi], capsys)
+    assert code == 0
+    assert json.loads(out)["result"]["metadata"]["energy_value"] == energy
+
+
 @pytest.mark.parametrize("phi,worst,equality", [
     ("identity,n=2", 2.220446049250313e-16, 0.0),
     ("iterlog:k=2,alpha=1,n=2", -0.8607491661319394, 4.440892098500626e-16),
@@ -255,7 +264,9 @@ MC = ["energy", "--map", "cone:phi=iterlog:k=1,alpha=1,n=2", "--method", "mc",
     ("--pairs", ["verify", "averaging", "--phi", "iterlog:k=1,alpha=1,n=2",
                  "--pairs", "0"]),
     ("--pairs", ["verify", "global-f", "--phi", "iterlog:k=1,alpha=1,n=2",
-                 "--pairs", "0"])])
+                 "--pairs", "0"]),
+    ("--samples", [*MC, "--samples", "500"]),
+    ("--samples", [*MC, "--samples", "-5"])])
 def test_unusable_numbers_are_usage_errors(option, argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

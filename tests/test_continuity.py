@@ -11,7 +11,7 @@ from bicone.continuity import (averaging_lemma_check, doubling_probe,
                                optimal_modulus, quasi_inverse_check,
                                three_points_ratio, verify_global_modulus_F,
                                verify_global_modulus_H, verify_main_theorem)
-from bicone.continuity import _segment_integral
+from bicone.continuity import _lower_integral, _segment_integral
 from bicone.deformations import ConeMap, GluedMap, RadialMap
 from bicone import geometry
 from bicone.geometry import (cone_norm, euclid_norm, kronecker_sequence,
@@ -340,6 +340,30 @@ def test_averaging_numeric_antiderivative_path():
     b = np.array([-0.1, 0.05])
     rep = averaging_lemma_check(phi.derivative, a, b)   # numeric fallback G
     assert rep.passed
+
+
+def test_numeric_antiderivative_comes_back_short():
+    # the iterated-log slope keeps mass below the float floor, which is dropped
+    phi = ModulusFunction.iterlog(depth=1, alpha=1.0, n=2)
+    assert _lower_integral(phi.derivative, 1e-3, 1e-10) < phi(1e-3) - 1e-3
+
+
+# Integrable kernels whose panel increments grow before the float floor.
+SLOW_KERNELS = [(ModulusFunction.iterlog(depth=2, alpha=1.0, n=2), 1e-3),
+                (ModulusFunction.iterlog(depth=1, alpha=1.0, n=2), 1e-14)]
+
+
+@pytest.mark.parametrize("phi, x", SLOW_KERNELS, ids=["k2-1e-3", "k1-1e-14"])
+def test_numeric_antiderivative_raises_on_slow_kernels(phi, x):
+    a, b = np.array([x, 0.0]), np.array([0.0, 0.5 * x])
+    with pytest.raises(RuntimeError, match="did not stabilize"):
+        averaging_lemma_check(phi.derivative, a, b)
+
+
+@pytest.mark.parametrize("phi, x", SLOW_KERNELS, ids=["k2-1e-3", "k1-1e-14"])
+def test_closed_form_antiderivative_avoids_the_raise(phi, x):
+    a, b = np.array([x, 0.0]), np.array([0.0, 0.5 * x])
+    assert averaging_lemma_check(phi.derivative, a, b, lower_integral=phi).passed
 
 
 def _segment_integral_per_panel(Phi, a, b, G, depth=44):

@@ -116,6 +116,122 @@ def test_depth3_certifies_well_inside_the_panel_cap(n):
     assert abs(r.value - fine.value) <= r.error_estimate
 
 
+
+# Exact (value, error_estimate, samples_or_nodes, status) of both tensor
+# quadratures; their doubling driver and remainders must keep every bit.
+PINNED_FAMILIES = {
+    "identity": ("identity", {}),
+    "power 0.5": ("power", {"eps": 0.5}),
+    **{f"iterlog k={k}": ("iterlog", {"depth": k, "alpha": 1.0}) for k in range(1, 5)},
+}
+PINNED = {
+    ('identity', 2, 1e-06, 'conformal'):
+        (1.999999849953097, 3.376055277104908e-07, 20736, 'converged'),
+    ('identity', 2, 1e-06, 'distortion'):
+        (1.9999999999999714, 2.2507055206516842e-07, 25920, 'converged'),
+    ('identity', 2, 1e-10, 'conformal'):
+        (1.9999999999999798, 4.154521032608299e-14, 25920, 'converged'),
+    ('identity', 2, 1e-10, 'distortion'):
+        (1.9999999999999967, 2.532833109819124e-14, 31104, 'converged'),
+    ('identity', 3, 1e-06, 'conformal'):
+        (5.441398092519146, 4.744070638895283e-10, 20736, 'converged'),
+    ('identity', 3, 1e-06, 'distortion'):
+        (5.44139809270265, 2.0542009922319265e-10, 25920, 'converged'),
+    ('identity', 3, 1e-10, 'conformal'):
+        (5.44139809270265, 9.665882627011881e-15, 25920, 'converged'),
+    ('identity', 3, 1e-10, 'distortion'):
+        (5.44139809270265, 2.0542009922319265e-10, 25920, 'converged'),
+    ('power 0.5', 2, 1e-06, 'conformal'):
+        (2.3333333333333197, 2.2507036624751641e-07, 25920, 'converged'),
+    ('power 0.5', 2, 1e-06, 'distortion'):
+        (2.29076130372243, 4.4611744192575066e-11, 31104, 'converged'),
+    ('power 0.5', 2, 1e-10, 'conformal'):
+        (2.333333333333332, 2.947316372345576e-14, 31104, 'converged'),
+    ('power 0.5', 2, 1e-10, 'distortion'):
+        (2.29076130372243, 4.4611744192575066e-11, 31104, 'converged'),
+    ('power 0.5', 3, 1e-06, 'conformal'):
+        (5.873525242044991, 1.186098112953503e-10, 25920, 'converged'),
+    ('power 0.5', 3, 1e-06, 'distortion'):
+        (5.854140440781445, 6.4517381512896884e-09, 25920, 'converged'),
+    ('power 0.5', 3, 1e-10, 'conformal'):
+        (5.873525242044991, 1.186098112953503e-10, 25920, 'converged'),
+    ('power 0.5', 3, 1e-10, 'distortion'):
+        (5.854140440781445, 1.3294602656222795e-17, 31104, 'converged'),
+    ('iterlog k=1', 2, 1e-06, 'conformal'):
+        (2.4444445237880883, 4.7637184209662664e-07, 92736, 'converged'),
+    ('iterlog k=1', 2, 1e-06, 'distortion'):
+        (2.1458762619093332, 2.649163664165596e-08, 36864, 'converged'),
+    ('iterlog k=1', 2, 1e-10, 'conformal'):
+        (2.4444444444638487, 1.1641788769603156e-10, 167040, 'converged'),
+    ('iterlog k=1', 2, 1e-10, 'distortion'):
+        (2.145876261909335, 1.9843733788486004e-15, 44928, 'converged'),
+    ('iterlog k=1', 3, 1e-06, 'conformal'):
+        (5.632192799984823, 1.4634596231997069e-06, 53568, 'converged'),
+    ('iterlog k=1', 3, 1e-06, 'distortion'):
+        (5.5419912262337405, 5.7968537488382894e-08, 29376, 'converged'),
+    ('iterlog k=1', 3, 1e-10, 'conformal'):
+        (5.632192801246842, 4.569272756645451e-11, 103680, 'converged'),
+    ('iterlog k=1', 3, 1e-10, 'distortion'):
+        (5.541991226233745, 4.234410507666275e-15, 36864, 'converged'),
+    ('iterlog k=2', 2, 1e-06, 'conformal'):
+        (3.738974175761876, 1.5884622822708552e-06, 143424, 'converged'),
+    ('iterlog k=2', 2, 1e-06, 'distortion'):
+        (2.212030938744839, 5.235367403220378e-08, 36864, 'converged'),
+    ('iterlog k=2', 2, 1e-10, 'conformal'):
+        (3.7389739110463207, 1.3890954421130611e-10, 347328, 'converged'),
+    ('iterlog k=2', 2, 1e-10, 'distortion'):
+        (2.212030938744844, 4.733551306181701e-15, 44928, 'converged'),
+    ('iterlog k=2', 3, 1e-06, 'conformal'):
+        (6.049879401408576, 2.73455863758122e-06, 109440, 'converged'),
+    ('iterlog k=2', 3, 1e-06, 'distortion'):
+        (5.6215512394954015, 1.2078408844145214e-07, 29952, 'converged'),
+    ('iterlog k=2', 3, 1e-10, 'conformal'):
+        (6.049879401432674, 2.3819665980876166e-10, 280512, 'converged'),
+    ('iterlog k=2', 3, 1e-10, 'distortion'):
+        (5.621551239495413, 1.1738901650447391e-14, 37440, 'converged'),
+    ('iterlog k=3', 2, 1e-06, 'conformal'):
+        (10.728242086909862, 3.917433687985775e-06, 143424, 'converged'),
+    ('iterlog k=3', 2, 1e-06, 'distortion'):
+        (2.297863000650074, 6.572401402741542e-08, 36864, 'converged'),
+    ('iterlog k=3', 2, 1e-10, 'conformal'):
+        (10.728241434095745, 4.794694544399794e-10, 347328, 'converged'),
+    ('iterlog k=3', 2, 1e-10, 'distortion'):
+        (2.2978630006500804, 6.0779285522529915e-15, 44928, 'converged'),
+    ('iterlog k=3', 3, 1e-06, 'conformal'):
+        (7.596893394766952, 3.1609016753655256e-06, 138240, 'converged'),
+    ('iterlog k=3', 3, 1e-06, 'distortion'):
+        (5.829405708234055, 1.6563515936724515e-07, 31680, 'converged'),
+    ('iterlog k=3', 3, 1e-10, 'conformal'):
+        (7.5968933947728345, 3.01461778813204e-10, 342144, 'converged'),
+    ('iterlog k=3', 3, 1e-10, 'distortion'):
+        (5.829405708234072, 1.6719509718452094e-14, 39744, 'converged'),
+    ('iterlog k=4', 2, 1e-06, 'conformal'):
+        (74.69219194986059, 2.37126381811109e-05, 118080, 'converged'),
+    ('iterlog k=4', 2, 1e-06, 'distortion'):
+        (2.3430855097578775, 7.274046877180404e-08, 37440, 'converged'),
+    ('iterlog k=4', 2, 1e-10, 'conformal'):
+        (74.69218799850688, 2.815189011633457e-09, 308160, 'converged'),
+    ('iterlog k=4', 2, 1e-10, 'distortion'):
+        (2.343085509757884, 6.7528638988481155e-15, 45504, 'converged'),
+    ('iterlog k=4', 3, 1e-06, 'conformal'):
+        (13.029974644606272, 3.0174615933940514e-06, 152064, 'converged'),
+    ('iterlog k=4', 3, 1e-06, 'distortion'):
+        (6.00914163848166, 2.0346914717231169e-07, 31680, 'converged'),
+    ('iterlog k=4', 3, 1e-10, 'conformal'):
+        (13.029974644608997, 3.293580739004654e-10, 362880, 'converged'),
+    ('iterlog k=4', 3, 1e-10, 'distortion'):
+        (6.009141638481681, 2.076166999567051e-14, 39744, 'converged'),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED), ids=str)
+def test_tensor_quadrature_results_are_pinned(key):
+    label, n, tol, kind = key
+    family, kw = PINNED_FAMILIES[label]
+    fn = conformal_energy_H if kind == "conformal" else inner_distortion_integral
+    r = fn(cone_map(family, n=n, **kw), tol=tol)
+    assert (r.value, r.error_estimate, r.samples_or_nodes, r.status) == PINNED[key]
+
 def mp_conformal_energy(k, n):
     """int |DH|^n over the upper cone from the reduced (u, w) form, 20 digits.
 

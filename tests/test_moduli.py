@@ -370,6 +370,7 @@ def test_zero_increment_is_truncated_not_converged():
     builtin = ModulusFunction.iterlog(2, 1.0, n=2)
     e = modulus_energy_detailed(ModulusFunction.custom(lambda s: builtin(s)))
     assert (e.status, e.error_bound) == ("truncated", math.inf)
+    assert (e.panels, e.U) == (12, 2048.0)
     assert e.value < 2.0
     assert modulus_energy_detailed(builtin).value == 2.0
 
