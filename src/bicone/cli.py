@@ -274,7 +274,7 @@ def _cmd_energy(args) -> int:
                                 "method": res.method,
                                 "samples_or_nodes": res.samples_or_nodes,
                                 "seed": res.seed}))
-    return 0 if res.status == "converged" else 1
+    return 0 if res.status in ("converged", "estimated") else 1
 
 
 def _cmd_verify(args) -> int:

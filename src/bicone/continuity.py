@@ -26,7 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformations import ConeMap, GluedMap
-from .geometry import cone_norm, euclid_norm, sample_cone_interior, sample_cone_sphere
+from .geometry import (_row_norm, cone_norm, euclid_norm, sample_cone_interior,
+                       sample_cone_sphere)
 from .moduli import (_GL_NODES, _GL_WEIGHTS, _doubling_quadrature,
                      measured_constants)
 from .reports import VerificationReport
@@ -386,7 +387,7 @@ def _segment_integral(Phi, a: np.ndarray, b: np.ndarray, G) -> tuple[float, floa
     half = 0.5 * (bounds[:, :-1] - bounds[:, 1:])
     off = bounds[:, 1:, None] + half[..., None] * (_GL_NODES + 1.0)
     pts = c_star + (sides[:, 1, None, None] * off)[..., None] * d
-    vals = np.asarray(Phi(np.linalg.norm(pts, axis=-1).ravel()))
+    vals = np.asarray(Phi(_row_norm(pts).ravel()))
     panels = np.sum(_GL_WEIGHTS * vals.reshape(-1, _GL_NODES.size), axis=1)
     total = 0.0
     for h, panel in zip(half.ravel().tolist(), panels.tolist()):

@@ -128,7 +128,10 @@ class ConeMap:
 
     def jacobian(self, X) -> JacobianData:
         arr, single = _rows(X)
-        rho = _upper_cone_norm(arr)
+        return self._jacobian(arr, _upper_cone_norm(arr), single)
+
+    def _jacobian(self, arr, rho, single=False) -> JacobianData:
+        """``jacobian`` on rows of the upper cone whose |x| is ``rho``."""
         t = arr[:, -1]
         s = rho + t
         if np.any(rho <= 0):

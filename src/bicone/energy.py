@@ -19,9 +19,11 @@ materializes s, so the quadrature runs far past the underflow point of e^-u.
 u-panels double geometrically as in the one-dimensional E[phi] quadrature;
 w-panels refine dyadically toward w = 1 because the K_H integrand varies on
 the scale of the elasticity there.  Convergence is certified by rigorous
-remainders: the |DH|^n tail reduces (up to an error of order phi(U)^n) to
-the one-dimensional remainder T(U) of moduli.energy_tail_bound, available
-for every built-in family; the K_H tail has a majorant decaying like
+remainders: the |DH|^n tail reduces to the one-dimensional remainder T(U)
+of moduli.energy_tail_bound, available for every built-in family, plus a
+first-order term in the elasticity g that integrates exactly; what is left
+is at most (K_n / 2n) g(U) phi(U)^n (see the conformal branch below, with
+K_n = 4/3 at n = 2).  The K_H tail has a majorant decaying like
 e^{-(n-1)U}, because the s^{n-1} factor saves it even when E[phi] barely
 converges.
 """
@@ -34,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from .deformations import ConeMap, GluedMap
+from .deformations import ConeMap, GluedMap, _upper_cone_norm
 from .geometry import sample_cone_interior, sphere_surface_area, unit_ball_volume
 from .moduli import (EnergyDivergenceError, ModulusFunction,
                      _analytic_energy_status, _doubling_quadrature, _gl_panel,
@@ -60,6 +62,7 @@ class EnergyResult:
     error_estimate: float
     seed: int | None = None
     status: str = "converged"    # "converged" | "truncated" (tol not certified)
+                                 # | "estimated" (Monte Carlo: no certified bound)
 
 
 # -- quadrature grids ---------------------------------------------------------
@@ -109,18 +112,52 @@ def _panel_value(phi: ModulusFunction, n: int, u: np.ndarray, wu: np.ndarray,
 #
 # (mean value bound (x+y)^p <= x^p + p y (x+y)^{p-1} integrated in u and w),
 # while the main part integrates to W_n(c(u)) phi^n with
-# W_n(c) = int_0^1 Q^{n/2} (1-w)^{n-2} dw.  Since |dQ/dc| <= 2 and Q <= 1,
-# |W_n(c) - W_n(1)| <= (n/(n-1)) g, and int_U^inf phi^n g du = phi(U)^n / n
-# exactly (g is -dlog phi/du), so replacing W_n(c) by the constant W_n(1)
-# costs at most phi(U)^n / (n-1).  The remaining T(U) = int_U^inf phi^n du
-# comes from energy_tail_bound, with its own bound T_err (0 where closed form).
+# W_n(c) = int_0^1 Q^{n/2} (1-w)^{n-2} dw.  To first order in the elasticity,
+#
+#     W_n(1 - g) = W_n(1) - W_n'(1) g + R,    |R| <= (K_n / 2) g^2,
+#
+# where K_n bounds |W_n''| on [0, 1].  With p = n/2, |dQ/dc| <= 2w,
+# d^2Q/dc^2 = 4w^2 and Q >= 1/2, and int_0^1 w^2 (1-w)^{n-2} dw = 2/((n-1)n(n+1)),
+#
+#     K_n = 4p (|p-1| 2^max(0, 2-p) + 2^max(0, 1-p)) 2 / ((n-1) n (n+1))
+#
+# (4/3 at n = 2, which is W_2'' exactly).  The first-order term integrates
+# exactly, int_U^inf phi^n g du = phi(U)^n / n (g is -dlog phi/du), and for a
+# g non-increasing on [U, inf) the rest is at most
+# (K_n/2) g(U) int_U^inf phi^n g du = (K_n / 2n) g(U) phi(U)^n.  The built-in
+# families qualify: power has a constant g, and each iterlog factor's term
+# beta_j a_j L_j' / (1 + a_j L_j) decreases.  So the tail is
+#
+#     W_n(1) T(U) - W_n'(1) phi(U)^n / n,  error <= (K_n / 2n) g(U) phi(U)^n + corr(U),
+#
+# where T(U) = int_U^inf phi^n du comes from energy_tail_bound, with its own
+# bound T_err (0 where closed form).  The error is of order g phi^n rather
+# than phi^n, which for iterated logs ends the doubling many panels sooner.
+
+def _w_moment(n: int, weight) -> float:
+    """int_0^1 weight(w, Q, p) (1-w)^{n-2} dw with Q = 2w^2 - 2w + 1, p = n/2."""
+    w, ww = _w_grid(16)
+    q = 2.0 * w * w - 2.0 * w + 1.0
+    return float(np.sum(ww * weight(w, q, n / 2.0) * (1.0 - w) ** (n - 2)))
+
 
 @cache
 def _w_reference(n: int) -> float:
     """W_n(1) = int_0^1 (2w^2 - 2w + 1)^{n/2} (1-w)^{n-2} dw."""
-    w, ww = _w_grid(16)
-    return float(np.sum(
-        ww * (2.0 * w * w - 2.0 * w + 1.0) ** (n / 2.0) * (1.0 - w) ** (n - 2)))
+    return _w_moment(n, lambda w, q, p: q ** p)
+
+
+@cache
+def _w_slope(n: int) -> float:
+    """W_n'(1) = int_0^1 p Q^{p-1} 2w(2w - 1) (1-w)^{n-2} dw."""
+    return _w_moment(n, lambda w, q, p: p * q ** (p - 1.0) * 2.0 * w * (2.0 * w - 1.0))
+
+
+def _w_curvature(n: int) -> float:
+    """K_n >= sup of |W_n''| on [0, 1] (see the comment block above)."""
+    p = n / 2.0
+    return 4.0 * p * (abs(p - 1.0) * 2.0 ** max(0.0, 2.0 - p)
+                      + 2.0 ** max(0.0, 1.0 - p)) * 2.0 / ((n - 1) * n * (n + 1))
 
 
 def _distortion_tail(phi: ModulusFunction, n: int, U: float) -> float:
@@ -163,12 +200,13 @@ def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str):
 
     def conformal_remainder(U, total, inc):
         T, T_err = energy_tail_bound(phi, n, U)    # int_U^inf phi^n du
-        phi_U, _ = phi.profile_log(U)
+        phi_U, g_U = phi.profile_log(U)
+        phi_n = phi_U ** n
         s_U = math.exp(-U)
         corr = (n / 2.0) * ((n - 1) * s_U ** 2 + 2.0 * phi_U ** 2) \
             ** (n / 2.0 - 1.0) * math.exp(-2.0 * U) / 2.0
-        value = sigma_factor * (total + _w_reference(n) * T)
-        err = sigma_factor * (phi_U ** n / (n - 1) + corr + T_err) \
+        value = sigma_factor * (total + _w_reference(n) * T - _w_slope(n) * phi_n / n)
+        err = sigma_factor * (_w_curvature(n) / (2 * n) * g_U * phi_n + corr + T_err) \
             + 8.0 * np.finfo(float).eps * abs(value)
         return value, err, err <= 0.5 * tol * max(1.0, abs(value))
 
@@ -239,8 +277,10 @@ def energy_F_monte_carlo(m: ConeMap, samples: int, seed: int = 0) -> EnergyResul
     batch = sample_cone_interior(samples, n=n, seed=seed,
                                  exclude_axis_margin=_MC_MARGIN,
                                  exclude_boundary_margin=_MC_MARGIN)
-    X = m.inverse(batch.points, tol=1e-12)
-    values = m.jacobian(X).inv_hs_norm ** n
+    # F keeps the horizontal part, so |x| of X = F(Y) is the |y| of Y
+    rho = _upper_cone_norm(batch.points)
+    X = m._solve(batch.points, rho, 1e-12)
+    values = m._jacobian(X, rho).inv_hs_norm ** n
     vol = unit_ball_volume(n - 1) / n
     mean = float(np.mean(values))
     std_err = float(np.std(values, ddof=1) / math.sqrt(samples)) * vol
@@ -248,7 +288,8 @@ def energy_F_monte_carlo(m: ConeMap, samples: int, seed: int = 0) -> EnergyResul
     margin_term = margin_vol * float(np.max(values) + mean)
     return EnergyResult(value=mean * vol, method="monte_carlo",
                         samples_or_nodes=samples,
-                        error_estimate=std_err + margin_term, seed=seed)
+                        error_estimate=std_err + margin_term, seed=seed,
+                        status="estimated")
 
 
 def biconformal_energy(g: GluedMap, tol: float = 1e-6) -> EnergyResult:

@@ -37,6 +37,22 @@ def _rows(X):
     return arr, arr.ndim == 1
 
 
+def _row_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, with the bits of np.linalg.norm.
+
+    Rows of up to 7 entries sum their squares column by column, which is
+    numpy's order there and several times faster on tall arrays.  From 8
+    entries on numpy sums pairwise, so those rows go to np.linalg.norm.
+    """
+    k = x.shape[-1]
+    if not 0 < k < 8:
+        return np.linalg.norm(x, axis=-1)
+    acc = x[..., 0] * x[..., 0]
+    for i in range(1, k):
+        acc += x[..., i] * x[..., i]
+    return np.sqrt(acc)
+
+
 def _horizontal_norm(arr: np.ndarray) -> np.ndarray:
     """|x| of the points (x, t) in the last axis of arr.
 
@@ -45,13 +61,13 @@ def _horizontal_norm(arr: np.ndarray) -> np.ndarray:
     |x_i| first; every other row keeps the bits of np.linalg.norm.
     """
     x = arr[..., :-1]
-    out = np.linalg.norm(x, axis=-1)
+    out = _row_norm(x)
     tiny = out < 1e-150
     if np.any(tiny):
         small = x[tiny]
         scale = np.max(np.abs(small), axis=-1)
         safe = np.where(scale > 0.0, scale, 1.0)
-        out[tiny] = scale * np.linalg.norm(small / safe[:, None], axis=-1)
+        out[tiny] = scale * _row_norm(small / safe[:, None])
     return out
 
 
@@ -64,7 +80,7 @@ def cone_norm(X):
 
 def euclid_norm(X):
     arr, single = _rows(X)
-    out = np.linalg.norm(arr, axis=-1)
+    out = _row_norm(arr)
     return float(out) if single else out
 
 
@@ -165,7 +181,7 @@ def _directions(u):
     if d == 1:
         return np.where(u < 0.5, -1.0, 1.0)
     g = _inv_norm_cdf(u)
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
+    norms = _row_norm(g)[:, None]
     norms[norms == 0] = 1.0
     return g / norms
 

@@ -450,6 +450,8 @@ def _doubling_quadrature(panel, tol: float, remainder=None):
     cap the last value is "converged" only if its err meets tol.  Without
     it ``_increment_verdict`` decides, with err 8 inc when converged; such
     sums end by panel 12 (U = 2048) at the latest, where e^-u underflows.
+    A non-finite value or bound is never "converged": it comes back
+    "truncated" (or "diverged") with an infinite bound.
     """
     total = 0.0
     increments: list[float] = []
@@ -459,19 +461,21 @@ def _doubling_quadrature(panel, tol: float, remainder=None):
         if remainder is not None:
             value, err, done = remainder(U, total, inc)
             if done:
-                return value, err, "converged", panels, U
+                break
             continue
         increments.append(inc)
         status = _increment_verdict(increments, tol * max(1.0, abs(total)))
-        if status == "converged":
+        if status == "converged" and math.isfinite(total):
             return total, 8.0 * inc, status, panels, U
         if status == "diverged":
             return math.inf, math.inf, status, panels, U
-        if status == "truncated":
+        if status is not None:
             break
     if remainder is None:
         return total, math.inf, "truncated", panels, U
-    status = "converged" if err <= tol * max(1.0, abs(value)) else "truncated"
+    if not (math.isfinite(value) and math.isfinite(err)):
+        return value, math.inf, "truncated", panels, U
+    status = "converged" if done or err <= tol * max(1.0, abs(value)) else "truncated"
     return value, err, status, panels, U
 
 

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +317,33 @@ def test_mc_energy_seeded(capsys):
     doc = json.loads(out)
     assert doc["result"]["value"] == 2.1453558647238324
     assert doc["result"]["method"] == "monte_carlo"
+
+
+def test_mc_energy_is_an_estimate_that_exits_0(capsys):
+    # the MC error bar is an estimate, not a certificate, so the status says
+    # so; "estimated" exits 0 like "converged", even with an error above --tol
+    code, out = run([*MC, "--samples", "1000", "--seed", "3", "--tol", "1e-6"], capsys)
+    doc = json.loads(out)["result"]
+    assert (code, doc["status"]) == (0, "estimated")
+    assert doc["error_estimate"] > 1e-6
+
+
+@pytest.mark.parametrize("spec", ["cone:phi=identity,n=2", "cone:phi=identity,n=3",
+                                  "cone:phi=power:eps=0.5,n=2"])
+def test_a_nan_energy_is_never_converged(spec):
+    # Far out (u > 372) the K_H cells of these maps are 0/0.  The NaN sum
+    # must come out "truncated" with exit 1, never "converged" with exit 0.
+    # A subprocess, because the 0/0 also raises a RuntimeWarning on stderr.
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    done = subprocess.run([sys.executable, "-m", "bicone.cli", "energy",
+                           "--integrand", "inverse", "--map", spec, "--tol", "1e-300"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    doc = json.loads(done.stdout)["result"]
+    assert done.returncode == 1
+    assert (doc["status"], doc["value"], doc["error_estimate"]) == ("truncated", "nan", "inf")
 
 
 def test_invert_radial_logexample_honours_tol(capsys):

@@ -126,99 +126,99 @@ PINNED_FAMILIES = {
 }
 PINNED = {
     ('identity', 2, 1e-06, 'conformal'):
-        (1.999999849953097, 3.376055277104908e-07, 20736, 'converged'),
+        (1.9999998124413723, 1.8755862808481187e-07, 20736, 'converged'),
     ('identity', 2, 1e-06, 'distortion'):
         (1.9999999999999714, 2.2507055206516842e-07, 25920, 'converged'),
     ('identity', 2, 1e-10, 'conformal'):
-        (1.9999999999999798, 4.154521032608299e-14, 25920, 'converged'),
+        (1.9999999999999756, 2.4659656260624082e-14, 25920, 'converged'),
     ('identity', 2, 1e-10, 'distortion'):
         (1.9999999999999967, 2.532833109819124e-14, 31104, 'converged'),
     ('identity', 3, 1e-06, 'conformal'):
-        (5.441398092519146, 4.744070638895283e-10, 20736, 'converged'),
+        (5.441398092519146, 3.8955134001438424e-10, 20736, 'converged'),
     ('identity', 3, 1e-06, 'distortion'):
         (5.44139809270265, 2.0542009922319265e-10, 25920, 'converged'),
     ('identity', 3, 1e-10, 'conformal'):
-        (5.44139809270265, 9.665882627011881e-15, 25920, 'converged'),
+        (5.44139809270265, 9.665879423594136e-15, 25920, 'converged'),
     ('identity', 3, 1e-10, 'distortion'):
         (5.44139809270265, 2.0542009922319265e-10, 25920, 'converged'),
     ('power 0.5', 2, 1e-06, 'conformal'):
-        (2.3333333333333197, 2.2507036624751641e-07, 25920, 'converged'),
+        (2.333333295821595, 3.751174171541782e-08, 25920, 'converged'),
     ('power 0.5', 2, 1e-06, 'distortion'):
         (2.29076130372243, 4.4611744192575066e-11, 31104, 'converged'),
     ('power 0.5', 2, 1e-10, 'conformal'):
-        (2.333333333333332, 2.947316372345576e-14, 31104, 'converged'),
+        (2.3333333333333277, 8.366221141632127e-15, 31104, 'converged'),
     ('power 0.5', 2, 1e-10, 'distortion'):
         (2.29076130372243, 4.4611744192575066e-11, 31104, 'converged'),
     ('power 0.5', 3, 1e-06, 'conformal'):
-        (5.873525242044991, 1.186098112953503e-10, 25920, 'converged'),
+        (5.873523894158798, 2.759706886275586e-06, 20736, 'converged'),
     ('power 0.5', 3, 1e-06, 'distortion'):
         (5.854140440781445, 6.4517381512896884e-09, 25920, 'converged'),
     ('power 0.5', 3, 1e-10, 'conformal'):
-        (5.873525242044991, 1.186098112953503e-10, 25920, 'converged'),
+        (5.873525242044991, 1.6882274604676972e-11, 25920, 'converged'),
     ('power 0.5', 3, 1e-10, 'distortion'):
         (5.854140440781445, 1.3294602656222795e-17, 31104, 'converged'),
     ('iterlog k=1', 2, 1e-06, 'conformal'):
-        (2.4444445237880883, 4.7637184209662664e-07, 92736, 'converged'),
+        (2.4444442374072635, 3.105557796159719e-07, 53568, 'converged'),
     ('iterlog k=1', 2, 1e-06, 'distortion'):
         (2.1458762619093332, 2.649163664165596e-08, 36864, 'converged'),
     ('iterlog k=1', 2, 1e-10, 'conformal'):
-        (2.4444444444638487, 1.1641788769603156e-10, 167040, 'converged'),
+        (2.444444444392782, 7.750098085119394e-11, 92736, 'converged'),
     ('iterlog k=1', 2, 1e-10, 'distortion'):
         (2.145876261909335, 1.9843733788486004e-15, 44928, 'converged'),
     ('iterlog k=1', 3, 1e-06, 'conformal'):
-        (5.632192799984823, 1.4634596231997069e-06, 53568, 'converged'),
+        (5.632192507819744, 7.537087481457131e-07, 36864, 'converged'),
     ('iterlog k=1', 3, 1e-06, 'distortion'):
         (5.5419912262337405, 5.7968537488382894e-08, 29376, 'converged'),
     ('iterlog k=1', 3, 1e-10, 'conformal'):
-        (5.632192801246842, 4.569272756645451e-11, 103680, 'converged'),
+        (5.632192801166672, 2.0490286096035866e-10, 62784, 'converged'),
     ('iterlog k=1', 3, 1e-10, 'distortion'):
         (5.541991226233745, 4.234410507666275e-15, 36864, 'converged'),
     ('iterlog k=2', 2, 1e-06, 'conformal'):
-        (3.738974175761876, 1.5884622822708552e-06, 143424, 'converged'),
+        (3.7389736647640657, 4.480767839490424e-07, 62784, 'converged'),
     ('iterlog k=2', 2, 1e-06, 'distortion'):
         (2.212030938744839, 5.235367403220378e-08, 36864, 'converged'),
     ('iterlog k=2', 2, 1e-10, 'conformal'):
-        (3.7389739110463207, 1.3890954421130611e-10, 347328, 'converged'),
+        (3.738973911000452, 4.245692340706839e-11, 130176, 'converged'),
     ('iterlog k=2', 2, 1e-10, 'distortion'):
         (2.212030938744844, 4.733551306181701e-15, 44928, 'converged'),
     ('iterlog k=2', 3, 1e-06, 'conformal'):
-        (6.049879401408576, 2.73455863758122e-06, 109440, 'converged'),
+        (6.049878792513695, 1.991352018467904e-06, 45504, 'converged'),
     ('iterlog k=2', 3, 1e-06, 'distortion'):
         (5.6215512394954015, 1.2078408844145214e-07, 29952, 'converged'),
     ('iterlog k=2', 3, 1e-10, 'conformal'):
-        (6.049879401432674, 2.3819665980876166e-10, 280512, 'converged'),
+        (6.049879401408576, 8.265384498961115e-11, 109440, 'converged'),
     ('iterlog k=2', 3, 1e-10, 'distortion'):
         (5.621551239495413, 1.1738901650447391e-14, 37440, 'converged'),
     ('iterlog k=3', 2, 1e-06, 'conformal'):
-        (10.728242086909862, 3.917433687985775e-06, 143424, 'converged'),
+        (10.728239464254337, 3.651312952568771e-06, 53568, 'converged'),
     ('iterlog k=3', 2, 1e-06, 'distortion'):
         (2.297863000650074, 6.572401402741542e-08, 36864, 'converged'),
     ('iterlog k=3', 2, 1e-10, 'conformal'):
-        (10.728241434095745, 4.794694544399794e-10, 347328, 'converged'),
+        (10.728241433793276, 4.2324425540837934e-10, 117504, 'converged'),
     ('iterlog k=3', 2, 1e-10, 'distortion'):
         (2.2978630006500804, 6.0779285522529915e-15, 44928, 'converged'),
     ('iterlog k=3', 3, 1e-06, 'conformal'):
-        (7.596893394766952, 3.1609016753655256e-06, 138240, 'converged'),
+        (7.596893070387103, 1.1231880979701352e-06, 57600, 'converged'),
     ('iterlog k=3', 3, 1e-06, 'distortion'):
         (5.829405708234055, 1.6563515936724515e-07, 31680, 'converged'),
     ('iterlog k=3', 3, 1e-10, 'conformal'):
-        (7.5968933947728345, 3.01461778813204e-10, 342144, 'converged'),
+        (7.596893394746112, 9.591960592260395e-11, 124992, 'converged'),
     ('iterlog k=3', 3, 1e-10, 'distortion'):
         (5.829405708234072, 1.6719509718452094e-14, 39744, 'converged'),
     ('iterlog k=4', 2, 1e-06, 'conformal'):
-        (74.69219194986059, 2.37126381811109e-05, 118080, 'converged'),
+        (74.69217655442871, 2.1124532406945055e-05, 45504, 'converged'),
     ('iterlog k=4', 2, 1e-06, 'distortion'):
         (2.3430855097578775, 7.274046877180404e-08, 37440, 'converged'),
     ('iterlog k=4', 2, 1e-10, 'conformal'):
-        (74.69218799850688, 2.815189011633457e-09, 308160, 'converged'),
+        (74.69218799678798, 2.3762670081227316e-09, 105984, 'converged'),
     ('iterlog k=4', 2, 1e-10, 'distortion'):
         (2.343085509757884, 6.7528638988481155e-15, 45504, 'converged'),
     ('iterlog k=4', 3, 1e-06, 'conformal'):
-        (13.029974644606272, 3.0174615933940514e-06, 152064, 'converged'),
+        (13.029974019721163, 2.173971745987116e-06, 57600, 'converged'),
     ('iterlog k=4', 3, 1e-06, 'distortion'):
         (6.00914163848166, 2.0346914717231169e-07, 31680, 'converged'),
     ('iterlog k=4', 3, 1e-10, 'conformal'):
-        (13.029974644608997, 3.293580739004654e-10, 362880, 'converged'),
+        (13.02997464455427, 1.9759081468037718e-10, 124992, 'converged'),
     ('iterlog k=4', 3, 1e-10, 'distortion'):
         (6.009141638481681, 2.076166999567051e-14, 39744, 'converged'),
 }
@@ -244,6 +244,8 @@ def mp_conformal_energy(k, n):
     x, wx = np.polynomial.legendre.leggauss(30)
     with mp.workdps(20):
         gl = [((mp.mpf(xi) + 1) / 2, mp.mpf(wi) / 2) for xi, wi in zip(x, wx)]
+        gl = [(w, ww * (1 - w) ** (n - 2)) for w, ww in gl]
+        p = mp.mpf(n) / 2
         tower = [mp.mpf(0), mp.mpf(1), mp.e, mp.exp(mp.e)]
         a = [(1 - mp.mpf(1) / n) ** j for j in range(k)]
         beta = [mp.mpf(1) / n] * (k - 1) + [1]
@@ -252,7 +254,7 @@ def mp_conformal_energy(k, n):
             if n == 2:
                 return s2 + phi2 * (1 - c + 2 * c * c / 3)
             return mp.fsum(ww * ((n - 1) * s2 + phi2 * ((1 - w * c) ** 2 + (w * c) ** 2))
-                           ** (mp.mpf(n) / 2) * (1 - w) ** (n - 2) for w, ww in gl)
+                           ** p for w, ww in gl)
 
         switch = mp.mpf(10) ** 40
         for _ in range(k - 1):
@@ -268,7 +270,8 @@ def mp_conformal_energy(k, n):
                     x = w[k - j - 1]
                     out /= a[j - 1] + (mp.exp(-x) if x < 1e4 else 0)
                 return out
-            w.append(mp.exp(w[-1]))
+            if k > 1:                   # k - 1 exponentials in all: u = L_k^{-1}(v)
+                w.append(mp.exp(w[-1]))
             u = w[-1] - tower[k - 1]
             log_phi = g = 0
             for j in range(1, k + 1):
@@ -282,15 +285,21 @@ def mp_conformal_energy(k, n):
             return mp.fprod(w[1:]) * inner(1 - g, s2, mp.exp(2 * log_phi))
 
         sigma = 2 * mp.pi ** ((n - 1) / mp.mpf(2)) / mp.gamma((n - 1) / mp.mpf(2))
-        return sigma * mp.quad(integrand, [0, 1, switch, 16, mp.inf])
+        # breakpoints every factor 1e4 up to the switch, so that no panel
+        # spans many decades of v (depth 1 runs out to v = 1e40)
+        points = [mp.mpf(0), mp.mpf(1)]
+        while points[-1] * 10 ** 4 < switch:
+            points.append(points[-1] * 10 ** 4)
+        return sigma * mp.quad(integrand, points + [switch, mp.inf])
 
 
-@pytest.mark.parametrize("depth", [3, 4])
-@pytest.mark.parametrize("n", [2, 3])
-def test_conformal_energy_against_an_mpmath_oracle(depth, n):
+@pytest.mark.parametrize("n,depth", [(n, k) for n in (2, 3) for k in (1, 2, 3, 4)]
+                         + [(4, 2)])
+def test_conformal_energy_against_an_mpmath_oracle(n, depth):
+    # the first-order tail bound holds at every depth, dimension and tol
     oracle = mp_conformal_energy(depth, n)
     m = cone_map("iterlog", n=n, depth=depth, alpha=1.0)
-    for tol in (1e-6, 1e-10):
+    for tol in (1e-6, 1e-8, 1e-10, 1e-12):
         r = conformal_energy_H(m, tol=tol)
         assert r.status == "converged"
         assert abs(r.value - oracle) <= r.error_estimate

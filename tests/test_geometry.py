@@ -24,6 +24,15 @@ def test_horizontal_norm_keeps_ordinary_bits_and_rescales_tiny_rows():
     assert cone_norm(np.array([2.2e-265, 1.25e-304])) == 2.2e-265
 
 
+@pytest.mark.parametrize("cols", range(1, 13))
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-310, 1e150])
+def test_row_norm_has_the_bits_of_numpy(cols, scale):
+    rng = np.random.default_rng(cols)
+    x = scale * rng.standard_normal((257, cols)) * np.exp(rng.uniform(-5, 5, (257, cols)))
+    for rows in (x, x[0], x.reshape(257, 1, cols), x[:, ::-1]):
+        assert np.array_equal(geometry._row_norm(rows), np.linalg.norm(rows, axis=-1))
+
+
 def test_cone_norm_oracles():
     assert cone_norm(np.array([0.6, 0.8, 0.0])) == pytest.approx(1.0, abs=1e-15)
     assert cone_norm(np.array([0.0, 0.0, 0.5])) == 0.5

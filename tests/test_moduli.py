@@ -11,7 +11,7 @@ from bicone.moduli import (BracketError, EnergyDivergenceError, ModulusFunction,
                            energy_tail_bound, measured_constants,
                            modulus_energy, modulus_energy_detailed,
                            quasi_inverse_defect)
-from bicone.moduli import _increment_verdict
+from bicone.moduli import _doubling_quadrature, _increment_verdict
 
 
 def admissible_families():
@@ -202,6 +202,22 @@ def test_increment_verdict():
     # an underflowed (zero) panel never certifies, however the trend looks
     assert _increment_verdict([8.0, 4.0, 2.0, 1.0, 0.0], 1.0) == "truncated"
     assert _increment_verdict([1.0, 0.0], 1.0) == "truncated"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_doubling_quadrature_never_certifies_a_non_finite_sum(bad):
+    def panel(u, wu):                    # a decaying sum that turns non-finite
+        return bad if u[0] > 8.0 else float(np.sum(wu * np.exp(-u)))
+
+    done = lambda U, total, inc: (total, 0.0, U > 8.0)
+    never = lambda U, total, inc: (total, 0.0, False)
+    for remainder in (None, done, never):
+        value, err, status, _, _ = _doubling_quadrature(panel, 1e-12, remainder)
+        assert status != "converged" and err == math.inf, remainder
+    # a finite sum still certifies through every exit
+    finite = lambda u, wu: float(np.sum(wu * np.exp(-u)))
+    assert _doubling_quadrature(finite, 1e-12, done)[2] == "converged"
+    assert _doubling_quadrature(finite, 1e-12, never)[2] == "converged"
 
 
 def test_invert_round_trip():
