@@ -10,8 +10,9 @@ from .continuity import (DilatationEstimate, ModulusEstimate,
                          QuasiInverseRatios, averaging_lemma_check,
                          doubling_probe, linear_dilatation, modulus_profile,
                          optimal_modulus, quasi_inverse_check,
-                         three_points_ratio, verify_global_modulus_F,
-                         verify_global_modulus_H, verify_main_theorem)
+                         three_points_ratio, verify_averaging,
+                         verify_global_modulus_F, verify_global_modulus_H,
+                         verify_main_theorem)
 from .deformations import (BracketError, ConeMap, DomainError, GluedMap,
                            InverseView, JacobianData, RadialMap)
 from .energy import (EnergyResult, biconformal_energy, conformal_energy_H,
@@ -44,6 +45,7 @@ __all__ = [
     "modulus_energy_detailed", "modulus_profile", "optimal_modulus",
     "quasi_inverse_check", "quasi_inverse_defect", "reflect",
     "sample_cone_interior", "sample_cone_sphere", "sphere_surface_area",
-    "three_points_ratio", "unit_ball_volume", "verify_global_modulus_F",
+    "three_points_ratio", "unit_ball_volume", "verify_averaging",
+    "verify_global_modulus_F",
     "verify_global_modulus_H", "verify_main_theorem", "__version__",
 ]

@@ -25,14 +25,13 @@ import sys
 
 import numpy as np
 
-from .continuity import (averaging_lemma_check, linear_dilatation,
-                         modulus_profile, verify_global_modulus_F,
+from .continuity import (linear_dilatation, modulus_profile,
+                         verify_averaging, verify_global_modulus_F,
                          verify_global_modulus_H, verify_main_theorem)
 from .deformations import ConeMap, GluedMap, RadialMap
 from .energy import (_MC_MIN_SAMPLES, biconformal_energy, conformal_energy_H,
                      energy_F_monte_carlo, inner_distortion_integral)
-from .moduli import (EnergyDivergenceError, ModulusFunction,
-                     check_admissibility, measured_constants)
+from .moduli import EnergyDivergenceError, ModulusFunction, check_admissibility
 from .reports import SCHEMA_VERSION, VerificationReport, _jsonable
 
 
@@ -296,42 +295,11 @@ def _cmd_verify(args) -> int:
         report = verify_global_modulus_F(ConeMap(phi), pairs=args.pairs,
                                          seed=args.seed)
     elif args.suite == "averaging":
-        report = _averaging_suite(phi, phi.n, args.pairs, args.seed, args.tol)
+        report = verify_averaging(phi, pairs=args.pairs, seed=args.seed,
+                                  tol=args.tol)
     else:
         raise SpecError(f"unknown suite {args.suite!r}")
     return _report_result(args, report)
-
-
-def _averaging_suite(phi: ModulusFunction, n: int, pairs: int, seed: int,
-                     tol: float) -> VerificationReport:
-    """Averaging inequality on random pairs plus the antiparallel equality."""
-    rc = measured_constants(phi).concavity_radius
-    rng = np.random.default_rng(seed)
-    worst = -np.inf
-    failed = 0
-    for _ in range(pairs):
-        a, b = rng.normal(size=(2, n))
-        a *= rng.uniform(0.02, 1.0) * rc / np.linalg.norm(a)
-        b *= rng.uniform(0.02, 1.0) * rc / np.linalg.norm(b)
-        rep = averaging_lemma_check(phi.derivative, a, b, quad_tol=tol, r=rc,
-                                    lower_integral=phi)
-        defect = rep.checks[0].measured_constant
-        worst = max(worst, defect)
-        failed += 0 if rep.passed else 1
-    a = np.zeros(n)
-    a[0] = 0.5 * rc
-    eq = averaging_lemma_check(phi.derivative, a, -a, quad_tol=tol, r=rc,
-                               lower_integral=phi)
-    report = VerificationReport(
-        title="segment averaging inequality, randomized suite", seed=seed,
-        sample_count=pairs,
-        metadata={"family": phi.describe(), "concavity_radius": rc})
-    report.add(f"inequality holds on {pairs} random pairs", failed == 0,
-               measured_constant=worst, grid_size=pairs, tolerance=tol)
-    eq_defect = eq.checks[-1].measured_constant
-    report.add("equality when a = -b", eq.passed,
-               measured_constant=eq_defect, tolerance=1e-8)
-    return report
 
 
 def _cmd_dilatation(args) -> int:

@@ -15,7 +15,11 @@ The verification suites assert the bounds that come with explicit constants
 (the global 4 phi bound of the forward map, the 3 M phi near-origin bound of
 the inverse, the segment-averaging inequality for non-increasing kernels,
 and the shared optimal-modulus statement for the glued pair) and record the
-measured constants for the remaining, constant-free statements.
+measured constants for the remaining, constant-free statements.  The
+averaging inequality takes the kernel's antiderivative in closed form and
+runs its segment quadrature on stacks of pairs: one pair for
+averaging_lemma_check, small groups of pairs for the randomized suite
+verify_averaging, with the same bits either way.
 """
 
 from __future__ import annotations
@@ -26,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformations import ConeMap, GluedMap
-from .geometry import (_row_norm, cone_norm, euclid_norm, sample_cone_interior,
-                       sample_cone_sphere)
-from .moduli import (_GL_NODES, _GL_WEIGHTS, _doubling_quadrature,
+from .geometry import (_offset_row_norm, cone_norm, euclid_norm,
+                       sample_cone_interior, sample_cone_sphere)
+from .moduli import (_GL_NODES, _GL_WEIGHTS, ModulusFunction,
                      measured_constants)
 from .reports import VerificationReport
 
@@ -45,6 +49,7 @@ __all__ = [
     "verify_global_modulus_H",
     "verify_global_modulus_F",
     "averaging_lemma_check",
+    "verify_averaging",
     "verify_main_theorem",
 ]
 
@@ -194,12 +199,15 @@ def quasi_inverse_check(map_obj, inverse_map, center, radii, norm: str = "euclid
                         count: int = 256, seed: int = 0) -> QuasiInverseRatios:
     """Composed modulus ratios omega_h(omega_f(s))/s and omega_f(omega_h(t))/t.
 
-    For quasiconformal pairs both stay in a bounded band; for the glued cone
-    deformations the first one equals phi(phi(s))/s at the origin and grows
-    without bound as s -> 0.  The pair is spot-checked to actually be
-    inverse before any moduli are computed.  A radius whose sampled sup
-    underflows to 0 (its preimage lies below the float floor, as for the
-    logexample radial map at small radii) gets a NaN ratio.
+    omega_h is the map's modulus about `center` = x0 and omega_f the
+    inverse's about y0 = map(x0), so both compositions are at least 1
+    wherever the sampled sups are exact.  For quasiconformal pairs both stay
+    in a bounded band; for the glued cone deformations the first one equals
+    phi(phi(s))/s at the origin and grows without bound as s -> 0.  The pair
+    is spot-checked to actually be inverse before any moduli are computed.
+    A radius whose sampled sup underflows to 0 (its preimage lies below the
+    float floor, as for the logexample radial map at small radii) gets a
+    NaN ratio.
     """
     center = _center_row(center, getattr(map_obj, "n"))
     probe = center + 0.1 * np.eye(center.size)[-1:]
@@ -207,19 +215,20 @@ def quasi_inverse_check(map_obj, inverse_map, center, radii, norm: str = "euclid
     if float(round_trip.max()) > 1e-6:
         raise ValueError("inverse_map does not invert map_obj at a probe point")
     radii = np.sort(np.asarray(radii, dtype=float))
+    image = np.atleast_2d(map_obj(center))[0]
 
-    def sups(m, rs):
-        return _displacements(m, center, rs, norm, count, seed).max(axis=1)
+    def sups(m, about, rs):
+        return _displacements(m, about, rs, norm, count, seed).max(axis=1)
 
-    def composed(m, inner):             # NaN where the inner sup is 0
+    def composed(m, about, inner):      # NaN where the inner sup is 0
         ratios = np.full(radii.shape, math.nan)
-        ratios[inner > 0] = sups(m, inner[inner > 0]) / radii[inner > 0]
+        ratios[inner > 0] = sups(m, about, inner[inner > 0]) / radii[inner > 0]
         return ratios
 
-    omega_h, omega_f = sups(map_obj, radii), sups(inverse_map, radii)
+    omega_h, omega_f = sups(map_obj, center, radii), sups(inverse_map, image, radii)
     return QuasiInverseRatios(radii=radii,
-                              map_after_inverse=composed(map_obj, omega_f),
-                              inverse_after_map=composed(inverse_map, omega_h),
+                              map_after_inverse=composed(map_obj, center, omega_f),
+                              inverse_after_map=composed(inverse_map, image, omega_h),
                               samples_per_radius=count, seed=seed)
 
 
@@ -333,81 +342,114 @@ def _global_modulus_F(m: ConeMap, block: np.ndarray, seed: int) -> VerificationR
 
 # -- segment averaging inequality ----------------------------------------------
 
-def _lower_integral(Phi, x: float, tol: float) -> float:
-    """int_0^x Phi(s) ds for non-increasing integrable Phi, via s = x e^-u.
-
-    Arguments below the float floor (s < 1e-300) are dropped.  A kernel
-    whose mass reaches into the subnormal range (the iterated-log slopes)
-    then has one of two outcomes: the sum stops on the first all-dropped
-    panel and returns short (iterlog k=1 at x = 1e-3 gives 0.12499 where
-    phi(x) = 0.12646), or its increments grow three panels running before
-    the floor and it raises RuntimeError as if Phi were not integrable
-    (iterlog k=2 at x = 1e-3, k=1 at x = 1e-14).  Callers with a
-    closed-form antiderivative should pass it to averaging_lemma_check.
-    """
-    def panel(u, wu):
-        s = x * np.exp(-u)
-        live = s >= 1e-300
-        return float(np.sum(wu[live] * np.asarray(Phi(s[live])) * s[live])) \
-            if live.any() else 0.0
-
-    value, _, status, _, _ = _doubling_quadrature(panel, tol)
-    if status == "diverged":
-        raise RuntimeError("kernel integral did not stabilize; "
-                           "is Phi integrable near 0?")
-    return value
-
-
 _SEGMENT_DEPTH = 44          # dyadic panels on each side of gamma*
+# Pairs per stacked segment quadrature.  A pair has up to 2 x 44 x 24 = 2112
+# nodes, 17 KB per node-sized array, and the iterlog kernels hold several
+# such arrays at once; two pairs keep that working set near glibc's 128 KiB
+# mmap and trim thresholds, past which the memory goes back to the kernel
+# after every group and comes back as minor page faults.  Measured per
+# `verify averaging --pairs 50` op over the benchmark's certified_quadrature
+# cycles: about 1 fault at one or two pairs a group, 500 to 1000 at three or
+# four, 1700 at six and 2700 with all 51 pairs (about 108k nodes) in one
+# stack, and no group size was clearly faster than two.
+_AVERAGING_GROUP = 2
 
 
-def _segment_integral(Phi, a: np.ndarray, b: np.ndarray, G) -> tuple[float, float]:
-    """(int_0^1 Phi(|gamma a + (1-gamma) b|) d gamma, leftover strip bound).
+def _segment_integrals(Phi, A: np.ndarray, B: np.ndarray,
+                       G) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: (int_0^1 Phi(|gamma A_i + (1-gamma) B_i|) d gamma, strip bound).
 
     The point gamma* of closest approach splits [0, 1]; panels refine
     dyadically toward it from both sides.  The unresolved strip of width w
     on each side is bounded by G(w |a-b|)/|a-b| >= its true contribution
     (with equality when the segment passes through 0), and that bound is
-    returned separately so callers can use it one-sidedly.  The nodes of all
-    panels of both sides go through one Phi call; the panel sums are then
-    added in order, panel by panel.
+    returned separately so callers can use it one-sidedly.  G is the
+    antiderivative of Phi, and both take arrays.
+
+    The stack makes one Phi call (panel nodes and points of closest
+    approach) and one G call (the strips).  Every elementwise step is
+    stacked, while the scalars that go through a BLAS dot (d.d, b.d, |c*|)
+    stay per pair and each pair adds its panels in order, so a row has the
+    bits of a stack of that pair alone.
     """
-    d = a - b
-    dd = float(d @ d)
-    if dd == 0:
-        return float(Phi(np.array([np.linalg.norm(a)]))[0]), 0.0
-    gamma_star = float(np.clip(-(b @ d) / dd, 0.0, 1.0))
-    c_star = b + gamma_star * d
+    pairs = A.shape[0]
+    D = A - B
+    dd = np.array([d @ d for d in D])
+    live = dd > 0                       # a = b leaves a one-point segment
+    bd = np.array([b @ d for b, d in zip(B, D)])
+    gamma = np.clip(-bd / np.where(live, dd, 1.0), 0.0, 1.0)
+    C = B + gamma[:, None] * D
+    c_min = np.array([np.linalg.norm(c) for c in C])
     # Panels are laid out in exact dyadic offsets from gamma* and the segment
-    # points built as c_star + off * d, so |c| keeps full relative precision
+    # points built as c* + off * d, so |c| keeps full relative precision
     # right up to the closest approach (gamma itself would cancel there).
-    sides = np.array([(length, sign) for length, sign in
-                      ((gamma_star, -1.0), (1.0 - gamma_star, 1.0)) if length > 0])
-    bounds = sides[:, :1] * 2.0 ** -np.arange(_SEGMENT_DEPTH + 1)   # (sides, depth + 1)
+    lengths = np.stack([gamma, 1.0 - gamma], axis=1)
+    rows, cols = np.nonzero((lengths > 0) & live[:, None])     # the sides
+    bounds = lengths[rows, cols, None] * 2.0 ** -np.arange(_SEGMENT_DEPTH + 1)
     half = 0.5 * (bounds[:, :-1] - bounds[:, 1:])
     off = bounds[:, 1:, None] + half[..., None] * (_GL_NODES + 1.0)
-    pts = c_star + (sides[:, 1, None, None] * off)[..., None] * d
-    vals = np.asarray(Phi(_row_norm(pts).ravel()))
-    panels = np.sum(_GL_WEIGHTS * vals.reshape(-1, _GL_NODES.size), axis=1)
-    total = 0.0
-    for h, panel in zip(half.ravel().tolist(), panels.tolist()):
-        total += h * panel
+    sign = np.where(cols == 0, -1.0, 1.0)
+    nodes = _offset_row_norm(C[rows], D[rows], sign[:, None, None] * off)
+    near = live & (c_min > 0)
+    vals = np.asarray(Phi(np.concatenate([
+        nodes.ravel(), c_min[near], [np.linalg.norm(a) for a in A[~live]]])))
+    k, m = nodes.size, near.sum()
+    panels = np.sum(_GL_WEIGHTS * vals[:k].reshape(-1, _GL_NODES.size), axis=1)
+    terms = np.zeros((pairs, 2, _SEGMENT_DEPTH))
+    terms[rows, cols] = half * panels.reshape(half.shape)
+    total = np.cumsum(terms.reshape(pairs, -1), axis=1)[:, -1]
+    total[~live] = vals[k + m:]
     # On the leftover strip |c| >= max(c_min, off |d|), so either bound
     # below is valid; the first is exact when the segment crosses 0.
-    root = math.sqrt(dd)
-    c_min = float(np.linalg.norm(c_star))
-    phi_min = float(np.asarray(Phi(np.array([c_min])))[0]) if c_min > 0 else None
-    strip = 0.0
-    for w in bounds[:, -1].tolist():
-        bound = G(w * root) / root
-        if phi_min is not None:
-            bound = min(bound, w * phi_min)
-        strip += bound
-    return total, strip
+    root = np.sqrt(dd[rows])
+    w = bounds[:, -1]
+    side = np.asarray(G(w * root)) / root
+    phi_min = np.zeros(pairs)
+    phi_min[near] = vals[k:k + m]
+    cap = near[rows]
+    capped = w[cap] * phi_min[rows[cap]]
+    side[cap] = np.where(capped < side[cap], capped, side[cap])
+    strips = np.zeros((pairs, 2))
+    strips[rows, cols] = side
+    return total, strips[:, 0] + strips[:, 1]
 
 
-def averaging_lemma_check(Phi, a, b, quad_tol: float = 1e-10, r: float = 1.0,
-                          lower_integral=None) -> VerificationReport:
+def _averaging_reports(Phi, A: np.ndarray, B: np.ndarray, G, quad_tol: float,
+                       r: float) -> list[VerificationReport]:
+    """The averaging_lemma_check report of each row pair (A_i, B_i), with
+    _AVERAGING_GROUP pairs to one stacked segment quadrature."""
+    norms = np.array([[np.linalg.norm(a), np.linalg.norm(b)] for a, b in zip(A, B)])
+    if not np.all((0 < norms) & (norms <= r)):
+        raise ValueError("need 0 < |a|, |b| <= r")
+    reports = []
+    for lo in range(0, A.shape[0], _AVERAGING_GROUP):
+        group = slice(lo, lo + _AVERAGING_GROUP)
+        ends = np.asarray(G(norms[group].ravel())).reshape(-1, 2)
+        rhs_all = (ends[:, 0] + ends[:, 1]) / norms[group].sum(axis=1)
+        seg, strips = _segment_integrals(Phi, A[group], B[group], G)
+        for a, b, (na, nb), lhs, rhs, strip in zip(
+                A[group], B[group], norms[group].tolist(),
+                (seg + strips).tolist(), rhs_all.tolist(), strips.tolist()):
+            cross = float(np.linalg.norm(np.outer(a, b) - np.outer(b, a)))
+            antiparallel = cross <= 1e-12 * na * nb and float(a @ b) < 0
+            scale = max(1.0, rhs)
+            report = VerificationReport(
+                title="segment averaging inequality for a non-increasing kernel",
+                metadata={"lhs": lhs, "rhs": rhs, "strip_bound": strip,
+                          "antiparallel": antiparallel})
+            report.add("segment average <= endpoint average",
+                       lhs <= rhs + quad_tol * scale + 1e-12,
+                       measured_constant=lhs - rhs, tolerance=quad_tol)
+            if antiparallel:
+                report.add("equality when a is a negative multiple of b",
+                           abs(lhs - rhs) <= 1e-8 * scale,
+                           measured_constant=abs(lhs - rhs), tolerance=1e-8)
+            reports.append(report)
+    return reports
+
+
+def averaging_lemma_check(Phi, a, b, quad_tol: float = 1e-10, r: float = 1.0, *,
+                          lower_integral) -> VerificationReport:
     """Verify the segment-averaging inequality for a non-increasing kernel:
 
         int_0^1 Phi(|gamma a + (1-gamma) b|) d gamma
@@ -416,35 +458,41 @@ def averaging_lemma_check(Phi, a, b, quad_tol: float = 1e-10, r: float = 1.0,
     with equality when a is a negative multiple of b.  The segment side is
     computed by quadrature plus an unresolved-strip bound that is exact in
     the equality configuration and an overestimate otherwise, so a passing
-    inequality is conservative.  `lower_integral`, when given, must be the
-    exact antiderivative x -> int_0^x Phi; pass it whenever it has a closed
-    form (for a modulus slope phi' it is phi itself), since the numeric
-    fallback truncates slowly decaying kernels at the float floor.
+    inequality is conservative.  `lower_integral` is the exact
+    antiderivative x -> int_0^x Phi (for a modulus slope phi' it is phi
+    itself); like Phi it must take arrays.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
-    if not (0 < na <= r and 0 < nb <= r):
-        raise ValueError("need 0 < |a|, |b| <= r")
-    G = lower_integral if lower_integral is not None \
-        else lambda x: _lower_integral(Phi, x, quad_tol)
-    rhs = (float(G(na)) + float(G(nb))) / (na + nb)
-    seg, strip = _segment_integral(Phi, a, b, lambda x: float(G(x)))
-    lhs = seg + strip
-    cross = float(np.linalg.norm(np.outer(a, b) - np.outer(b, a)))
-    antiparallel = cross <= 1e-12 * na * nb and float(a @ b) < 0
-    scale = max(1.0, rhs)
+    return _averaging_reports(Phi, a[None], b[None], lower_integral, quad_tol, r)[0]
+
+
+def verify_averaging(phi: ModulusFunction, pairs: int, seed: int = 0,
+                     tol: float = 1e-10) -> VerificationReport:
+    """The averaging inequality for the slope phi' on random pairs, plus the
+    antiparallel equality a = -b, all inside the concavity radius of phi."""
+    n = phi.n
+    rc = measured_constants(phi).concavity_radius
+    rng = np.random.default_rng(seed)
+    A, B = np.zeros((2, pairs + 1, n))
+    for i in range(pairs):
+        A[i], B[i] = rng.normal(size=(2, n))
+        A[i] *= rng.uniform(0.02, 1.0) * rc / np.linalg.norm(A[i])
+        B[i] *= rng.uniform(0.02, 1.0) * rc / np.linalg.norm(B[i])
+    A[pairs, 0] = 0.5 * rc                  # the equality pair (a, -a)
+    B[pairs] = -A[pairs]
+    *reps, eq = _averaging_reports(phi.derivative, A, B, phi, tol, rc)
+    worst = max([-np.inf] + [rep.checks[0].measured_constant for rep in reps])
+    failed = sum(not rep.passed for rep in reps)
     report = VerificationReport(
-        title="segment averaging inequality for a non-increasing kernel",
-        metadata={"lhs": lhs, "rhs": rhs, "strip_bound": strip,
-                  "antiparallel": antiparallel})
-    report.add("segment average <= endpoint average",
-               lhs <= rhs + quad_tol * scale + 1e-12,
-               measured_constant=lhs - rhs, tolerance=quad_tol)
-    if antiparallel:
-        report.add("equality when a is a negative multiple of b",
-                   abs(lhs - rhs) <= 1e-8 * scale,
-                   measured_constant=abs(lhs - rhs), tolerance=1e-8)
+        title="segment averaging inequality, randomized suite", seed=seed,
+        sample_count=pairs,
+        metadata={"family": phi.describe(), "concavity_radius": rc})
+    report.add(f"inequality holds on {pairs} random pairs", failed == 0,
+               measured_constant=worst, grid_size=pairs, tolerance=tol)
+    eq_defect = eq.checks[-1].measured_constant
+    report.add("equality when a = -b", eq.passed,
+               measured_constant=eq_defect, tolerance=1e-8)
     return report
 
 

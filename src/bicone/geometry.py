@@ -53,6 +53,25 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(acc)
 
 
+def _offset_row_norm(c: np.ndarray, d: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """_row_norm(c_j + t_j d_j) for rows c_j, d_j of k entries and offsets t_j.
+
+    c and d are (m, k) and t is (m, ...).  Up to 7 entries the squares are
+    summed one coordinate at a time, in _row_norm's order and with its bits,
+    so the points themselves (k times the size of t) are never built.
+    """
+    lift = (slice(None),) + (None,) * (t.ndim - 1)
+    k = c.shape[-1]
+    if not 0 < k < 8:
+        return _row_norm(c[lift] + t[..., None] * d[lift])
+    x = c[:, 0][lift] + t * d[:, 0][lift]
+    acc = x * x
+    for i in range(1, k):
+        x = c[:, i][lift] + t * d[:, i][lift]
+        acc += x * x
+    return np.sqrt(acc)
+
+
 def _horizontal_norm(arr: np.ndarray) -> np.ndarray:
     """|x| of the points (x, t) in the last axis of arr.
 

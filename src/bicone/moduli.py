@@ -449,9 +449,10 @@ def _doubling_quadrature(panel, tol: float, remainder=None):
     past U; the sum stops "converged" at the first done panel, and at the
     cap the last value is "converged" only if its err meets tol.  Without
     it ``_increment_verdict`` decides, with err 8 inc when converged; such
-    sums end by panel 12 (U = 2048) at the latest, where e^-u underflows.
-    A non-finite value or bound is never "converged": it comes back
-    "truncated" (or "diverged") with an infinite bound.
+    sums end by panel 12 (U = 2048) at the latest, where e^-u underflows,
+    or at the first panel whose total is not finite.  A non-finite value or
+    bound is never "converged": it comes back "truncated" (or "diverged")
+    with an infinite bound.
     """
     total = 0.0
     increments: list[float] = []
@@ -463,9 +464,11 @@ def _doubling_quadrature(panel, tol: float, remainder=None):
             if done:
                 break
             continue
+        if not math.isfinite(total):
+            break
         increments.append(inc)
         status = _increment_verdict(increments, tol * max(1.0, abs(total)))
-        if status == "converged" and math.isfinite(total):
+        if status == "converged":
             return total, 8.0 * inc, status, panels, U
         if status == "diverged":
             return math.inf, math.inf, status, panels, U

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bicone.cli import _averaging_suite
+from bicone.cli import parse_family
 from bicone.continuity import (averaging_lemma_check, doubling_probe,
                                linear_dilatation, modulus_profile,
                                optimal_modulus, quasi_inverse_check,
-                               three_points_ratio, verify_global_modulus_F,
-                               verify_global_modulus_H, verify_main_theorem)
-from bicone.continuity import _lower_integral, _segment_integral
+                               three_points_ratio, verify_averaging,
+                               verify_global_modulus_F, verify_global_modulus_H,
+                               verify_main_theorem)
+from bicone.continuity import _AVERAGING_GROUP, _segment_integrals
 from bicone.deformations import ConeMap, GluedMap, RadialMap
 from bicone import geometry
 from bicone.geometry import (cone_norm, euclid_norm, kronecker_sequence,
@@ -141,6 +142,17 @@ def test_radial_pair_round_trip_is_identity():
     assert np.max(np.abs(q.map_after_inverse - 1.0)) <= 1e-12
 
 
+def test_quasi_inverse_probes_the_inverse_at_the_image_point():
+    # off the origin the inverse's modulus is taken about y0 = h(x0); about x0
+    # itself both ratios came out near 0.2, below the floor omega_h(omega_f(r)) >= r
+    h = RadialMap("power", eps=0.5, n=2)
+    q = quasi_inverse_check(h, h.inverted(), center=(0.01, 0.0),
+                            radii=np.geomspace(1e-8, 1e-6, 3), count=128, seed=0)
+    # at x0 the map stretches tangents 10 and radii 5: linear dilatation K = 2
+    assert np.max(np.abs(q.map_after_inverse - 2.0)) <= 1e-3
+    assert np.max(np.abs(q.inverse_after_map - 2.0)) <= 1e-3
+
+
 # -- stacked sweeps equal per-radius sweeps, bit for bit -----------------------
 
 def _sweep_maps():
@@ -185,12 +197,13 @@ def test_stacked_sweeps_equal_per_radius_sweeps(m, radii, center):
 
     inv = m.inverted()
     q = quasi_inverse_check(m, inv, center, radii, count=64, seed=5)
+    image = m(center)
     fwd, rev = [], []
     for r in radii:
         omega_h = optimal_modulus(m, center, r, "euclid", 64, 5)
-        omega_f = optimal_modulus(inv, center, r, "euclid", 64, 5)
+        omega_f = optimal_modulus(inv, image, r, "euclid", 64, 5)
         fwd.append(optimal_modulus(m, center, omega_f, "euclid", 64, 5) / r)
-        rev.append(optimal_modulus(inv, center, omega_h, "euclid", 64, 5) / r)
+        rev.append(optimal_modulus(inv, image, omega_h, "euclid", 64, 5) / r)
     assert np.array_equal(q.map_after_inverse, fwd)
     assert np.array_equal(q.inverse_after_map, rev)
 
@@ -334,30 +347,9 @@ def test_averaging_inequality_random_pairs(phi):
         assert rep.passed, rep.metadata
 
 
-def test_averaging_numeric_antiderivative_path():
-    phi = ModulusFunction.power(0.5, n=2)
-    a = np.array([0.2, 0.1])
-    b = np.array([-0.1, 0.05])
-    rep = averaging_lemma_check(phi.derivative, a, b)   # numeric fallback G
-    assert rep.passed
-
-
-def test_numeric_antiderivative_comes_back_short():
-    # the iterated-log slope keeps mass below the float floor, which is dropped
-    phi = ModulusFunction.iterlog(depth=1, alpha=1.0, n=2)
-    assert _lower_integral(phi.derivative, 1e-3, 1e-10) < phi(1e-3) - 1e-3
-
-
 # Integrable kernels whose panel increments grow before the float floor.
 SLOW_KERNELS = [(ModulusFunction.iterlog(depth=2, alpha=1.0, n=2), 1e-3),
                 (ModulusFunction.iterlog(depth=1, alpha=1.0, n=2), 1e-14)]
-
-
-@pytest.mark.parametrize("phi, x", SLOW_KERNELS, ids=["k2-1e-3", "k1-1e-14"])
-def test_numeric_antiderivative_raises_on_slow_kernels(phi, x):
-    a, b = np.array([x, 0.0]), np.array([0.0, 0.5 * x])
-    with pytest.raises(RuntimeError, match="did not stabilize"):
-        averaging_lemma_check(phi.derivative, a, b)
 
 
 @pytest.mark.parametrize("phi, x", SLOW_KERNELS, ids=["k2-1e-3", "k1-1e-14"])
@@ -409,6 +401,10 @@ def _segment_cases():
     return cases
 
 
+def _padded(v, n=4):
+    return np.concatenate([v, np.zeros(n - v.size)])
+
+
 @pytest.mark.parametrize("phi", [ModulusFunction.power(0.5, n=2),
                                  ModulusFunction.iterlog(depth=2, alpha=1.0, n=3)],
                          ids=lambda p: p.describe())
@@ -419,13 +415,54 @@ def test_stacked_segment_integral_equals_per_panel_loop(phi, case):
     def G(x):
         return float(phi(x))
 
-    got = _segment_integral(phi.derivative, a, b, G)
-    assert got == _segment_integral_per_panel(phi.derivative, a, b, G)
+    got = _segment_integrals(phi.derivative, a[None], b[None], phi)
+    assert [x.tolist() for x in got] == \
+        [[x] for x in _segment_integral_per_panel(phi.derivative, a, b, G)]
+    # the same case as one row of a stack of all cases, embedded in R^4
+    cases = _segment_cases()
+    A = np.array([_padded(c[1]) for c in cases])
+    B = np.array([_padded(c[2]) for c in cases])
+    total, strip = _segment_integrals(phi.derivative, A, B, phi)
+    row = [c[0] for c in cases].index(case[0])
+    assert (total[row], strip[row]) == _segment_integral_per_panel(
+        phi.derivative, A[row], B[row], G)
+
+
+def _averaging_suite_per_pair(phi, pairs, seed, tol):
+    """The suite's draws, one averaging_lemma_check call per pair."""
+    rc = measured_constants(phi).concavity_radius
+    rng = np.random.default_rng(seed)
+    worst, failed = -np.inf, 0
+    for _ in range(pairs):
+        a, b = rng.normal(size=(2, phi.n))
+        a *= rng.uniform(0.02, 1.0) * rc / np.linalg.norm(a)
+        b *= rng.uniform(0.02, 1.0) * rc / np.linalg.norm(b)
+        rep = averaging_lemma_check(phi.derivative, a, b, quad_tol=tol, r=rc,
+                                    lower_integral=phi)
+        worst = max(worst, rep.checks[0].measured_constant)
+        failed += 0 if rep.passed else 1
+    a = np.zeros(phi.n)
+    a[0] = 0.5 * rc
+    eq = averaging_lemma_check(phi.derivative, a, -a, quad_tol=tol, r=rc,
+                               lower_integral=phi)
+    return [(failed == 0, worst), (eq.passed, eq.checks[-1].measured_constant)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", ["identity", "power:eps=0.5"] +
+                         [f"iterlog:k={k},alpha=1" for k in (1, 2, 3, 4)])
+def test_averaging_suite_equals_a_per_pair_loop(family, n):
+    phi = parse_family(f"{family},n={n}")
+    for seed in (0, 1, 977):
+        report = verify_averaging(phi, pairs=16, seed=seed, tol=1e-10)
+        assert [(c.passed, c.measured_constant) for c in report.checks] == \
+            _averaging_suite_per_pair(phi, 16, seed, 1e-10)
 
 
 def test_averaging_suite_makes_few_kernel_calls(monkeypatch):
-    # one kernel call for all panels of a segment: 6 per pair here, where
-    # one call per panel made about 88
+    # per group of pairs: one Phi call on every node of its segments, one G
+    # call on the endpoints and one on the strips, where one call per pair
+    # made about 6 and one call per panel about 88
     phi = ModulusFunction.iterlog(depth=4, alpha=1.0, n=4)
     calls = []
     kernel = ModulusFunction._kernel
@@ -436,9 +473,9 @@ def test_averaging_suite_makes_few_kernel_calls(monkeypatch):
 
     monkeypatch.setattr(ModulusFunction, "_kernel", counted)
     measured_constants.cache_clear()
-    report = _averaging_suite(phi, 4, pairs=50, seed=0, tol=1e-10)
+    report = verify_averaging(phi, pairs=50, seed=0, tol=1e-10)
     assert report.passed
-    assert len(calls) <= 8 * 51 + 5
+    assert len(calls) <= 3 * math.ceil(51 / _AVERAGING_GROUP) + 5
 
 
 # -- whole-theorem verification ---------------------------------------------------

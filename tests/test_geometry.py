@@ -33,6 +33,16 @@ def test_row_norm_has_the_bits_of_numpy(cols, scale):
         assert np.array_equal(geometry._row_norm(rows), np.linalg.norm(rows, axis=-1))
 
 
+@pytest.mark.parametrize("cols", [2, 4, 7, 8, 9])
+def test_offset_row_norm_has_the_bits_of_the_built_points(cols):
+    rng = np.random.default_rng(cols)
+    c, d = rng.standard_normal((2, 5, cols))
+    t = rng.uniform(-1.0, 1.0, (5, 6, 3))
+    points = c[:, None, None] + t[..., None] * d[:, None, None]
+    assert np.array_equal(geometry._offset_row_norm(c, d, t),
+                          geometry._row_norm(points))
+
+
 def test_cone_norm_oracles():
     assert cone_norm(np.array([0.6, 0.8, 0.0])) == pytest.approx(1.0, abs=1e-15)
     assert cone_norm(np.array([0.0, 0.0, 0.5])) == 0.5

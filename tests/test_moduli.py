@@ -220,6 +220,17 @@ def test_doubling_quadrature_never_certifies_a_non_finite_sum(bad):
     assert _doubling_quadrature(finite, 1e-12, never)[2] == "converged"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_unaided_doubling_sum_stops_at_its_first_non_finite_total(bad):
+    # without a remainder a NaN total ran all 60 panels (U = 2^59)
+    def panel(u, wu):
+        return bad if u[0] > 8.0 else float(np.sum(wu * np.exp(-u)))
+
+    value, err, status, panels, U = _doubling_quadrature(panel, 1e-12)
+    assert (status, err, panels, U) == ("truncated", math.inf, 5, 16.0)
+    assert not math.isfinite(value)
+
+
 def test_invert_round_trip():
     phi = ModulusFunction.iterlog(depth=2, alpha=1.0, n=2)
     v = np.geomspace(0.05, 1.0, 40)
