@@ -18,8 +18,7 @@ from .deformations import (BracketError, ConeMap, DomainError, GluedMap,
 from .energy import (EnergyResult, biconformal_energy, conformal_energy_H,
                      energy_F_monte_carlo, energy_modulus_ratio,
                      inner_distortion_integral)
-from .geometry import (InteriorSample, cone_norm, cone_volume, euclid_norm,
-                       in_double_cone, in_upper_cone,
+from .geometry import (InteriorSample, cone_norm, euclid_norm, in_upper_cone,
                        kronecker_sequence, reflect, sample_cone_interior,
                        sample_cone_sphere, sphere_surface_area,
                        unit_ball_volume)
@@ -38,9 +37,10 @@ __all__ = [
     "ModulusEnergy", "ModulusEstimate", "ModulusFunction",
     "QuasiInverseRatios", "SCHEMA_VERSION", "VerificationReport",
     "averaging_lemma_check", "biconformal_energy", "check_admissibility",
-    "cone_norm", "cone_volume", "conformal_energy_H", "doubling_constant",
+    "cone_norm", "conformal_energy_H", "doubling_constant",
     "doubling_probe", "energy_F_monte_carlo", "energy_modulus_ratio",
-    "energy_tail_bound", "euclid_norm", "in_double_cone", "in_upper_cone", "inner_distortion_integral", "kronecker_sequence",
+    "energy_tail_bound", "euclid_norm", "in_upper_cone",
+    "inner_distortion_integral", "kronecker_sequence",
     "linear_dilatation", "measured_constants", "modulus_energy",
     "modulus_energy_detailed", "modulus_profile", "optimal_modulus",
     "quasi_inverse_check", "quasi_inverse_defect", "reflect",

@@ -140,13 +140,9 @@ class ConeMap:
             raise DomainError("Jacobian requested on the boundary of the cone")
         n = self.n
         w = t / s
-        if self.phi.family == "custom":
-            lam = self.phi.chord_slope(s)
-            der = self.phi.derivative(s)
-        else:               # 0 < s < 1: both from one kernel call
-            phi, g = self.phi._kernel(s)
-            lam = phi / s
-            der = g * phi / s
+        phi, g = self.phi._kernel(s)         # 0 < s < 1: one kernel call
+        lam = phi / s
+        der = g * phi / s
         det = (1.0 - w) * lam + w * der      # lambda(s) + t lambda'(s), no cancellation
         t_lam_prime = w * (der - lam)        # t * lambda'(s) <= 0
 

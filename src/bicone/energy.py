@@ -39,7 +39,7 @@ import numpy as np
 from .deformations import ConeMap, GluedMap, _upper_cone_norm
 from .geometry import sample_cone_interior, sphere_surface_area, unit_ball_volume
 from .moduli import (EnergyDivergenceError, ModulusFunction,
-                     _analytic_energy_status, _doubling_quadrature, _gl_panel,
+                     _doubling_quadrature, _energy_diverges, _gl_panel,
                      energy_tail_bound, modulus_energy_detailed)
 
 __all__ = [
@@ -163,12 +163,14 @@ def _w_curvature(n: int) -> float:
 def _distortion_tail(phi: ModulusFunction, n: int, U: float) -> float:
     """Rigorous bound for the K_H integral beyond u = U.
 
-    With z = 1 - w(1-g) one has P >= phi z / 2... more precisely
-    P = phi z and z >= g(u), so the integrand is at most
-    C_n z^{1-n} phi s^{n-1} with C_n = (4 (sigma^2+1) + n-1)^{n/2}.  The
-    built-in families give g(u) >= c0/(1+u) (iterlog, first factor alone)
-    or g = eps (power, the identity at eps = 1), leaving a closed-form
-    integral of (1+u)^{n-1} e^{-(n-1)u}.
+    With z = 1 - w(1-g) and sigma = s/phi one has P = phi z, s/P = sigma/z
+    and R/P = (1-z)/z <= 1/z, so the integrand is at most
+    C_n z^{1-n} phi s^{n-1} with C_n = (4 (sigma^2+1) + n-1)^{n/2}, which
+    has room to spare ((sigma^2 + n)^{n/2} would do).  sigma = 1/lambda is
+    non-increasing in u, so its value at U serves the whole tail, and
+    z >= g(u).  The built-in families give g(u) >= c0/(1+u) (iterlog,
+    first factor alone) or g = eps (power, the identity at eps = 1),
+    leaving a closed-form integral of (1+u)^{n-1} e^{-(n-1)u}.
     """
     phi_U, g_U = phi.profile_log(U)
     if phi_U <= 0.0:
@@ -216,25 +218,17 @@ def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str):
         return sigma_factor * total, sigma_factor * (tail + inc), \
             tail <= 0.5 * threshold and inc <= 0.5 * threshold
 
-    if phi.family == "custom":          # no remainder: the increments decide
-        value, err, status, _, _ = _doubling_quadrature(panel, tol)
-        return sigma_factor * value, sigma_factor * err, status, sum(nodes)
     remainder = conformal_remainder if kind == "conformal" else distortion_remainder
-    value, err, status, _, _ = _doubling_quadrature(panel, tol, remainder)
-    return value, err, status, sum(nodes)
+    return (*_doubling_quadrature(panel, tol, remainder), sum(nodes))
 
 
 def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
     phi, n = m.phi, m.n
-    if _analytic_energy_status(phi, n) == "divergent":
+    if _energy_diverges(phi, n):
         raise EnergyDivergenceError(
             f"modulus energy of {phi.describe()} diverges at n={n} "
             "(condition (C3) fails), so the deformation energy is infinite")
     value, err, status, nodes = _reduced_quadrature(phi, n, tol, kind)
-    if status == "diverged":
-        raise EnergyDivergenceError(
-            f"energy quadrature increments for {phi.describe()} grow without "
-            f"decay at n={n}; treating the integral as divergent")
     return EnergyResult(value=value, method="tensor_quadrature",
                         samples_or_nodes=nodes, error_estimate=err,
                         status=status)

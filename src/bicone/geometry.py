@@ -22,8 +22,6 @@ __all__ = [
     "euclid_norm",
     "reflect",
     "in_upper_cone",
-    "in_double_cone",
-    "cone_volume",
     "sphere_surface_area",
     "kronecker_sequence",
     "sample_cone_sphere",
@@ -118,20 +116,9 @@ def in_upper_cone(X, tol: float = 1e-12):
     return bool(out) if single else out
 
 
-def in_double_cone(X, tol: float = 1e-12):
-    arr, single = _rows(X)
-    out = cone_norm(arr) <= 1.0 + tol
-    return bool(out) if single else out
-
-
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in R^d (d = 0 gives 1)."""
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
-
-
-def cone_volume(n: int) -> float:
-    """Volume of the upper cone: unit (n-1)-ball base, unit height, so |B^{n-1}|/n."""
-    return unit_ball_volume(n - 1) / n
 
 
 def sphere_surface_area(d: int) -> float:

@@ -22,11 +22,8 @@ Built-in families:
                L_j(1) = 0, a_j = (1 - 1/n)^(j-1), beta_j = 1/n for j < k and
                beta_k = alpha.  These decay slower than any power of s, which
                is what makes their deformations fail quasiconformality.
-  custom       user-supplied evaluation; derivatives fall back to central
-               differences and inversion to Newton steps on
-               finite-difference slopes.
 
-The built-in families are evaluated by one kernel in u = log(1/s): phi,
+All three are evaluated by one kernel in u = log(1/s): phi,
 g = A'(u) = s phi'/phi (the elasticity) and h = A''(u) for A = -log phi, so
 phi' = g phi / s and phi'' = (phi / s^2)(g^2 - g - h).  It never forms a
 power of 1/s, so the calculus stays finite down to the smallest subnormal.
@@ -108,11 +105,9 @@ class ModulusFunction:
     eps: float | None = None
     depth: int | None = None
     alpha: float | None = None
-    fn: Callable | None = None
-    label: str = ""
 
     def __post_init__(self):
-        if self.family not in ("identity", "power", "iterlog", "custom"):
+        if self.family not in ("identity", "power", "iterlog"):
             raise ValueError(f"unknown modulus family {self.family!r}")
         if not (isinstance(self.n, int) and self.n >= 2):
             raise ValueError("dimension n must be an integer >= 2")
@@ -130,8 +125,6 @@ class ModulusFunction:
             # enforces the hard range; the finiteness check reports the rest.
             if self.alpha is None or not (0.0 < self.alpha <= 1.0):
                 raise ValueError("iterlog family needs alpha in (0, 1]")
-        if self.family == "custom" and not callable(self.fn):
-            raise ValueError("custom family needs a callable")
 
     # -- constructors -------------------------------------------------------
 
@@ -146,11 +139,6 @@ class ModulusFunction:
     @classmethod
     def iterlog(cls, depth: int, alpha: float, n: int = 2) -> "ModulusFunction":
         return cls(family="iterlog", n=n, depth=int(depth), alpha=float(alpha))
-
-    @classmethod
-    def custom(cls, fn: Callable, n: int = 2, label: str = "") -> "ModulusFunction":
-        """A modulus evaluated by ``fn``, which must accept numpy arrays."""
-        return cls(family="custom", n=n, fn=fn, label=label)
 
     # -- basic descriptors ---------------------------------------------------
 
@@ -167,14 +155,12 @@ class ModulusFunction:
             return "identity"
         if self.family == "power":
             return f"power:eps={self.eps}"
-        if self.family == "iterlog":
-            return f"iterlog:k={self.depth},alpha={self.alpha},n={self.n}"
-        return f"custom:{self.label or 'anonymous'}"
+        return f"iterlog:k={self.depth},alpha={self.alpha},n={self.n}"
 
     # -- the kernel ----------------------------------------------------------
 
     def _kernel(self, s=None, u=None, order=1):
-        """(phi, g, h) of a built-in family at s = e^-u in (0, 1], cut to `order`.
+        """(phi, g, h) at s = e^-u in (0, 1], cut to `order`.
 
         Pass s or u.  The tuple holds the first order + 1 of phi, g and h,
         and only those are computed: the value alone for order 0, (phi, g)
@@ -208,19 +194,15 @@ class ModulusFunction:
         out = np.array(arr, dtype=float, copy=True)
         inner = (arr > 0) & (arr < 1.0)
         if inner.any():
-            si = arr[inner]
-            out[inner] = self.fn(si) if self.family == "custom" \
-                else self._kernel(si, order=0)[0]
+            out[inner] = self._kernel(arr[inner], order=0)[0]
         out[arr == 0] = 0.0
         return _scalar_out(out, scalar)
 
     def derivative(self, s):
-        """First derivative g phi / s; finite differences for custom.
+        """First derivative g phi / s.
 
         Defined for s > 0.  For s > 1 the identity extension gives 1; at s = 1
         the one-sided family form is used, since the calculus lives on (0, 1].
-        A custom modulus takes central differences, or backward ones where
-        the forward step would cross s = 1 into the identity extension.
         """
         arr, scalar = _as_array(s)
         if (arr <= 0).any():
@@ -229,15 +211,8 @@ class ModulusFunction:
         inner = arr <= 1.0
         if inner.any():
             si = arr[inner]
-            if self.family == "custom":
-                h = np.maximum(1e-7, 1e-4 * si)
-                h = np.minimum(h, 0.5 * si)
-                back = si + h > 1.0
-                ahead = np.where(back, si, si + h)
-                out[inner] = (self(ahead) - self(si - h)) / np.where(back, h, 2.0 * h)
-            else:
-                phi, g = self._kernel(si)
-                out[inner] = g * phi / si
+            phi, g = self._kernel(si)
+            out[inner] = g * phi / si
         return _scalar_out(out, scalar)
 
     def second_derivative(self, s):
@@ -245,24 +220,13 @@ class ModulusFunction:
 
         Rejects arguments outside that range.  Where |phi''| exceeds the
         float range (iterlog near s = 1e-300) the result is -inf, not NaN.
-        A custom modulus takes central differences, or the backward stencil
-        (s, s - h, s - 2h) where s + h would cross s = 1 into the identity
-        extension.
         """
         arr, scalar = _as_array(s)
         if (arr <= 0).any() or (arr > 1.0).any():
             raise ValueError("second_derivative is defined on (0, 1]")
-        if self.family == "custom":
-            h = np.maximum(1e-5, 1e-3 * arr)
-            h = np.minimum(h, 0.5 * arr)
-            back = arr + h > 1.0
-            mid = np.where(back, arr - h, arr)
-            out = (self(np.where(back, arr, arr + h)) - 2.0 * self(mid)
-                   + self(mid - h)) / (h * h)
-        else:
-            phi, g, h = self._kernel(arr, order=2)
-            with np.errstate(over="ignore"):
-                out = phi / arr * ((g * g - g - h) / arr)
+        phi, g, h = self._kernel(arr, order=2)
+        with np.errstate(over="ignore"):
+            out = phi / arr * ((g * g - g - h) / arr)
         return _scalar_out(out, scalar)
 
     def chord_slope(self, s):
@@ -301,14 +265,7 @@ class ModulusFunction:
         arr, scalar = _as_array(u)
         if (arr < 0).any():
             raise ValueError("profile_log needs u >= 0")
-        if self.family == "custom":
-            s = np.exp(-arr)
-            phi = np.asarray(self(s))
-            g = np.zeros_like(arr)
-            pos = (s > 0) & (phi > 0)
-            g[pos] = s[pos] * self.derivative(s[pos]) / phi[pos]
-        else:
-            phi, g = self._kernel(u=arr)
+        phi, g = self._kernel(u=arr)
         if scalar:
             return float(phi), float(g)
         return phi, g
@@ -342,11 +299,6 @@ class ModulusFunction:
                 jet, log_v, tol,
                 "phi(min(v,1)) < v: modulus is below the identity, bracket invalid")
         return _scalar_out(out, scalar)
-
-    def inverse(self) -> "ModulusFunction":
-        """The inverse function packaged as a custom modulus (for quasi-inverse probes)."""
-        return ModulusFunction.custom(self.invert, n=self.n,
-                                      label=f"inverse({self.describe()})")
 
 
 # -- admissibility constants -------------------------------------------------
@@ -388,13 +340,11 @@ def measured_constants(phi: ModulusFunction, grid_size: int = 4096) -> MeasuredC
 
 @dataclass(frozen=True)
 class ModulusEnergy:
-    """E[phi] with its bound; panels and last panel end U are 0 unless custom."""
+    """E[phi] with its bound."""
 
     value: float
     error_bound: float
     status: str  # "converged" | "truncated" | "diverged"
-    panels: int
-    U: float
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -417,75 +367,34 @@ def _doubling_panels(count: int):
         yield (hi, *_gl_panel(lo, hi))
 
 
-def _increment_verdict(increments: list[float], threshold: float) -> str | None:
-    """Judge a doubling quadrature from its panel increments alone.
-
-    "truncated" as soon as an increment is exactly zero: the integrand has
-    underflowed (e^-u leaves the float range near u = 745), so the mass
-    beyond is unknown, not small.  Otherwise "converged" once the last four
-    increments decrease and the last is at most threshold/8, "diverged"
-    once they grew three times running, and None before five panels or
-    while undecided.
-    """
-    if increments[-1] == 0.0:
-        return "truncated"
-    if len(increments) < 5:
-        return None
-    a, b, c, d = increments[-4:]
-    if a > b > c > d and d <= threshold / 8.0:
-        return "converged"
-    if a <= b <= c <= d:
-        return "diverged"
-    return None
-
-
 _MAX_PANELS = 60
 
 
-def _doubling_quadrature(panel, tol: float, remainder=None):
-    """Sum ``panel(u, wu)`` over the doubling panels: (value, err, status, panels, U).
+def _doubling_quadrature(panel, tol: float, remainder):
+    """Sum ``panel(u, wu)`` over the doubling panels: (value, err, status).
 
     ``remainder(U, total, inc) -> (value, err, done)`` certifies the mass
     past U; the sum stops "converged" at the first done panel, and at the
-    cap the last value is "converged" only if its err meets tol.  Without
-    it ``_increment_verdict`` decides, with err 8 inc when converged; such
-    sums end by panel 12 (U = 2048) at the latest, where e^-u underflows,
-    or at the first panel whose total is not finite.  A non-finite value or
-    bound is never "converged": it comes back "truncated" (or "diverged")
-    with an infinite bound.
+    cap the last value is "converged" only if its err meets tol.  A
+    non-finite value or bound is never "converged": it comes back
+    "truncated" with an infinite bound.
     """
     total = 0.0
-    increments: list[float] = []
-    for panels, (U, u, wu) in enumerate(_doubling_panels(_MAX_PANELS), start=1):
+    for U, u, wu in _doubling_panels(_MAX_PANELS):
         inc = panel(u, wu)
         total += inc
-        if remainder is not None:
-            value, err, done = remainder(U, total, inc)
-            if done:
-                break
-            continue
-        if not math.isfinite(total):
+        value, err, done = remainder(U, total, inc)
+        if done:
             break
-        increments.append(inc)
-        status = _increment_verdict(increments, tol * max(1.0, abs(total)))
-        if status == "converged":
-            return total, 8.0 * inc, status, panels, U
-        if status == "diverged":
-            return math.inf, math.inf, status, panels, U
-        if status is not None:
-            break
-    if remainder is None:
-        return total, math.inf, "truncated", panels, U
     if not (math.isfinite(value) and math.isfinite(err)):
-        return value, math.inf, "truncated", panels, U
+        return value, math.inf, "truncated"
     status = "converged" if done or err <= tol * max(1.0, abs(value)) else "truncated"
-    return value, err, status, panels, U
+    return value, err, status
 
 
-def _analytic_energy_status(phi: ModulusFunction, n: int) -> str:
-    if phi.family == "iterlog":
-        return "convergent" if n * phi.alpha > 1.0 else "divergent"
-    return "unknown" if phi.eps is None else "convergent"
+def _energy_diverges(phi: ModulusFunction, n: int) -> bool:
+    """E[phi] at exponent n is infinite: iterlog with n alpha <= 1."""
+    return phi.family == "iterlog" and n * phi.alpha <= 1.0
 
 
 @cache
@@ -529,9 +438,9 @@ def energy_tail_bound(phi: ModulusFunction, n: int, U: float) -> tuple[float, fl
 
     E[phi] = T(0), and the tensor quadrature adds T(U) past its last panel.
     Power (the identity at eps = 1) has T = e^{-n eps U}/(n eps), T_err = 0;
-    custom moduli and iterlog with n alpha <= 1 give (inf, inf).  Iterlog
-    of any depth k is written in v = L_k(u): phi^n du = C_k(v) (1 + a_k v)
-    ^(-n alpha) dv, with C_k -> C_inf = 1/prod_{j<k} a_j (_iterlog_density).
+    iterlog with n alpha <= 1 gives (inf, inf).  Iterlog of any depth k is
+    written in v = L_k(u): phi^n du = C_k(v) (1 + a_k v)^(-n alpha) dv,
+    with C_k -> C_inf = 1/prod_{j<k} a_j (_iterlog_density).
     With V = L_k(U),
 
         T = C_inf (1 + a_k V)^(1 - n alpha) / (a_k (n alpha - 1))
@@ -557,7 +466,7 @@ def energy_tail_bound(phi: ModulusFunction, n: int, U: float) -> tuple[float, fl
     if phi.eps is not None:                  # power, and the identity at eps = 1
         rate = n * phi.eps
         return math.exp(-rate * U) / rate, 0.0
-    na = n * phi.alpha if phi.family == "iterlog" else 0.0
+    na = n * phi.alpha
     if na <= 1.0:
         return math.inf, math.inf
     k, a = phi.depth, phi.coefficients
@@ -588,21 +497,17 @@ def modulus_energy_detailed(phi: ModulusFunction, n: int | None = None,
                             tol: float = 1e-9) -> ModulusEnergy:
     """E[phi] = int_0^1 phi(s)^n ds/s with an explicit convergence verdict.
 
-    Built-in families: E[phi] = T(0) of ``energy_tail_bound``, bounded by
-    T_err + 8 eps E[phi] and "converged" when that meets tol; iterlog
-    diverges exactly when n alpha <= 1.  A custom modulus is integrated in
-    u = log(1/s) by ``_doubling_quadrature``, judged by its panel increments.
+    E[phi] = T(0) of ``energy_tail_bound``, bounded by T_err + 8 eps E[phi]
+    and "converged" when that meets tol; iterlog diverges exactly when
+    n alpha <= 1.
     """
     n = phi.n if n is None else int(n)
-    if _analytic_energy_status(phi, n) == "divergent":
-        return ModulusEnergy(math.inf, math.inf, "diverged", 0, 0.0)
+    if _energy_diverges(phi, n):
+        return ModulusEnergy(math.inf, math.inf, "diverged")
     T, T_err = energy_tail_bound(phi, n, 0.0)
-    if math.isfinite(T):
-        err = T_err + 8.0 * _EPS * abs(T)
-        status = "converged" if err <= tol * max(1.0, abs(T)) else "truncated"
-        return ModulusEnergy(T, err, status, 0, 0.0)
-    return ModulusEnergy(*_doubling_quadrature(
-        lambda u, wu: float(np.sum(wu * phi.profile_log(u)[0] ** n)), tol))
+    err = T_err + 8.0 * _EPS * abs(T)
+    status = "converged" if err <= tol * max(1.0, abs(T)) else "truncated"
+    return ModulusEnergy(T, err, status)
 
 
 def modulus_energy(phi: ModulusFunction, n: int | None = None,
@@ -646,11 +551,9 @@ def check_admissibility(phi: ModulusFunction, grid_size: int = 4096,
                measured_constant=constants.M, grid_size=grid_size,
                detail="phi' <= phi/s everywhere and phi/s <= M phi'^2 with finite M")
 
-    # finite energy under refinement: decided analytically where possible
+    # finite energy: decided analytically
     energy = modulus_energy_detailed(phi, tol=energy_tol)
-    energy_ok = (_analytic_energy_status(phi, phi.n) == "convergent"
-                 or energy.status == "converged")
-    report.add("finite energy (C3)", energy_ok,
+    report.add("finite energy (C3)", energy.status != "diverged",
                measured_constant=energy.value if math.isfinite(energy.value) else None,
                tolerance=energy_tol,
                detail=f"status {energy.status}, error bound {energy.error_bound:.3g}")
@@ -686,11 +589,12 @@ def doubling_constant(phi: ModulusFunction, factor: float,
     return float(np.max(phi(factor * grid) / phi(grid)))
 
 
-def quasi_inverse_defect(phi: ModulusFunction, psi: ModulusFunction,
+def quasi_inverse_defect(phi: ModulusFunction, psi: Callable,
                          grid_size: int = 1024) -> tuple[float, float]:
     """(inf, sup) of psi(phi(t)) / t over a log grid on [1e-6, 1].
 
-    For psi the exact inverse of phi both bounds are 1 up to solver
+    psi is any function of arrays: a modulus, or ``phi.invert``.  For psi
+    the exact inverse of phi both bounds are 1 up to solver
     tolerance; for mismatched pairs the sup measures how badly the
     composition distorts scales (it grows without bound for log-type phi
     composed with itself).

@@ -10,6 +10,7 @@ import pytest
 from bicone import cli
 from bicone.cli import (SpecError, main, parse_center, parse_family, parse_map,
                         parse_points, parse_radii)
+from bicone.continuity import verify_global_modulus_F, verify_global_modulus_H
 from bicone.deformations import ConeMap, GluedMap, RadialMap
 
 
@@ -148,6 +149,19 @@ def test_eval_csv_columns(capsys):
     assert abs(float(row[1]) - 0.22686220204460533) < 1e-15
 
 
+def test_eval_phi_json_rows(capsys):
+    # phi = sqrt on (0, 1], one-sided at s = 1 and the identity beyond it
+    code, out = run(["eval", "--phi", "power:eps=0.5", "--points", "0.25,1,4"],
+                    capsys)
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["columns"] == ["s", "phi", "derivative", "chord_slope",
+                                 "elasticity"]
+    assert result["rows"] == [[0.25, 0.5, 1.0, 2.0, 0.5],
+                              [1.0, 1.0, 0.5, 1.0, 0.5],
+                              [4.0, 4.0, 1.0, 1.0, 1.0]]
+
+
 def test_invert_radial_power(capsys):
     code, out = run(["invert", "--map", "radial:power:eps=0.5",
                      "--point", "0.25,0"], capsys)
@@ -169,6 +183,41 @@ def test_verify_conditions_exit_codes(capsys):
     doc = json.loads(out)
     failed = [c["condition"] for c in doc["result"]["checks"] if not c["pass"]]
     assert failed == ["finite energy (C3)"]
+
+
+def test_verify_conditions_csv_rows(capsys):
+    code, out = run(["verify", "conditions", "--phi", "iterlog:k=2,alpha=1,n=2",
+                     "--out", "csv"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "# schema_version=1" and "# suite=conditions" in lines
+    header = lines.index("condition,status,measured,tolerance")
+    rows = [line.split(",") for line in lines[header + 1:]]
+    assert [r[:2] for r in rows] == [["endpoints (C1)", "pass"],
+                                     ["derivative sandwich (C2)", "pass"],
+                                     ["finite energy (C3)", "pass"],
+                                     ["concavity near 0 (C4)", "pass"]]
+    assert rows[2][2:] == ["2.0", "1e-06"]       # E[phi] = 2 at tolerance 1e-6
+    assert rows[1][3] == ""                      # no tolerance: an empty cell
+
+
+@pytest.mark.parametrize("suite,check", [("global-h", verify_global_modulus_H),
+                                         ("global-f", verify_global_modulus_F)])
+def test_verify_global_suites_run_the_library_check(suite, check, capsys):
+    phi = "iterlog:k=2,alpha=1,n=2"
+    code, out = run(["verify", suite, "--phi", phi, "--pairs", "1000"], capsys)
+    assert code == 0
+    expected = check(ConeMap(parse_family(phi)), pairs=1000, seed=0)
+    assert json.loads(out)["result"] == json.loads(expected.to_json())
+    assert expected.passed and expected.sample_count == 1000
+
+
+def test_numerical_failure_exits_one_with_its_error(capsys):
+    # the point lies outside the upper cone: a numerical failure, not a usage error
+    assert main(["invert", "--map", "cone:phi=identity", "--point", "0.9,0.5"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bicone: DomainError: ")
 
 
 @pytest.mark.parametrize("phi,energy", [("power:eps=0.5,n=3", 1.0 / (3 * 0.5)),
@@ -242,6 +291,28 @@ def test_usage_errors_exit_two(capsys):
 def test_non_finite_input_is_a_usage_error(argv, capsys):
     assert main([*argv, "--map", "glued:phi=iterlog:k=2,alpha=1,n=2"]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("message, argv", [
+    ("verify conditions needs --phi", ["verify", "conditions"]),
+    ("eval needs --phi or --map", ["eval", "--points", "0.1"]),
+    ("--integrand bi needs a glued: map",
+     ["energy", "--integrand", "bi", "--map", "cone:phi=identity"]),
+    ("--method mc estimates the inverse-map energy",
+     ["energy", "--method", "mc", "--integrand", "forward",
+      "--map", "cone:phi=identity"]),
+    ("center must be a single point",
+     ["modulus", "--map", "cone:phi=identity", "--center", "0.1,0.1;0.2,0.2"]),
+    ("bad point list", ["eval", "--map", "cone:phi=identity", "--points", "0.1,x"]),
+    ("bad map spec 'cone:phi=power:eps': expected key=value",
+     ["energy", "--map", "cone:phi=power:eps"]),
+    ("bad map spec 'radial:spiral:eps=0.5': unknown radial kind",
+     ["invert", "--map", "radial:spiral:eps=0.5", "--point", "0.1,0.1"])])
+def test_malformed_requests_are_usage_errors(message, argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"bicone: error: {message}")
 
 
 GLUED = "glued:phi=iterlog:k=1,alpha=1,n=2"

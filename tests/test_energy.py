@@ -305,16 +305,6 @@ def test_conformal_energy_against_an_mpmath_oracle(n, depth):
         assert abs(r.value - oracle) <= r.error_estimate
 
 
-def test_custom_modulus_energy_is_truncated_when_it_underflows():
-    # the custom twin of the built-in k=2, n=2 modulus loses its mass past
-    # u = 745, where e^-u underflows; it must not certify that shortfall
-    builtin = ModulusFunction.iterlog(2, 1.0, n=2)
-    twin = ConeMap(ModulusFunction.custom(lambda s: builtin(s)), n=2)
-    r = conformal_energy_H(twin)
-    assert (r.status, r.error_estimate) == ("truncated", math.inf)
-    assert r.value < conformal_energy_H(ConeMap(builtin, n=2)).value
-
-
 # -- pointwise distortion bound ----------------------------------------------
 
 @pytest.mark.parametrize("n", [2, 3])

@@ -6,10 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bicone import geometry
-from bicone.geometry import (cone_norm, cone_volume, euclid_norm,
-                             in_double_cone, in_upper_cone, kronecker_sequence,
-                             reflect, sample_cone_interior, sample_cone_sphere,
-                             sphere_surface_area, unit_ball_volume)
+from bicone.geometry import (cone_norm, euclid_norm, in_upper_cone,
+                             kronecker_sequence, reflect, sample_cone_interior,
+                             sample_cone_sphere, sphere_surface_area,
+                             unit_ball_volume)
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -75,8 +75,6 @@ def test_reflect_involution():
 def test_membership_predicates():
     assert in_upper_cone(np.array([0.3, 0.3]))
     assert not in_upper_cone(np.array([0.3, -0.3]))
-    assert in_double_cone(np.array([0.3, -0.3]))
-    assert not in_double_cone(np.array([0.9, 0.2]))
     # boundary within tolerance
     assert in_upper_cone(np.array([0.5, 0.5]), tol=1e-9)
 
@@ -85,9 +83,6 @@ def test_volumes_and_areas():
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
-    # upper half cone: |B^{n-1}| / n
-    assert cone_volume(2) == pytest.approx(1.0)
-    assert cone_volume(3) == pytest.approx(math.pi / 3.0)
     assert sphere_surface_area(0) == pytest.approx(2.0)
     assert sphere_surface_area(1) == pytest.approx(2.0 * math.pi)
     assert sphere_surface_area(2) == pytest.approx(4.0 * math.pi)

@@ -68,6 +68,22 @@ def test_floor_below_the_root_keeps_the_bracket():
     assert abs(np.log(x[0]) + 700.0) <= 1e-12
 
 
+@pytest.mark.parametrize("cap", [1, 2])
+def test_lanes_open_at_the_iteration_cap_return_their_last_iterate(cap, monkeypatch):
+    # lane 0 stops at once (F(hi) = 0), lane 3 pins at the floor on its
+    # second evaluation; the others are still open when the cap ends the loop
+    monkeypatch.setattr(bicone._roots, "_MAX_ITER", cap)
+    x, jet = solve([0.0, -20.0, -300.0, _LOG_FLOOR - 10.0])
+    assert jet.calls == cap
+    first = 0.0 - np.arctan(20.0) / (1.0 / (1.0 + 20.0 * 20.0))    # Newton step
+    if cap == 1:          # -300 and the last lane step through the floor
+        expected = [0.0, first, _LOG_FLOOR, _LOG_FLOOR]
+    else:                 # both steps leave their brackets: the midpoints
+        expected = [0.0, 0.5 * first, 0.5 * _LOG_FLOOR, _LOG_FLOOR]
+    assert np.array_equal(x, np.exp(expected))
+    assert np.all((TINY <= x) & (x <= 1.0))
+
+
 @pytest.fixture
 def iterations(monkeypatch):
     """Jet calls of every newton_log solve made by the maps and moduli."""
