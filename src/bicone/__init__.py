@@ -10,15 +10,14 @@ from .continuity import (DilatationEstimate, ModulusEstimate,
                          QuasiInverseRatios, averaging_lemma_check,
                          doubling_probe, linear_dilatation, modulus_profile,
                          optimal_modulus, quasi_inverse_check,
-                         three_points_ratio, verify_averaging,
-                         verify_global_modulus_F, verify_global_modulus_H,
-                         verify_main_theorem)
+                         verify_averaging, verify_global_modulus_F,
+                         verify_global_modulus_H, verify_main_theorem)
 from .deformations import (BracketError, ConeMap, DomainError, GluedMap,
                            InverseView, JacobianData, RadialMap)
 from .energy import (EnergyResult, biconformal_energy, conformal_energy_H,
                      energy_F_monte_carlo, energy_modulus_ratio,
                      inner_distortion_integral)
-from .geometry import (InteriorSample, cone_norm, euclid_norm, in_upper_cone,
+from .geometry import (InteriorSample, cone_norm, euclid_norm,
                        kronecker_sequence, reflect, sample_cone_interior,
                        sample_cone_sphere, sphere_surface_area,
                        unit_ball_volume)
@@ -39,13 +38,11 @@ __all__ = [
     "averaging_lemma_check", "biconformal_energy", "check_admissibility",
     "cone_norm", "conformal_energy_H", "doubling_constant",
     "doubling_probe", "energy_F_monte_carlo", "energy_modulus_ratio",
-    "energy_tail_bound", "euclid_norm", "in_upper_cone",
-    "inner_distortion_integral", "kronecker_sequence",
-    "linear_dilatation", "measured_constants", "modulus_energy",
-    "modulus_energy_detailed", "modulus_profile", "optimal_modulus",
+    "energy_tail_bound", "euclid_norm", "inner_distortion_integral",
+    "kronecker_sequence", "linear_dilatation", "measured_constants",
+    "modulus_energy", "modulus_energy_detailed", "modulus_profile", "optimal_modulus",
     "quasi_inverse_check", "quasi_inverse_defect", "reflect",
     "sample_cone_interior", "sample_cone_sphere", "sphere_surface_area",
-    "three_points_ratio", "unit_ball_volume", "verify_averaging",
-    "verify_global_modulus_F",
+    "unit_ball_volume", "verify_averaging", "verify_global_modulus_F",
     "verify_global_modulus_H", "verify_main_theorem", "__version__",
 ]

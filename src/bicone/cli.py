@@ -83,7 +83,9 @@ def parse_family(spec: str) -> ModulusFunction:
             return ModulusFunction.iterlog(depth=depth, alpha=alpha, n=n)
     except KeyError as missing:
         raise SpecError(f"family {name!r} is missing parameter {missing}") from None
-    except (TypeError, ValueError) as bad:
+    except SpecError:
+        raise
+    except (TypeError, ValueError) as bad:        # a constructor's range check
         raise SpecError(f"bad family spec {spec!r}: {bad}") from None
     raise SpecError(f"unknown family {name!r} (identity, power, iterlog)")
 
@@ -112,7 +114,9 @@ def parse_map(spec: str):
             raise SpecError(f"unknown radial kind {sub!r} (power, logexample)")
     except KeyError as missing:
         raise SpecError(f"map {kind!r} is missing parameter {missing}") from None
-    except (TypeError, ValueError) as bad:
+    except SpecError:
+        raise
+    except (TypeError, ValueError) as bad:        # a constructor's range check
         raise SpecError(f"bad map spec {spec!r}: {bad}") from None
     raise SpecError(f"unknown map kind {kind!r} (cone, glued, radial)")
 
@@ -191,10 +195,12 @@ def _config_echo(args: argparse.Namespace) -> dict:
 
 
 def _emit_json(args, result: dict) -> None:
-    payload = {"schema_version": SCHEMA_VERSION,
-               "config": {**_config_echo(args), "out": "json"},
-               "result": result}
-    _write(args, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    """Write the payload as strict JSON: non-finite floats print as strings."""
+    payload = _jsonable({"schema_version": SCHEMA_VERSION,
+                         "config": {**_config_echo(args), "out": "json"},
+                         "result": result})
+    _write(args, json.dumps(payload, indent=2, sort_keys=True,
+                            allow_nan=False) + "\n")
 
 
 def _emit_csv(args, header: list, rows: list) -> None:
@@ -268,11 +274,11 @@ def _cmd_energy(args) -> int:
     except EnergyDivergenceError as diverged:
         _emit_json(args, {"status": "divergent", "detail": str(diverged)})
         return 1
-    _emit_json(args, _jsonable({"status": res.status, "value": res.value,
-                                "error_estimate": res.error_estimate,
-                                "method": res.method,
-                                "samples_or_nodes": res.samples_or_nodes,
-                                "seed": res.seed}))
+    _emit_json(args, {"status": res.status, "value": res.value,
+                      "error_estimate": res.error_estimate,
+                      "method": res.method,
+                      "samples_or_nodes": res.samples_or_nodes,
+                      "seed": res.seed})
     return 0 if res.status in ("converged", "estimated") else 1
 
 
@@ -314,8 +320,7 @@ def _cmd_dilatation(args) -> int:
     else:
         _emit_json(args, {"center": est.center.tolist(),
                           "radii": est.radii.tolist(),
-                          "ratios": [r if np.isfinite(r) else "inf"
-                                     for r in est.ratios.tolist()],
+                          "ratios": est.ratios.tolist(),
                           "verdict": est.verdict})
     return 0
 

@@ -1,10 +1,10 @@
 """Empirical moduli of continuity, dilatation probes, and verification suites.
 
-Sup-type quantities (moduli of continuity, linear dilatation, three-point
-ratios) are estimated by sampling spheres with the low-discrepancy generator
-from the geometry module; every sphere sample includes the axis poles, so
-for the cone deformations, whose oscillation is attained on the vertical
-axis, the sampled sup at the origin is exact rather than a lower bound.
+Sup-type quantities (moduli of continuity, linear dilatation) are estimated
+by sampling spheres with the low-discrepancy generator from the geometry
+module; every sphere sample includes the axis poles, so for the cone
+deformations, whose oscillation is attained on the vertical axis, the
+sampled sup at the origin is exact rather than a lower bound.
 Everything is deterministic under a fixed seed, and enlarging the sample
 count only extends the point set (never decreases an estimate).  A sweep
 over many radii draws the spheres of all its radii in one sampler call and
@@ -44,7 +44,6 @@ __all__ = [
     "modulus_profile",
     "linear_dilatation",
     "quasi_inverse_check",
-    "three_points_ratio",
     "doubling_probe",
     "verify_global_modulus_H",
     "verify_global_modulus_F",
@@ -230,27 +229,6 @@ def quasi_inverse_check(map_obj, inverse_map, center, radii, norm: str = "euclid
                               map_after_inverse=composed(map_obj, center, omega_f),
                               inverse_after_map=composed(inverse_map, image, omega_h),
                               samples_per_radius=count, seed=seed)
-
-
-def three_points_ratio(map_obj, triples) -> float:
-    """max over triples (x0, x1, x2) of |f(x1)-f(x0)| / |f(x2)-f(x0)|.
-
-    Preconditions of the three-point characterization: every triple must
-    satisfy |x1-x0| <= |x2-x0| with x2 != x0.
-    """
-    arr = np.asarray(triples, dtype=float)
-    if arr.ndim == 2:
-        arr = arr[None, :, :]
-    x0, x1, x2 = arr[:, 0], arr[:, 1], arr[:, 2]
-    d1 = euclid_norm(x1 - x0)
-    d2 = euclid_norm(x2 - x0)
-    if np.any(d2 <= 0) or np.any(d1 > d2 * (1.0 + 1e-12)):
-        raise ValueError("triples must satisfy |x1-x0| <= |x2-x0| with x2 != x0")
-    f0 = np.atleast_2d(map_obj(x0))
-    e1 = euclid_norm(np.atleast_2d(map_obj(x1)) - f0)
-    e2 = euclid_norm(np.atleast_2d(map_obj(x2)) - f0)
-    with np.errstate(divide="ignore"):
-        return float(np.max(np.where(e2 > 0, e1 / e2, math.inf)))
 
 
 def doubling_probe(estimate: ModulusEstimate, factor: float) -> float:

@@ -63,7 +63,7 @@ def _out(arr, single):
 def _upper_cone_norm(arr):
     """|x| of the rows (x, t) of arr; raises unless all lie in the upper cone.
 
-    The domain check is in_upper_cone's at tol 1e-9, run on this |x|.
+    The domain is t >= 0 and |x| + t <= 1, each with slack 1e-9.
     """
     rho = _horizontal_norm(arr)
     t = arr[:, -1]
@@ -83,7 +83,6 @@ class JacobianData:
     det: np.ndarray | float     # the Jacobian determinant D
     hs_norm: np.ndarray | float
     inv_hs_norm: np.ndarray | float
-    cofactor_norm: np.ndarray | float
     inner_distortion: np.ndarray | float
     _build_matrix: Callable[[], np.ndarray] = field(repr=False, compare=False)
 
@@ -155,18 +154,16 @@ class ConeMap:
         with np.errstate(over="ignore", invalid="ignore"):
             hs = np.sqrt((n - 1) + t_lam_prime ** 2 + det ** 2)
             inv_hs = np.sqrt((1.0 + t_lam_prime ** 2) / det ** 2 + (n - 1))
-            cof = np.sqrt((n - 1) * det ** 2 + t_lam_prime ** 2 + 1.0)
-        big = ~(np.isfinite(hs) & np.isfinite(inv_hs) & np.isfinite(cof))
+        big = ~(np.isfinite(hs) & np.isfinite(inv_hs))
         if big.any():       # the squares overflow (|x| near 1e-265): use hypot
             tl, d, r = t_lam_prime[big], det[big], math.sqrt(n - 1)
             hs[big] = np.hypot(np.hypot(tl, d), r)
             inv_hs[big] = np.hypot(np.hypot(1.0, tl) / d, r)
-            cof[big] = np.hypot(np.hypot(r * d, tl), 1.0)
         K = inv_hs ** n * det
         if single:
             return JacobianData(float(det[0]), float(hs[0]), float(inv_hs[0]),
-                                float(cof[0]), float(K[0]), build_matrix)
-        return JacobianData(det, hs, inv_hs, cof, K, build_matrix)
+                                float(K[0]), build_matrix)
+        return JacobianData(det, hs, inv_hs, K, build_matrix)
 
     # -- inversion -----------------------------------------------------------
 
@@ -233,18 +230,16 @@ class GluedMap:
     Evaluation is the identity outside the double cone and on the base, so
     the two branches meet continuously.  The inverse is assembled from the
     same two branch maps with their roles swapped, which makes the pair
-    exactly inverse by construction (up to the relative tolerance ``tol`` of
-    the cone inverse).
+    exactly inverse by construction (up to the relative tolerance of the
+    cone inverse, 1e-12 in the lower branch of the map).
     """
 
     domain = "whole_space"
 
-    def __init__(self, phi: ModulusFunction, n: int | None = None,
-                 tol: float = 1e-12):
+    def __init__(self, phi: ModulusFunction, n: int | None = None):
         self.cone = ConeMap(phi, n)
         self.phi = self.cone.phi
         self.n = self.cone.n
-        self.tol = tol
 
     def describe(self) -> str:
         return f"glued:phi={self.phi.describe()},n={self.n}"
@@ -271,10 +266,9 @@ class GluedMap:
     def __call__(self, X):
         return self._piecewise(
             X, self.cone._forward,
-            lambda Z, rho: self.cone._solve(Z, rho, self.tol))
+            lambda Z, rho: self.cone._solve(Z, rho, 1e-12))
 
-    def inverse(self, Y, tol: float | None = None):
-        tol = self.tol if tol is None else tol
+    def inverse(self, Y, tol: float = 1e-12):
         return self._piecewise(
             Y, lambda Z, rho: self.cone._solve(Z, rho, tol), self.cone._forward)
 
@@ -298,12 +292,11 @@ class RadialMap:
     domain = "whole_space"
 
     def __init__(self, kind: str, eps: float | None = None,
-                 beta: float | None = None, n: int = 2, tol: float = 1e-12):
+                 beta: float | None = None, n: int = 2):
         if kind not in ("power", "logexample"):
             raise ValueError(f"unknown radial map kind {kind!r}")
         self.kind = kind
         self.n = int(n)
-        self.tol = tol
         if kind == "power":
             if eps is None or not (0.0 < eps <= 1.0):
                 raise ValueError("power stress needs eps in (0, 1]")
@@ -332,10 +325,8 @@ class RadialMap:
             out[inner] = (1.0 + L) ** (-1.0 / self.n) * np.log(math.e + L) ** (-self.beta)
         return out
 
-    def inverse_stress(self, v, tol: float | None = None):
-        """stress^-1(v); the logexample solve stops at relative residual
-        ``tol`` (default: the constructor's ``tol``)."""
-        tol = self.tol if tol is None else tol
+    def inverse_stress(self, v, tol: float = 1e-12):
+        """stress^-1(v); the logexample solve stops at relative residual ``tol``."""
         v = np.asarray(v, dtype=float)
         if self.kind == "power":
             return v ** (1.0 / self.eps)
@@ -368,7 +359,7 @@ class RadialMap:
     def __call__(self, X):
         return self._radial(X, self.stress)
 
-    def inverse(self, Y, tol: float | None = None):
+    def inverse(self, Y, tol: float = 1e-12):
         return self._radial(Y, lambda v: self.inverse_stress(v, tol))
 
     def inverted(self) -> "InverseView":
@@ -389,7 +380,7 @@ class InverseView:
     def __call__(self, X):
         return self.base.inverse(X)
 
-    def inverse(self, Y, tol: float = 1e-12):
+    def inverse(self, Y):
         return self.base(Y)
 
     def inverted(self):

@@ -21,7 +21,6 @@ __all__ = [
     "cone_norm",
     "euclid_norm",
     "reflect",
-    "in_upper_cone",
     "sphere_surface_area",
     "kronecker_sequence",
     "sample_cone_sphere",
@@ -109,13 +108,6 @@ def reflect(X):
     return out
 
 
-def in_upper_cone(X, tol: float = 1e-12):
-    arr, single = _rows(X)
-    t = arr[..., -1]
-    out = (t >= -tol) & (cone_norm(arr) <= 1.0 + tol)
-    return bool(out) if single else out
-
-
 def unit_ball_volume(d: int) -> float:
     """Volume of the unit ball in R^d (d = 0 gives 1)."""
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
@@ -199,7 +191,8 @@ def sample_cone_sphere(r, n: int = 3, norm: str = "cone",
                        restrict: str = "upper", count: int = 64, seed: int = 0):
     """Deterministic points on the sphere of radius r in the requested norm.
 
-    The axis points (0, ..., 0, +-r) are placed first whenever the restriction
+    ``restrict`` is "upper" (t >= 0) or "both" (the whole sphere).  The axis
+    points (0, ..., 0, +-r) are placed first whenever the restriction
     admits them (the suprema of the cone deformations are attained there, so
     forcing them makes sampled suprema exact for those maps).  The rest come
     from a seeded low-discrepancy sequence split between a direction on the
@@ -221,12 +214,12 @@ def sample_cone_sphere(r, n: int = 3, norm: str = "cone",
         raise ValueError("count must be >= 1")
     if norm not in ("cone", "euclid"):
         raise ValueError(f"unknown norm {norm!r}")
-    if restrict not in ("upper", "lower", "both"):
+    if restrict not in ("upper", "both"):
         raise ValueError(f"unknown restriction {restrict!r}")
 
     rs = radii.reshape(-1, 1)
     out = np.zeros((rs.shape[0], count, n))
-    poles = {"upper": [1.0], "lower": [-1.0], "both": [1.0, -1.0]}[restrict][:count]
+    poles = ([1.0] if restrict == "upper" else [1.0, -1.0])[:count]
     out[:, : len(poles), -1] = rs * poles
     remaining = count - len(poles)
     if remaining > 0:
@@ -234,9 +227,7 @@ def sample_cone_sphere(r, n: int = 3, norm: str = "cone",
         dirs = _directions(u[:, : n - 1])
         w = u[:, -1]
         if restrict == "upper":
-            sign = np.ones(remaining)
-        elif restrict == "lower":
-            sign = -np.ones(remaining)
+            sign = 1.0
         else:
             sign, w = np.where(w < 0.5, -1.0, 1.0), (2.0 * w) % 1.0
         pts = out[:, len(poles):]

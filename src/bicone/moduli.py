@@ -119,8 +119,6 @@ class ModulusFunction:
         if self.family == "iterlog":
             if self.depth is None or not (1 <= int(self.depth) < _MAX_DEPTH + 1):
                 raise ValueError(f"iterlog depth must be an integer in [1, {_MAX_DEPTH}]")
-            if self.depth >= _MAX_DEPTH and not np.isfinite(_EXP_TOWER[-1]):
-                raise ValueError("iterlog tower overflows float64 at this depth")
             # alpha > 1/n is required for finite energy but construction only
             # enforces the hard range; the finiteness check reports the rest.
             if self.alpha is None or not (0.0 < self.alpha <= 1.0):
@@ -303,22 +301,23 @@ class ModulusFunction:
 
 # -- admissibility constants -------------------------------------------------
 
+_GRID_SIZE = 4096       # log grid on [1e-9, 1] of the measured constants
+
 
 @dataclass(frozen=True)
 class MeasuredConstants:
     M: float
     concavity_radius: float
-    grid_size: int
 
 
 @lru_cache(maxsize=128)
-def measured_constants(phi: ModulusFunction, grid_size: int = 4096) -> MeasuredConstants:
+def measured_constants(phi: ModulusFunction) -> MeasuredConstants:
     """Measure the sandwich constant M and the concavity radius on a log grid.
 
     M is the smallest admissible constant sup phi / (s phi'^2) clipped below
     by 1; the concavity radius is the largest grid prefix on which phi'' <= 0.
     """
-    grid = np.geomspace(1e-9, 1.0, grid_size)
+    grid = np.geomspace(1e-9, 1.0, _GRID_SIZE)
     val = phi(grid)
     der = phi.derivative(grid)
     with np.errstate(divide="ignore", over="ignore"):
@@ -332,7 +331,7 @@ def measured_constants(phi: ModulusFunction, grid_size: int = 4096) -> MeasuredC
     else:
         first_bad = int(np.argmax(convex))
         radius = 0.0 if first_bad == 0 else float(grid[first_bad - 1])
-    return MeasuredConstants(M, radius, grid_size)
+    return MeasuredConstants(M, radius)
 
 
 # -- the energy integral E[phi] ----------------------------------------------
@@ -523,14 +522,14 @@ def modulus_energy(phi: ModulusFunction, n: int | None = None,
 # -- condition suite ----------------------------------------------------------
 
 
-def check_admissibility(phi: ModulusFunction, grid_size: int = 4096,
-                        energy_tol: float = 1e-6) -> VerificationReport:
+def check_admissibility(phi: ModulusFunction) -> VerificationReport:
     """Run the four admissibility conditions and record measured constants.
 
     The report carries one row per condition plus the measured sandwich
     constant M, the concavity radius, and the energy value in its metadata.
     """
     report = VerificationReport(title=f"admissibility of {phi.describe()}")
+    grid_size, energy_tol = _GRID_SIZE, 1e-6
     grid = np.geomspace(1e-9, 1.0, grid_size)
     val = phi(grid)
     der = phi.derivative(grid)
@@ -545,7 +544,7 @@ def check_admissibility(phi: ModulusFunction, grid_size: int = 4096,
 
     # derivative sandwich
     first_ok = bool(np.all(der <= lam * (1.0 + 1e-9) + 1e-15))
-    constants = measured_constants(phi, grid_size)
+    constants = measured_constants(phi)
     sandwich_ok = first_ok and math.isfinite(constants.M)
     report.add("derivative sandwich (C2)", sandwich_ok,
                measured_constant=constants.M, grid_size=grid_size,
@@ -576,8 +575,7 @@ def check_admissibility(phi: ModulusFunction, grid_size: int = 4096,
 # -- derived functionals -------------------------------------------------------
 
 
-def doubling_constant(phi: ModulusFunction, factor: float,
-                      grid_size: int = 4096) -> float:
+def doubling_constant(phi: ModulusFunction, factor: float) -> float:
     """sup of phi(factor * t) / phi(t) over t in (0, 1/factor], measured on a log grid.
 
     The grid includes the endpoint t = 1/factor, where the supremum sits for
@@ -585,12 +583,11 @@ def doubling_constant(phi: ModulusFunction, factor: float,
     """
     if factor <= 1.0:
         raise ValueError("doubling factor must exceed 1")
-    grid = np.geomspace(1e-12, 1.0 / factor, grid_size)
+    grid = np.geomspace(1e-12, 1.0 / factor, 4096)
     return float(np.max(phi(factor * grid) / phi(grid)))
 
 
-def quasi_inverse_defect(phi: ModulusFunction, psi: Callable,
-                         grid_size: int = 1024) -> tuple[float, float]:
+def quasi_inverse_defect(phi: ModulusFunction, psi: Callable) -> tuple[float, float]:
     """(inf, sup) of psi(phi(t)) / t over a log grid on [1e-6, 1].
 
     psi is any function of arrays: a modulus, or ``phi.invert``.  For psi
@@ -599,6 +596,6 @@ def quasi_inverse_defect(phi: ModulusFunction, psi: Callable,
     composition distorts scales (it grows without bound for log-type phi
     composed with itself).
     """
-    grid = np.geomspace(1e-6, 1.0, grid_size)
+    grid = np.geomspace(1e-6, 1.0, 1024)
     ratios = psi(phi(grid)) / grid
     return float(np.min(ratios)), float(np.max(ratios))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -110,6 +111,15 @@ def test_energy_divergent_exits_one(capsys):
 
 def _strict(name):
     raise ValueError(f"non-strict JSON constant {name}")
+
+
+def test_emit_json_prints_non_finite_floats_as_strings(capsys):
+    args = cli.build_parser().parse_args(["invert", "--map", "x", "--point", "0"])
+    cli._emit_json(args, {"ratios": [1.5, math.inf, -math.inf, math.nan],
+                          "value": np.float64(math.nan), "nested": {"top": math.inf}})
+    result = json.loads(capsys.readouterr().out, parse_constant=_strict)["result"]
+    assert result == {"ratios": [1.5, "inf", "-inf", "nan"], "value": "nan",
+                      "nested": {"top": "inf"}}
 
 
 @pytest.mark.parametrize("args", [
@@ -304,10 +314,13 @@ def test_non_finite_input_is_a_usage_error(argv, capsys):
     ("center must be a single point",
      ["modulus", "--map", "cone:phi=identity", "--center", "0.1,0.1;0.2,0.2"]),
     ("bad point list", ["eval", "--map", "cone:phi=identity", "--points", "0.1,x"]),
-    ("bad map spec 'cone:phi=power:eps': expected key=value",
-     ["energy", "--map", "cone:phi=power:eps"]),
-    ("bad map spec 'radial:spiral:eps=0.5': unknown radial kind",
-     ["invert", "--map", "radial:spiral:eps=0.5", "--point", "0.1,0.1"])])
+    ("expected key=value", ["energy", "--map", "cone:phi=power:eps"]),
+    ("unknown radial kind",
+     ["invert", "--map", "radial:spiral:eps=0.5", "--point", "0.1,0.1"]),
+    ("identity takes no parameters", ["energy", "--map", "cone:phi=identity:eps=1"]),
+    ("bad family spec 'power:eps=2': power family needs eps",
+     ["energy", "--map", "cone:phi=power:eps=2"]),
+    ("iterlog needs n=", ["verify", "conditions", "--phi", "iterlog:k=2"])])
 def test_malformed_requests_are_usage_errors(message, argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -9,9 +9,8 @@ from bicone.cli import parse_family
 from bicone.continuity import (averaging_lemma_check, doubling_probe,
                                linear_dilatation, modulus_profile,
                                optimal_modulus, quasi_inverse_check,
-                               three_points_ratio, verify_averaging,
-                               verify_global_modulus_F, verify_global_modulus_H,
-                               verify_main_theorem)
+                               verify_averaging, verify_global_modulus_F,
+                               verify_global_modulus_H, verify_main_theorem)
 from bicone.continuity import _AVERAGING_GROUP, _segment_integrals
 from bicone.deformations import ConeMap, GluedMap, RadialMap
 from bicone import geometry
@@ -259,26 +258,7 @@ def test_sweeps_keep_their_seeded_values():
     assert q.inverse_after_map.tolist() == expected
 
 
-# -- three points and doubling ---------------------------------------------------
-
-def test_three_points_ratio_oracle():
-    h = RadialMap("power", eps=0.5, n=2)
-    x0 = np.array([0.0, 0.0])
-    x1 = np.array([0.01, 0.0])
-    x2 = np.array([0.04, 0.0])
-    # |x1-x0| = 0.01 <= |x2-x0| = 0.04; images 0.1 and 0.2, ratio 0.5
-    got = three_points_ratio(h, [(x0, x1, x2)])
-    assert abs(got - 0.5) <= 1e-12
-
-
-def test_three_points_ratio_rejects_bad_triples():
-    h = RadialMap("power", eps=0.5, n=2)
-    x0 = np.array([0.0, 0.0])
-    x1 = np.array([0.04, 0.0])
-    x2 = np.array([0.01, 0.0])
-    with pytest.raises(ValueError):
-        three_points_ratio(h, [(x0, x1, x2)])    # |x1-x0| > |x2-x0|
-
+# -- doubling ---------------------------------------------------
 
 def test_doubling_probe_matches_power_scaling():
     eps = 0.5

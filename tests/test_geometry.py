@@ -6,10 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bicone import geometry
-from bicone.geometry import (cone_norm, euclid_norm, in_upper_cone,
-                             kronecker_sequence, reflect, sample_cone_interior,
-                             sample_cone_sphere, sphere_surface_area,
-                             unit_ball_volume)
+from bicone.geometry import (cone_norm, euclid_norm, kronecker_sequence,
+                             reflect, sample_cone_interior, sample_cone_sphere,
+                             sphere_surface_area, unit_ball_volume)
 
 coords = st.floats(-2.0, 2.0, allow_nan=False)
 
@@ -72,13 +71,6 @@ def test_reflect_involution():
     assert np.array_equal(reflect(X)[:, -1], -X[:, -1])
 
 
-def test_membership_predicates():
-    assert in_upper_cone(np.array([0.3, 0.3]))
-    assert not in_upper_cone(np.array([0.3, -0.3]))
-    # boundary within tolerance
-    assert in_upper_cone(np.array([0.5, 0.5]), tol=1e-9)
-
-
 def test_volumes_and_areas():
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(math.pi)
@@ -114,9 +106,6 @@ def test_sphere_sample_includes_axis_poles():
     upper = sample_cone_sphere(0.2, n=3, norm="cone", restrict="upper",
                                count=16, seed=0)
     assert np.all(upper[:, -1] >= 0)
-    lower = sample_cone_sphere(0.2, n=3, norm="cone", restrict="lower",
-                               count=16, seed=0)
-    assert np.all(lower[:, -1] <= 0)
 
 
 def test_interior_sample_margins_and_prefix():
@@ -124,7 +113,7 @@ def test_interior_sample_margins_and_prefix():
                              exclude_boundary_margin=1e-3)
     pts = s.points
     assert pts.shape == (500, 3)
-    assert np.all(in_upper_cone(pts))
+    assert np.all((pts[:, -1] >= 0) & (cone_norm(pts) <= 1.0))
     rho = np.linalg.norm(pts[:, :-1], axis=1)
     assert np.all(rho >= 1e-3)
     assert np.all(pts[:, -1] >= 1e-3)
@@ -165,7 +154,7 @@ def test_sphere_sample_keeps_the_modulo_bits(monkeypatch, n, count, seed):
     def draw():
         return [sample_cone_sphere(0.3, n=n, norm=norm, restrict=restrict,
                                    count=count, seed=seed)
-                for norm in ("cone", "euclid") for restrict in ("upper", "lower", "both")]
+                for norm in ("cone", "euclid") for restrict in ("upper", "both")]
 
     fast = draw()
     monkeypatch.setattr(geometry, "kronecker_sequence", _kronecker_mod)
@@ -178,7 +167,7 @@ def test_sphere_sample_keeps_the_modulo_bits(monkeypatch, n, count, seed):
 def test_stacked_spheres_equal_scalar_calls(n, count):
     radii = np.array([0.3, 1e-9, 0.75, 2.0])
     for norm in ("cone", "euclid"):
-        for restrict in ("upper", "lower", "both"):
+        for restrict in ("upper", "both"):
             kw = dict(n=n, norm=norm, restrict=restrict, count=count, seed=6)
             got = sample_cone_sphere(radii, **kw)
             assert got.shape == (radii.size * count, n)
@@ -192,6 +181,15 @@ def test_stacked_spheres_equal_scalar_calls(n, count):
 def test_sphere_sample_rejects_bad_radii(bad):
     with pytest.raises(ValueError):
         sample_cone_sphere(bad, n=2, restrict="both", count=8)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"norm": "max"}, "unknown norm"), ({"norm": "Cone"}, "unknown norm"),
+    ({"restrict": "lower"}, "unknown restriction"),
+    ({"restrict": "all"}, "unknown restriction")])
+def test_sphere_sample_rejects_unknown_norm_or_restriction(kw, message):
+    with pytest.raises(ValueError, match=message):
+        sample_cone_sphere(0.2, n=2, count=8, **kw)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
