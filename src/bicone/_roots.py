@@ -24,6 +24,13 @@ much per element.  Within a block, lanes that stop are written out and
 dropped at once, so the later iterations touch only the lanes still
 active.  Every lane runs the same arithmetic in any block, so the results
 keep their bits whatever the block size.
+
+The solver writes neither into ``hi`` nor into the arrays a jet returns,
+so a caller may pass as ``hi`` an array its jet reads (the cone inverse
+passes log tau), and a jet may return arrays it keeps.  The bracket and
+the iterate are new arrays at each iteration: ``np.where`` builds them,
+since a masked in-place ``np.copyto`` ran about twice as slow on the mixed
+masks of a solve.  The jets do their own work in place.
 """
 
 from __future__ import annotations

@@ -207,13 +207,25 @@ class ConeMap:
 
             def jet(u, idx):
                 T = np.exp(u)
-                sigma = T + rho_p[idx]
-                v = np.maximum(-np.log(sigma), 0.0)   # sigma >= 1: lambda = g = 1
+                sigma = rho_p[idx]                  # a gather: a new array
+                sigma += T
+                v = np.log(sigma)
+                np.negative(v, out=v)
+                np.maximum(v, 0.0, out=v)           # sigma >= 1: lambda = g = 1
                 phi, g = self.phi.profile_log(v)
+                log_lam = np.log(phi)
+                log_lam += v
+                slope = 1.0 - g                     # phi and g stay as returned
                 inner = v > 0
-                log_lam = np.where(inner, np.log(phi) + v, 0.0)
-                g = np.where(inner, g, 1.0)
-                return u + log_lam - log_tau[idx], 1.0 - T / sigma * (1.0 - g)
+                if not inner.all():
+                    log_lam = np.where(inner, log_lam, 0.0)
+                    slope = np.where(inner, slope, 0.0)
+                log_lam += u
+                log_lam -= log_tau[idx]
+                np.divide(T, sigma, out=T)
+                T *= slope
+                np.subtract(1.0, T, out=T)
+                return log_lam, T
 
             out[pos, -1] = newton_log(
                 jet, log_tau, tol,

@@ -127,45 +127,64 @@ def kronecker_sequence(count: int, dim: int, seed: int = 0, skip: int = 0):
     Uses the generalized golden ratio (the root of x^(dim+1) = x + 1) for the
     step vector and a seeded random offset, so different seeds give shifted
     lattices while a fixed seed gives a sequence whose prefixes are nested.
+
+    The (count, dim) result is the transposed view of a (dim, count) array,
+    so each column (one coordinate of every point) is contiguous.  Each
+    entry has the bits of the row-major ``offset + idx * alpha``.
     """
     phi = 2.0
     for _ in range(64):
         phi = (1.0 + phi) ** (1.0 / (dim + 1))
     alphas = np.array([phi ** -(j + 1) for j in range(dim)])
     offset = np.random.default_rng(seed).random(dim)
-    idx = np.arange(skip + 1, skip + count + 1, dtype=float)[:, None]
-    out = offset + idx * alphas
-    out -= np.floor(out)          # the same bits as % 1.0, at a fraction of the cost
-    return out
+    idx = np.arange(skip + 1, skip + count + 1, dtype=float)
+    out = np.multiply.outer(alphas, idx)
+    out += offset[:, None]
+    whole = np.empty(count)       # one coordinate at a time: a buffer that stays in cache
+    for column in out:
+        np.floor(column, out=whole)
+        column -= whole           # the same bits as % 1.0, at a fraction of the cost
+    return out.T
+
+
+def _horner(coeffs, x):
+    """The polynomial sum(c_i x^(m-i)) by Horner's rule, in one new array."""
+    acc = coeffs[0] * x
+    for c in coeffs[1:-1]:
+        acc += c
+        acc *= x
+    acc += coeffs[-1]
+    return acc
 
 
 def _inv_norm_cdf(p):
-    """Inverse standard normal CDF (Acklam's rational approximation, ~1e-9)."""
+    """Inverse standard normal CDF (Acklam's rational approximation, ~1e-9).
+
+    The central rational function is evaluated on every entry; the two
+    tails then overwrite the entries outside [0.02425, 1 - 0.02425].
+    """
     a = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
          1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
     b = (-5.447609879822406e+01, 1.615858368580409e+02, -1.556989798598866e+02,
-         6.680131188771972e+01, -1.328068155288572e+01)
+         6.680131188771972e+01, -1.328068155288572e+01, 1.0)
     c = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e+00,
          -2.549732539343734e+00, 4.374664141464968e+00, 2.938163982698783e+00)
     d = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e+00,
-         3.754408661907416e+00)
+         3.754408661907416e+00, 1.0)
     p = np.clip(np.asarray(p, dtype=float), 1e-15, 1.0 - 1e-15)
-    out = np.empty_like(p)
-    low, high = 0.02425, 1.0 - 0.02425
-    m_lo, m_hi, m_mid = p < low, p > high, (p >= low) & (p <= high)
-    if m_lo.any():
-        q = np.sqrt(-2.0 * np.log(p[m_lo]))
-        out[m_lo] = ((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                     / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if m_hi.any():
-        q = np.sqrt(-2.0 * np.log(1.0 - p[m_hi]))
-        out[m_hi] = -((((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5])
-                      / ((((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0))
-    if m_mid.any():
-        q = p[m_mid] - 0.5
-        r = q * q
-        out[m_mid] = ((((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q
-                      / (((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0))
+    q = p - 0.5
+    r = q * q
+    out = np.asarray(_horner(a, r))      # a 0-d array for a scalar p
+    out *= q
+    out /= _horner(b, r)
+    low = p < 0.02425
+    if low.any():
+        q = np.sqrt(-2.0 * np.log(p[low]))
+        out[low] = _horner(c, q) / _horner(d, q)
+    high = p > 1.0 - 0.02425
+    if high.any():
+        q = np.sqrt(-2.0 * np.log(1.0 - p[high]))
+        out[high] = -(_horner(c, q) / _horner(d, q))
     return out
 
 
@@ -173,15 +192,19 @@ def _directions(u):
     """Map [0,1)^d rows to unit vectors in R^d via Gaussian shaping.
 
     For d = 1 this degenerates to signs; normalization guards the measure-zero
-    event of an all-zero row.
+    event of an all-zero row.  Each coordinate is shaped as one column, and
+    the result is the transposed view of a (d, m) array.
     """
     d = u.shape[1]
     if d == 1:
         return np.where(u < 0.5, -1.0, 1.0)
-    g = _inv_norm_cdf(u)
-    norms = _row_norm(g)[:, None]
+    g = np.empty((d, u.shape[0]))
+    for i in range(d):
+        g[i] = _inv_norm_cdf(u[:, i])
+    norms = _row_norm(g.T)
     norms[norms == 0] = 1.0
-    return g / norms
+    g /= norms
+    return g.T
 
 
 # -- samplers -------------------------------------------------------------------
@@ -289,8 +312,13 @@ def sample_cone_interior(count: int, n: int = 2, seed: int = 0,
         t = b + height * (1.0 - (1.0 - u[:, n]) ** (1.0 / n))
         rho = (height - (t - b)) * u[:, n - 1] ** (1.0 / (n - 1))
         ok = rho >= a
-        x = _directions(u[ok, : n - 1]) * rho[ok, None]
-        accepted.append(np.column_stack([x, t[ok]]))
-        got += x.shape[0]
-    return InteriorSample(points=np.vstack(accepted)[:count],
+        if not ok.all():
+            u, t, rho = u[ok], t[ok], rho[ok]
+        pts = np.empty((t.size, n))
+        np.multiply(_directions(u[:, : n - 1]), rho[:, None], out=pts[:, :-1])
+        pts[:, -1] = t
+        accepted.append(pts)
+        got += t.size
+    points = accepted[0] if len(accepted) == 1 else np.vstack(accepted)
+    return InteriorSample(points=points[:count],
                           acceptance_rate=got / attempts, attempts=attempts, seed=seed)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -68,17 +68,6 @@ class EnergyDivergenceError(ArithmeticError):
 # practical depth at 5.
 _EXP_TOWER = (0.0, 1.0, math.e, math.exp(math.e), math.exp(math.exp(math.e)))
 _MAX_DEPTH = len(_EXP_TOWER)
-
-
-def _jet_log(jet):
-    """Propagate a jet (value[, first[, second derivative]]) through a logarithm."""
-    f = jet[0]
-    out = [np.log(f)]
-    if len(jet) > 1:
-        out.append(jet[1] / f)
-    if len(jet) > 2:
-        out.append((jet[2] * f - jet[1] * jet[1]) / (f * f))
-    return out
 
 
 def _as_array(s):
@@ -140,13 +129,20 @@ class ModulusFunction:
 
     # -- basic descriptors ---------------------------------------------------
 
-    @property
-    def coefficients(self) -> tuple[float, ...]:
-        """Iterlog coefficients a_j = (1 - 1/n)^(j-1); empty for other families."""
+    @cached_property
+    def _plan(self) -> tuple[tuple[float, float, float, int], ...]:
+        """(e_{j-1}, a_j, beta_j, j - 1) for each iterlog factor j; empty otherwise.
+
+        Factor j is (1 + a_j L_j)^(-beta_j), where L_j takes j - 1
+        logarithms of e_{j-1} + u; a_j = (1 - 1/n)^(j-1), beta_j = 1/n for
+        j < k and beta_k = alpha.  Built once per modulus.
+        """
         if self.family != "iterlog":
             return ()
         base = 1.0 - 1.0 / self.n
-        return tuple(base ** (j - 1) for j in range(1, self.depth + 1))
+        return tuple((_EXP_TOWER[j - 1], base ** (j - 1),
+                      self.alpha if j == self.depth else 1.0 / self.n, j - 1)
+                     for j in range(1, self.depth + 1))
 
     def describe(self) -> str:
         if self.family == "identity":
@@ -173,14 +169,46 @@ class ModulusFunction:
             return (s ** self.eps, self.eps, 0.0)[:order + 1]
         if u is None:
             u = -np.log(s)
-        A = [0.0] * (order + 1)                 # A = -log phi, then g and h
-        for j, a in enumerate(self.coefficients, start=1):
-            beta = self.alpha if j == self.depth else 1.0 / self.n
-            v = (_EXP_TOWER[j - 1] + u, 1.0, 0.0)[:order + 1]
-            for _ in range(j - 1):
-                v = _jet_log(v)
-            jet = _jet_log((1.0 + a * v[0], *(a * x for x in v[1:])))
-            A = [acc + beta * x for acc, x in zip(A, jet)]
+        # The jets (value, slope, curvature) in u of each factor's logarithm,
+        # by the chain rule through one log at a time: log of the jet
+        # (f, f1, f2) is (log f, f1 / f, (f2 f - f1^2) / f^2).  The slope 1
+        # and curvature 0 of e + u are constants, and so are a_1 = 1 and
+        # beta_k = alpha = 1: the products and sums with them are left out,
+        # and for finite u the bits are those of the full recurrence.
+        A = None                                # A = -log phi, then g and h
+        for e, a, beta, logs in self._plan:
+            v0 = u if logs == 0 else e + u      # e = 0 when logs = 0
+            v1 = v2 = None                      # None: the constants 1 and 0
+            for _ in range(logs):
+                f, v0 = v0, np.log(v0)
+                if order and v1 is None:
+                    v1 = 1.0 / f
+                    if order > 1:
+                        v2 = -1.0 / (f * f)
+                elif order:
+                    if order > 1:
+                        v2 = (v2 * f - v1 * v1) / (f * f)
+                    v1 = v1 / f
+            f = 1.0 + (v0 if a == 1.0 else a * v0)
+            jet = [np.log(f)]
+            if order and v1 is None:
+                jet.append(a / f)
+                if order > 1:
+                    jet.append(-(a * a) / (f * f))
+            elif order:
+                av1 = a * v1
+                jet.append(av1 / f)
+                if order > 1:
+                    jet.append((a * v2 * f - av1 * av1) / (f * f))
+            if beta != 1.0:
+                jet = [beta * x for x in jet]
+            if A is None:
+                A = jet
+                if order > 1:
+                    A[2] += 0.0                 # 0.0 + x: a -0.0 curvature turns +0.0
+            else:
+                for i, x in enumerate(jet):
+                    A[i] += x
         return (np.exp(-A[0]), *A[1:])
 
     # -- evaluation ----------------------------------------------------------
@@ -411,7 +439,7 @@ def _iterlog_density(phi: ModulusFunction, v: np.ndarray) -> np.ndarray:
     keep u accurate near v = 0.  Where u overflows, L_j equals w_{k-j} to
     double precision (their gap is below e_{k-1}/u), so F_j = 1/(a_j + 1/w_{k-j}).
     """
-    k, a = phi.depth, phi.coefficients
+    k, a = phi.depth, [a_j for _, a_j, _, _ in phi._plan]
     with np.errstate(over="ignore", invalid="ignore"):
         d = [v]
         for i in range(1, k):
@@ -468,7 +496,7 @@ def energy_tail_bound(phi: ModulusFunction, n: int, U: float) -> tuple[float, fl
     na = n * phi.alpha
     if na <= 1.0:
         return math.inf, math.inf
-    k, a = phi.depth, phi.coefficients
+    k, a = phi.depth, [a_j for _, a_j, _, _ in phi._plan]
     V, slope = U, 1.0
     for i in range(k - 1, 0, -1):            # V = L_k(U), slope = u'(V)
         slope *= _EXP_TOWER[i] + V

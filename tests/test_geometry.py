@@ -143,10 +143,63 @@ def _kronecker_mod(count, dim, seed=0, skip=0):
 
 
 @pytest.mark.parametrize("dim,count,seed,skip", [
-    (1, 500, 0, 0), (2, 4096, 3, 7), (3, 1000, 11, 10**6), (4, 2000, 5, 2**40)])
+    (1, 500, 0, 0), (2, 4096, 3, 7), (3, 1000, 11, 10**6), (4, 2000, 5, 2**40),
+    (1, 1, 0, 0), (4, 100_000, 5, 2**40), (5, 333, 2, 12)])
 def test_kronecker_floor_reduction_keeps_the_modulo_bits(dim, count, seed, skip):
-    assert np.array_equal(kronecker_sequence(count, dim, seed=seed, skip=skip),
-                          _kronecker_mod(count, dim, seed=seed, skip=skip))
+    # built column-major, with the bits of the row-major form
+    got = kronecker_sequence(count, dim, seed=seed, skip=skip)
+    assert got.tobytes() == _kronecker_mod(count, dim, seed=seed, skip=skip).tobytes()
+    assert all(got[:, j].flags.c_contiguous for j in range(dim))
+
+
+def test_inv_norm_cdf_of_an_array_equals_its_entries():
+    # the central formula runs on every entry and the tails overwrite theirs;
+    # each entry keeps the value of a one-point call, at the branch ends too
+    ends = [0.02425, 1.0 - 0.02425, 0.0, 1.0, 1e-16, 1.0 - 1e-16, 1e-15, 0.5]
+    grid = np.concatenate([ends, np.linspace(0.0, 1.0, 592)]).reshape(3, -1, order="F")
+    got = geometry._inv_norm_cdf(grid)
+    assert got.shape == grid.shape
+    for index in np.ndindex(grid.shape):
+        assert got[index].tobytes() == geometry._inv_norm_cdf(grid[index]).tobytes()
+
+
+def _row_major_interior(count, n, seed, a, b):
+    """The solid-cone sampler on C-ordered Kronecker rows, with every
+    accepted point gathered and every batch stacked."""
+    height = 1.0 - (1.0 + math.sqrt(2.0)) * b
+    lost = (n * (height - a) * a ** (n - 1) + a ** n) / height ** n if height > a else 1.0
+    accepted, got, attempts = [], 0, 0
+    while got < count:
+        batch = math.ceil((count - got) / (1.0 - lost))
+        u = np.ascontiguousarray(_kronecker_mod(batch, n + 1, seed=seed, skip=attempts))
+        attempts += batch
+        t = b + height * (1.0 - (1.0 - u[:, n]) ** (1.0 / n))
+        rho = (height - (t - b)) * u[:, n - 1] ** (1.0 / (n - 1))
+        ok = rho >= a
+        if n == 2:
+            dirs = np.where(u[ok, :1] < 0.5, -1.0, 1.0)
+        else:
+            g = geometry._inv_norm_cdf(u[ok, : n - 1])
+            dirs = g / np.linalg.norm(g, axis=1)[:, None]
+        accepted.append(np.column_stack([dirs * rho[ok, None], t[ok]]))
+        got += accepted[-1].shape[0]
+    return np.vstack(accepted)[:count], attempts
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("a,b", [(0.0, 0.0), (1e-6, 1e-6), (0.05, 0.01)])
+def test_interior_sample_has_the_bits_of_the_row_major_sampler(n, a, b):
+    # margins 0 accept every point; the Monte-Carlo margins 1e-6 draw a longer
+    # batch; a wide axis margin rejects points and continues the stream
+    count = 5000
+    s = sample_cone_interior(count, n=n, seed=6, exclude_axis_margin=a,
+                             exclude_boundary_margin=b)
+    ref, attempts = _row_major_interior(count, n, 6, a, b)
+    assert s.points.flags.c_contiguous
+    assert s.points.tobytes() == ref.tobytes()
+    assert s.attempts == attempts
+    if a == 0.05:
+        assert s.acceptance_rate < 1.0
 
 
 @pytest.mark.parametrize("n,count,seed", [(2, 64, 0), (3, 257, 4), (4, 1000, 13)])

@@ -385,3 +385,76 @@ def test_describe_round_trips_are_stable():
     assert ModulusFunction.power(0.5).describe() == "power:eps=0.5"
     assert ModulusFunction.iterlog(depth=2, alpha=1.0, n=2).describe() == \
         "iterlog:k=2,alpha=1.0,n=2"
+
+
+# -- the straight-line iterlog kernel -----------------------------------------
+
+_TOWER = (0.0, 1.0, math.e, math.exp(math.e), math.exp(math.exp(math.e)))
+
+
+def _jet_log(jet):
+    """Propagate a jet (value[, first[, second derivative]]) through a logarithm."""
+    f = jet[0]
+    out = [np.log(f)]
+    if len(jet) > 1:
+        out.append(jet[1] / f)
+    if len(jet) > 2:
+        out.append((jet[2] * f - jet[1] * jet[1]) / (f * f))
+    return out
+
+
+def _generic_iterlog_kernel(phi, s=None, u=None, order=1):
+    """The iterlog kernel as the generic jet recurrence, every product kept."""
+    if u is None:
+        u = -np.log(s)
+    A = [0.0] * (order + 1)
+    for j in range(1, phi.depth + 1):
+        a = (1.0 - 1.0 / phi.n) ** (j - 1)
+        beta = phi.alpha if j == phi.depth else 1.0 / phi.n
+        v = (_TOWER[j - 1] + u, 1.0, 0.0)[:order + 1]
+        for _ in range(j - 1):
+            v = _jet_log(v)
+        jet = _jet_log((1.0 + a * v[0], *(a * x for x in v[1:])))
+        A = [acc + beta * x for acc, x in zip(A, jet)]
+    return (np.exp(-A[0]), *A[1:])
+
+
+def _kernel_inputs():
+    """(keyword, array) pairs: 0-d and sizes 1, 4, 24, 16384, special values first.
+
+    At u = 1e200 the curvature of the first factor underflows to -0.0,
+    which the generic sum 0.0 + x turns into +0.0.
+    """
+    special = {"u": [0.0, 1e-300, 745.0, 1e5, 1e200], "s": [1.0, 1e-300, 5e-324, 0.5]}
+    spread = {"u": lambda m: np.geomspace(1e-3, 1e5, m),
+              "s": lambda m: np.geomspace(5e-324, 1.0, m)}
+    for key in ("s", "u"):
+        for value in special[key]:
+            yield key, np.array(value)
+            yield key, np.array([value])
+        for size in (4, 24, 16384):
+            yield key, np.concatenate([special[key], spread[key](size)])[:size]
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_iterlog_kernel_has_the_bits_of_the_generic_recurrence(k, n, alpha):
+    phi = ModulusFunction.iterlog(depth=k, alpha=alpha, n=n)
+    with np.errstate(over="ignore"):
+        for key, x in _kernel_inputs():
+            for order in (0, 1, 2):
+                got = phi._kernel(**{key: x}, order=order)
+                ref = _generic_iterlog_kernel(phi, **{key: x}, order=order)
+                assert len(got) == len(ref) == order + 1
+                for g, r in zip(got, ref):
+                    assert type(g) is type(r)
+                    assert np.asarray(g).tobytes() == np.asarray(r).tobytes()
+
+
+def test_the_plan_holds_the_iterlog_constants():
+    phi = ModulusFunction.iterlog(depth=3, alpha=0.7, n=4)
+    assert phi._plan == ((0.0, 1.0, 0.25, 0), (1.0, 0.75, 0.25, 1),
+                         (math.e, 0.75 ** 2, 0.7, 2))
+    assert phi._plan is phi._plan                   # built once
+    assert ModulusFunction.power(0.5)._plan == ()

@@ -209,3 +209,52 @@ def test_straddle_failure_past_the_first_block_raises():
     with pytest.raises(BracketError, match="no straddle"):
         newton_log(jet, np.zeros(size), 1e-12, "no straddle")
     assert jet.calls > 1               # the first block was solved first
+
+
+@pytest.mark.parametrize("size", [5, _BLOCK + 3])
+def test_solve_leaves_its_upper_ends_unchanged(size):
+    # a jet may read hi (the cone inverse's reads log tau), so no solve writes into it
+    roots, scale = mixed_roots(size, seed=2)
+    hi = np.maximum(roots, _LOG_FLOOR) + 5.0
+    given = hi.copy()
+    newton_log(ScaledJet(roots, scale), hi, 1e-12, "no straddle")
+    assert hi.tobytes() == given.tobytes()
+
+
+def where_jet(phi, rho, log_tau):
+    """The cone inverse's jet with both np.where calls on every evaluation."""
+
+    def jet(u, idx):
+        T = np.exp(u)
+        sigma = T + rho[idx]
+        v = np.maximum(-np.log(sigma), 0.0)
+        p, g = phi.profile_log(v)
+        inner = v > 0
+        log_lam = np.where(inner, np.log(p) + v, 0.0)
+        g = np.where(inner, g, 1.0)
+        return u + log_lam - log_tau[idx], 1.0 - T / sigma * (1.0 - g)
+
+    return jet
+
+
+@pytest.mark.parametrize("phi", [ModulusFunction.iterlog(depth=2, alpha=1.0, n=3),
+                                 ModulusFunction.power(0.5)], ids=lambda p: p.describe())
+def test_cone_inverse_keeps_its_bits_on_the_slant(phi):
+    # points on the slant |y| + tau = 1, and up to 1e-9 past it, evaluate
+    # sigma >= 1, where lambda = g = 1; the inside points skip that branch
+    n = 3
+    rng = np.random.default_rng(4)
+    tau = rng.uniform(1e-6, 0.9, 200)
+    direction = rng.standard_normal((200, n - 1))
+    direction /= np.linalg.norm(direction, axis=1)[:, None]
+    slack = np.where(np.arange(200) % 2 == 0, 0.0, 1e-9)
+    slant = np.column_stack([direction * (1.0 - tau + slack)[:, None], tau])
+    inside = np.column_stack([direction * (0.5 * (1.0 - tau))[:, None], tau])
+    m = ConeMap(phi, n=n)
+    for Y in (slant, inside, np.concatenate([inside, slant])):
+        rho = np.linalg.norm(Y[:, :-1], axis=1)
+        log_tau = np.log(Y[:, -1])
+        ref = newton_log(where_jet(phi, rho, log_tau), log_tau, 1e-12, "no straddle")
+        X = m._solve(Y, rho, 1e-12)
+        assert X[:, -1].tobytes() == ref.tobytes()
+        assert np.array_equal(X[:, :-1], Y[:, :-1])
