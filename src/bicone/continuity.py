@@ -62,8 +62,7 @@ def _norm(rows: np.ndarray, norm: str) -> np.ndarray:
 
 
 def _restrict_for(map_obj) -> str:
-    return "upper" if getattr(map_obj, "domain", "whole_space") == "upper_cone" \
-        else "both"
+    return "upper" if map_obj.domain == "upper_cone" else "both"
 
 
 def _center_row(center, n: int) -> np.ndarray:
@@ -137,7 +136,7 @@ def optimal_modulus(map_obj, center, radius: float, norm: str = "cone",
     is a lower bound of the sup.  The sphere (and the displacement) use the
     requested norm.
     """
-    center = _center_row(center, getattr(map_obj, "n"))
+    center = _center_row(center, map_obj.n)
     return float(np.max(_displacements(map_obj, center, [radius], norm, count,
                                        seed)))
 
@@ -150,7 +149,7 @@ def modulus_profile(map_obj, center, radii, norm: str = "cone",
     monotonized by a running maximum so the estimate keeps that shape (each
     entry remains a valid sampled lower bound of its sup).
     """
-    center = _center_row(center, getattr(map_obj, "n"))
+    center = _center_row(center, map_obj.n)
     radii = np.sort(np.asarray(radii, dtype=float))
     values = _displacements(map_obj, center, radii, norm, count, seed).max(axis=1)
     return ModulusEstimate(center=center, radii=radii,
@@ -175,7 +174,7 @@ def linear_dilatation(map_obj, center, radii, count: int = 256, seed: int = 0,
     n=2 at center (1e-4, 1e-4) the probe at count 256 gives 68.29 at radii
     1e-12 to 1e-8, while the singular values of its Jacobian there give 711.7.
     """
-    center = _center_row(center, getattr(map_obj, "n"))
+    center = _center_row(center, map_obj.n)
     radii = np.sort(np.asarray(radii, dtype=float))
     d = _displacements(map_obj, center, radii, "euclid", count, seed)
     top, bottom = d.max(axis=1), d.min(axis=1)
@@ -208,7 +207,7 @@ def quasi_inverse_check(map_obj, inverse_map, center, radii, norm: str = "euclid
     float floor, as for the logexample radial map at small radii) gets a
     NaN ratio.
     """
-    center = _center_row(center, getattr(map_obj, "n"))
+    center = _center_row(center, map_obj.n)
     probe = center + 0.1 * np.eye(center.size)[-1:]
     round_trip = _norm(np.atleast_2d(inverse_map(map_obj(probe))) - probe, "euclid")
     if float(round_trip.max()) > 1e-6:

@@ -17,9 +17,12 @@ Three map families:
              stress whose inverse is smooth.
 
 All evaluations accept a single point (shape (n,)) or a stack of points
-(shape (m, n)) and return the same shape.  Jacobian formulas are evaluated
-in the convex-combination form D = (1-w) lambda + w phi' with w = t/s, which
-cannot cancel catastrophically since both terms are positive.
+(shape (m, n)) and return the same shape.  Each ConeMap operation has one
+entry point, which checks its rows and takes their |x|; GluedMap and the
+energy estimators call it too.  Jacobian formulas are evaluated in the
+convex-combination form D = (1-w) lambda + w phi' with w = t/s, which
+cannot cancel catastrophically since both terms are positive; the norms
+and K_H are reduced from D and t lambda' only when read.
 """
 
 from __future__ import annotations
@@ -27,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -51,9 +53,7 @@ class DomainError(ValueError):
 
 def _rows(X):
     arr = np.asarray(X, dtype=float)
-    if arr.ndim == 1:
-        return arr[None, :], True
-    return arr, False
+    return np.atleast_2d(arr), arr.ndim == 1
 
 
 def _out(arr, single):
@@ -76,20 +76,53 @@ def _upper_cone_norm(arr):
 class JacobianData:
     """Derivative data of a cone map at one point or a stack of points.
 
-    The norms come from closed forms; ``matrix`` is built on first access,
-    since most callers need only the scalar reductions.
+    DH is the identity but for its last row, (t lambda'(s) x/|x|, D).  The
+    norms, K_H and the matrix are derived from those entries when first
+    read, and cached.  Entries are floats (x one row) for a single point.
     """
 
-    det: np.ndarray | float     # the Jacobian determinant D
-    hs_norm: np.ndarray | float
-    inv_hs_norm: np.ndarray | float
-    inner_distortion: np.ndarray | float
-    _build_matrix: Callable[[], np.ndarray] = field(repr=False, compare=False)
+    det: np.ndarray | float            # D = lambda(s) + t lambda'(s) > 0
+    t_lam_prime: np.ndarray | float    # t lambda'(s) <= 0
+    x: np.ndarray = field(repr=False)  # the horizontal parts of the points
+    rho: np.ndarray | float = field(repr=False)     # |x|
+
+    def _norm(self, square, hypot):
+        """sqrt(square(tl^2, D^2, n - 1)), by hypot where tl^2 + D^2 overflows."""
+        tl, d, n1 = np.atleast_1d(self.t_lam_prime), np.atleast_1d(self.det), self.x.shape[-1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            tl2, d2 = tl ** 2, d ** 2
+            out, big = np.sqrt(square(tl2, d2, n1)), ~np.isfinite(n1 + tl2 + d2)
+        if big.any():                        # D^2 overflows below |x| ~ 1e-157
+            out[big] = hypot(tl[big], d[big], math.sqrt(n1))
+        return float(out[0]) if np.ndim(self.det) == 0 else out
+
+    @cached_property
+    def hs_norm(self) -> np.ndarray | float:
+        """|DH|, the Hilbert-Schmidt norm."""
+        return self._norm(lambda tl2, d2, n1: n1 + tl2 + d2,
+                          lambda tl, d, r: np.hypot(np.hypot(tl, d), r))
+
+    @cached_property
+    def inv_hs_norm(self) -> np.ndarray | float:
+        """|(DH)^-1|, the Hilbert-Schmidt norm of the inverse."""
+        return self._norm(lambda tl2, d2, n1: (1.0 + tl2) / d2 + n1,
+                          lambda tl, d, r: np.hypot(np.hypot(1.0, tl) / d, r))
+
+    @cached_property
+    def inner_distortion(self) -> np.ndarray | float:
+        """K_H = |(DH)^-1|^n det DH."""
+        K = np.atleast_1d(self.inv_hs_norm) ** (self.x.shape[-1] + 1) * self.det
+        return float(K[0]) if np.ndim(self.det) == 0 else K
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """DH as an (n, n) matrix, or (m, n, n) for a stack of points."""
-        return self._build_matrix()
+        x = np.atleast_2d(self.x)
+        matrix = np.tile(np.eye(x.shape[1] + 1), (x.shape[0], 1, 1))
+        matrix[:, -1, :-1] = np.atleast_1d(self.t_lam_prime)[:, None] \
+            * (x / np.atleast_1d(self.rho)[:, None])
+        matrix[:, -1, -1] = self.det
+        return matrix[0] if np.ndim(self.det) == 0 else matrix
 
 
 class ConeMap:
@@ -110,60 +143,36 @@ class ConeMap:
 
     def __call__(self, X):
         arr, single = _rows(X)
-        return _out(self._forward(arr, _upper_cone_norm(arr)), single)
-
-    def _forward(self, arr, rho):
-        """The map on rows of the upper cone whose |x| is ``rho``."""
         t = arr[:, -1]
-        s = rho + t
+        s = _upper_cone_norm(arr) + t
         out = arr.copy()
         pos = s > 0
         if pos.any():
             w = t[pos] / s[pos]
             out[pos, -1] = w * self.phi(s[pos])
-        return out
+        return _out(out, single)
 
     # -- derivative data ----------------------------------------------------
 
     def jacobian(self, X) -> JacobianData:
         arr, single = _rows(X)
-        return self._jacobian(arr, _upper_cone_norm(arr), single)
-
-    def _jacobian(self, arr, rho, single=False) -> JacobianData:
-        """``jacobian`` on rows of the upper cone whose |x| is ``rho``."""
+        rho = _upper_cone_norm(arr)
         t = arr[:, -1]
         s = rho + t
         if np.any(rho <= 0):
             raise DomainError("Jacobian undefined on the vertical axis (x = 0)")
         if np.any(t <= 0) or np.any(s >= 1):
             raise DomainError("Jacobian requested on the boundary of the cone")
-        n = self.n
         w = t / s
         phi, g = self.phi._kernel(s)         # 0 < s < 1: one kernel call
         lam = phi / s
         der = g * phi / s
         det = (1.0 - w) * lam + w * der      # lambda(s) + t lambda'(s), no cancellation
         t_lam_prime = w * (der - lam)        # t * lambda'(s) <= 0
-
-        def build_matrix():
-            matrix = np.tile(np.eye(n), (arr.shape[0], 1, 1))
-            matrix[:, -1, :-1] = t_lam_prime[:, None] * (arr[:, :-1] / rho[:, None])
-            matrix[:, -1, -1] = det
-            return _out(matrix, single)
-
-        with np.errstate(over="ignore", invalid="ignore"):
-            hs = np.sqrt((n - 1) + t_lam_prime ** 2 + det ** 2)
-            inv_hs = np.sqrt((1.0 + t_lam_prime ** 2) / det ** 2 + (n - 1))
-        big = ~(np.isfinite(hs) & np.isfinite(inv_hs))
-        if big.any():       # the squares overflow (|x| near 1e-265): use hypot
-            tl, d, r = t_lam_prime[big], det[big], math.sqrt(n - 1)
-            hs[big] = np.hypot(np.hypot(tl, d), r)
-            inv_hs[big] = np.hypot(np.hypot(1.0, tl) / d, r)
-        K = inv_hs ** n * det
         if single:
-            return JacobianData(float(det[0]), float(hs[0]), float(inv_hs[0]),
-                                float(K[0]), build_matrix)
-        return JacobianData(det, hs, inv_hs, K, build_matrix)
+            return JacobianData(float(det[0]), float(t_lam_prime[0]), arr[0, :-1],
+                                float(rho[0]))
+        return JacobianData(det, t_lam_prime, arr[:, :-1], rho)
 
     # -- inversion -----------------------------------------------------------
 
@@ -194,10 +203,7 @@ class ConeMap:
         Newton step leaves through it.
         """
         arr, single = _rows(Y)
-        return _out(self._solve(arr, _upper_cone_norm(arr), tol), single)
-
-    def _solve(self, arr, rho, tol):
-        """``inverse`` on rows of the upper cone whose |y| is ``rho``."""
+        rho = _upper_cone_norm(arr)
         tau = arr[:, -1]
         out = arr.copy()
         pos = tau > 0
@@ -230,7 +236,7 @@ class ConeMap:
             out[pos, -1] = newton_log(
                 jet, log_tau, tol,
                 "T * lambda(T + |y|) < tau at T = tau: chord slope below 1")
-        return out
+        return _out(out, single)
 
     def inverted(self) -> "InverseView":
         return InverseView(self)
@@ -257,32 +263,24 @@ class GluedMap:
         return f"glued:phi={self.phi.describe()},n={self.n}"
 
     def _piecewise(self, X, upper_fn, lower_fn):
-        """Apply upper_fn(rows, |x|) above the base and its reflection below.
-
-        |x| is taken once here and handed to the branch, which skips the
-        upper-cone check: the rows passed satisfy it by construction.
-        """
+        """Apply upper_fn to the rows above the base and its reflection below."""
         arr, single = _rows(X)
         out = arr.copy()
-        rho = _horizontal_norm(arr)
         t = arr[:, -1]
-        inside = rho + np.abs(t) <= 1.0
+        inside = _horizontal_norm(arr) + np.abs(t) <= 1.0
         up = inside & (t >= 0)
         lo = inside & (t < 0)
         if up.any():
-            out[up] = upper_fn(arr[up], rho[up])
+            out[up] = upper_fn(arr[up])
         if lo.any():
-            out[lo] = reflect(lower_fn(reflect(arr[lo]), rho[lo]))
+            out[lo] = reflect(lower_fn(reflect(arr[lo])))
         return _out(out, single)
 
     def __call__(self, X):
-        return self._piecewise(
-            X, self.cone._forward,
-            lambda Z, rho: self.cone._solve(Z, rho, 1e-12))
+        return self._piecewise(X, self.cone, self.cone.inverse)
 
     def inverse(self, Y, tol: float = 1e-12):
-        return self._piecewise(
-            Y, lambda Z, rho: self.cone._solve(Z, rho, tol), self.cone._forward)
+        return self._piecewise(Y, lambda Z: self.cone.inverse(Z, tol), self.cone)
 
     def inverted(self) -> "InverseView":
         return InverseView(self)
@@ -383,8 +381,8 @@ class InverseView:
 
     def __init__(self, base):
         self.base = base
-        self.n = getattr(base, "n", None)
-        self.domain = getattr(base, "domain", "whole_space")
+        self.n = base.n
+        self.domain = base.domain
 
     def describe(self) -> str:
         return f"inverse({self.base.describe()})"

@@ -24,8 +24,9 @@ of moduli.energy_tail_bound, available for every built-in family, plus a
 first-order term in the elasticity g that integrates exactly; what is left
 is at most (K_n / 2n) g(U) phi(U)^n (see the conformal branch below, with
 K_n = 4/3 at n = 2).  The K_H tail has a majorant decaying like
-e^{-(n-1)U}, because the s^{n-1} factor saves it even when E[phi] barely
-converges.
+e^{-(n-1)U}, because the s^{n-1} factor saves it even where E[phi]
+diverges: the inverse's energy is finite for every admissible phi, and
+only the |DH|^n integral is refused when (C3) fails.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cache
 
 import numpy as np
 
-from .deformations import ConeMap, GluedMap, _upper_cone_norm
+from .deformations import ConeMap, GluedMap
 from .geometry import sample_cone_interior, sphere_surface_area, unit_ball_volume
 from .moduli import (EnergyDivergenceError, ModulusFunction,
                      _doubling_quadrature, _energy_diverges, _gl_panel,
@@ -224,7 +225,9 @@ def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str):
 
 def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
     phi, n = m.phi, m.n
-    if _energy_diverges(phi, n):
+    # E[H] is finite exactly when E[phi] is; the K_H tail needs only the
+    # elasticity floor of _distortion_tail, so E[F] is finite for every phi
+    if kind == "conformal" and _energy_diverges(phi, n):
         raise EnergyDivergenceError(
             f"modulus energy of {phi.describe()} diverges at n={n} "
             "(condition (C3) fails), so the deformation energy is infinite")
@@ -271,10 +274,7 @@ def energy_F_monte_carlo(m: ConeMap, samples: int, seed: int = 0) -> EnergyResul
     batch = sample_cone_interior(samples, n=n, seed=seed,
                                  exclude_axis_margin=_MC_MARGIN,
                                  exclude_boundary_margin=_MC_MARGIN)
-    # F keeps the horizontal part, so |x| of X = F(Y) is the |y| of Y
-    rho = _upper_cone_norm(batch.points)
-    X = m._solve(batch.points, rho, 1e-12)
-    values = m._jacobian(X, rho).inv_hs_norm ** n
+    values = m.jacobian(m.inverse(batch.points)).inv_hs_norm ** n
     vol = unit_ball_volume(n - 1) / n
     mean = float(np.mean(values))
     std_err = float(np.std(values, ddof=1) / math.sqrt(samples)) * vol

@@ -29,7 +29,8 @@ __all__ = [
 ]
 
 
-def _rows(X):
+def _asfloat(X):
+    """X as a float array, and whether it is a single point (1-D)."""
     arr = np.asarray(X, dtype=float)
     return arr, arr.ndim == 1
 
@@ -89,21 +90,20 @@ def _horizontal_norm(arr: np.ndarray) -> np.ndarray:
 
 def cone_norm(X):
     """|x| + |t| for points with coordinates (..., x_{n-1}, t)."""
-    arr, single = _rows(X)
+    arr, single = _asfloat(X)
     out = _horizontal_norm(np.atleast_2d(arr)) + np.abs(arr[..., -1])
     return float(out[0]) if single else out
 
 
 def euclid_norm(X):
-    arr, single = _rows(X)
+    arr, single = _asfloat(X)
     out = _row_norm(arr)
     return float(out) if single else out
 
 
 def reflect(X):
     """Mirror about the base hyperplane: (x, t) -> (x, -t)."""
-    arr, single = _rows(X)
-    out = arr.copy()
+    out = np.array(X, dtype=float)
     out[..., -1] = -out[..., -1]
     return out
 

@@ -67,6 +67,36 @@ def test_instrument_wraps_every_named_boundary_and_restores(spans):
     assert all(after[key] is value for key, value in before.items())
 
 
+def _traced_edges(spans, work):
+    """The (parent span, span) name pairs recorded while ``work`` runs."""
+    tracer = spans.Tracer()
+    restore = spans.instrument(tracer, bicone)
+    try:
+        tracer.recording = True
+        work()
+    finally:
+        tracer.recording = False
+        restore()
+    recorded = tracer.take()
+    return {(recorded[s.parent].name if s.parent >= 0 else None, s.name)
+            for s in recorded}
+
+
+def test_the_trace_sees_the_cone_map_inside_the_glued_map(spans):
+    g = GluedMap(ModulusFunction.iterlog(2, 1.0, 2), n=2)
+    X = np.array([[0.2, 0.3], [0.2, -0.3]])          # one row in each half
+    edges = _traced_edges(spans, lambda: g.inverse(g(X)))
+    assert {("deformations.glued", "deformations.forward"),
+            ("deformations.glued", "deformations.inverse")} <= edges
+
+
+def test_the_trace_sees_the_cone_map_inside_the_monte_carlo_energy(spans):
+    cone = ConeMap(ModulusFunction.iterlog(2, 1.0, 3), n=3)
+    edges = _traced_edges(spans, lambda: bicone.energy_F_monte_carlo(cone, 1000))
+    assert {("energy.mc", "deformations.inverse"),
+            ("energy.mc", "deformations.jacobian")} <= edges
+
+
 @pytest.mark.parametrize("k, n", [(1, 2), (2, 3)])
 def test_maps_build_as_the_harness_builds_them(k, n):
     phi = ModulusFunction.iterlog(k, 1.0, n)

@@ -109,6 +109,20 @@ def test_energy_divergent_exits_one(capsys):
     assert doc["result"]["status"] == "divergent"
 
 
+def test_energy_below_the_threshold_fails_only_forward(capsys):
+    # iterlog k=1, alpha=0.3 at n=2: E[phi] diverges, E[F] = 3.60256706912399
+    # (20-digit mpmath, tests/test_energy.py)
+    phi = "phi=iterlog:k=1,alpha=0.3,n=2"
+    code, out = run(["energy", "--integrand", "inverse", "--map", f"cone:{phi}"], capsys)
+    result = json.loads(out)["result"]
+    assert code == 0 and result["status"] == "converged"
+    assert abs(result["value"] - 3.60256706912399) <= 1e-6 * 3.6
+    for integrand, spec in (("forward", "cone"), ("bi", "glued")):
+        code, out = run(["energy", "--integrand", integrand, "--map", f"{spec}:{phi}"],
+                        capsys)
+        assert code == 1 and json.loads(out)["result"]["status"] == "divergent"
+
+
 def _strict(name):
     raise ValueError(f"non-strict JSON constant {name}")
 

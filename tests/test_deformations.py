@@ -154,19 +154,25 @@ def test_recorded_tiny_point_keeps_its_horizontal_norm():
 _MP_TOWER = (0, 1, mp.e, mp.exp(mp.e))
 
 
+def mp_iterlog_jet(k, alpha, n, s):
+    """phi(s) and its elasticity g = s phi'/phi for iterlog, from the definition."""
+    u = -mp.log(s)
+    log_phi = g = mp.mpf(0)
+    for j in range(1, k + 1):
+        level, slope = _MP_TOWER[j - 1] + u, mp.mpf(1)
+        for _ in range(j - 1):
+            slope /= level
+            level = mp.log(level)
+        a = (1 - mp.mpf(1) / n) ** (j - 1)
+        beta = mp.mpf(alpha) if j == k else mp.mpf(1) / n
+        log_phi -= beta * mp.log1p(a * level)
+        g += beta * a * slope / (1 + a * level)
+    return mp.exp(log_phi), g
+
+
 def mp_iterlog(k, n, s):
     """The alpha = 1 iterlog modulus at mpmath precision, from its definition."""
-    if s >= 1:
-        return s
-    u = -mp.log(s)
-    log_phi = mp.mpf(0)
-    for j in range(1, k + 1):
-        level = _MP_TOWER[j - 1] + u
-        for _ in range(j - 1):
-            level = mp.log(level)
-        beta = mp.mpf(1) / n if j < k else 1
-        log_phi -= beta * mp.log1p((1 - mp.mpf(1) / n) ** (j - 1) * level)
-    return mp.exp(log_phi)
+    return s if s >= 1 else mp_iterlog_jet(k, 1, n, s)[0]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -244,6 +250,76 @@ def test_jacobian_builds_its_matrix_on_first_access():
     one = m.jacobian(X[7])
     assert np.array_equal(one.matrix, jd.matrix[7])
     assert one.inv_hs_norm == jd.inv_hs_norm[7]
+
+
+def test_jacobian_derives_only_what_is_read():
+    m = ConeMap(ModulusFunction.iterlog(depth=2, alpha=1.0, n=3), n=3)
+    jd = m.jacobian(interior(3, 50, seed=6))
+    inv = jd.inv_hs_norm
+    assert not {"hs_norm", "inner_distortion", "matrix"} & set(vars(jd))
+    assert jd.inv_hs_norm is inv
+    assert np.array_equal(jd.inner_distortion, inv ** 3 * jd.det)
+
+
+def mp_jacobian_norms(k, alpha, point):
+    """|DH|, |DH^-1| and K_H at one point, from the matrices in mpmath.
+
+    DH(x, t) = (x, t lambda(s)) is the identity but for its last row, so
+    DH is lower triangular with determinant D and its inverse is the
+    identity but for the last row (-t lambda'(s) x/|x|, 1) / D.
+    """
+    n = len(point)
+    x, t = [mp.mpf(float(c)) for c in point[:-1]], mp.mpf(float(point[-1]))
+    rho = mp.sqrt(mp.fsum(c * c for c in x))
+    s = rho + t
+    phi, g = mp_iterlog_jet(k, alpha, n, s)
+    lam, der = phi / s, g * phi / s
+    t_lam_prime = t / s * (der - lam)           # t lambda'(s), lambda' = (phi' - lambda)/s
+    det = lam + t_lam_prime
+    row = [t_lam_prime * c / rho for c in x]
+    D, D_inv = mp.eye(n), mp.eye(n)
+    for i in range(n - 1):
+        D[n - 1, i], D_inv[n - 1, i] = row[i], -row[i] / det
+    D[n - 1, n - 1], D_inv[n - 1, n - 1] = det, 1 / det
+    assert mp.mnorm(D * D_inv - mp.eye(n), 1) \
+        <= mp.mpf(10) ** -35 * mp.mnorm(D, 1) * mp.mnorm(D_inv, 1)
+
+    def hs(A):
+        return mp.sqrt(mp.fsum(A[i, j] ** 2 for i in range(n) for j in range(n)))
+
+    return hs(D), hs(D_inv), hs(D_inv) ** n * det
+
+
+# (x, t) rows: where only D^2 overflows, where both squares do, and ordinary
+# ones.  A finiteness test on |DH^-1| alone misses the first kind: there
+# (1 + (t lambda')^2) / D^2 underflows to 0 and |DH^-1| reads sqrt(n - 1).
+_JACOBIAN_ROWS = {
+    (2, 2): ([[5e-157, 5e-160]], [[1e-200, 1e-201]], [[0.3, 0.2], [1e-6, 1e-3], [0.5, 1e-9]]),
+    (1, 3): ([[0.6e-158, 0.8e-158, 1e-161]], [[1e-200, 0.0, 1e-201]],
+             [[0.1, 0.2, 0.3], [1e-8, 2e-8, 1e-5], [0.3, -0.4, 1e-7]]),
+}
+
+
+@pytest.mark.parametrize("k,n", sorted(_JACOBIAN_ROWS))
+def test_jacobian_norms_match_a_40_digit_oracle(k, n):
+    m = ConeMap(ModulusFunction.iterlog(depth=k, alpha=1.0, n=n), n=n)
+    det_only, both, ordinary = (np.array(rows) for rows in _JACOBIAN_ROWS[(k, n)])
+    X = np.concatenate([det_only, both, ordinary])
+    jd = m.jacobian(X)
+    with np.errstate(over="ignore"):
+        det2, tl2 = jd.det ** 2, jd.t_lam_prime ** 2
+    assert np.isinf(det2[0]) and np.isfinite(tl2[0])          # the rows are
+    assert np.isinf(det2[1]) and np.isinf(tl2[1])             # of the kinds
+    assert np.all(np.isfinite(det2[2:]) & np.isfinite(tl2[2:]))  # named
+    with mp.workdps(40):
+        for i, x in enumerate(X):
+            one = m.jacobian(x)
+            for got, want in zip(
+                    [(jd.hs_norm[i], one.hs_norm), (jd.inv_hs_norm[i], one.inv_hs_norm),
+                     (jd.inner_distortion[i], one.inner_distortion)],
+                    mp_jacobian_norms(k, 1.0, x)):
+                for value in got:
+                    assert abs(mp.mpf(value) / want - 1) <= 1e-13
 
 
 def test_jacobian_rejects_degenerate_points():
@@ -343,7 +419,7 @@ def test_glued_lower_branch_relative_round_trip(n):
 
 
 @pytest.mark.parametrize("n", [2, 3])
-def test_glued_map_takes_one_norm_per_call(n, monkeypatch):
+def test_glued_map_takes_one_norm_per_call_and_branch(n, monkeypatch):
     g = GluedMap(ModulusFunction.iterlog(depth=2, alpha=1.0, n=n), n=n)
     rng = np.random.default_rng(4)
     X = rng.uniform(-1.2, 1.2, size=(2000, n)) * 10.0 ** rng.uniform(-300, 0, (2000, 1))
@@ -352,7 +428,8 @@ def test_glued_map_takes_one_norm_per_call(n, monkeypatch):
     up, lo = X[:, -1] >= 0, X[:, -1] < 0
     inside = cone_norm(X) <= 1.0
     assert (inside & up).sum() > 100 and (inside & lo).sum() > 100
-    # the reference takes |x| in cone_norm and again in each public branch
+    # the glued map takes |x| of all rows to split them, and each branch
+    # (the public cone map or inverse) takes it again of its own rows only
     expected = {}
     for name, upper, lower in (("map", g.cone, g.cone.inverse),
                                ("inverse", g.cone.inverse, g.cone)):
@@ -369,7 +446,8 @@ def test_glued_map_takes_one_norm_per_call(n, monkeypatch):
     monkeypatch.setattr("bicone.deformations._horizontal_norm", counted)
     assert np.array_equal(g(X), expected["map"])
     assert np.array_equal(g.inverse(X), expected["inverse"])
-    assert calls == [X.shape, X.shape]
+    split = [X.shape, ((inside & up).sum(), n), ((inside & lo).sum(), n)]
+    assert calls == split + split
 
 
 def test_glued_continuity_across_slant():

@@ -351,12 +351,38 @@ def test_monte_carlo_rejects_tiny_sample_counts():
 
 # -- divergence and ratios -----------------------------------------------------
 
+def mp_inverse_energy_depth1(alpha):
+    """int K_H over the upper cone for iterlog k=1 at n = 2, 20 digits.
+
+    phi = (1 + u)^-alpha and g = alpha / (1 + u).  With z = 1 - w(1-g) the
+    reduced integrand s (s^2 + R^2 + P^2) / P is
+    (s/phi) (s^2 + phi^2 ((1-z)^2 + z^2)) / z, whose w integral is closed:
+    s / (phi (1-g)) (s^2 log(1/g) + phi^2 (log(1/g) - (1-g)^2)).
+    """
+    with mp.workdps(20):
+        alpha = mp.mpf(alpha)
+
+        def integrand(u):
+            s, phi, g = mp.exp(-u), (1 + u) ** -alpha, alpha / (1 + u)
+            log_g = -mp.log(g)
+            return s / (phi * (1 - g)) * (s * s * log_g + phi * phi * (log_g - (1 - g) ** 2))
+
+        return 2 * mp.quad(integrand, [0, 1, 4, 16, 64, 256, mp.inf])
+
+
 def test_divergent_modulus_raises():
     m = cone_map("iterlog", depth=1, alpha=0.4)
     with pytest.raises(EnergyDivergenceError):
         conformal_energy_H(m, tol=1e-6)
-    with pytest.raises(EnergyDivergenceError):
-        inner_distortion_integral(m, tol=1e-6)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.4])
+def test_inverse_energy_is_finite_below_the_energy_threshold(alpha):
+    # n alpha <= 1: E[phi] and E[H] diverge, but E[F] = int K_H does not
+    tol = 1e-8
+    r = inner_distortion_integral(cone_map("iterlog", depth=1, alpha=alpha), tol=tol)
+    assert r.status == "converged"
+    assert abs(r.value / mp_inverse_energy_depth1(alpha) - 1) <= tol
 
 
 @pytest.mark.parametrize("family,kw", [
