@@ -41,18 +41,20 @@ def main(argv=None) -> int:
     print(f"{'family':>24} {'E[phi]':>12} {'E_forward':>12} "
           f"{'K integral':>12} {'glued total':>12} {'mc inverse':>22}")
     for phi in families(args.n):
-        name = phi.describe()
+        # E[F] is finite for every family, so the inverse columns always print
+        m = ConeMap(phi, n=args.n)
+        ek = inner_distortion_integral(m, tol=args.tol).value
+        mc = energy_F_monte_carlo(m, samples=args.samples, seed=args.seed)
         try:
             e1 = modulus_energy(phi, n=args.n)
-            m = ConeMap(phi, n=args.n)
             eh = conformal_energy_H(m, tol=args.tol).value
-            ek = inner_distortion_integral(m, tol=args.tol).value
-            mc = energy_F_monte_carlo(m, samples=args.samples, seed=args.seed)
-            print(f"{name:>24} {e1:12.6f} {eh:12.6f} {ek:12.6f} "
-                  f"{2 * (eh + ek):12.6f} {mc.value:12.6f} "
-                  f"+-{mc.error_estimate:.1e}")
+            cols = (f"{e1:12.6f}", f"{eh:12.6f}", f"{ek:12.6f}",
+                    f"{2 * (eh + ek):12.6f}")
         except EnergyDivergenceError:
-            print(f"{name:>24} {'divergent':>12}")
+            cols = (f"{'divergent':>12}", f"{'divergent':>12}", f"{ek:12.6f}",
+                    f"{'divergent':>12}")
+        print(f"{phi.describe():>24} {' '.join(cols)} {mc.value:12.6f} "
+              f"+-{mc.error_estimate:.1e}")
     return 0
 
 

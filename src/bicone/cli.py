@@ -8,16 +8,20 @@ Spec strings:
                    or a plain comma-separated list of radii
   points           comma-separated coordinates; semicolons separate rows
 
-Every run echoes its fully resolved configuration (defaults included) into
-the output header, so outputs are self-describing and byte-identical under
-replay with the same seed.  Exit status: 0 all-pass, 1 verification or
-numerical failure (the failing report is still emitted), 2 usage error
-(a malformed spec, or a numeric option outside its usable values).
+Each command, and each verify suite, accepts only the options it reads.
+Every run echoes those, fully resolved (defaults included), into the output
+header, so outputs are self-describing and byte-identical under replay with
+the same seed.  Exit status: 0 all-pass, 1 verification or numerical
+failure (the failing report is still emitted), 2 usage error (an option
+the command does not read, a malformed spec, or a numeric option outside
+its usable values).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import functools
 import json
 import math
@@ -32,7 +36,7 @@ from .deformations import ConeMap, GluedMap, RadialMap
 from .energy import (_MC_MIN_SAMPLES, biconformal_energy, conformal_energy_H,
                      energy_F_monte_carlo, inner_distortion_integral)
 from .moduli import EnergyDivergenceError, ModulusFunction, check_admissibility
-from .reports import SCHEMA_VERSION, VerificationReport, _jsonable
+from .reports import SCHEMA_VERSION, _jsonable
 
 
 class SpecError(ValueError):
@@ -56,6 +60,19 @@ def _no_extras(name: str, kv: dict) -> None:
         raise SpecError(f"{name} spec has unknown parameters {sorted(kv)}")
 
 
+@contextlib.contextmanager
+def _spec_errors(what: str, name: str, spec: str):
+    """Turn a constructor's KeyError, TypeError or ValueError into a SpecError."""
+    try:
+        yield
+    except KeyError as missing:
+        raise SpecError(f"{what} {name!r} is missing parameter {missing}") from None
+    except SpecError:
+        raise
+    except (TypeError, ValueError) as bad:        # a constructor's range check
+        raise SpecError(f"bad {what} spec {spec!r}: {bad}") from None
+
+
 def parse_family(spec: str) -> ModulusFunction:
     """Parse a modulus-family spec; its n= (2 if absent) is the family's dimension."""
     name, colon, body = spec.partition(":")
@@ -64,7 +81,7 @@ def parse_family(spec: str) -> ModulusFunction:
         body = extra + ("," + body if colon else "")
     kv = _parse_kv(body)
     n_given = "n" in kv
-    try:
+    with _spec_errors("family", name, spec):
         n = int(kv.pop("n", 2))
         if name == "identity":
             if kv:
@@ -81,19 +98,13 @@ def parse_family(spec: str) -> ModulusFunction:
             if not n_given:
                 raise SpecError("iterlog needs n=, e.g. iterlog:k=2,alpha=1,n=2")
             return ModulusFunction.iterlog(depth=depth, alpha=alpha, n=n)
-    except KeyError as missing:
-        raise SpecError(f"family {name!r} is missing parameter {missing}") from None
-    except SpecError:
-        raise
-    except (TypeError, ValueError) as bad:        # a constructor's range check
-        raise SpecError(f"bad family spec {spec!r}: {bad}") from None
     raise SpecError(f"unknown family {name!r} (identity, power, iterlog)")
 
 
 def parse_map(spec: str):
     """Parse a map spec into a ConeMap, GluedMap, or RadialMap."""
     kind, _, rest = spec.partition(":")
-    try:
+    with _spec_errors("map", kind, spec):
         if kind in ("cone", "glued"):
             if not rest.startswith("phi="):
                 raise SpecError(f"{kind} map needs phi=<family>, got {spec!r}")
@@ -112,12 +123,6 @@ def parse_map(spec: str):
                 _no_extras("radial:logexample", kv)
                 return RadialMap("logexample", beta=beta, n=n)
             raise SpecError(f"unknown radial kind {sub!r} (power, logexample)")
-    except KeyError as missing:
-        raise SpecError(f"map {kind!r} is missing parameter {missing}") from None
-    except SpecError:
-        raise
-    except (TypeError, ValueError) as bad:        # a constructor's range check
-        raise SpecError(f"bad map spec {spec!r}: {bad}") from None
     raise SpecError(f"unknown map kind {kind!r} (cone, glued, radial)")
 
 
@@ -220,18 +225,6 @@ def _write(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _report_result(args, report: VerificationReport) -> int:
-    if args.out == "csv":
-        rows = [(c.condition, "pass" if c.passed else "fail",
-                 "" if c.measured_constant is None else float(c.measured_constant),
-                 "" if c.tolerance is None else float(c.tolerance))
-                for c in report.checks]
-        _emit_csv(args, ["condition", "status", "measured", "tolerance"], rows)
-    else:
-        _emit_json(args, report.to_dict())
-    return 0 if report.passed else 1
-
-
 # -- subcommands -----------------------------------------------------------
 
 def _cmd_modulus(args) -> int:
@@ -243,12 +236,7 @@ def _cmd_modulus(args) -> int:
         _emit_csv(args, ["radius", "value"],
                   list(zip(est.radii.tolist(), est.values.tolist())))
     else:
-        _emit_json(args, {"center": est.center.tolist(),
-                          "radii": est.radii.tolist(),
-                          "values": est.values.tolist(),
-                          "norm_used": est.norm_used,
-                          "samples_per_radius": est.samples_per_radius,
-                          "seed": est.seed})
+        _emit_json(args, dataclasses.asdict(est))
     return 0
 
 
@@ -274,38 +262,54 @@ def _cmd_energy(args) -> int:
     except EnergyDivergenceError as diverged:
         _emit_json(args, {"status": "divergent", "detail": str(diverged)})
         return 1
-    _emit_json(args, {"status": res.status, "value": res.value,
-                      "error_estimate": res.error_estimate,
-                      "method": res.method,
-                      "samples_or_nodes": res.samples_or_nodes,
-                      "seed": res.seed})
+    _emit_json(args, dataclasses.asdict(res))
     return 0 if res.status in ("converged", "estimated") else 1
 
 
+# Each suite: its help, its run (called with the args and the parsed --phi)
+# and the options it reads.  The runs look the library functions up in this
+# module's globals when called, so a wrapper patched in there is seen.
+_SUITES = {
+    "conditions": ("the admissibility conditions (C1)-(C4) of phi",
+                   lambda a, phi: check_admissibility(phi), ()),
+    "main-theorem": (
+        "the glued pair's fixed origin, identity regions, optimal moduli "
+        "phi(r) and axis images",
+        lambda a, phi: verify_main_theorem(
+            GluedMap(phi), radii=parse_radii(a.radii) if a.radii else None,
+            count=a.count, seed=a.seed),
+        ("radii", "count", "seed")),
+    "global-h": ("|H(X) - H(X')| <= 4 phi(|X - X'|) on random cone pairs",
+                 lambda a, phi: verify_global_modulus_H(
+                     ConeMap(phi), pairs=a.pairs, seed=a.seed), ("pairs", "seed")),
+    "global-f": ("the 3 M phi modulus of F = H^-1 near the origin, on random pairs",
+                 lambda a, phi: verify_global_modulus_F(
+                     ConeMap(phi), pairs=a.pairs, seed=a.seed), ("pairs", "seed")),
+    "averaging": ("the averaging inequality for phi' and its equality case",
+                  lambda a, phi: verify_averaging(
+                      phi, pairs=a.pairs, seed=a.seed, tol=a.tol),
+                  ("pairs", "seed", "tol")),
+}
+_SUITE_OPTIONS = {"radii": {"default": None},
+                  "count": {"type": int, "default": 512},
+                  "pairs": {"type": int, "default": 100_000},
+                  "seed": {"type": int, "default": 0},
+                  "tol": {"type": float, "default": 1e-10}}
+
+
 def _cmd_verify(args) -> int:
-    if args.suite in ("main-theorem", "conditions", "global-h", "global-f",
-                      "averaging"):
-        if not args.phi:
-            raise SpecError(f"verify {args.suite} needs --phi")
-        phi = parse_family(args.phi)
-    if args.suite == "conditions":
-        report = check_admissibility(phi)
-    elif args.suite == "main-theorem":
-        radii = parse_radii(args.radii) if args.radii else None
-        report = verify_main_theorem(GluedMap(phi), radii=radii,
-                                     count=args.count, seed=args.seed)
-    elif args.suite == "global-h":
-        report = verify_global_modulus_H(ConeMap(phi), pairs=args.pairs,
-                                         seed=args.seed)
-    elif args.suite == "global-f":
-        report = verify_global_modulus_F(ConeMap(phi), pairs=args.pairs,
-                                         seed=args.seed)
-    elif args.suite == "averaging":
-        report = verify_averaging(phi, pairs=args.pairs, seed=args.seed,
-                                  tol=args.tol)
+    if not args.phi:
+        raise SpecError(f"verify {args.suite} needs --phi")
+    report = _SUITES[args.suite][1](args, parse_family(args.phi))
+    if args.out == "csv":
+        rows = [(c.condition, "pass" if c.passed else "fail",
+                 "" if c.measured_constant is None else float(c.measured_constant),
+                 "" if c.tolerance is None else float(c.tolerance))
+                for c in report.checks]
+        _emit_csv(args, ["condition", "status", "measured", "tolerance"], rows)
     else:
-        raise SpecError(f"unknown suite {args.suite!r}")
-    return _report_result(args, report)
+        _emit_json(args, report.to_dict())
+    return 0 if report.passed else 1
 
 
 def _cmd_dilatation(args) -> int:
@@ -318,10 +322,7 @@ def _cmd_dilatation(args) -> int:
         _emit_csv(args, ["radius", "ratio"],
                   list(zip(est.radii.tolist(), est.ratios.tolist())))
     else:
-        _emit_json(args, {"center": est.center.tolist(),
-                          "radii": est.radii.tolist(),
-                          "ratios": est.ratios.tolist(),
-                          "verdict": est.verdict})
+        _emit_json(args, dataclasses.asdict(est))
     return 0
 
 
@@ -346,6 +347,8 @@ def _cmd_eval(args) -> int:
             _emit_json(args, {"columns": header, "rows": rows})
         return 0
     if args.map:
+        if args.out == "csv":
+            raise SpecError("eval --map prints JSON only; --out csv needs --phi")
         m = parse_map(args.map)
         pts = parse_points(args.points, m.n)
         img = np.atleast_2d(m(pts))
@@ -363,64 +366,59 @@ def build_parser() -> argparse.ArgumentParser:
                     "of continuity: moduli, energies, verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=0):
-        p.add_argument("--out", choices=("json", "csv"), default="json")
+    def command(name, func, summary, *, out=True, seed=None, parent=sub):
+        p = parent.add_parser(name, help=summary, allow_abbrev=False)
+        if out:
+            p.add_argument("--out", choices=("json", "csv"), default="json")
         p.add_argument("--output", default=None, metavar="PATH")
-        p.add_argument("--seed", type=int, default=seed)
+        if seed is not None:
+            p.add_argument("--seed", type=int, default=seed)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("modulus", help="sampled modulus of continuity profile")
+    p = command("modulus", _cmd_modulus, "sampled modulus of continuity profile",
+                seed=1)
     p.add_argument("--map", required=True)
     p.add_argument("--center", default="0")
     p.add_argument("--radii", default="log:1e-6..1")
     p.add_argument("--norm", choices=("cone", "euclid"), default="cone")
     p.add_argument("--count", type=int, default=4096)
-    common(p, seed=1)
-    p.set_defaults(func=_cmd_modulus)
 
-    p = sub.add_parser("energy", help="conformal/distortion energy of a map")
+    p = command("energy", _cmd_energy, "conformal/distortion energy of a map",
+                out=False, seed=42)
     p.add_argument("--map", required=True)
     p.add_argument("--method", choices=("quad", "mc"), default="quad")
     p.add_argument("--integrand", choices=("forward", "inverse", "bi"),
                    default="forward")
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--samples", type=float, default=1e6)
-    common(p, seed=42)
-    p.set_defaults(func=_cmd_energy)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("suite", choices=("conditions", "main-theorem", "global-h",
-                                     "global-f", "averaging"))
-    p.add_argument("--phi", default=None)
-    p.add_argument("--radii", default=None)
-    p.add_argument("--count", type=int, default=512)
-    p.add_argument("--pairs", type=int, default=100_000)
-    p.add_argument("--tol", type=float, default=1e-10)
-    common(p)
-    p.set_defaults(func=_cmd_verify)
+    suites = sub.add_parser("verify", help="run a verification suite").add_subparsers(
+        dest="suite", required=True)
+    for name, (summary, _, options) in _SUITES.items():
+        p = command(name, _cmd_verify, summary, parent=suites)
+        p.add_argument("--phi", default=None)
+        for option in options:
+            p.add_argument(f"--{option}", **_SUITE_OPTIONS[option])
 
-    p = sub.add_parser("dilatation", help="linear dilatation probe")
+    p = command("dilatation", _cmd_dilatation, "linear dilatation probe", seed=0)
     p.add_argument("--map", required=True)
     p.add_argument("--center", default="0")
     p.add_argument("--radii", default="log:1e-10..0.1")
     p.add_argument("--count", type=int, default=256)
     p.add_argument("--threshold", type=float, default=1e3)
-    common(p)
-    p.set_defaults(func=_cmd_dilatation)
 
-    p = sub.add_parser("invert", help="apply the inverse map to points")
+    p = command("invert", _cmd_invert, "apply the inverse map to points", out=False)
     p.add_argument("--map", required=True)
     p.add_argument("--point", required=True)
     p.add_argument("--tol", type=float, default=1e-12,
                    help="relative residual at which the inverse's root solve stops")
-    common(p)
-    p.set_defaults(func=_cmd_invert)
 
-    p = sub.add_parser("eval", help="evaluate a family or a map pointwise")
+    p = command("eval", _cmd_eval, "evaluate a family (JSON or CSV) or a map "
+                "(JSON) pointwise")
     p.add_argument("--phi", default=None)
     p.add_argument("--map", default=None)
     p.add_argument("--points", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_eval)
     return parser
 
 

@@ -136,9 +136,6 @@ class ConeMap:
         if self.n < 2:
             raise ValueError("dimension must be >= 2")
 
-    def describe(self) -> str:
-        return f"cone:phi={self.phi.describe()},n={self.n}"
-
     # -- evaluation --------------------------------------------------------
 
     def __call__(self, X):
@@ -259,9 +256,6 @@ class GluedMap:
         self.phi = self.cone.phi
         self.n = self.cone.n
 
-    def describe(self) -> str:
-        return f"glued:phi={self.phi.describe()},n={self.n}"
-
     def _piecewise(self, X, upper_fn, lower_fn):
         """Apply upper_fn to the rows above the base and its reflection below."""
         arr, single = _rows(X)
@@ -318,11 +312,6 @@ class RadialMap:
                 raise ValueError("logexample stress needs beta > 1/n")
             self.beta = beta
             self.eps = None
-
-    def describe(self) -> str:
-        if self.kind == "power":
-            return f"radial:power:eps={self.eps}"
-        return f"radial:logexample:beta={self.beta},n={self.n}"
 
     def stress(self, rho):
         rho = np.asarray(rho, dtype=float)
@@ -383,9 +372,6 @@ class InverseView:
         self.base = base
         self.n = base.n
         self.domain = base.domain
-
-    def describe(self) -> str:
-        return f"inverse({self.base.describe()})"
 
     def __call__(self, X):
         return self.base.inverse(X)

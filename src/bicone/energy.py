@@ -179,7 +179,7 @@ def _distortion_tail(phi: ModulusFunction, n: int, U: float) -> float:
     sigma = math.exp(-U) / phi_U
     C = (4.0 * (sigma ** 2 + 1.0) + (n - 1)) ** (n / 2.0)
     m = n - 1
-    if phi.eps is not None:
+    if phi.family != "iterlog":
         poly = phi.eps ** (1 - n) / m
     else:
         c0 = phi.alpha if phi.depth == 1 else 1.0 / n

@@ -79,6 +79,10 @@ def _scalar_out(arr, scalar):
     return float(arr) if scalar else arr
 
 
+# The parameters each family owns; constructing one with another's is an error.
+_OWN_FIELDS = {"identity": ("eps",), "power": ("eps",), "iterlog": ("depth", "alpha")}
+
+
 @dataclass(frozen=True)
 class ModulusFunction:
     """One modulus of continuity with closed-form calculus where available.
@@ -86,7 +90,8 @@ class ModulusFunction:
     ``n`` is the ambient dimension the modulus is built for; it fixes the
     iterlog coefficients a_j = (1 - 1/n)^(j-1) and is the default exponent of
     the energy integral.  The identity carries eps = 1, the power family's
-    end point, and shares its kernel.
+    end point, and shares its kernel.  A parameter another family owns is
+    rejected.
     """
 
     family: str
@@ -96,11 +101,17 @@ class ModulusFunction:
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.family not in ("identity", "power", "iterlog"):
+        if self.family not in _OWN_FIELDS:
             raise ValueError(f"unknown modulus family {self.family!r}")
         if not (isinstance(self.n, int) and self.n >= 2):
             raise ValueError("dimension n must be an integer >= 2")
+        stray = [f for f in ("eps", "depth", "alpha")
+                 if f not in _OWN_FIELDS[self.family] and getattr(self, f) is not None]
+        if stray:
+            raise ValueError(f"the {self.family} family takes no {', '.join(stray)}")
         if self.family == "identity":
+            if self.eps not in (None, 1.0):
+                raise ValueError("the identity is the power family at eps = 1")
             object.__setattr__(self, "eps", 1.0)
         if self.family == "power":
             if self.eps is None or not (0.0 < self.eps <= 1.0):
@@ -490,7 +501,7 @@ def energy_tail_bound(phi: ModulusFunction, n: int, U: float) -> tuple[float, fl
     panels resolve the integral to that level (checked against a 40-digit
     oracle).
     """
-    if phi.eps is not None:                  # power, and the identity at eps = 1
+    if phi.family != "iterlog":              # power, and the identity at eps = 1
         rate = n * phi.eps
         return math.exp(-rate * U) / rate, 0.0
     na = n * phi.alpha

@@ -13,11 +13,13 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 SCHEMA_VERSION = 1
 
 
 def _jsonable(value):
-    """Coerce numpy scalars / non-finite floats into JSON-friendly values."""
+    """Coerce numpy arrays and scalars and non-finite floats into JSON values."""
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
@@ -30,6 +32,8 @@ def _jsonable(value):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if isinstance(value, np.ndarray):
+        return _jsonable(value.tolist())
     try:
         return _jsonable(float(value))
     except (TypeError, ValueError):

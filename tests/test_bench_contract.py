@@ -97,6 +97,22 @@ def test_the_trace_sees_the_cone_map_inside_the_monte_carlo_energy(spans):
             ("energy.mc", "deformations.jacobian")} <= edges
 
 
+@pytest.mark.parametrize("suite, span", [
+    ("conditions", "moduli.check_admissibility"),
+    ("main-theorem", "continuity.verify_main_theorem"),
+    ("global-h", "continuity.verify_global_modulus_H"),
+    ("global-f", "continuity.verify_global_modulus_F"),
+    ("averaging", "continuity.verify_averaging")])
+def test_the_trace_sees_each_verify_suite_under_the_cli(spans, suite, span, capsys):
+    # the suites' runs must look the library functions up when called
+    argv = ["verify", suite, "--phi", "iterlog:k=1,alpha=1,n=2"]
+    argv += {"main-theorem": ["--count", "8", "--radii", "0.1,0.5"],
+             "conditions": []}.get(suite, ["--pairs", "20"])
+    edges = _traced_edges(spans, lambda: bicone.cli.main(argv))
+    assert ("cli.main", span) in edges
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("k, n", [(1, 2), (2, 3)])
 def test_maps_build_as_the_harness_builds_them(k, n):
     phi = ModulusFunction.iterlog(k, 1.0, n)

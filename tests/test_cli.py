@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -334,12 +335,57 @@ def test_non_finite_input_is_a_usage_error(argv, capsys):
     ("identity takes no parameters", ["energy", "--map", "cone:phi=identity:eps=1"]),
     ("bad family spec 'power:eps=2': power family needs eps",
      ["energy", "--map", "cone:phi=power:eps=2"]),
-    ("iterlog needs n=", ["verify", "conditions", "--phi", "iterlog:k=2"])])
+    ("iterlog needs n=", ["verify", "conditions", "--phi", "iterlog:k=2"]),
+    ("eval --map prints JSON only",
+     ["eval", "--map", "cone:phi=identity", "--points", "0.3,0.1", "--out", "csv"])])
 def test_malformed_requests_are_usage_errors(message, argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"bicone: error: {message}")
+
+
+PHI = "iterlog:k=2,alpha=1,n=2"
+
+
+@pytest.mark.parametrize("argv", [
+    ["energy", "--map", f"cone:phi={PHI}", "--out", "csv"],
+    ["invert", "--map", f"cone:phi={PHI}", "--point", "0.3,0.1", "--seed", "1"],
+    ["eval", "--phi", PHI, "--points", "0.1", "--seed", "1"],
+    ["verify", "conditions", "--phi", PHI, "--seed", "1"],
+    ["verify", "main-theorem", "--phi", PHI, "--pairs", "5"],
+    ["verify", "global-h", "--phi", PHI, "--tol", "1e-3"],
+    ["verify", "averaging", "--phi", PHI, "--count", "5"],
+    ["modulus", "--map", f"glued:phi={PHI}", "--coun", "8"]])
+def test_an_option_the_command_does_not_read_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        main(argv)
+    assert e.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("suite, read", [
+    ("conditions", []), ("main-theorem", ["count", "radii", "seed"]),
+    ("global-h", ["pairs", "seed"]), ("global-f", ["pairs", "seed"]),
+    ("averaging", ["pairs", "seed", "tol"])])
+def test_verify_echoes_only_the_options_its_suite_reads(suite, read):
+    args = cli.build_parser().parse_args(["verify", suite, "--phi", PHI])
+    assert sorted(cli._config_echo(args)) == sorted(["command", "suite", "phi", *read])
+
+
+def _readme_cli_examples():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("bicone ")]
+
+
+def test_every_readme_cli_example_exits_0(capsys):
+    examples = _readme_cli_examples()
+    assert len(examples) == 10
+    for argv in examples:
+        assert main(argv) == 0, argv
+        assert capsys.readouterr().out, argv
 
 
 GLUED = "glued:phi=iterlog:k=1,alpha=1,n=2"

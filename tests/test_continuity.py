@@ -157,11 +157,14 @@ def test_quasi_inverse_probes_the_inverse_at_the_image_point():
 def _sweep_maps():
     """(map, radius grid); the logexample inverse underflows below ~6e-3."""
     radii = np.geomspace(1e-9, 0.5, 7)
-    maps = [(GluedMap(ModulusFunction.iterlog(depth=k, alpha=1.0, n=2), n=2),
-             radii) for k in (1, 2, 3)]
-    return maps + [(RadialMap("power", eps=0.5, n=2), radii),
-                   (RadialMap("logexample", beta=1.0, n=2),
-                    np.geomspace(1e-2, 0.5, 7))]
+    maps = [pytest.param(GluedMap(ModulusFunction.iterlog(depth=k, alpha=1.0, n=2), n=2),
+                         radii, id=f"glued:phi=iterlog:k={k},alpha=1.0,n=2,n=2")
+            for k in (1, 2, 3)]
+    return maps + [pytest.param(RadialMap("power", eps=0.5, n=2), radii,
+                                id="radial:power:eps=0.5"),
+                   pytest.param(RadialMap("logexample", beta=1.0, n=2),
+                                np.geomspace(1e-2, 0.5, 7),
+                                id="radial:logexample:beta=1.0,n=2")]
 
 
 def _sphere_displacements(map_obj, center, r, norm):
@@ -174,8 +177,7 @@ def _sphere_displacements(map_obj, center, r, norm):
 
 @pytest.mark.parametrize("center", [(0.0, 0.0), (0.05, -0.02)],
                          ids=["origin", "off-axis"])
-@pytest.mark.parametrize("m,radii", _sweep_maps(),
-                         ids=[m.describe() for m, _ in _sweep_maps()])
+@pytest.mark.parametrize("m,radii", _sweep_maps())
 def test_stacked_sweeps_equal_per_radius_sweeps(m, radii, center):
     center = np.array(center)
     sup = {norm: np.array([optimal_modulus(m, center, r, norm, 64, 5)

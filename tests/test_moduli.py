@@ -40,6 +40,20 @@ def test_parameter_validation():
         ModulusFunction.iterlog(depth=2, alpha=1.5, n=2)
 
 
+@pytest.mark.parametrize("family, stray", [
+    ("identity", {"eps": 0.5}), ("identity", {"depth": 1}), ("identity", {"alpha": 1.0}),
+    ("power", {"depth": 1}), ("power", {"alpha": 1.0}),
+    ("iterlog", {"eps": 0.5})])
+def test_a_field_of_another_family_is_rejected(family, stray):
+    # an iterlog carrying eps used to take the power tail bound and certify
+    # E[phi] = 2/3 at n = 3, where the iterlog value is 1/2
+    own = {"identity": {}, "power": {"eps": 0.5},
+           "iterlog": {"depth": 1, "alpha": 1.0}}[family]
+    ModulusFunction(family=family, n=3, **own)
+    with pytest.raises(ValueError):
+        ModulusFunction(family=family, n=3, **own, **stray)
+
+
 @pytest.mark.parametrize("phi", admissible_families())
 def test_endpoints_and_identity_tail(phi):
     assert phi(0.0) == 0.0

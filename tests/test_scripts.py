@@ -22,3 +22,11 @@ def test_script_runs(script, args):
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip()
+    if script == "energy_table.py":
+        # E[phi] diverges for iterlog k=1, alpha=0.4 at n=2, but E[F] is
+        # finite: its row prints the K integral and the MC estimate
+        row = next(line for line in done.stdout.splitlines()
+                   if "alpha=0.4" in line).split()
+        assert row[1:3] == ["divergent", "divergent"] and row[4] == "divergent"
+        assert abs(float(row[3]) - 3.121393) <= 1e-5
+        assert abs(float(row[5]) - float(row[3])) <= 5 * float(row[6].lstrip("+-"))
