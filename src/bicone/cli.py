@@ -8,7 +8,7 @@ Spec strings:
                    or a plain comma-separated list of radii
   points           comma-separated coordinates; semicolons separate rows
 
-Each command, and each verify suite, accepts only the options it reads.
+Each command, verify suite and energy method accepts only its own options.
 Every run echoes those, fully resolved (defaults included), into the output
 header, so outputs are self-describing and byte-identical under replay with
 the same seed.  Exit status: 0 all-pass, 1 verification or numerical
@@ -240,7 +240,19 @@ def _cmd_modulus(args) -> int:
     return 0
 
 
+# Each energy method's options and defaults.  The energy parser takes them all
+# unset; _cmd_energy refuses another method's and fills in its own method's.
+_ENERGY_METHODS = {"quad": {"tol": 1e-6}, "mc": {"samples": 1e6, "seed": 42}}
+_ENERGY_OPTIONS = [option for options in _ENERGY_METHODS.values() for option in options]
+
+
 def _cmd_energy(args) -> int:
+    own = _ENERGY_METHODS[args.method]
+    stray = [o for o in _ENERGY_OPTIONS if o in vars(args) and o not in own]
+    if stray:
+        raise SpecError(f"--method {args.method} does not read --{stray[0]}")
+    for option, default in own.items():
+        vars(args).setdefault(option, default)
     m = parse_map(args.map)
     if args.integrand == "bi" and not isinstance(m, GluedMap):
         raise SpecError("--integrand bi needs a glued: map")
@@ -266,35 +278,32 @@ def _cmd_energy(args) -> int:
     return 0 if res.status in ("converged", "estimated") else 1
 
 
-# Each suite: its help, its run (called with the args and the parsed --phi)
-# and the options it reads.  The runs look the library functions up in this
-# module's globals when called, so a wrapper patched in there is seen.
+# Each suite: its help, its run (called with the args and the parsed --phi;
+# it looks the library functions up in this module's globals, so a wrapper
+# patched in there is seen) and its options besides --phi and --out.
 _SUITES = {
     "conditions": ("the admissibility conditions (C1)-(C4) of phi",
-                   lambda a, phi: check_admissibility(phi), ()),
+                   lambda a, phi: check_admissibility(phi), {}),
     "main-theorem": (
         "the glued pair's fixed origin, identity regions, optimal moduli "
         "phi(r) and axis images",
         lambda a, phi: verify_main_theorem(
             GluedMap(phi), radii=parse_radii(a.radii) if a.radii else None,
             count=a.count, seed=a.seed),
-        ("radii", "count", "seed")),
+        {"radii": None, "count": 512, "seed": 0}),
     "global-h": ("|H(X) - H(X')| <= 4 phi(|X - X'|) on random cone pairs",
                  lambda a, phi: verify_global_modulus_H(
-                     ConeMap(phi), pairs=a.pairs, seed=a.seed), ("pairs", "seed")),
+                     ConeMap(phi), pairs=a.pairs, seed=a.seed),
+                 {"pairs": 100_000, "seed": 0}),
     "global-f": ("the 3 M phi modulus of F = H^-1 near the origin, on random pairs",
                  lambda a, phi: verify_global_modulus_F(
-                     ConeMap(phi), pairs=a.pairs, seed=a.seed), ("pairs", "seed")),
+                     ConeMap(phi), pairs=a.pairs, seed=a.seed),
+                 {"pairs": 100_000, "seed": 0}),
     "averaging": ("the averaging inequality for phi' and its equality case",
                   lambda a, phi: verify_averaging(
                       phi, pairs=a.pairs, seed=a.seed, tol=a.tol),
-                  ("pairs", "seed", "tol")),
+                  {"pairs": 100_000, "seed": 0, "tol": 1e-10}),
 }
-_SUITE_OPTIONS = {"radii": {"default": None},
-                  "count": {"type": int, "default": 512},
-                  "pairs": {"type": int, "default": 100_000},
-                  "seed": {"type": int, "default": 0},
-                  "tol": {"type": float, "default": 1e-10}}
 
 
 def _cmd_verify(args) -> int:
@@ -359,66 +368,55 @@ def _cmd_eval(args) -> int:
 
 # -- parser ----------------------------------------------------------------
 
+# Each option's argparse settings.  A row of _COMMANDS, _SUITES or
+# _ENERGY_METHODS maps the options it reads to their defaults (... marks a
+# required option); every command also reads --output.
+_OPTIONS = {
+    "map": {}, "phi": {}, "center": {}, "radii": {}, "point": {}, "points": {},
+    "norm": {"choices": ("cone", "euclid")},
+    "method": {"choices": tuple(_ENERGY_METHODS)},
+    "integrand": {"choices": ("forward", "inverse", "bi")},
+    "count": {"type": int}, "pairs": {"type": int}, "seed": {"type": int},
+    "tol": {"type": float, "help": "the certified bound (energy), the relative "
+            "residual of the root solve (invert) or the slack (verify averaging)"},
+    "samples": {"type": float}, "threshold": {"type": float},
+    "out": {"choices": ("json", "csv")}, "output": {"metavar": "PATH"},
+}
+
+_COMMANDS = {
+    "modulus": (_cmd_modulus, "sampled modulus of continuity profile",
+                {"map": ..., "center": "0", "radii": "log:1e-6..1", "norm": "cone",
+                 "count": 4096, "seed": 1, "out": "json"}),
+    "energy": (_cmd_energy, "conformal/distortion energy of a map",
+               {"map": ..., "method": "quad", "integrand": "forward",
+                **dict.fromkeys(_ENERGY_OPTIONS, argparse.SUPPRESS)}),
+    "dilatation": (_cmd_dilatation, "linear dilatation probe",
+                   {"map": ..., "center": "0", "radii": "log:1e-10..0.1",
+                    "count": 256, "threshold": 1e3, "seed": 0, "out": "json"}),
+    "invert": (_cmd_invert, "apply the inverse map to points",
+               {"map": ..., "point": ..., "tol": 1e-12}),
+    "eval": (_cmd_eval, "evaluate a family (JSON or CSV) or a map (JSON) pointwise",
+             {"phi": None, "map": None, "points": ..., "out": "json"}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bicone",
         description="Deformations of the double cone with prescribed moduli "
                     "of continuity: moduli, energies, verification suites.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, func, summary, *, out=True, seed=None, parent=sub):
-        p = parent.add_parser(name, help=summary, allow_abbrev=False)
-        if out:
-            p.add_argument("--out", choices=("json", "csv"), default="json")
-        p.add_argument("--output", default=None, metavar="PATH")
-        if seed is not None:
-            p.add_argument("--seed", type=int, default=seed)
-        p.set_defaults(func=func)
-        return p
-
-    p = command("modulus", _cmd_modulus, "sampled modulus of continuity profile",
-                seed=1)
-    p.add_argument("--map", required=True)
-    p.add_argument("--center", default="0")
-    p.add_argument("--radii", default="log:1e-6..1")
-    p.add_argument("--norm", choices=("cone", "euclid"), default="cone")
-    p.add_argument("--count", type=int, default=4096)
-
-    p = command("energy", _cmd_energy, "conformal/distortion energy of a map",
-                out=False, seed=42)
-    p.add_argument("--map", required=True)
-    p.add_argument("--method", choices=("quad", "mc"), default="quad")
-    p.add_argument("--integrand", choices=("forward", "inverse", "bi"),
-                   default="forward")
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--samples", type=float, default=1e6)
-
     suites = sub.add_parser("verify", help="run a verification suite").add_subparsers(
         dest="suite", required=True)
-    for name, (summary, _, options) in _SUITES.items():
-        p = command(name, _cmd_verify, summary, parent=suites)
-        p.add_argument("--phi", default=None)
-        for option in options:
-            p.add_argument(f"--{option}", **_SUITE_OPTIONS[option])
-
-    p = command("dilatation", _cmd_dilatation, "linear dilatation probe", seed=0)
-    p.add_argument("--map", required=True)
-    p.add_argument("--center", default="0")
-    p.add_argument("--radii", default="log:1e-10..0.1")
-    p.add_argument("--count", type=int, default=256)
-    p.add_argument("--threshold", type=float, default=1e3)
-
-    p = command("invert", _cmd_invert, "apply the inverse map to points", out=False)
-    p.add_argument("--map", required=True)
-    p.add_argument("--point", required=True)
-    p.add_argument("--tol", type=float, default=1e-12,
-                   help="relative residual at which the inverse's root solve stops")
-
-    p = command("eval", _cmd_eval, "evaluate a family (JSON or CSV) or a map "
-                "(JSON) pointwise")
-    p.add_argument("--phi", default=None)
-    p.add_argument("--map", default=None)
-    p.add_argument("--points", required=True)
+    rows = [(sub, name, *row) for name, row in _COMMANDS.items()]
+    rows += [(suites, name, _cmd_verify, summary, {"phi": None, **options, "out": "json"})
+             for name, (summary, _, options) in _SUITES.items()]
+    for parent, name, func, summary, options in rows:
+        p = parent.add_parser(name, help=summary, allow_abbrev=False)
+        p.set_defaults(func=func)
+        for option, default in {**options, "output": None}.items():
+            given = {"required": True} if default is ... else {"default": default}
+            p.add_argument(f"--{option}", **_OPTIONS[option], **given)
     return parser
 
 

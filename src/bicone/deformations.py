@@ -126,15 +126,15 @@ class JacobianData:
 
 
 class ConeMap:
-    """The vertical shear of the upper cone driven by a modulus function."""
+    """The vertical shear of the upper cone driven by a modulus, in its dimension."""
 
     domain = "upper_cone"
 
     def __init__(self, phi: ModulusFunction, n: int | None = None):
+        if n is not None and n != phi.n:
+            raise ValueError(f"a map's dimension is its modulus's: n={n}, phi.n={phi.n}")
         self.phi = phi
-        self.n = phi.n if n is None else int(n)
-        if self.n < 2:
-            raise ValueError("dimension must be >= 2")
+        self.n = phi.n
 
     # -- evaluation --------------------------------------------------------
 

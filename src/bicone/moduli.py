@@ -156,11 +156,11 @@ class ModulusFunction:
                      for j in range(1, self.depth + 1))
 
     def describe(self) -> str:
-        if self.family == "identity":
-            return "identity"
-        if self.family == "power":
-            return f"power:eps={self.eps}"
-        return f"iterlog:k={self.depth},alpha={self.alpha},n={self.n}"
+        """The family spec that parses back to this modulus (n=2 if absent)."""
+        if self.family == "iterlog":
+            return f"iterlog:k={self.depth},alpha={self.alpha},n={self.n}"
+        name = "identity" if self.family == "identity" else f"power:eps={self.eps}"
+        return name if self.n == 2 else f"{name},n={self.n}"
 
     # -- the kernel ----------------------------------------------------------
 

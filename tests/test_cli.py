@@ -14,6 +14,7 @@ from bicone.cli import (SpecError, main, parse_center, parse_family, parse_map,
                         parse_points, parse_radii)
 from bicone.continuity import verify_global_modulus_F, verify_global_modulus_H
 from bicone.deformations import ConeMap, GluedMap, RadialMap
+from bicone.moduli import ModulusFunction
 
 
 # -- spec parsing ---------------------------------------------------------
@@ -53,6 +54,13 @@ def test_parse_family_specs():
 def test_parse_family_rejects_garbage(bad):
     with pytest.raises(SpecError):
         parse_family(bad)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_family_spec_parses_back_to_its_modulus(n):
+    for phi in (ModulusFunction.identity(n), ModulusFunction.power(0.5, n),
+                ModulusFunction.iterlog(depth=2, alpha=0.7, n=n)):
+        assert parse_family(phi.describe()) == phi
 
 
 def test_parse_map_specs():
@@ -373,6 +381,31 @@ def test_verify_echoes_only_the_options_its_suite_reads(suite, read):
     assert sorted(cli._config_echo(args)) == sorted(["command", "suite", "phi", *read])
 
 
+@pytest.mark.parametrize("method, option, argv", [
+    ("quad", "samples", ["--samples", "2000"]),
+    ("quad", "seed", ["--seed", "1"]),
+    ("mc", "tol", ["--integrand", "inverse", "--tol", "1e-6"])])
+def test_an_option_of_the_other_energy_method_is_a_usage_error(method, option, argv,
+                                                                capsys):
+    assert main(["energy", "--map", "cone:phi=identity", "--method", method, *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"bicone: error: --method {method} does not read --{option}")
+
+
+@pytest.mark.parametrize("method, argv, read", [
+    ("quad", [], {"tol": 1e-6}),
+    ("mc", ["--samples", "1000"], {"samples": 1000.0, "seed": 42})])
+def test_energy_echoes_only_the_options_its_method_reads(method, argv, read, capsys):
+    code, out = run(["energy", "--map", "cone:phi=identity", "--method", method,
+                     "--integrand", "inverse", *argv], capsys)
+    assert code == 0
+    assert json.loads(out)["config"] == {
+        "command": "energy", "integrand": "inverse", "map": "cone:phi=identity",
+        "method": method, "out": "json", **read}
+
+
 def _readme_cli_examples():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
@@ -466,7 +499,7 @@ def test_mc_energy_seeded(capsys):
 def test_mc_energy_is_an_estimate_that_exits_0(capsys):
     # the MC error bar is an estimate, not a certificate, so the status says
     # so; "estimated" exits 0 like "converged", even with an error above --tol
-    code, out = run([*MC, "--samples", "1000", "--seed", "3", "--tol", "1e-6"], capsys)
+    code, out = run([*MC, "--samples", "1000", "--seed", "3"], capsys)
     doc = json.loads(out)["result"]
     assert (code, doc["status"]) == (0, "estimated")
     assert doc["error_estimate"] > 1e-6

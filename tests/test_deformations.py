@@ -67,6 +67,15 @@ def test_domain_is_enforced():
         m.inverse(np.array([0.2, -0.1]))
 
 
+@pytest.mark.parametrize("build", [ConeMap, GluedMap])
+def test_a_map_takes_its_modulus_dimension(build):
+    # (C3) of this phi holds at n = 3, but its energy diverges at n = 2
+    phi = ModulusFunction.iterlog(depth=1, alpha=0.4, n=3)
+    assert build(phi).n == build(phi, n=3).n == 3
+    with pytest.raises(ValueError, match="dimension is its modulus's"):
+        build(phi, n=2)
+
+
 # -- inversion -------------------------------------------------------------
 
 @pytest.mark.parametrize("phi,n", family_grid())

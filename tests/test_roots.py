@@ -238,7 +238,7 @@ def where_jet(phi, rho, log_tau):
 
 
 @pytest.mark.parametrize("phi", [ModulusFunction.iterlog(depth=2, alpha=1.0, n=3),
-                                 ModulusFunction.power(0.5)], ids=lambda p: p.describe())
+                                 ModulusFunction.power(0.5, n=3)], ids=lambda p: p.describe())
 def test_cone_inverse_keeps_its_bits_on_the_slant(phi):
     # points on the slant |y| + tau = 1, and up to 1e-9 past it, evaluate
     # sigma >= 1, where lambda = g = 1; the inside points skip that branch
