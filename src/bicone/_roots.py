@@ -23,7 +23,11 @@ over 16384 lanes the temporaries (128 KB each) stay in cache, while over
 much per element.  Within a block, lanes that stop are written out and
 dropped at once, so the later iterations touch only the lanes still
 active.  Every lane runs the same arithmetic in any block, so the results
-keep their bits whatever the block size.
+keep their bits whatever the block size.  ``_BLOCK`` is the package's one
+block size: the solid-cone sampler maps its stream, and the Monte-Carlo
+energy inverts and differentiates its points, in blocks of as many rows.
+Of a Monte-Carlo op only the Kronecker stream, the points and the
+integrand values are whole-sample arrays.
 
 The solver writes neither into ``hi`` nor into the arrays a jet returns,
 so a caller may pass as ``hi`` an array its jet reads (the cone inverse
@@ -47,8 +51,9 @@ _LOG_FLOOR = math.log(2.0 ** -1074)
 # leaves through it.  Pure bisection over [_LOG_FLOOR, 0] would reach float
 # resolution in about 50 halvings.
 _MAX_ITER = 100
-# Lanes per block.  On 1e5-point Monte-Carlo batches (2-vCPU x86-64 VM)
-# 8192 and 32768 lanes ran at most as fast; see the module docstring.
+# Lanes (rows) per block, here and in geometry and energy.  On 1e5-point
+# Monte-Carlo batches (2-vCPU x86-64 VM) 8192 and 32768 lanes ran at most
+# as fast; see the module docstring.
 _BLOCK = 16384
 
 

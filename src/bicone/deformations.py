@@ -299,8 +299,10 @@ class RadialMap:
                  beta: float | None = None, n: int = 2):
         if kind not in ("power", "logexample"):
             raise ValueError(f"unknown radial map kind {kind!r}")
+        if not (isinstance(n, int) and n >= 2):
+            raise ValueError("dimension n must be an integer >= 2")
         self.kind = kind
-        self.n = int(n)
+        self.n = n
         if kind == "power":
             if eps is None or not (0.0 < eps <= 1.0):
                 raise ValueError("power stress needs eps in (0, 1]")

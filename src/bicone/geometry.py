@@ -13,9 +13,12 @@ only the points its axis margin excludes.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _roots
 
 __all__ = [
     "cone_norm",
@@ -290,7 +293,17 @@ def sample_cone_interior(count: int, n: int = 2, seed: int = 0,
     stream order and the prefix property holds; `acceptance_rate` is the
     kept share of the `attempts` points drawn.  Raises if the margins leave
     an acceptance below 1e-3.
+
+    Each batch is one Kronecker call, mapped in blocks of ``_roots._BLOCK``
+    rows whose accepted points go straight into the batch's one (batch, n)
+    array, so the temporaries of the mapping stay in cache.  Every step acts
+    row by row, so the points have the same bits in any block size.  From
+    n = 9 on each batch is mapped whole: there ``np.linalg.norm`` sums a
+    lone row's squares pairwise but several rows' in coordinate order, so a
+    block holding one accepted point would change that point's bits.
     """
+    if not isinstance(count, numbers.Integral):
+        raise TypeError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
     a, b = exclude_axis_margin, exclude_boundary_margin
@@ -309,16 +322,22 @@ def sample_cone_interior(count: int, n: int = 2, seed: int = 0,
         batch = math.ceil((count - got) / rate)
         u = kronecker_sequence(batch, n + 1, seed=seed, skip=attempts)
         attempts += batch
-        t = b + height * (1.0 - (1.0 - u[:, n]) ** (1.0 / n))
-        rho = (height - (t - b)) * u[:, n - 1] ** (1.0 / (n - 1))
-        ok = rho >= a
-        if not ok.all():
-            u, t, rho = u[ok], t[ok], rho[ok]
-        pts = np.empty((t.size, n))
-        np.multiply(_directions(u[:, : n - 1]), rho[:, None], out=pts[:, :-1])
-        pts[:, -1] = t
-        accepted.append(pts)
-        got += t.size
+        pts = np.empty((batch, n))
+        kept = 0
+        block = _roots._BLOCK if n < 9 else batch
+        for first in range(0, batch, block):
+            ub = u[first:first + block]
+            t = b + height * (1.0 - (1.0 - ub[:, n]) ** (1.0 / n))
+            rho = (height - (t - b)) * ub[:, n - 1] ** (1.0 / (n - 1))
+            ok = rho >= a
+            if not ok.all():
+                ub, t, rho = ub[ok], t[ok], rho[ok]
+            rows = pts[kept:kept + t.size]
+            np.multiply(_directions(ub[:, : n - 1]), rho[:, None], out=rows[:, :-1])
+            rows[:, -1] = t
+            kept += t.size
+        accepted.append(pts[:kept])
+        got += kept
     points = accepted[0] if len(accepted) == 1 else np.vstack(accepted)
     return InteriorSample(points=points[:count],
                           acceptance_rate=got / attempts, attempts=attempts, seed=seed)

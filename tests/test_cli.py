@@ -353,6 +353,18 @@ def test_malformed_requests_are_usage_errors(message, argv, capsys):
     assert captured.err.startswith(f"bicone: error: {message}")
 
 
+@pytest.mark.parametrize("argv", [
+    ["dilatation", "--map", "radial:power:eps=0.5,n=1", "--count", "8", "--radii", "0.1,0.01"],
+    ["invert", "--map", "radial:power:eps=0.5,n=0", "--point", "0.25"],
+    ["invert", "--map", "radial:logexample:beta=1,n=1", "--point", "0.25"]])
+def test_a_radial_map_below_dimension_two_is_a_usage_error(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bicone: error: bad map spec")
+    assert "dimension n must be an integer >= 2" in captured.err
+
+
 PHI = "iterlog:k=2,alpha=1,n=2"
 
 

@@ -510,6 +510,14 @@ def test_radial_validation():
         RadialMap("logexample", beta=0.3, n=2)   # needs beta > 1/n
 
 
+@pytest.mark.parametrize("kind,kw", [("power", {"eps": 0.5}), ("logexample", {"beta": 1.0})])
+@pytest.mark.parametrize("n", [1, 0, -2, 2.0, 2.5, "3", None])
+def test_radial_map_needs_an_integer_dimension_of_two_or_more(kind, kw, n):
+    with pytest.raises(ValueError, match="dimension n must be an integer >= 2"):
+        RadialMap(kind, n=n, **kw)
+    assert RadialMap(kind, n=3, **kw).n == 3
+
+
 def test_inverse_view_swaps_roles():
     g = GluedMap(ModulusFunction.power(0.5, n=2), n=2)
     f = g.inverted()

@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
 import pytest
 
+from bicone import _roots
 from bicone.deformations import ConeMap, GluedMap
 from bicone.energy import (EnergyResult, biconformal_energy,
                            conformal_energy_H, energy_F_monte_carlo,
@@ -347,6 +349,37 @@ def test_monte_carlo_is_deterministic_per_seed():
 def test_monte_carlo_rejects_tiny_sample_counts():
     with pytest.raises(ValueError):
         energy_F_monte_carlo(cone_map("identity"), samples=999)
+
+
+@pytest.mark.parametrize("depth,n", [(1, 2), (2, 3), (3, 4)])
+def test_monte_carlo_result_is_the_same_in_any_block_size(monkeypatch, depth, n):
+    m = cone_map("iterlog", n=n, depth=depth, alpha=1.0)
+    default = {samples: energy_F_monte_carlo(m, samples, seed=depth)
+               for samples in (1000, 4097, 16385)}
+    for block in (1000, 4096, 10**9):         # 10**9: every run is one block
+        monkeypatch.setattr(_roots, "_BLOCK", block)
+        for samples, ref in default.items():
+            assert energy_F_monte_carlo(m, samples, seed=depth) == ref
+
+
+def test_monte_carlo_memory_peak_stays_near_its_sample():
+    # the points (2.4 MB) and their stream (3.2 MB) are whole; the inverse
+    # and the Jacobian work on 16384-point blocks
+    m = cone_map("iterlog", n=3, depth=2, alpha=1.0)
+    energy_F_monte_carlo(m, 1000)
+    tracemalloc.start()
+    try:
+        energy_F_monte_carlo(m, 100_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
+
+
+@pytest.mark.parametrize("samples", [1e4, 1000.0, "1000"])
+def test_monte_carlo_rejects_a_non_integer_sample_count(samples):
+    with pytest.raises(TypeError, match="samples must be an integer"):
+        energy_F_monte_carlo(cone_map("identity"), samples)
 
 
 # -- divergence and ratios -----------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bicone import geometry
+from bicone import _roots, geometry
 from bicone.geometry import (cone_norm, euclid_norm, kronecker_sequence,
                              reflect, sample_cone_interior, sample_cone_sphere,
                              sphere_surface_area, unit_ball_volume)
@@ -200,6 +200,55 @@ def test_interior_sample_has_the_bits_of_the_row_major_sampler(n, a, b):
     assert s.attempts == attempts
     if a == 0.05:
         assert s.acceptance_rate < 1.0
+
+
+def _interior_bits(count, n, seed, a, b):
+    s = sample_cone_interior(count, n=n, seed=seed, exclude_axis_margin=a,
+                             exclude_boundary_margin=b)
+    return s.points.tobytes(), s.attempts, s.acceptance_rate
+
+
+@pytest.mark.parametrize("block", [7, 4096, _roots._BLOCK])
+def test_interior_sample_has_the_same_bits_in_any_block_size(monkeypatch, block):
+    # counts on both sides of the block edges; margins that accept every point,
+    # the Monte-Carlo margins, and a rejecting axis margin whose shortfall
+    # loop draws a second batch (at seed 3, for some n at each block size)
+    cases = [(count, n, a, b) for n in (2, 3, 4, 5)
+             for count in (block - 1, block, block + 1, 2 * block + 3)
+             for a, b in ((0.0, 0.0), (1e-6, 1e-6), (0.3, 0.0))]
+    default = {case: _interior_bits(*case[:2], 3, *case[2:]) for case in cases}
+    monkeypatch.setattr(_roots, "_BLOCK", block)
+    batches = []
+    stream = geometry.kronecker_sequence
+    monkeypatch.setattr(geometry, "kronecker_sequence",
+                        lambda *args, **kw: batches.append(args) or stream(*args, **kw))
+    shortfalls = 0
+    for (count, n, a, b), ref in default.items():
+        batches.clear()
+        got = _interior_bits(count, n, 3, a, b)
+        assert got == ref
+        points, attempts = _row_major_interior(count, n, 3, a, b)
+        assert (got[0], got[1]) == (points.tobytes(), attempts)
+        shortfalls += len(batches) > 1
+    assert shortfalls > 0
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_interior_sample_maps_each_batch_whole_from_n_9(monkeypatch, n):
+    # np.linalg.norm sums a lone row of 8+ squares pairwise, so a block with
+    # one point would change its bits; the 8- and 15-point runs end in one
+    default = {(count, seed): _interior_bits(count, n, seed, 0.0, 0.0)
+               for count in (8, 15) for seed in range(8)}
+    monkeypatch.setattr(_roots, "_BLOCK", 7)
+    for (count, seed), ref in default.items():
+        assert _interior_bits(count, n, seed, 0.0, 0.0) == ref
+
+
+@pytest.mark.parametrize("count", [1e4, 1000.0, "1000", None])
+def test_interior_sample_rejects_a_non_integer_count(count):
+    with pytest.raises(TypeError, match="count must be an integer"):
+        sample_cone_interior(count, n=2)
+    assert sample_cone_interior(np.int64(3), n=2).points.shape == (3, 2)
 
 
 @pytest.mark.parametrize("n,count,seed", [(2, 64, 0), (3, 257, 4), (4, 1000, 13)])
