@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformations import ConeMap, GluedMap
-from .geometry import (_offset_row_norm, cone_norm, euclid_norm,
+from .geometry import (_NORMS, _offset_row_norm, cone_norm, euclid_norm,
                        sample_cone_interior, sample_cone_sphere)
 from .moduli import (_GL_NODES, _GL_WEIGHTS, ModulusFunction,
                      measured_constants)
@@ -51,14 +51,6 @@ __all__ = [
     "verify_averaging",
     "verify_main_theorem",
 ]
-
-
-def _norm(rows: np.ndarray, norm: str) -> np.ndarray:
-    if norm == "cone":
-        return cone_norm(rows)
-    if norm == "euclid":
-        return euclid_norm(rows)
-    raise ValueError(f"unknown norm {norm!r}")
 
 
 def _restrict_for(map_obj) -> str:
@@ -124,7 +116,7 @@ def _displacements(map_obj, center: np.ndarray, radii, norm: str,
                                  seed=seed)
     image = np.atleast_2d(map_obj(center + spheres))
     base = np.atleast_2d(map_obj(center))[0]
-    return _norm(image - base, norm).reshape(radii.size, -1)
+    return _NORMS[norm](image - base).reshape(radii.size, -1)
 
 
 def optimal_modulus(map_obj, center, radius: float, norm: str = "cone",
@@ -209,7 +201,7 @@ def quasi_inverse_check(map_obj, inverse_map, center, radii, norm: str = "euclid
     """
     center = _center_row(center, map_obj.n)
     probe = center + 0.1 * np.eye(center.size)[-1:]
-    round_trip = _norm(np.atleast_2d(inverse_map(map_obj(probe))) - probe, "euclid")
+    round_trip = euclid_norm(np.atleast_2d(inverse_map(map_obj(probe))) - probe)
     if float(round_trip.max()) > 1e-6:
         raise ValueError("inverse_map does not invert map_obj at a probe point")
     radii = np.sort(np.asarray(radii, dtype=float))

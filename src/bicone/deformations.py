@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from ._roots import BracketError, newton_log
-from .geometry import _horizontal_norm, reflect
+from .geometry import _horizontal_norm, _out, _rows, euclid_norm, reflect
 from .moduli import ModulusFunction
 
 __all__ = [
@@ -49,15 +49,6 @@ __all__ = [
 
 class DomainError(ValueError):
     """Raised when a map is evaluated outside its domain of definition."""
-
-
-def _rows(X):
-    arr = np.asarray(X, dtype=float)
-    return np.atleast_2d(arr), arr.ndim == 1
-
-
-def _out(arr, single):
-    return arr[0] if single else arr
 
 
 def _upper_cone_norm(arr):
@@ -94,7 +85,7 @@ class JacobianData:
             out, big = np.sqrt(square(tl2, d2, n1)), ~np.isfinite(n1 + tl2 + d2)
         if big.any():                        # D^2 overflows below |x| ~ 1e-157
             out[big] = hypot(tl[big], d[big], math.sqrt(n1))
-        return float(out[0]) if np.ndim(self.det) == 0 else out
+        return _out(out, np.ndim(self.det) == 0)
 
     @cached_property
     def hs_norm(self) -> np.ndarray | float:
@@ -112,7 +103,7 @@ class JacobianData:
     def inner_distortion(self) -> np.ndarray | float:
         """K_H = |(DH)^-1|^n det DH."""
         K = np.atleast_1d(self.inv_hs_norm) ** (self.x.shape[-1] + 1) * self.det
-        return float(K[0]) if np.ndim(self.det) == 0 else K
+        return _out(K, np.ndim(self.det) == 0)
 
     @cached_property
     def matrix(self) -> np.ndarray:
@@ -122,7 +113,7 @@ class JacobianData:
         matrix[:, -1, :-1] = np.atleast_1d(self.t_lam_prime)[:, None] \
             * (x / np.atleast_1d(self.rho)[:, None])
         matrix[:, -1, -1] = self.det
-        return matrix[0] if np.ndim(self.det) == 0 else matrix
+        return _out(matrix, np.ndim(self.det) == 0)
 
 
 class ConeMap:
@@ -166,10 +157,7 @@ class ConeMap:
         der = g * phi / s
         det = (1.0 - w) * lam + w * der      # lambda(s) + t lambda'(s), no cancellation
         t_lam_prime = w * (der - lam)        # t * lambda'(s) <= 0
-        if single:
-            return JacobianData(float(det[0]), float(t_lam_prime[0]), arr[0, :-1],
-                                float(rho[0]))
-        return JacobianData(det, t_lam_prime, arr[:, :-1], rho)
+        return JacobianData(*(_out(v, single) for v in (det, t_lam_prime, arr[:, :-1], rho)))
 
     # -- inversion -----------------------------------------------------------
 
@@ -350,7 +338,7 @@ class RadialMap:
 
     def _radial(self, X, scalar_fn):
         arr, single = _rows(X)
-        norms = np.linalg.norm(arr, axis=1)
+        norms = euclid_norm(arr)
         out = np.zeros_like(arr)
         pos = norms > 0
         if pos.any():

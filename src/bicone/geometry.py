@@ -32,45 +32,51 @@ __all__ = [
 ]
 
 
-def _asfloat(X):
-    """X as a float array, and whether it is a single point (1-D)."""
+def _rows(X):
+    """X as a 2-D float array of point rows, and whether it was one point."""
     arr = np.asarray(X, dtype=float)
-    return arr, arr.ndim == 1
+    return np.atleast_2d(arr), arr.ndim == 1
+
+
+def _out(arr, single):
+    """A result on the rows of _rows(X), shaped like X: its one row (or float)
+    for a single point."""
+    return (float(arr[0]) if arr.ndim == 1 else arr[0]) if single else arr
+
+
+def _root_sum_squares(columns, shape) -> np.ndarray:
+    """sqrt(x_1^2 + ... + x_k^2) of the columns x_i, added in their order, so
+    an entry's bits do not depend on the array around it; 0 for no columns."""
+    columns = iter(columns)
+    first = next(columns, None)
+    if first is None:
+        return np.zeros(shape)
+    acc = first * first
+    for x in columns:
+        acc += x * x
+    return np.sqrt(acc)
 
 
 def _row_norm(x: np.ndarray) -> np.ndarray:
-    """Euclidean norm over the last axis, with the bits of np.linalg.norm.
+    """Euclidean norm over the last axis, squares added in coordinate order.
 
-    Rows of up to 7 entries sum their squares column by column, which is
-    numpy's order there and several times faster on tall arrays.  From 8
-    entries on numpy sums pairwise, so those rows go to np.linalg.norm.
+    A row has the same bits alone and in any stack, at every width.  Up to 7
+    entries numpy's norm adds in this order too; longer rows it sums
+    pairwise, pairing a lone row's squares differently from a stack's.
     """
-    k = x.shape[-1]
-    if not 0 < k < 8:
-        return np.linalg.norm(x, axis=-1)
-    acc = x[..., 0] * x[..., 0]
-    for i in range(1, k):
-        acc += x[..., i] * x[..., i]
-    return np.sqrt(acc)
+    return _root_sum_squares((x[..., i] for i in range(x.shape[-1])), x.shape[:-1])
 
 
 def _offset_row_norm(c: np.ndarray, d: np.ndarray, t: np.ndarray) -> np.ndarray:
     """_row_norm(c_j + t_j d_j) for rows c_j, d_j of k entries and offsets t_j.
 
-    c and d are (m, k) and t is (m, ...).  Up to 7 entries the squares are
-    summed one coordinate at a time, in _row_norm's order and with its bits,
-    so the points themselves (k times the size of t) are never built.
+    c and d are (m, k) and t is (m, ...).  The points are built one
+    coordinate at a time, in _row_norm's order and with its bits, so the
+    points themselves (k times the size of t) never are.
     """
     lift = (slice(None),) + (None,) * (t.ndim - 1)
-    k = c.shape[-1]
-    if not 0 < k < 8:
-        return _row_norm(c[lift] + t[..., None] * d[lift])
-    x = c[:, 0][lift] + t * d[:, 0][lift]
-    acc = x * x
-    for i in range(1, k):
-        x = c[:, i][lift] + t * d[:, i][lift]
-        acc += x * x
-    return np.sqrt(acc)
+    return _root_sum_squares((c[:, i][lift] + t * d[:, i][lift] for i in range(c.shape[-1])),
+                             t.shape)
 
 
 def _horizontal_norm(arr: np.ndarray) -> np.ndarray:
@@ -78,7 +84,7 @@ def _horizontal_norm(arr: np.ndarray) -> np.ndarray:
 
     Where |x| < 1e-150 the squares of its coordinates lose bits in the
     subnormal range or vanish, so those rows are divided by their largest
-    |x_i| first; every other row keeps the bits of np.linalg.norm.
+    |x_i| first; every other row is _row_norm's.
     """
     x = arr[..., :-1]
     out = _row_norm(x)
@@ -93,15 +99,14 @@ def _horizontal_norm(arr: np.ndarray) -> np.ndarray:
 
 def cone_norm(X):
     """|x| + |t| for points with coordinates (..., x_{n-1}, t)."""
-    arr, single = _asfloat(X)
-    out = _horizontal_norm(np.atleast_2d(arr)) + np.abs(arr[..., -1])
-    return float(out[0]) if single else out
+    arr, single = _rows(X)
+    return _out(_horizontal_norm(arr) + np.abs(arr[..., -1]), single)
 
 
 def euclid_norm(X):
-    arr, single = _asfloat(X)
-    out = _row_norm(arr)
-    return float(out) if single else out
+    """The Euclidean norm of points with coordinates (..., x_{n-1}, t)."""
+    arr, single = _rows(X)
+    return _out(_row_norm(arr), single)
 
 
 def reflect(X):
@@ -109,6 +114,9 @@ def reflect(X):
     out = np.array(X, dtype=float)
     out[..., -1] = -out[..., -1]
     return out
+
+
+_NORMS = {"cone": cone_norm, "euclid": euclid_norm}    # the norms of spheres and sweeps, by name
 
 
 def unit_ball_volume(d: int) -> float:
@@ -213,6 +221,11 @@ def _directions(u):
 # -- samplers -------------------------------------------------------------------
 
 
+def _check_dimension(n) -> None:
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise ValueError("dimension n must be an integer >= 2")
+
+
 def sample_cone_sphere(r, n: int = 3, norm: str = "cone",
                        restrict: str = "upper", count: int = 64, seed: int = 0):
     """Deterministic points on the sphere of radius r in the requested norm.
@@ -236,9 +249,10 @@ def sample_cone_sphere(r, n: int = 3, norm: str = "cone",
         raise ValueError("radii must be a scalar or a 1-D array")
     if not np.all(np.isfinite(radii) & (radii > 0)):
         raise ValueError("radius must be positive and finite")
+    _check_dimension(n)
     if count < 1:
         raise ValueError("count must be >= 1")
-    if norm not in ("cone", "euclid"):
+    if norm not in _NORMS:
         raise ValueError(f"unknown norm {norm!r}")
     if restrict not in ("upper", "both"):
         raise ValueError(f"unknown restriction {restrict!r}")
@@ -297,15 +311,14 @@ def sample_cone_interior(count: int, n: int = 2, seed: int = 0,
     Each batch is one Kronecker call, mapped in blocks of ``_roots._BLOCK``
     rows whose accepted points go straight into the batch's one (batch, n)
     array, so the temporaries of the mapping stay in cache.  Every step acts
-    row by row, so the points have the same bits in any block size.  From
-    n = 9 on each batch is mapped whole: there ``np.linalg.norm`` sums a
-    lone row's squares pairwise but several rows' in coordinate order, so a
-    block holding one accepted point would change that point's bits.
+    row by row (the direction norms add their squares in coordinate order
+    at every n), so the points have the same bits in any block size.
     """
     if not isinstance(count, numbers.Integral):
         raise TypeError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
+    _check_dimension(n)
     a, b = exclude_axis_margin, exclude_boundary_margin
     if a < 0 or b < 0:
         raise ValueError("margins must be >= 0")
@@ -324,9 +337,8 @@ def sample_cone_interior(count: int, n: int = 2, seed: int = 0,
         attempts += batch
         pts = np.empty((batch, n))
         kept = 0
-        block = _roots._BLOCK if n < 9 else batch
-        for first in range(0, batch, block):
-            ub = u[first:first + block]
+        for first in range(0, batch, _roots._BLOCK):
+            ub = u[first:first + _roots._BLOCK]
             t = b + height * (1.0 - (1.0 - ub[:, n]) ** (1.0 / n))
             rho = (height - (t - b)) * ub[:, n - 1] ** (1.0 / (n - 1))
             ok = rho >= a

@@ -350,12 +350,10 @@ class MeasuredConstants:
 
 
 @lru_cache(maxsize=128)
-def measured_constants(phi: ModulusFunction) -> MeasuredConstants:
-    """Measure the sandwich constant M and the concavity radius on a log grid.
-
-    M is the smallest admissible constant sup phi / (s phi'^2) clipped below
-    by 1; the concavity radius is the largest grid prefix on which phi'' <= 0.
-    """
+def _grid_pass(phi: ModulusFunction) -> tuple[MeasuredConstants, bool, bool]:
+    """What one evaluation of phi, phi' and phi'' on the log grid decides:
+    the measured constants, whether phi strictly increases there (C1), and
+    whether phi' <= phi/s there (C2)."""
     grid = np.geomspace(1e-9, 1.0, _GRID_SIZE)
     val = phi(grid)
     der = phi.derivative(grid)
@@ -370,7 +368,20 @@ def measured_constants(phi: ModulusFunction) -> MeasuredConstants:
     else:
         first_bad = int(np.argmax(convex))
         radius = 0.0 if first_bad == 0 else float(grid[first_bad - 1])
-    return MeasuredConstants(M, radius)
+    increasing = bool(np.all(np.diff(val) > 0))
+    slope_ok = bool(np.all(der <= val / grid * (1.0 + 1e-9) + 1e-15))
+    return MeasuredConstants(M, radius), increasing, slope_ok
+
+
+@lru_cache(maxsize=128)
+def measured_constants(phi: ModulusFunction) -> MeasuredConstants:
+    """Measure the sandwich constant M and the concavity radius on a log grid.
+
+    M is the smallest admissible constant sup phi / (s phi'^2) clipped below
+    by 1; the concavity radius is the largest grid prefix on which phi'' <= 0.
+    The grid pass behind it is cached on its own, for check_admissibility.
+    """
+    return _grid_pass(phi)[0]
 
 
 # -- the energy integral E[phi] ----------------------------------------------
@@ -569,22 +580,16 @@ def check_admissibility(phi: ModulusFunction) -> VerificationReport:
     """
     report = VerificationReport(title=f"admissibility of {phi.describe()}")
     grid_size, energy_tol = _GRID_SIZE, 1e-6
-    grid = np.geomspace(1e-9, 1.0, grid_size)
-    val = phi(grid)
-    der = phi.derivative(grid)
-    lam = val / grid
+    constants, increasing, slope_ok = _grid_pass(phi)
 
     # endpoints and monotonicity
     end_resid = max(abs(phi(0.0)), abs(phi(1.0) - 1.0), abs(phi(1.7) - 1.7))
-    increasing = bool(np.all(np.diff(val) > 0))
     report.add("endpoints (C1)", end_resid <= 1e-12 and increasing,
                measured_constant=end_resid, grid_size=grid_size, tolerance=1e-12,
                detail="phi(0)=0, phi(1)=1, identity beyond 1, strictly increasing")
 
     # derivative sandwich
-    first_ok = bool(np.all(der <= lam * (1.0 + 1e-9) + 1e-15))
-    constants = measured_constants(phi)
-    sandwich_ok = first_ok and math.isfinite(constants.M)
+    sandwich_ok = slope_ok and math.isfinite(constants.M)
     report.add("derivative sandwich (C2)", sandwich_ok,
                measured_constant=constants.M, grid_size=grid_size,
                detail="phi' <= phi/s everywhere and phi/s <= M phi'^2 with finite M")

@@ -23,16 +23,49 @@ def test_horizontal_norm_keeps_ordinary_bits_and_rescales_tiny_rows():
     assert cone_norm(np.array([2.2e-265, 1.25e-304])) == 2.2e-265
 
 
+def _scaled_rows(cols, scale):
+    rng = np.random.default_rng(cols)
+    return scale * rng.standard_normal((257, cols)) * np.exp(rng.uniform(-5, 5, (257, cols)))
+
+
+def _coordinate_order_norm(row):
+    """The Euclidean norm of one row of Python floats, squares added in order."""
+    acc = 0.0
+    for v in row:
+        acc += v * v
+    return math.sqrt(acc)
+
+
 @pytest.mark.parametrize("cols", range(1, 13))
 @pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-310, 1e150])
 def test_row_norm_has_the_bits_of_numpy(cols, scale):
-    rng = np.random.default_rng(cols)
-    x = scale * rng.standard_normal((257, cols)) * np.exp(rng.uniform(-5, 5, (257, cols)))
+    # up to 7 entries numpy adds the squares in coordinate order too; from 8
+    # on it sums pairwise, and two orders of k non-negative terms give sums
+    # within 2 (k - 1) eps of each other, so the roots are a few ulps apart
+    x = _scaled_rows(cols, scale)
     for rows in (x, x[0], x.reshape(257, 1, cols), x[:, ::-1]):
-        assert np.array_equal(geometry._row_norm(rows), np.linalg.norm(rows, axis=-1))
+        got, ref = geometry._row_norm(rows), np.linalg.norm(rows, axis=-1)
+        if cols < 8:
+            assert np.array_equal(got, ref)
+        else:
+            np.testing.assert_array_max_ulp(got, ref, maxulp=2 * cols)
 
 
-@pytest.mark.parametrize("cols", [2, 4, 7, 8, 9])
+@pytest.mark.parametrize("cols", range(1, 13))
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e-310, 1e150])
+def test_row_norm_adds_the_squares_in_coordinate_order(cols, scale):
+    # at every width, for a stack, a lone row and a strided view alike
+    x = _scaled_rows(cols, scale)
+    for rows in (x, x[:, ::-1]):
+        want = [_coordinate_order_norm(row) for row in rows.tolist()]
+        assert geometry._row_norm(rows).tolist() == want
+        assert [float(geometry._row_norm(row)) for row in rows] == want
+        assert geometry._row_norm(rows.reshape(257, 1, cols)).ravel().tolist() == want
+        assert geometry._row_norm(rows.T.copy().T).tolist() == want
+    assert geometry._row_norm(np.empty((3, 0))).tolist() == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("cols", range(1, 13))
 def test_offset_row_norm_has_the_bits_of_the_built_points(cols):
     rng = np.random.default_rng(cols)
     c, d = rng.standard_normal((2, 5, cols))
@@ -235,13 +268,35 @@ def test_interior_sample_has_the_same_bits_in_any_block_size(monkeypatch, block)
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_interior_sample_maps_each_batch_whole_from_n_9(monkeypatch, n):
-    # np.linalg.norm sums a lone row of 8+ squares pairwise, so a block with
-    # one point would change its bits; the 8- and 15-point runs end in one
+    # the 8- and 15-point runs end in a block of one point; the direction
+    # norms add each row's squares in coordinate order, so a lone row has the
+    # bits it has in a stack and any block size gives the same points
     default = {(count, seed): _interior_bits(count, n, seed, 0.0, 0.0)
                for count in (8, 15) for seed in range(8)}
     monkeypatch.setattr(_roots, "_BLOCK", 7)
     for (count, seed), ref in default.items():
         assert _interior_bits(count, n, seed, 0.0, 0.0) == ref
+
+
+@pytest.mark.parametrize("n", [9, 10, 12])
+def test_samplers_keep_the_prefix_property_at_every_width(n):
+    # a one-point run against the first point of a longer one, and a sphere
+    # of one stream point (after its pole) against the first two of a longer
+    for seed in range(40):
+        short = sample_cone_interior(1, n=n, seed=seed).points
+        assert short.tobytes() == sample_cone_interior(50, n=n, seed=seed).points[:1].tobytes()
+        sphere = sample_cone_sphere(0.5, n=n, count=2, seed=seed)
+        assert sphere.tobytes() == sample_cone_sphere(0.5, n=n, count=50, seed=seed)[:2].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 0, 2.5])
+def test_samplers_need_an_integer_dimension_of_two_or_more(n):
+    with pytest.raises(ValueError, match="dimension n must be an integer >= 2"):
+        sample_cone_interior(5, n=n)
+    with pytest.raises(ValueError, match="dimension n must be an integer >= 2"):
+        sample_cone_sphere(0.5, n=n, count=4)
+    assert sample_cone_interior(3, n=np.int64(2)).points.shape == (3, 2)
+    assert sample_cone_sphere(0.5, n=np.int64(2), count=4).shape == (4, 2)
 
 
 @pytest.mark.parametrize("count", [1e4, 1000.0, "1000", None])
