@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformations import ConeMap, GluedMap
-from .geometry import (_NORMS, _offset_row_norm, cone_norm, euclid_norm,
+from .geometry import (_named_norm, _offset_row_norm, cone_norm, euclid_norm,
                        sample_cone_interior, sample_cone_sphere)
 from .moduli import (_GL_NODES, _GL_WEIGHTS, ModulusFunction,
                      measured_constants)
@@ -116,7 +116,7 @@ def _displacements(map_obj, center: np.ndarray, radii, norm: str,
                                  seed=seed)
     image = np.atleast_2d(map_obj(center + spheres))
     base = np.atleast_2d(map_obj(center))[0]
-    return _NORMS[norm](image - base).reshape(radii.size, -1)
+    return _named_norm(norm)(image - base).reshape(radii.size, -1)
 
 
 def optimal_modulus(map_obj, center, radius: float, norm: str = "cone",

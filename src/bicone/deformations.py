@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from ._roots import BracketError, newton_log
-from .geometry import _horizontal_norm, _out, _rows, euclid_norm, reflect
+from .geometry import _check_dimension, _horizontal_norm, _out, _rows, euclid_norm, reflect
 from .moduli import ModulusFunction
 
 __all__ = [
@@ -287,21 +287,15 @@ class RadialMap:
                  beta: float | None = None, n: int = 2):
         if kind not in ("power", "logexample"):
             raise ValueError(f"unknown radial map kind {kind!r}")
-        if not (isinstance(n, int) and n >= 2):
-            raise ValueError("dimension n must be an integer >= 2")
-        self.kind = kind
-        self.n = n
+        self.kind, self.n, self.eps, self.beta = kind, _check_dimension(n), None, None
         if kind == "power":
             if eps is None or not (0.0 < eps <= 1.0):
                 raise ValueError("power stress needs eps in (0, 1]")
             self.eps = float(eps)
-            self.beta = None
         else:
-            beta = 1.0 if beta is None else float(beta)
-            if beta <= 1.0 / self.n:
+            self.beta = 1.0 if beta is None else float(beta)
+            if self.beta <= 1.0 / self.n:
                 raise ValueError("logexample stress needs beta > 1/n")
-            self.beta = beta
-            self.eps = None
 
     def stress(self, rho):
         rho = np.asarray(rho, dtype=float)

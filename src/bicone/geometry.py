@@ -32,6 +32,13 @@ __all__ = [
 ]
 
 
+def _check_dimension(n) -> int:
+    """n as an int, once it is checked to be an integer >= 2."""
+    if not (isinstance(n, numbers.Integral) and n >= 2):
+        raise ValueError("dimension n must be an integer >= 2")
+    return int(n)
+
+
 def _rows(X):
     """X as a 2-D float array of point rows, and whether it was one point."""
     arr = np.asarray(X, dtype=float)
@@ -39,8 +46,7 @@ def _rows(X):
 
 
 def _out(arr, single):
-    """A result on the rows of _rows(X), shaped like X: its one row (or float)
-    for a single point."""
+    """A result on the rows of _rows(X), shaped like X: one row (or float) for a point."""
     return (float(arr[0]) if arr.ndim == 1 else arr[0]) if single else arr
 
 
@@ -116,7 +122,11 @@ def reflect(X):
     return out
 
 
-_NORMS = {"cone": cone_norm, "euclid": euclid_norm}    # the norms of spheres and sweeps, by name
+def _named_norm(name: str):
+    """cone_norm or euclid_norm, the norm of spheres and sweeps called ``name``."""
+    if name not in ("cone", "euclid"):
+        raise ValueError(f"unknown norm {name!r}")
+    return cone_norm if name == "cone" else euclid_norm
 
 
 def unit_ball_volume(d: int) -> float:
@@ -221,11 +231,6 @@ def _directions(u):
 # -- samplers -------------------------------------------------------------------
 
 
-def _check_dimension(n) -> None:
-    if not (isinstance(n, numbers.Integral) and n >= 2):
-        raise ValueError("dimension n must be an integer >= 2")
-
-
 def sample_cone_sphere(r, n: int = 3, norm: str = "cone",
                        restrict: str = "upper", count: int = 64, seed: int = 0):
     """Deterministic points on the sphere of radius r in the requested norm.
@@ -249,11 +254,10 @@ def sample_cone_sphere(r, n: int = 3, norm: str = "cone",
         raise ValueError("radii must be a scalar or a 1-D array")
     if not np.all(np.isfinite(radii) & (radii > 0)):
         raise ValueError("radius must be positive and finite")
-    _check_dimension(n)
+    n = _check_dimension(n)
     if count < 1:
         raise ValueError("count must be >= 1")
-    if norm not in _NORMS:
-        raise ValueError(f"unknown norm {norm!r}")
+    _named_norm(norm)
     if restrict not in ("upper", "both"):
         raise ValueError(f"unknown restriction {restrict!r}")
 
@@ -318,7 +322,7 @@ def sample_cone_interior(count: int, n: int = 2, seed: int = 0,
         raise TypeError(f"count must be an integer, got {count!r}")
     if count < 1:
         raise ValueError("count must be >= 1")
-    _check_dimension(n)
+    n = _check_dimension(n)
     a, b = exclude_axis_margin, exclude_boundary_margin
     if a < 0 or b < 0:
         raise ValueError("margins must be >= 0")

@@ -41,6 +41,7 @@ from typing import Callable
 import numpy as np
 
 from ._roots import BracketError, newton_log
+from .geometry import _check_dimension
 from .reports import VerificationReport
 
 __all__ = [
@@ -103,8 +104,7 @@ class ModulusFunction:
     def __post_init__(self):
         if self.family not in _OWN_FIELDS:
             raise ValueError(f"unknown modulus family {self.family!r}")
-        if not (isinstance(self.n, int) and self.n >= 2):
-            raise ValueError("dimension n must be an integer >= 2")
+        object.__setattr__(self, "n", _check_dimension(self.n))
         stray = [f for f in ("eps", "depth", "alpha")
                  if f not in _OWN_FIELDS[self.family] and getattr(self, f) is not None]
         if stray:
@@ -351,9 +351,8 @@ class MeasuredConstants:
 
 @lru_cache(maxsize=128)
 def _grid_pass(phi: ModulusFunction) -> tuple[MeasuredConstants, bool, bool]:
-    """What one evaluation of phi, phi' and phi'' on the log grid decides:
-    the measured constants, whether phi strictly increases there (C1), and
-    whether phi' <= phi/s there (C2)."""
+    """phi, phi' and phi'' on the log grid, once: the measured constants, and
+    whether phi strictly increases (C1) and phi' <= phi/s (C2) there."""
     grid = np.geomspace(1e-9, 1.0, _GRID_SIZE)
     val = phi(grid)
     der = phi.derivative(grid)
@@ -373,15 +372,18 @@ def _grid_pass(phi: ModulusFunction) -> tuple[MeasuredConstants, bool, bool]:
     return MeasuredConstants(M, radius), increasing, slope_ok
 
 
-@lru_cache(maxsize=128)
 def measured_constants(phi: ModulusFunction) -> MeasuredConstants:
     """Measure the sandwich constant M and the concavity radius on a log grid.
 
     M is the smallest admissible constant sup phi / (s phi'^2) clipped below
     by 1; the concavity radius is the largest grid prefix on which phi'' <= 0.
-    The grid pass behind it is cached on its own, for check_admissibility.
+    It reads the cached grid pass that check_admissibility shares, and its
+    cache_clear() clears that pass.
     """
     return _grid_pass(phi)[0]
+
+
+measured_constants.cache_clear = _grid_pass.cache_clear
 
 
 # -- the energy integral E[phi] ----------------------------------------------

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from bicone.deformations import (BracketError, ConeMap, DomainError, GluedMap,
                                  InverseView, RadialMap)
 from bicone.geometry import (_horizontal_norm, cone_norm, euclid_norm, reflect,
-                             sample_cone_interior)
+                             sample_cone_interior, sample_cone_sphere)
 from bicone.moduli import ModulusFunction, measured_constants
 
 
@@ -516,6 +516,21 @@ def test_radial_map_needs_an_integer_dimension_of_two_or_more(kind, kw, n):
     with pytest.raises(ValueError, match="dimension n must be an integer >= 2"):
         RadialMap(kind, n=n, **kw)
     assert RadialMap(kind, n=3, **kw).n == 3
+
+
+def test_every_dimension_check_takes_a_numpy_integer():
+    n = np.int64(3)
+    phi = ModulusFunction.iterlog(depth=2, alpha=1.0, n=n)
+    assert phi == ModulusFunction.iterlog(depth=2, alpha=1.0, n=3)
+    assert type(phi.n) is int
+    radial = RadialMap("power", eps=0.5, n=n)
+    assert type(radial.n) is int
+    X = np.array([[0.1, 0.2, 0.3]])
+    assert np.array_equal(radial(X), RadialMap("power", eps=0.5, n=3)(X))
+    assert np.array_equal(sample_cone_sphere(0.5, n=n, count=8),
+                          sample_cone_sphere(0.5, n=3, count=8))
+    assert np.array_equal(sample_cone_interior(8, n=n).points,
+                          sample_cone_interior(8, n=3).points)
 
 
 def test_inverse_view_swaps_roles():

@@ -239,6 +239,27 @@ def test_concavity_radius_oracle():
     assert r_pow == pytest.approx(1.0, rel=0.01)
 
 
+def test_clearing_measured_constants_forces_a_new_grid_pass(monkeypatch):
+    # check_admissibility and measured_constants share one cached grid pass
+    # (phi, phi' and phi'' on the grid: three kernel calls), and clearing
+    # measured_constants clears it
+    phi = ModulusFunction.iterlog(depth=2, alpha=1.0, n=3)
+    check_admissibility(phi)
+    calls = []
+    kernel = ModulusFunction._kernel
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(ModulusFunction, "_kernel", counted)
+    warm = measured_constants(phi)
+    assert calls == []
+    measured_constants.cache_clear()
+    assert measured_constants(phi) == warm
+    assert len(calls) == 3
+
+
 # -- energy functional -----------------------------------------------------
 
 def test_energy_closed_forms():
