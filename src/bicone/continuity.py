@@ -18,8 +18,11 @@ and the shared optimal-modulus statement for the glued pair) and record the
 measured constants for the remaining, constant-free statements.  The
 averaging inequality takes the kernel's antiderivative in closed form and
 runs its segment quadrature on stacks of pairs: one pair for
-averaging_lemma_check, small groups of pairs for the randomized suite
-verify_averaging, with the same bits either way.
+averaging_lemma_check, groups of 16 pairs for the randomized suite
+verify_averaging, with the same bits either way.  Each side of a segment
+gets as many panels as its distance from 0 asks for, and every dot product
+and norm adds its terms in coordinate order, so the seeded output does not
+depend on the BLAS kernel a CPU selects.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deformations import ConeMap, GluedMap
-from .geometry import (_named_norm, _offset_row_norm, cone_norm, euclid_norm,
+from .geometry import (_named_norm, _offset_row_norm, _root_sum_squares,
+                       _row_dot, _row_norm, cone_norm, euclid_norm,
                        sample_cone_interior, sample_cone_sphere)
 from .moduli import (_GL_NODES, _GL_WEIGHTS, ModulusFunction,
                      measured_constants)
@@ -311,110 +315,124 @@ def _global_modulus_F(m: ConeMap, block: np.ndarray, seed: int) -> VerificationR
 
 # -- segment averaging inequality ----------------------------------------------
 
-_SEGMENT_DEPTH = 44          # dyadic panels on each side of gamma*
-# Pairs per stacked segment quadrature.  A pair has up to 2 x 44 x 24 = 2112
-# nodes, 17 KB per node-sized array, and the iterlog kernels hold several
-# such arrays at once; two pairs keep that working set near glibc's 128 KiB
-# mmap and trim thresholds, past which the memory goes back to the kernel
-# after every group and comes back as minor page faults.  Measured per
-# `verify averaging --pairs 50` op over the benchmark's certified_quadrature
-# cycles: about 1 fault at one or two pairs a group, 500 to 1000 at three or
-# four, 1700 at six and 2700 with all 51 pairs (about 108k nodes) in one
-# stack, and no group size was clearly faster than two.
-_AVERAGING_GROUP = 2
+_SEGMENT_DEPTH = 44          # most dyadic panels on one side of gamma*
+# Pairs per stacked segment quadrature.  A side of a segment has D + 1
+# panels of 24 nodes (see _segment_integrals); over random pairs of the six
+# families of the benchmark's certified_quadrature cycle, D has median 2 and
+# 99th percentile 7.  Measured per `verify averaging --pairs 50` op over
+# those families: the traced peak was 0.30 MB at 2 pairs a group, 0.38 MB
+# at 16, 0.67 MB at 32 and 1.3 MB with all 51 pairs in one stack, while the
+# time fell from 5.6 ms at 2 to 1.8 ms at 16 and no further.
+_AVERAGING_GROUP = 16
+
+
+def _pair_sums(rows: np.ndarray, terms: np.ndarray, pairs: int) -> np.ndarray:
+    """Per pair, the sum of its terms added in their order (0.0 for none)."""
+    return np.bincount(rows, weights=terms, minlength=pairs).astype(float, copy=False)
 
 
 def _segment_integrals(Phi, A: np.ndarray, B: np.ndarray,
                        G) -> tuple[np.ndarray, np.ndarray]:
     """Row i: (int_0^1 Phi(|gamma A_i + (1-gamma) B_i|) d gamma, strip bound).
 
-    The point gamma* of closest approach splits [0, 1]; panels refine
-    dyadically toward it from both sides.  The unresolved strip of width w
-    on each side is bounded by G(w |a-b|)/|a-b| >= its true contribution
-    (with equality when the segment passes through 0), and that bound is
-    returned separately so callers can use it one-sidedly.  G is the
-    antiderivative of Phi, and both take arrays.
+    The point gamma* of closest approach c* splits [0, 1], and each side,
+    of length L (in gamma), gets panels sized by its own geometry.  With
+    d = a - b and c_min = |c*|, D = max(0, ceil(log2(L |d| / c_min)) + 1)
+    dyadic panels refine toward gamma* down to offset h = L 2^-D, with
+    h <= c_min / (2 |d|), and one closing panel covers [0, h].  Along the
+    side, t -> |c* + t d| branches only where c_min^2 + 2t c*.d + t^2 |d|^2
+    = 0, at |t| = c_min/|d| >= 2h with Re(t) <= 0: at least 4 closing-panel
+    half-widths from the panel's near end, and at Re(z) <= -3 in the
+    coordinates z of each dyadic panel.  So the Bernstein ellipse of
+    rho = 4 about every panel is clear of it, and where Phi(|c* + t d|) is
+    at most M on it, the 24-node rule on a panel of width h errs by at
+    most (64/15) M 4^-46 / (4^2 - 1) h/2 < 3e-29 M h (Trefethen,
+    Approximation Theory and Approximation Practice, Thm 19.3).
+
+    A side with c_min = 0 (the segment crosses 0), or whose D reaches
+    _SEGMENT_DEPTH, keeps _SEGMENT_DEPTH dyadic panels and no closing
+    panel.  Its unresolved strip of width w is bounded by
+    G(w |a-b|)/|a-b| >= its true contribution (with equality when the
+    segment passes through 0), and that bound is returned separately so
+    callers can use it one-sidedly; the other sides contribute 0 to it.  G
+    is the antiderivative of Phi, and both take arrays.
 
     The stack makes one Phi call (panel nodes and points of closest
-    approach) and one G call (the strips).  Every elementwise step is
-    stacked, while the scalars that go through a BLAS dot (d.d, b.d, |c*|)
-    stay per pair and each pair adds its panels in order, so a row has the
-    bits of a stack of that pair alone.
+    approach) and one G call (the strips).  Every step acts on the pairs
+    elementwise, the dot products and norms add their terms in coordinate
+    order, and each pair adds its panels in order, so a row has the bits of
+    a stack of that pair alone.
     """
     pairs = A.shape[0]
     D = A - B
-    dd = np.array([d @ d for d in D])
+    dd = _row_dot(D, D)
     live = dd > 0                       # a = b leaves a one-point segment
-    bd = np.array([b @ d for b, d in zip(B, D)])
-    gamma = np.clip(-bd / np.where(live, dd, 1.0), 0.0, 1.0)
+    gamma = np.clip(-_row_dot(B, D) / np.where(live, dd, 1.0), 0.0, 1.0)
     C = B + gamma[:, None] * D
-    c_min = np.array([np.linalg.norm(c) for c in C])
+    c_min = _row_norm(C)
     # Panels are laid out in exact dyadic offsets from gamma* and the segment
     # points built as c* + off * d, so |c| keeps full relative precision
     # right up to the closest approach (gamma itself would cancel there).
     lengths = np.stack([gamma, 1.0 - gamma], axis=1)
     rows, cols = np.nonzero((lengths > 0) & live[:, None])     # the sides
-    bounds = lengths[rows, cols, None] * 2.0 ** -np.arange(_SEGMENT_DEPTH + 1)
-    half = 0.5 * (bounds[:, :-1] - bounds[:, 1:])
-    off = bounds[:, 1:, None] + half[..., None] * (_GL_NODES + 1.0)
-    sign = np.where(cols == 0, -1.0, 1.0)
-    nodes = _offset_row_norm(C[rows], D[rows], sign[:, None, None] * off)
-    near = live & (c_min > 0)
+    L, root = lengths[rows, cols], np.sqrt(dd[rows])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = L * root / c_min[rows]
+    mant, expo = np.frexp(ratio)
+    depth = expo - (mant == 0.5) + 1                # ceil(log2(ratio)) + 1, exactly
+    closed = np.isfinite(ratio) & (depth < _SEGMENT_DEPTH)
+    depth = np.where(closed, np.maximum(depth, 0), _SEGMENT_DEPTH)
+    count = depth + closed
+    side = np.repeat(np.arange(rows.size), count)
+    j = np.arange(side.size) - np.repeat(np.cumsum(count) - count, count)
+    hi = L[side] * 2.0 ** -j
+    lo = np.where(j < depth[side], L[side] * 2.0 ** -(j + 1.0), 0.0)
+    half = 0.5 * (hi - lo)
+    off = lo[:, None] + half[:, None] * (_GL_NODES + 1.0)
+    sign = np.where(cols[side] == 0, -1.0, 1.0)
+    nodes = _offset_row_norm(C[rows[side]], D[rows[side]], sign[:, None] * off)
+    strip = ~closed
+    capped = strip & (c_min[rows] > 0)
     vals = np.asarray(Phi(np.concatenate([
-        nodes.ravel(), c_min[near], [np.linalg.norm(a) for a in A[~live]]])))
-    k, m = nodes.size, near.sum()
+        nodes.ravel(), c_min[rows[capped]], _row_norm(A[~live])])))
+    k, m = nodes.size, capped.sum()
     panels = np.sum(_GL_WEIGHTS * vals[:k].reshape(-1, _GL_NODES.size), axis=1)
-    terms = np.zeros((pairs, 2, _SEGMENT_DEPTH))
-    terms[rows, cols] = half * panels.reshape(half.shape)
-    total = np.cumsum(terms.reshape(pairs, -1), axis=1)[:, -1]
+    total = _pair_sums(rows[side], half * panels, pairs)
     total[~live] = vals[k + m:]
     # On the leftover strip |c| >= max(c_min, off |d|), so either bound
     # below is valid; the first is exact when the segment crosses 0.
-    root = np.sqrt(dd[rows])
-    w = bounds[:, -1]
-    side = np.asarray(G(w * root)) / root
-    phi_min = np.zeros(pairs)
-    phi_min[near] = vals[k:k + m]
-    cap = near[rows]
-    capped = w[cap] * phi_min[rows[cap]]
-    side[cap] = np.where(capped < side[cap], capped, side[cap])
-    strips = np.zeros((pairs, 2))
-    strips[rows, cols] = side
-    return total, strips[:, 0] + strips[:, 1]
+    w = L[strip] * 2.0 ** -_SEGMENT_DEPTH
+    bound = np.asarray(G(w * root[strip])) / root[strip]
+    cap = capped[strip]
+    by_min = w[cap] * vals[k:k + m]
+    bound[cap] = np.where(by_min < bound[cap], by_min, bound[cap])
+    return total, _pair_sums(rows[strip], bound, pairs)
 
 
-def _averaging_reports(Phi, A: np.ndarray, B: np.ndarray, G, quad_tol: float,
-                       r: float) -> list[VerificationReport]:
-    """The averaging_lemma_check report of each row pair (A_i, B_i), with
-    _AVERAGING_GROUP pairs to one stacked segment quadrature."""
-    norms = np.array([[np.linalg.norm(a), np.linalg.norm(b)] for a, b in zip(A, B)])
-    if not np.all((0 < norms) & (norms <= r)):
+def _averaging_margins(Phi, A: np.ndarray, B: np.ndarray, G, quad_tol: float,
+                       r: float):
+    """Per row pair (A_i, B_i) of the averaging inequality: (lhs, rhs, strip,
+    antiparallel, holds, equal), with _AVERAGING_GROUP pairs to one stacked
+    segment quadrature.  ``holds`` is lhs <= rhs up to quad_tol and
+    ``equal`` is lhs = rhs up to 1e-8, both relative to max(1, rhs); a pair
+    passes when it holds and, if antiparallel, is equal."""
+    na, nb = _row_norm(A), _row_norm(B)
+    if not np.all((0 < na) & (na <= r) & (0 < nb) & (nb <= r)):
         raise ValueError("need 0 < |a|, |b| <= r")
-    reports = []
+    ends = np.asarray(G(np.stack([na, nb], axis=1).ravel())).reshape(-1, 2)
+    rhs = (ends[:, 0] + ends[:, 1]) / (na + nb)
+    seg, strip = np.empty((2, A.shape[0]))
     for lo in range(0, A.shape[0], _AVERAGING_GROUP):
         group = slice(lo, lo + _AVERAGING_GROUP)
-        ends = np.asarray(G(norms[group].ravel())).reshape(-1, 2)
-        rhs_all = (ends[:, 0] + ends[:, 1]) / norms[group].sum(axis=1)
-        seg, strips = _segment_integrals(Phi, A[group], B[group], G)
-        for a, b, (na, nb), lhs, rhs, strip in zip(
-                A[group], B[group], norms[group].tolist(),
-                (seg + strips).tolist(), rhs_all.tolist(), strips.tolist()):
-            cross = float(np.linalg.norm(np.outer(a, b) - np.outer(b, a)))
-            antiparallel = cross <= 1e-12 * na * nb and float(a @ b) < 0
-            scale = max(1.0, rhs)
-            report = VerificationReport(
-                title="segment averaging inequality for a non-increasing kernel",
-                metadata={"lhs": lhs, "rhs": rhs, "strip_bound": strip,
-                          "antiparallel": antiparallel})
-            report.add("segment average <= endpoint average",
-                       lhs <= rhs + quad_tol * scale + 1e-12,
-                       measured_constant=lhs - rhs, tolerance=quad_tol)
-            if antiparallel:
-                report.add("equality when a is a negative multiple of b",
-                           abs(lhs - rhs) <= 1e-8 * scale,
-                           measured_constant=abs(lhs - rhs), tolerance=1e-8)
-            reports.append(report)
-    return reports
+        seg[group], strip[group] = _segment_integrals(Phi, A[group], B[group], G)
+    lhs = seg + strip
+    n = A.shape[1]
+    cross = _root_sum_squares((A[:, i] * B[:, j] - B[:, i] * A[:, j]
+                               for i in range(n) for j in range(n)), na.shape)
+    antiparallel = (cross <= 1e-12 * na * nb) & (_row_dot(A, B) < 0)
+    scale = np.maximum(1.0, rhs)
+    return (lhs, rhs, strip, antiparallel, lhs <= rhs + quad_tol * scale + 1e-12,
+            np.abs(lhs - rhs) <= 1e-8 * scale)
 
 
 def averaging_lemma_check(Phi, a, b, quad_tol: float = 1e-10, r: float = 1.0, *,
@@ -433,7 +451,19 @@ def averaging_lemma_check(Phi, a, b, quad_tol: float = 1e-10, r: float = 1.0, *,
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    return _averaging_reports(Phi, a[None], b[None], lower_integral, quad_tol, r)[0]
+    lhs, rhs, strip, antiparallel, holds, equal = (
+        x[0].item() for x in _averaging_margins(Phi, a[None], b[None],
+                                                lower_integral, quad_tol, r))
+    report = VerificationReport(
+        title="segment averaging inequality for a non-increasing kernel",
+        metadata={"lhs": lhs, "rhs": rhs, "strip_bound": strip,
+                  "antiparallel": antiparallel})
+    report.add("segment average <= endpoint average", holds,
+               measured_constant=lhs - rhs, tolerance=quad_tol)
+    if antiparallel:
+        report.add("equality when a is a negative multiple of b", equal,
+                   measured_constant=abs(lhs - rhs), tolerance=1e-8)
+    return report
 
 
 def verify_averaging(phi: ModulusFunction, pairs: int, seed: int = 0,
@@ -444,23 +474,28 @@ def verify_averaging(phi: ModulusFunction, pairs: int, seed: int = 0,
     rc = measured_constants(phi).concavity_radius
     rng = np.random.default_rng(seed)
     A, B = np.zeros((2, pairs + 1, n))
+    scales = np.empty((2, pairs + 1))
     for i in range(pairs):
         A[i], B[i] = rng.normal(size=(2, n))
-        A[i] *= rng.uniform(0.02, 1.0) * rc / np.linalg.norm(A[i])
-        B[i] *= rng.uniform(0.02, 1.0) * rc / np.linalg.norm(B[i])
+        scales[:, i] = rng.uniform(0.02, 1.0), rng.uniform(0.02, 1.0)
+    A[:pairs] *= (scales[0, :pairs] * rc / _row_norm(A[:pairs]))[:, None]
+    B[:pairs] *= (scales[1, :pairs] * rc / _row_norm(B[:pairs]))[:, None]
     A[pairs, 0] = 0.5 * rc                  # the equality pair (a, -a)
     B[pairs] = -A[pairs]
-    *reps, eq = _averaging_reports(phi.derivative, A, B, phi, tol, rc)
-    worst = max([-np.inf] + [rep.checks[0].measured_constant for rep in reps])
-    failed = sum(not rep.passed for rep in reps)
+    lhs, rhs, _, antiparallel, holds, equal = _averaging_margins(
+        phi.derivative, A, B, phi, tol, rc)
+    margins = lhs - rhs
+    passed = holds & (equal | ~antiparallel)
+    worst = float(np.max(margins[:pairs], initial=-np.inf))
+    failed = int(np.count_nonzero(~passed[:pairs]))
     report = VerificationReport(
         title="segment averaging inequality, randomized suite", seed=seed,
         sample_count=pairs,
         metadata={"family": phi.describe(), "concavity_radius": rc})
     report.add(f"inequality holds on {pairs} random pairs", failed == 0,
                measured_constant=worst, grid_size=pairs, tolerance=tol)
-    eq_defect = eq.checks[-1].measured_constant
-    report.add("equality when a = -b", eq.passed,
+    eq_defect = float(abs(margins[pairs]) if antiparallel[pairs] else margins[pairs])
+    report.add("equality when a = -b", bool(passed[pairs]),
                measured_constant=eq_defect, tolerance=1e-8)
     return report
 

@@ -16,9 +16,13 @@ with P = phi (1 - w(1-g)) = s * (Jacobian determinant) and R = -w phi (1-g)
 = s t lambda'(s).  Everything is evaluated through profile_log, which never
 materializes s, so the quadrature runs far past the underflow point of e^-u.
 
-u-panels double geometrically as in the one-dimensional E[phi] quadrature;
-w-panels refine dyadically toward w = 1 because the K_H integrand varies on
-the scale of the elasticity there.  Convergence is certified by rigorous
+u-panels double geometrically as in the one-dimensional E[phi] quadrature.
+Each integrand gets the w-rule its singularities ask for.  K_H has a pole
+at w = 1/(1 - g), just past w = 1, so its w-panels refine dyadically
+toward w = 1 on the scale of the elasticity.  |DH|^n has no singularity
+within distance 1/2 of [0, 1], so one 24-node panel serves every u-node:
+exact for even n <= 24, and within a certified Bernstein-ellipse bound
+otherwise (_w_rule_error).  Convergence is certified by rigorous
 remainders: the |DH|^n tail reduces to the one-dimensional remainder T(U)
 of moduli.energy_tail_bound, available for every built-in family, plus a
 first-order term in the elasticity g that integrates exactly; what is left
@@ -72,24 +76,57 @@ class EnergyResult:
 
 @cache
 def _w_grid(depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0,1] with dyadic panels toward w=1."""
+    """Gauss-Legendre nodes/weights on [0,1] with dyadic panels toward w=1;
+    depth 0 is one panel."""
     edges = [0.0] + [1.0 - 2.0 ** (-j) for j in range(1, depth + 1)] + [1.0]
     nodes, weights = zip(*map(_gl_panel, edges[:-1], edges[1:]))
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def _panel_value(phi: ModulusFunction, n: int, u: np.ndarray, wu: np.ndarray,
-                 kind: str) -> tuple[float, int]:
-    """Integral of one (u-panel) x [0,1] cell of the reduced integrand."""
+# The |DH|^n w-integrand [(n-1)s^2 + phi^2 Q]^{n/2} (1-w)^{n-2} gets one
+# 24-node panel on [0, 1].  For even n <= 24 it is a polynomial of degree
+# 2n - 2 <= 46, which the panel integrates exactly.  Otherwise, in panel
+# coordinates z = 2w - 1, write Q = (1 + (cz + c - 1)^2) / 2 with c = 1 - g:
+# the branch points, the zeros of (n-1)s^2 + phi^2 Q, sit at
+# z = (1 - c +- i sqrt(1 + 2k)) / c with k = (n-1)s^2/phi^2, so |Im z| >= 1.
+# The Bernstein ellipse E_rho with rho = 2.4 < 1 + sqrt(2) (semi-minor axis
+# 0.992) is clear of them.  On it |z| <= a = (rho + 1/rho)/2, so
+# |cz + c - 1| <= a for every c in [0, 1], |Q| <= (1 + a^2)/2 and
+# |1 - w| <= (1 + a)/2.  Trefethen, Approximation Theory and Approximation
+# Practice, Thm 19.3, bounds the error of the 24-node rule on [-1, 1] by
+# (64/15) M rho^-46 / (rho^2 - 1) for |f| <= M on E_rho, and [0, 1] halves it.
+# The bound is loose (about 1e-17 of the integral at n = 3, where the true
+# error is near 1e-23), but certified.
+_W_RHO = 2.4
+_W_A = (_W_RHO + 1.0 / _W_RHO) / 2.0
+_W_Q = (1.0 + _W_A ** 2) / 2.0                      # |Q| on E_rho
+
+
+def _w_rule_error(n: int, M):
+    """Error bound of the one-panel w-rule for f (1-w)^{n-2}, |f| <= M on E_rho."""
+    if n % 2 == 0 and n <= 24:
+        return 0.0
+    return (32.0 / 15.0) * _W_RHO ** -46 / (_W_RHO ** 2 - 1.0) * M \
+        * ((1.0 + _W_A) / 2.0) ** (n - 2)
+
+
+def _panel_value(phi: ModulusFunction, u: np.ndarray, wu: np.ndarray,
+                 kind: str) -> tuple[float, float, int]:
+    """(integral, w-rule error bound, nodes) of one (u-panel) x [0,1] cell of
+    the reduced integrand."""
+    n = phi.n
     phi_u, g = phi.profile_log(u)
     g = np.clip(g, 0.0, 1.0)
-    # K_H varies on the w-scale of the elasticity near w = 1
-    g_end = max(float(g[-1]), 1e-12)
-    depth = int(min(40, max(8, math.ceil(-math.log2(g_end)) + 6)))
-    w, ww = _w_grid(depth)
+    if kind == "conformal":
+        w, ww = _w_grid(0)
+    else:
+        # K_H varies on the w-scale of the elasticity near w = 1
+        g_end = max(float(g[-1]), 1e-12)
+        w, ww = _w_grid(int(min(40, max(8, math.ceil(-math.log2(g_end)) + 6))))
     live = phi_u > 0.0
+    nodes = u.size * w.size
     if not live.any():
-        return 0.0, u.size * w.size
+        return 0.0, 0.0, nodes
     u, wu, phi_u, g = u[live], wu[live], phi_u[live], g[live]
     s = np.exp(-u)
     one_w = (1.0 - w)[None, :]
@@ -97,12 +134,16 @@ def _panel_value(phi: ModulusFunction, n: int, u: np.ndarray, wu: np.ndarray,
     R2 = (phi_u[:, None] * w[None, :] * (1.0 - g[:, None])) ** 2
     if kind == "conformal":
         core = ((n - 1) * (s ** 2)[:, None] + R2 + P * P) ** (n / 2.0)
-    else:
-        s_pow = np.exp(-(n - 1) * u)
-        core = (((s ** 2)[:, None] + R2) / (P * P) + (n - 1)) ** (n / 2.0) \
-            * P * s_pow[:, None]
+        bound = _w_rule_error(n, ((n - 1) * s ** 2 + _W_Q * phi_u ** 2) ** (n / 2.0))
+        # the w-integral of each u-node, then their u-sum: two short sums,
+        # where one running sum over all nodes drifted by up to 9 ulp
+        inner = np.sum(core * one_w ** (n - 2) * ww, axis=1)
+        return float(np.sum(wu * inner)), float(np.sum(wu * bound)), nodes
+    s_pow = np.exp(-(n - 1) * u)
+    core = (((s ** 2)[:, None] + R2) / (P * P) + (n - 1)) ** (n / 2.0) \
+        * P * s_pow[:, None]
     cell = core * one_w ** (n - 2)
-    return float(np.einsum("i,ij,j->", wu, cell, ww)), u.size * w.size
+    return float(np.einsum("i,ij,j->", wu, cell, ww)), 0.0, nodes
 
 
 # -- tail treatment -----------------------------------------------------------
@@ -138,7 +179,13 @@ def _panel_value(phi: ModulusFunction, n: int, u: np.ndarray, wu: np.ndarray,
 # than phi^n, which for iterated logs ends the doubling many panels sooner.
 
 def _w_moment(n: int, weight) -> float:
-    """int_0^1 weight(w, Q, p) (1-w)^{n-2} dw with Q = 2w^2 - 2w + 1, p = n/2."""
+    """int_0^1 weight(w, Q, p) (1-w)^{n-2} dw with Q = 2w^2 - 2w + 1, p = n/2.
+
+    These two constants per n keep 17 dyadic panels: one panel rounds W_2(1)
+    to 2/3 + 3 ulp, and the finer grid to 2/3.  The branch points (1 +- i)/2
+    lie outside the Bernstein ellipse of rho = 4 about every panel, so the
+    rule error is below 1e-18 for n <= 24 and rounding is what is left.
+    """
     w, ww = _w_grid(16)
     q = 2.0 * w * w - 2.0 * w + 1.0
     return float(np.sum(ww * weight(w, q, n / 2.0) * (1.0 - w) ** (n - 2)))
@@ -163,7 +210,7 @@ def _w_curvature(n: int) -> float:
                       + 2.0 ** max(0.0, 1.0 - p)) * 2.0 / ((n - 1) * n * (n + 1))
 
 
-def _distortion_tail(phi: ModulusFunction, n: int, U: float) -> float:
+def _distortion_tail(phi: ModulusFunction, U: float) -> float:
     """Rigorous bound for the K_H integral beyond u = U.
 
     With z = 1 - w(1-g) and sigma = s/phi one has P = phi z, s/P = sigma/z
@@ -175,6 +222,7 @@ def _distortion_tail(phi: ModulusFunction, n: int, U: float) -> float:
     first factor alone) or g = eps (power, the identity at eps = 1),
     leaving a closed-form integral of (1+u)^{n-1} e^{-(n-1)u}.
     """
+    n = phi.n
     phi_U, g_U = phi.profile_log(U)
     if phi_U <= 0.0:
         return 0.0
@@ -194,13 +242,15 @@ def _distortion_tail(phi: ModulusFunction, n: int, U: float) -> float:
 
 # -- the tensor quadrature -----------------------------------------------------
 
-def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str):
+def _reduced_quadrature(phi: ModulusFunction, tol: float, kind: str):
+    n = phi.n
     sigma_factor = sphere_surface_area(n - 2)
-    nodes = []
+    nodes, rules = [], []
 
     def panel(u, wu):
-        inc, used = _panel_value(phi, n, u, wu, kind)
+        inc, rule, used = _panel_value(phi, u, wu, kind)
         nodes.append(used)
+        rules.append(rule)
         return inc
 
     def conformal_remainder(U, total, inc):
@@ -211,12 +261,13 @@ def _reduced_quadrature(phi: ModulusFunction, n: int, tol: float, kind: str):
         corr = (n / 2.0) * ((n - 1) * s_U ** 2 + 2.0 * phi_U ** 2) \
             ** (n / 2.0 - 1.0) * math.exp(-2.0 * U) / 2.0
         value = sigma_factor * (total + _w_reference(n) * T - _w_slope(n) * phi_n / n)
-        err = sigma_factor * (_w_curvature(n) / (2 * n) * g_U * phi_n + corr + T_err) \
-            + 8.0 * np.finfo(float).eps * abs(value)
+        rule = sum(rules)
+        err = sigma_factor * (_w_curvature(n) / (2 * n) * g_U * phi_n + corr + T_err
+                              + rule) + 8.0 * np.finfo(float).eps * abs(value)
         return value, err, err <= 0.5 * tol * max(1.0, abs(value))
 
     def distortion_remainder(U, total, inc):
-        tail = _distortion_tail(phi, n, U)
+        tail = _distortion_tail(phi, U)
         threshold = tol * max(1.0, abs(total))
         return sigma_factor * total, sigma_factor * (tail + inc), \
             tail <= 0.5 * threshold and inc <= 0.5 * threshold
@@ -233,7 +284,7 @@ def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
         raise EnergyDivergenceError(
             f"modulus energy of {phi.describe()} diverges at n={n} "
             "(condition (C3) fails), so the deformation energy is infinite")
-    value, err, status, nodes = _reduced_quadrature(phi, n, tol, kind)
+    value, err, status, nodes = _reduced_quadrature(phi, tol, kind)
     return EnergyResult(value=value, method="tensor_quadrature",
                         samples_or_nodes=nodes, error_estimate=err,
                         status=status)

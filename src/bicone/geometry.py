@@ -63,6 +63,15 @@ def _root_sum_squares(columns, shape) -> np.ndarray:
     return np.sqrt(acc)
 
 
+def _row_dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """sum_i x_i y_i over the last axis, added in coordinate order like
+    _row_norm's squares, so a row has the same bits alone and in any stack."""
+    acc = x[..., 0] * y[..., 0]
+    for i in range(1, x.shape[-1]):
+        acc += x[..., i] * y[..., i]
+    return acc
+
+
 def _row_norm(x: np.ndarray) -> np.ndarray:
     """Euclidean norm over the last axis, squares added in coordinate order.
 

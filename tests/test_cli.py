@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import platform
 import shlex
 import subprocess
 import sys
@@ -264,8 +265,8 @@ def test_verify_conditions_integrates_at_the_spec_dimension(phi, energy, capsys)
 
 @pytest.mark.parametrize("phi,worst,equality", [
     ("identity,n=2", 2.220446049250313e-16, 0.0),
-    ("iterlog:k=2,alpha=1,n=2", -0.8607491661319394, 4.440892098500626e-16),
-    ("iterlog:k=4,alpha=1,n=4", -1.0338607206539456, 0.0),
+    ("iterlog:k=2,alpha=1,n=2", -0.8607491661319395, 4.440892098500626e-16),
+    ("iterlog:k=4,alpha=1,n=4", -1.0338607206539459, 0.0),
 ])
 def test_verify_averaging_keeps_its_seeded_defects(phi, worst, equality, capsys):
     # exact floats: the suite's segment quadrature must keep every bit
@@ -523,16 +524,47 @@ def test_a_nan_energy_is_never_converged(spec):
     # Far out (u > 372) the K_H cells of these maps are 0/0.  The NaN sum
     # must come out "truncated" with exit 1, never "converged" with exit 0.
     # A subprocess, because the 0/0 also raises a RuntimeWarning on stderr.
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(root / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
     done = subprocess.run([sys.executable, "-m", "bicone.cli", "energy",
                            "--integrand", "inverse", "--map", spec, "--tol", "1e-300"],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
     doc = json.loads(done.stdout)["result"]
     assert done.returncode == 1
     assert (doc["status"], doc["value"], doc["error_estimate"]) == ("truncated", "nan", "inf")
+
+
+def _src_env(**extra):
+    """os.environ with this checkout's src/ first on PYTHONPATH, plus extra."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p])
+    return env
+
+
+def _blas_kernel_is_switchable() -> bool:
+    """OPENBLAS_CORETYPE can pick both kernels below: an x86-64 CPU with AVX2
+    and FMA (Haswell's), under a numpy whose OpenBLAS has DYNAMIC_ARCH."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        from numpy._core._multiarray_umath import __cpu_features__ as cpu
+    except (TypeError, KeyError, ImportError):      # numpy 1.x: too old to ask
+        return False
+    return (platform.machine().lower() in ("x86_64", "amd64")
+            and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and cpu.get("AVX2", False) and cpu.get("FMA3", False))
+
+
+@pytest.mark.skipif(not _blas_kernel_is_switchable(),
+                    reason="needs x86-64 with AVX2 and an OpenBLAS with DYNAMIC_ARCH")
+def test_verify_averaging_replays_under_any_blas_kernel():
+    # The suite's dots and norms add in coordinate order, so no BLAS kernel
+    # choice can move a seeded byte of its output.
+    argv = [sys.executable, "-m", "bicone.cli", "verify", "averaging",
+            "--phi", "iterlog:k=2,alpha=1,n=4", "--pairs", "2000"]
+    outs = [subprocess.run(argv, capture_output=True, check=True, timeout=120,
+                           env=_src_env(OPENBLAS_CORETYPE=core)).stdout
+            for core in ("Prescott", "Haswell")]
+    assert outs[0] == outs[1]
 
 
 def test_invert_radial_logexample_honours_tol(capsys):

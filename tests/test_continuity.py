@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from bicone.geometry import (cone_norm, euclid_norm, kronecker_sequence,
                              sample_cone_sphere)
 from bicone.moduli import (_GL_NODES, _GL_WEIGHTS, ModulusFunction,
                            doubling_constant, measured_constants)
+from test_deformations import mp_iterlog_jet
 
 
 def k2(n=2):
@@ -340,31 +342,56 @@ def test_closed_form_antiderivative_avoids_the_raise(phi, x):
     assert averaging_lemma_check(phi.derivative, a, b, lower_integral=phi).passed
 
 
+def _dot(x, y):
+    """x . y with its terms added in coordinate order."""
+    acc = 0.0
+    for xi, yi in zip(x, y):
+        acc += xi * yi
+    return acc
+
+
 def _segment_integral_per_panel(Phi, a, b, G, depth=44):
-    """The segment quadrature with one Phi call per panel, as a reference."""
+    """The segment quadrature with one Phi call per panel, as a reference.
+
+    Each side of gamma*, of length L, gets D = ceil(log2(L |d| / c_min)) + 1
+    dyadic panels toward gamma* (at least 0) and one closing panel over
+    [0, L 2^-D]; where c_min = 0 or D reaches `depth`, `depth` dyadic
+    panels and the strip bound instead.
+    """
     d = a - b
-    dd = float(d @ d)
+    dd = _dot(d, d)
     if dd == 0:
-        return float(Phi(np.array([np.linalg.norm(a)]))[0]), 0.0
-    gamma_star = float(np.clip(-(b @ d) / dd, 0.0, 1.0))
+        return float(Phi(np.array([math.sqrt(_dot(a, a))]))[0]), 0.0
+    gamma_star = float(np.clip(-_dot(b, d) / dd, 0.0, 1.0))
     c_star = b + gamma_star * d
+    c_min = math.sqrt(_dot(c_star, c_star))
     total = 0.0
     strip = 0.0
+
+    def panel(lo_off, hi_off, sign):
+        half = 0.5 * (hi_off - lo_off)
+        off = lo_off + half * (_GL_NODES + 1.0)
+        pts = c_star[None, :] + (sign * off)[:, None] * d[None, :]
+        return half * float(np.sum(_GL_WEIGHTS * np.asarray(
+            Phi(np.linalg.norm(pts, axis=1)))))
+
     for length, sign in ((gamma_star, -1.0), (1.0 - gamma_star, 1.0)):
         if length <= 0:
             continue
-        bounds = np.concatenate(([length],
-                                 length * 2.0 ** -np.arange(1, depth + 1)))
-        for j in range(depth):
-            hi_off, lo_off = bounds[j], bounds[j + 1]
-            half = 0.5 * (hi_off - lo_off)
-            off = lo_off + half * (_GL_NODES + 1.0)
-            pts = c_star[None, :] + (sign * off)[:, None] * d[None, :]
-            total += half * float(np.sum(_GL_WEIGHTS * np.asarray(
-                Phi(np.linalg.norm(pts, axis=1)))))
-        w = float(bounds[-1])
+        ratio = length * math.sqrt(dd) / c_min if c_min > 0 else math.inf
+        if math.isfinite(ratio):
+            mant, expo = math.frexp(ratio)
+            side_depth = max(0, expo - (mant == 0.5) + 1)
+        closing = math.isfinite(ratio) and side_depth < depth
+        if not closing:
+            side_depth = depth
+        for j in range(side_depth):
+            total += panel(length * 2.0 ** -(j + 1), length * 2.0 ** -j, sign)
+        w = length * 2.0 ** -side_depth
+        if closing:
+            total += panel(0.0, w, sign)
+            continue
         bound = G(w * math.sqrt(dd)) / math.sqrt(dd)
-        c_min = float(np.linalg.norm(c_star))
         if c_min > 0:
             bound = min(bound, w * float(np.asarray(Phi(np.array([c_min])))[0]))
         strip += bound
@@ -379,7 +406,13 @@ def _segment_cases():
               ("clipped-at-a", np.array([0.2, 0.05]), np.array([0.3, 0.1])),
               ("antiparallel", np.array([0.0, 0.25, 0.0]),
                np.array([0.0, -0.25, 0.0])),
-              ("a-equals-b", np.array([0.1, -0.2]), np.array([0.1, -0.2]))]
+              ("a-equals-b", np.array([0.1, -0.2]), np.array([0.1, -0.2])),
+              # c_min = 5e-10 |d|: about 30 dyadic panels a side, then a closing one
+              ("near-antiparallel", np.array([0.3, 6e-10, 0.0]),
+               np.array([-0.2, 0.0, 0.0])),
+              # c_min = 5e-16 |d|: the depth reaches 44, and the strip stays
+              ("nearer-antiparallel", np.array([0.3, 6e-16, 0.0]),
+               np.array([-0.3, 0.0, 0.0]))]
     return cases
 
 
@@ -410,6 +443,73 @@ def test_stacked_segment_integral_equals_per_panel_loop(phi, case):
         phi.derivative, A[row], B[row], G)
 
 
+def mp_jet(phi, r):
+    """phi(r) and its elasticity g at mpmath precision, from the definition."""
+    if phi.family == "iterlog":
+        return mp_iterlog_jet(phi.depth, phi.alpha, phi.n, r)
+    return r ** mp.mpf(phi.eps), mp.mpf(phi.eps)
+
+
+def mp_kernel(phi, r):
+    """phi'(r) = phi(r) g(r) / r."""
+    value, g = mp_jet(phi, r)
+    return value * g / r
+
+
+def mp_segment_integral(phi, a, b):
+    """int_0^1 phi'(|gamma a + (1-gamma) b|) d gamma at 30 digits.
+
+    The integral is split at the closest approach gamma* and at offsets
+    10^-k from it down to a tenth of c_min / |d|, the width of the peak
+    there, so that no piece spans many scales of the kernel.
+    """
+    with mp.workdps(30):
+        a, b = [mp.mpf(float(x)) for x in a], [mp.mpf(float(x)) for x in b]
+        d = [x - y for x, y in zip(a, b)]
+        dd = mp.fsum(x * x for x in d)
+        if dd == 0:
+            return mp_kernel(phi, mp.sqrt(mp.fsum(x * x for x in a)))
+        g_star = min(max(-mp.fsum(x * y for x, y in zip(b, d)) / dd, 0), 1)
+        c_min = mp.sqrt(mp.fsum((y + g_star * x) ** 2 for x, y in zip(d, b)))
+        steps = [mp.mpf(10) ** -k for k in range(1, 40)
+                 if mp.mpf(10) ** -k >= c_min / mp.sqrt(dd) / 10]
+        points = sorted({mp.mpf(0), mp.mpf(1), g_star}
+                        | {g_star + t for t in steps if g_star + t < 1}
+                        | {g_star - t for t in steps if g_star - t > 0})
+
+        def integrand(gamma):
+            return mp_kernel(phi, mp.sqrt(mp.fsum(
+                (gamma * x + (1 - gamma) * y) ** 2 for x, y in zip(a, b))))
+
+        return mp.quad(integrand, points)
+
+
+@pytest.mark.parametrize("phi", [ModulusFunction.power(0.5, n=2),
+                                 ModulusFunction.iterlog(depth=2, alpha=1.0, n=3)],
+                         ids=lambda p: p.describe())
+def test_segment_integrals_against_an_mpmath_oracle(phi):
+    cases = _segment_cases()
+    A = np.array([_padded(c[1]) for c in cases])
+    B = np.array([_padded(c[2]) for c in cases])
+    total, strip = _segment_integrals(phi.derivative, A, B, phi)
+    for (name, a, b), got, bound in zip(cases, total, strip):
+        if name == "antiparallel":
+            # a = -b: the closed form phi(|a|) / |a|, which the strip bound meets
+            with mp.workdps(30):
+                exact = mp_jet(phi, mp.mpf(0.25))[0] / mp.mpf(0.25)
+            assert abs(got + bound - exact) <= 1e-15 * exact, name
+            continue
+        exact = mp_segment_integral(phi, a, b)
+        if name == "nearer-antiparallel":
+            # 44 dyadic panels leave a strip, which the bound covers one-sidedly
+            assert bound > 0
+            assert got <= exact * (1 + 1e-15) and exact <= (got + bound) * (1 + 1e-15)
+            continue
+        # a closing panel instead of the strip: accurate to rounding
+        assert bound == 0, name
+        assert abs(got - exact) <= 1e-15 * exact, name
+
+
 def _averaging_suite_per_pair(phi, pairs, seed, tol):
     """The suite's draws, one averaging_lemma_check call per pair."""
     rc = measured_constants(phi).concavity_radius
@@ -417,8 +517,8 @@ def _averaging_suite_per_pair(phi, pairs, seed, tol):
     worst, failed = -np.inf, 0
     for _ in range(pairs):
         a, b = rng.normal(size=(2, phi.n))
-        a *= rng.uniform(0.02, 1.0) * rc / np.linalg.norm(a)
-        b *= rng.uniform(0.02, 1.0) * rc / np.linalg.norm(b)
+        a *= rng.uniform(0.02, 1.0) * rc / math.sqrt(_dot(a, a))
+        b *= rng.uniform(0.02, 1.0) * rc / math.sqrt(_dot(b, b))
         rep = averaging_lemma_check(phi.derivative, a, b, quad_tol=tol, r=rc,
                                     lower_integral=phi)
         worst = max(worst, rep.checks[0].measured_constant)

@@ -4,13 +4,16 @@ import tracemalloc
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from mpmath.calculus.quadrature import GaussLegendre
 
 from bicone import _roots
 from bicone.deformations import ConeMap, GluedMap
-from bicone.energy import (EnergyResult, biconformal_energy,
+from bicone.energy import (_W_Q, EnergyResult, _w_rule_error, biconformal_energy,
                            conformal_energy_H, energy_F_monte_carlo,
                            energy_modulus_ratio, inner_distortion_integral)
-from bicone.geometry import sample_cone_interior
+from bicone.geometry import sample_cone_interior, unit_ball_volume
 from bicone.moduli import EnergyDivergenceError, ModulusFunction, measured_constants
 
 
@@ -128,99 +131,99 @@ PINNED_FAMILIES = {
 }
 PINNED = {
     ('identity', 2, 1e-06, 'conformal'):
-        (1.9999998124413723, 1.8755862808481187e-07, 20736, 'converged'),
+        (1.9999998124413758, 1.8755862808481187e-07, 2304, 'converged'),
     ('identity', 2, 1e-06, 'distortion'):
         (1.9999999999999714, 2.2507055206516842e-07, 25920, 'converged'),
     ('identity', 2, 1e-10, 'conformal'):
-        (1.9999999999999756, 2.4659656260624082e-14, 25920, 'converged'),
+        (1.9999999999999791, 2.4659656260624088e-14, 2880, 'converged'),
     ('identity', 2, 1e-10, 'distortion'):
         (1.9999999999999967, 2.532833109819124e-14, 31104, 'converged'),
     ('identity', 3, 1e-06, 'conformal'):
-        (5.441398092519146, 3.8955134001438424e-10, 20736, 'converged'),
+        (5.441398092519151, 3.8955136389444927e-10, 2304, 'converged'),
     ('identity', 3, 1e-06, 'distortion'):
         (5.44139809270265, 2.0542009922319265e-10, 25920, 'converged'),
     ('identity', 3, 1e-10, 'conformal'):
-        (5.44139809270265, 9.665879423594136e-15, 25920, 'converged'),
+        (5.441398092702655, 9.689759488671022e-15, 2880, 'converged'),
     ('identity', 3, 1e-10, 'distortion'):
         (5.44139809270265, 2.0542009922319265e-10, 25920, 'converged'),
     ('power 0.5', 2, 1e-06, 'conformal'):
-        (2.333333295821595, 3.751174171541782e-08, 25920, 'converged'),
+        (2.333333295821596, 3.751174171541782e-08, 2880, 'converged'),
     ('power 0.5', 2, 1e-06, 'distortion'):
         (2.29076130372243, 4.4611744192575066e-11, 31104, 'converged'),
     ('power 0.5', 2, 1e-10, 'conformal'):
-        (2.3333333333333277, 8.366221141632127e-15, 31104, 'converged'),
+        (2.333333333333329, 8.366221141632128e-15, 3456, 'converged'),
     ('power 0.5', 2, 1e-10, 'distortion'):
         (2.29076130372243, 4.4611744192575066e-11, 31104, 'converged'),
     ('power 0.5', 3, 1e-06, 'conformal'):
-        (5.873523894158798, 2.759706886275586e-06, 20736, 'converged'),
+        (5.873523894158815, 2.7597068863083787e-06, 2304, 'converged'),
     ('power 0.5', 3, 1e-06, 'distortion'):
         (5.854140440781445, 6.4517381512896884e-09, 25920, 'converged'),
     ('power 0.5', 3, 1e-10, 'conformal'):
-        (5.873525242044991, 1.6882274604676972e-11, 25920, 'converged'),
+        (5.873525242045007, 1.688230739699778e-11, 2880, 'converged'),
     ('power 0.5', 3, 1e-10, 'distortion'):
         (5.854140440781445, 1.3294602656222795e-17, 31104, 'converged'),
     ('iterlog k=1', 2, 1e-06, 'conformal'):
-        (2.4444442374072635, 3.105557796159719e-07, 53568, 'converged'),
+        (2.4444442374072612, 3.105557796159719e-07, 4608, 'converged'),
     ('iterlog k=1', 2, 1e-06, 'distortion'):
         (2.1458762619093332, 2.649163664165596e-08, 36864, 'converged'),
     ('iterlog k=1', 2, 1e-10, 'conformal'):
-        (2.444444444392782, 7.750098085119394e-11, 92736, 'converged'),
+        (2.44444444439278, 7.750098085119394e-11, 6912, 'converged'),
     ('iterlog k=1', 2, 1e-10, 'distortion'):
         (2.145876261909335, 1.9843733788486004e-15, 44928, 'converged'),
     ('iterlog k=1', 3, 1e-06, 'conformal'):
-        (5.632192507819744, 7.537087481457131e-07, 36864, 'converged'),
+        (5.632192507819745, 7.537087481738556e-07, 3456, 'converged'),
     ('iterlog k=1', 3, 1e-06, 'distortion'):
         (5.5419912262337405, 5.7968537488382894e-08, 29376, 'converged'),
     ('iterlog k=1', 3, 1e-10, 'conformal'):
-        (5.632192801166672, 2.0490286096035866e-10, 62784, 'converged'),
+        (5.632192801166673, 2.0490288911173656e-10, 5184, 'converged'),
     ('iterlog k=1', 3, 1e-10, 'distortion'):
         (5.541991226233745, 4.234410507666275e-15, 36864, 'converged'),
     ('iterlog k=2', 2, 1e-06, 'conformal'):
-        (3.7389736647640657, 4.480767839490424e-07, 62784, 'converged'),
+        (3.7389736647640586, 4.480767839490424e-07, 5184, 'converged'),
     ('iterlog k=2', 2, 1e-06, 'distortion'):
         (2.212030938744839, 5.235367403220378e-08, 36864, 'converged'),
     ('iterlog k=2', 2, 1e-10, 'conformal'):
-        (3.738973911000452, 4.245692340706839e-11, 130176, 'converged'),
+        (3.7389739110004454, 4.245692340706839e-11, 8640, 'converged'),
     ('iterlog k=2', 2, 1e-10, 'distortion'):
         (2.212030938744844, 4.733551306181701e-15, 44928, 'converged'),
     ('iterlog k=2', 3, 1e-06, 'conformal'):
-        (6.049878792513695, 1.991352018467904e-06, 45504, 'converged'),
+        (6.049878792513682, 1.99135201850034e-06, 4032, 'converged'),
     ('iterlog k=2', 3, 1e-06, 'distortion'):
         (5.6215512394954015, 1.2078408844145214e-07, 29952, 'converged'),
     ('iterlog k=2', 3, 1e-10, 'conformal'):
-        (6.049879401408576, 8.265384498961115e-11, 109440, 'converged'),
+        (6.049879401408563, 8.265387812407069e-11, 7488, 'converged'),
     ('iterlog k=2', 3, 1e-10, 'distortion'):
         (5.621551239495413, 1.1738901650447391e-14, 37440, 'converged'),
     ('iterlog k=3', 2, 1e-06, 'conformal'):
-        (10.728239464254337, 3.651312952568771e-06, 53568, 'converged'),
+        (10.728239464254333, 3.651312952568771e-06, 4608, 'converged'),
     ('iterlog k=3', 2, 1e-06, 'distortion'):
         (2.297863000650074, 6.572401402741542e-08, 36864, 'converged'),
     ('iterlog k=3', 2, 1e-10, 'conformal'):
-        (10.728241433793276, 4.2324425540837934e-10, 117504, 'converged'),
+        (10.728241433793276, 4.2324425540837934e-10, 8064, 'converged'),
     ('iterlog k=3', 2, 1e-10, 'distortion'):
         (2.2978630006500804, 6.0779285522529915e-15, 44928, 'converged'),
     ('iterlog k=3', 3, 1e-06, 'conformal'):
-        (7.596893070387103, 1.1231880979701352e-06, 57600, 'converged'),
+        (7.596893070387091, 1.1231880980120898e-06, 4608, 'converged'),
     ('iterlog k=3', 3, 1e-06, 'distortion'):
         (5.829405708234055, 1.6563515936724515e-07, 31680, 'converged'),
     ('iterlog k=3', 3, 1e-10, 'conformal'):
-        (7.596893394746112, 9.591960592260395e-11, 124992, 'converged'),
+        (7.5968933947461, 9.591965031298658e-11, 8064, 'converged'),
     ('iterlog k=3', 3, 1e-10, 'distortion'):
         (5.829405708234072, 1.6719509718452094e-14, 39744, 'converged'),
     ('iterlog k=4', 2, 1e-06, 'conformal'):
-        (74.69217655442871, 2.1124532406945055e-05, 45504, 'converged'),
+        (74.69217655442871, 2.1124532406945055e-05, 4032, 'converged'),
     ('iterlog k=4', 2, 1e-06, 'distortion'):
         (2.3430855097578775, 7.274046877180404e-08, 37440, 'converged'),
     ('iterlog k=4', 2, 1e-10, 'conformal'):
-        (74.69218799678798, 2.3762670081227316e-09, 105984, 'converged'),
+        (74.69218799678798, 2.3762670081227316e-09, 7488, 'converged'),
     ('iterlog k=4', 2, 1e-10, 'distortion'):
         (2.343085509757884, 6.7528638988481155e-15, 45504, 'converged'),
     ('iterlog k=4', 3, 1e-06, 'conformal'):
-        (13.029974019721163, 2.173971745987116e-06, 57600, 'converged'),
+        (13.029974019721172, 2.173971746037959e-06, 4608, 'converged'),
     ('iterlog k=4', 3, 1e-06, 'distortion'):
         (6.00914163848166, 2.0346914717231169e-07, 31680, 'converged'),
     ('iterlog k=4', 3, 1e-10, 'conformal'):
-        (13.02997464455427, 1.9759081468037718e-10, 124992, 'converged'),
+        (13.029974644554283, 1.9759087042842373e-10, 8064, 'converged'),
     ('iterlog k=4', 3, 1e-10, 'distortion'):
         (6.009141638481681, 2.076166999567051e-14, 39744, 'converged'),
 }
@@ -296,7 +299,7 @@ def mp_conformal_energy(k, n):
 
 
 @pytest.mark.parametrize("n,depth", [(n, k) for n in (2, 3) for k in (1, 2, 3, 4)]
-                         + [(4, 2)])
+                         + [(4, 2), (5, 1), (5, 2), (7, 1), (7, 2)])
 def test_conformal_energy_against_an_mpmath_oracle(n, depth):
     # the first-order tail bound holds at every depth, dimension and tol
     oracle = mp_conformal_energy(depth, n)
@@ -305,6 +308,70 @@ def test_conformal_energy_against_an_mpmath_oracle(n, depth):
         r = conformal_energy_H(m, tol=tol)
         assert r.status == "converged"
         assert abs(r.value - oracle) <= r.error_estimate
+
+
+def test_identity_energy_at_n3_is_the_conformal_volume():
+    # |D(id)|^n = n^{n/2} over a cone of volume vol(B^{n-1}) / n
+    exact = 3 ** 1.5 * unit_ball_volume(2) / 3
+    for tol in (1e-8, 1e-12):
+        r = conformal_energy_H(cone_map("identity", n=3), tol=tol)
+        assert r.status == "converged"
+        assert abs(r.value - exact) <= r.error_estimate
+
+
+def mp_power_half_energy(n):
+    """int |DH|^n over the upper cone for the power modulus eps = 1/2, 20 digits.
+
+    With phi = s^(1/2) and g = 1/2 the reduced integrand over ds/s is
+    s^(n/2 - 1) ((n-1) s + Q)^(n/2) (1-w)^(n-2), Q = (w/2)^2 + (1 - w/2)^2.
+    """
+    with mp.workdps(20):
+        p = mp.mpf(n) / 2
+        sigma = 2 * mp.pi ** ((n - 1) / mp.mpf(2)) / mp.gamma((n - 1) / mp.mpf(2))
+        return sigma * mp.quad(lambda s, w: (1 - w) ** (n - 2) * s ** (p - 1)
+                               * ((n - 1) * s + (w / 2) ** 2 + (1 - w / 2) ** 2) ** p,
+                               [0, 1], [0, 1])
+
+
+def test_power_energy_at_n3_against_an_mpmath_oracle():
+    oracle = mp_power_half_energy(3)
+    for tol in (1e-8, 1e-12):
+        r = conformal_energy_H(cone_map("power", n=3, eps=0.5), tol=tol)
+        assert r.status == "converged"
+        assert abs(r.value - oracle) <= r.error_estimate
+
+
+def _mp_panel(f, lo, hi):
+    """The 24-node Gauss-Legendre rule for f on [lo, hi], in mpmath arithmetic."""
+    half = (hi - lo) / 2
+    return half * mp.fsum(w * f(lo + half * (x + 1)) for x, w in _MP_GL_24)
+
+
+with mp.workdps(30):
+    _MP_GL_24 = GaussLegendre(mp.mp).calc_nodes(4, mp.mp.prec)   # 3 * 2^3 nodes
+
+
+@settings(max_examples=15)
+@given(n=st.sampled_from([2, 3, 4, 5, 7, 9]), s=st.floats(1e-6, 1.0),
+       phi=st.floats(1e-6, 1.0), g=st.floats(0.0, 1.0))
+def test_one_w_panel_is_within_its_rule_error_bound(n, s, phi, g):
+    # Both rules run in 30-digit arithmetic, so what separates the one panel
+    # from the 41 dyadic panels of depth 40 is the one panel's rule error.
+    with mp.workdps(30):
+        c, p = 1 - mp.mpf(g), mp.mpf(n) / 2
+
+        def f(w):
+            q = (w * c) ** 2 + (1 - w * c) ** 2
+            return ((n - 1) * mp.mpf(s) ** 2 + mp.mpf(phi) ** 2 * q) ** p * (1 - w) ** (n - 2)
+
+        edges = [mp.mpf(0)] + [1 - mp.mpf(2) ** -j for j in range(1, 41)] + [mp.mpf(1)]
+        fine = mp.fsum(_mp_panel(f, lo, hi) for lo, hi in zip(edges[:-1], edges[1:]))
+        gap = abs(_mp_panel(f, mp.mpf(0), mp.mpf(1)) - fine)
+    bound = _w_rule_error(n, ((n - 1) * s ** 2 + _W_Q * phi ** 2) ** (n / 2.0))
+    if n % 2 == 0:
+        assert bound == 0.0 and gap <= 1e-25 * fine        # exact for polynomials
+    else:
+        assert gap <= bound
 
 
 # -- pointwise distortion bound ----------------------------------------------
