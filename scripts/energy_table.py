@@ -42,11 +42,11 @@ def main(argv=None) -> int:
           f"{'K integral':>12} {'glued total':>12} {'mc inverse':>22}")
     for phi in families(args.n):
         # E[F] is finite for every family, so the inverse columns always print
-        m = ConeMap(phi, n=args.n)
+        m = ConeMap(phi)
         ek = inner_distortion_integral(m, tol=args.tol).value
         mc = energy_F_monte_carlo(m, samples=args.samples, seed=args.seed)
         try:
-            e1 = modulus_energy(phi, n=args.n)
+            e1 = modulus_energy(phi)
             eh = conformal_energy_H(m, tol=args.tol).value
             cols = (f"{e1:12.6f}", f"{eh:12.6f}", f"{ek:12.6f}",
                     f"{2 * (eh + ek):12.6f}")

@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     radii = parse_radii(args.radii)
     for depth in (1, 2, 3):
         phi = ModulusFunction.iterlog(depth=depth, alpha=1.0, n=args.n)
-        g = GluedMap(phi, n=args.n)
+        g = GluedMap(phi)
         dil = linear_dilatation(g, 0, radii, count=args.count, seed=args.seed)
         sampled = modulus_profile(g, 0, radii, norm="cone", count=args.count,
                                   seed=args.seed)

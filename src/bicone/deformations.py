@@ -124,8 +124,7 @@ class ConeMap:
     def __init__(self, phi: ModulusFunction, n: int | None = None):
         if n is not None and n != phi.n:
             raise ValueError(f"a map's dimension is its modulus's: n={n}, phi.n={phi.n}")
-        self.phi = phi
-        self.n = phi.n
+        self.phi, self.n = phi, phi.n
 
     # -- evaluation --------------------------------------------------------
 
@@ -241,8 +240,7 @@ class GluedMap:
 
     def __init__(self, phi: ModulusFunction, n: int | None = None):
         self.cone = ConeMap(phi, n)
-        self.phi = self.cone.phi
-        self.n = self.cone.n
+        self.phi, self.n = self.cone.phi, self.cone.n
 
     def _piecewise(self, X, upper_fn, lower_fn):
         """Apply upper_fn to the rows above the base and its reflection below."""
@@ -287,6 +285,9 @@ class RadialMap:
                  beta: float | None = None, n: int = 2):
         if kind not in ("power", "logexample"):
             raise ValueError(f"unknown radial map kind {kind!r}")
+        stray, value = ("beta", beta) if kind == "power" else ("eps", eps)
+        if value is not None:
+            raise ValueError(f"the {kind} kind takes no {stray}")
         self.kind, self.n, self.eps, self.beta = kind, _check_dimension(n), None, None
         if kind == "power":
             if eps is None or not (0.0 < eps <= 1.0):

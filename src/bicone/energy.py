@@ -254,7 +254,7 @@ def _reduced_quadrature(phi: ModulusFunction, tol: float, kind: str):
         return inc
 
     def conformal_remainder(U, total, inc):
-        T, T_err = energy_tail_bound(phi, n, U)    # int_U^inf phi^n du
+        T, T_err = energy_tail_bound(phi, U)    # int_U^inf phi^n du
         phi_U, g_U = phi.profile_log(U)
         phi_n = phi_U ** n
         s_U = math.exp(-U)
@@ -277,12 +277,12 @@ def _reduced_quadrature(phi: ModulusFunction, tol: float, kind: str):
 
 
 def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
-    phi, n = m.phi, m.n
+    phi = m.phi
     # E[H] is finite exactly when E[phi] is; the K_H tail needs only the
     # elasticity floor of _distortion_tail, so E[F] is finite for every phi
-    if kind == "conformal" and _energy_diverges(phi, n):
+    if kind == "conformal" and _energy_diverges(phi):
         raise EnergyDivergenceError(
-            f"modulus energy of {phi.describe()} diverges at n={n} "
+            f"modulus energy of {phi.describe()} diverges at n={phi.n} "
             "(condition (C3) fails), so the deformation energy is infinite")
     value, err, status, nodes = _reduced_quadrature(phi, tol, kind)
     return EnergyResult(value=value, method="tensor_quadrature",
@@ -373,5 +373,5 @@ def biconformal_energy(g: GluedMap, tol: float = 1e-6) -> EnergyResult:
 def energy_modulus_ratio(m: ConeMap, tol: float = 1e-6) -> float:
     """conformal_energy_H divided by E[phi]; finite constants only."""
     energy = conformal_energy_H(m, tol=tol)
-    reference = modulus_energy_detailed(m.phi, n=m.n, tol=min(tol, 1e-9))
+    reference = modulus_energy_detailed(m.phi, tol=min(tol, 1e-9))
     return energy.value / reference.value

@@ -34,6 +34,7 @@ Everything evaluates in float64 and is vectorized over numpy arrays.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 from typing import Callable
@@ -89,7 +90,7 @@ class ModulusFunction:
     """One modulus of continuity with closed-form calculus where available.
 
     ``n`` is the ambient dimension the modulus is built for; it fixes the
-    iterlog coefficients a_j = (1 - 1/n)^(j-1) and is the default exponent of
+    iterlog coefficients a_j = (1 - 1/n)^(j-1) and is the exponent of
     the energy integral.  The identity carries eps = 1, the power family's
     end point, and shares its kernel.  A parameter another family owns is
     rejected.
@@ -117,10 +118,11 @@ class ModulusFunction:
             if self.eps is None or not (0.0 < self.eps <= 1.0):
                 raise ValueError("power family needs eps in (0, 1]")
         if self.family == "iterlog":
-            if self.depth is None or not (1 <= int(self.depth) < _MAX_DEPTH + 1):
+            depth = self.depth
+            if not (isinstance(depth, numbers.Integral) and 1 <= depth <= _MAX_DEPTH):
                 raise ValueError(f"iterlog depth must be an integer in [1, {_MAX_DEPTH}]")
-            # alpha > 1/n is required for finite energy but construction only
-            # enforces the hard range; the finiteness check reports the rest.
+            object.__setattr__(self, "depth", int(depth))
+            # alpha > 1/n (finite energy) is left to the finiteness check
             if self.alpha is None or not (0.0 < self.alpha <= 1.0):
                 raise ValueError("iterlog family needs alpha in (0, 1]")
 
@@ -136,7 +138,7 @@ class ModulusFunction:
 
     @classmethod
     def iterlog(cls, depth: int, alpha: float, n: int = 2) -> "ModulusFunction":
-        return cls(family="iterlog", n=n, depth=int(depth), alpha=float(alpha))
+        return cls(family="iterlog", n=n, depth=depth, alpha=float(alpha))
 
     # -- basic descriptors ---------------------------------------------------
 
@@ -443,9 +445,9 @@ def _doubling_quadrature(panel, tol: float, remainder):
     return value, err, status
 
 
-def _energy_diverges(phi: ModulusFunction, n: int) -> bool:
-    """E[phi] at exponent n is infinite: iterlog with n alpha <= 1."""
-    return phi.family == "iterlog" and n * phi.alpha <= 1.0
+def _energy_diverges(phi: ModulusFunction) -> bool:
+    """E[phi] is infinite: iterlog with n alpha <= 1."""
+    return phi.family == "iterlog" and phi.n * phi.alpha <= 1.0
 
 
 @cache
@@ -484,7 +486,7 @@ _V_SPAN = 64.0          # energy_tail_bound integrates C_k - C_inf over [V, V + 
 _EPS = float(np.finfo(float).eps)
 
 
-def energy_tail_bound(phi: ModulusFunction, n: int, U: float) -> tuple[float, float]:
+def energy_tail_bound(phi: ModulusFunction, U: float) -> tuple[float, float]:
     """(T, T_err): the remainder T(U) = int_U^inf phi(e^-u)^n du and its error bound.
 
     E[phi] = T(0), and the tensor quadrature adds T(U) past its last panel.
@@ -515,9 +517,9 @@ def energy_tail_bound(phi: ModulusFunction, n: int, U: float) -> tuple[float, fl
     oracle).
     """
     if phi.family != "iterlog":              # power, and the identity at eps = 1
-        rate = n * phi.eps
+        rate = phi.n * phi.eps
         return math.exp(-rate * U) / rate, 0.0
-    na = n * phi.alpha
+    na = phi.n * phi.alpha
     if na <= 1.0:
         return math.inf, math.inf
     k, a = phi.depth, [a_j for _, a_j, _, _ in phi._plan]
@@ -544,30 +546,27 @@ def energy_tail_bound(phi: ModulusFunction, n: int, U: float) -> tuple[float, fl
     return T, beyond + 8.0 * k * _EPS * mass
 
 
-def modulus_energy_detailed(phi: ModulusFunction, n: int | None = None,
-                            tol: float = 1e-9) -> ModulusEnergy:
-    """E[phi] = int_0^1 phi(s)^n ds/s with an explicit convergence verdict.
+def modulus_energy_detailed(phi: ModulusFunction, tol: float = 1e-9) -> ModulusEnergy:
+    """E[phi] = int_0^1 phi(s)^n ds/s, n = phi.n, with an explicit convergence verdict.
 
     E[phi] = T(0) of ``energy_tail_bound``, bounded by T_err + 8 eps E[phi]
     and "converged" when that meets tol; iterlog diverges exactly when
     n alpha <= 1.
     """
-    n = phi.n if n is None else int(n)
-    if _energy_diverges(phi, n):
+    if _energy_diverges(phi):
         return ModulusEnergy(math.inf, math.inf, "diverged")
-    T, T_err = energy_tail_bound(phi, n, 0.0)
+    T, T_err = energy_tail_bound(phi, 0.0)
     err = T_err + 8.0 * _EPS * abs(T)
     status = "converged" if err <= tol * max(1.0, abs(T)) else "truncated"
     return ModulusEnergy(T, err, status)
 
 
-def modulus_energy(phi: ModulusFunction, n: int | None = None,
-                   tol: float = 1e-9) -> float:
+def modulus_energy(phi: ModulusFunction, tol: float = 1e-9) -> float:
     """E[phi] as a plain float; raises EnergyDivergenceError when it diverges."""
-    result = modulus_energy_detailed(phi, n=n, tol=tol)
+    result = modulus_energy_detailed(phi, tol=tol)
     if result.status == "diverged":
         raise EnergyDivergenceError(
-            f"energy integral of {phi.describe()} diverges (exponent n={n or phi.n})")
+            f"energy integral of {phi.describe()} diverges (exponent n={phi.n})")
     return result.value
 
 

@@ -43,12 +43,11 @@ def ok(label):
 def test_criterion_01_energy_closed_forms():
     for n in (2, 3):
         for eps in (0.25, 0.5, 1.0):
-            got = modulus_energy(ModulusFunction.power(eps, n=n), n=n)
+            got = modulus_energy(ModulusFunction.power(eps, n=n))
             exact = 1.0 / (n * eps)
             assert abs(got - exact) <= 1e-8 * exact, (n, eps)
         for alpha in (0.75, 1.0):
-            got = modulus_energy(
-                ModulusFunction.iterlog(depth=1, alpha=alpha, n=n), n=n)
+            got = modulus_energy(ModulusFunction.iterlog(depth=1, alpha=alpha, n=n))
             exact = 1.0 / (n * alpha - 1.0)
             assert abs(got - exact) <= 1e-8 * exact, (n, alpha)
     ok("criterion 01 energy closed forms")

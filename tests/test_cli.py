@@ -121,7 +121,7 @@ def test_energy_divergent_exits_one(capsys):
 
 def test_energy_below_the_threshold_fails_only_forward(capsys):
     # iterlog k=1, alpha=0.3 at n=2: E[phi] diverges, E[F] = 3.60256706912399
-    # (20-digit mpmath, tests/test_energy.py)
+    # (20-digit mpmath, oracles.inverse_energy in tests/oracles.py)
     phi = "phi=iterlog:k=1,alpha=0.3,n=2"
     code, out = run(["energy", "--integrand", "inverse", "--map", f"cone:{phi}"], capsys)
     result = json.loads(out)["result"]

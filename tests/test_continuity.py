@@ -19,7 +19,8 @@ from bicone.geometry import (cone_norm, euclid_norm, kronecker_sequence,
                              sample_cone_sphere)
 from bicone.moduli import (_GL_NODES, _GL_WEIGHTS, ModulusFunction,
                            doubling_constant, measured_constants)
-from test_deformations import mp_iterlog_jet
+
+import oracles
 
 
 def k2(n=2):
@@ -443,47 +444,6 @@ def test_stacked_segment_integral_equals_per_panel_loop(phi, case):
         phi.derivative, A[row], B[row], G)
 
 
-def mp_jet(phi, r):
-    """phi(r) and its elasticity g at mpmath precision, from the definition."""
-    if phi.family == "iterlog":
-        return mp_iterlog_jet(phi.depth, phi.alpha, phi.n, r)
-    return r ** mp.mpf(phi.eps), mp.mpf(phi.eps)
-
-
-def mp_kernel(phi, r):
-    """phi'(r) = phi(r) g(r) / r."""
-    value, g = mp_jet(phi, r)
-    return value * g / r
-
-
-def mp_segment_integral(phi, a, b):
-    """int_0^1 phi'(|gamma a + (1-gamma) b|) d gamma at 30 digits.
-
-    The integral is split at the closest approach gamma* and at offsets
-    10^-k from it down to a tenth of c_min / |d|, the width of the peak
-    there, so that no piece spans many scales of the kernel.
-    """
-    with mp.workdps(30):
-        a, b = [mp.mpf(float(x)) for x in a], [mp.mpf(float(x)) for x in b]
-        d = [x - y for x, y in zip(a, b)]
-        dd = mp.fsum(x * x for x in d)
-        if dd == 0:
-            return mp_kernel(phi, mp.sqrt(mp.fsum(x * x for x in a)))
-        g_star = min(max(-mp.fsum(x * y for x, y in zip(b, d)) / dd, 0), 1)
-        c_min = mp.sqrt(mp.fsum((y + g_star * x) ** 2 for x, y in zip(d, b)))
-        steps = [mp.mpf(10) ** -k for k in range(1, 40)
-                 if mp.mpf(10) ** -k >= c_min / mp.sqrt(dd) / 10]
-        points = sorted({mp.mpf(0), mp.mpf(1), g_star}
-                        | {g_star + t for t in steps if g_star + t < 1}
-                        | {g_star - t for t in steps if g_star - t > 0})
-
-        def integrand(gamma):
-            return mp_kernel(phi, mp.sqrt(mp.fsum(
-                (gamma * x + (1 - gamma) * y) ** 2 for x, y in zip(a, b))))
-
-        return mp.quad(integrand, points)
-
-
 @pytest.mark.parametrize("phi", [ModulusFunction.power(0.5, n=2),
                                  ModulusFunction.iterlog(depth=2, alpha=1.0, n=3)],
                          ids=lambda p: p.describe())
@@ -496,10 +456,10 @@ def test_segment_integrals_against_an_mpmath_oracle(phi):
         if name == "antiparallel":
             # a = -b: the closed form phi(|a|) / |a|, which the strip bound meets
             with mp.workdps(30):
-                exact = mp_jet(phi, mp.mpf(0.25))[0] / mp.mpf(0.25)
+                exact = oracles.modulus(phi, mp.mpf(0.25)) / mp.mpf(0.25)
             assert abs(got + bound - exact) <= 1e-15 * exact, name
             continue
-        exact = mp_segment_integral(phi, a, b)
+        exact = oracles.segment_integral(phi, a, b)
         if name == "nearer-antiparallel":
             # 44 dyadic panels leave a strip, which the bound covers one-sidedly
             assert bound > 0

@@ -10,6 +10,8 @@ from bicone.geometry import (_horizontal_norm, cone_norm, euclid_norm, reflect,
                              sample_cone_interior, sample_cone_sphere)
 from bicone.moduli import ModulusFunction, measured_constants
 
+import oracles
+
 
 def family_grid():
     out = []
@@ -160,41 +162,17 @@ def test_recorded_tiny_point_keeps_its_horizontal_norm():
     assert np.all(np.isfinite(jd.matrix))
 
 
-_MP_TOWER = (0, 1, mp.e, mp.exp(mp.e))
-
-
-def mp_iterlog_jet(k, alpha, n, s):
-    """phi(s) and its elasticity g = s phi'/phi for iterlog, from the definition."""
-    u = -mp.log(s)
-    log_phi = g = mp.mpf(0)
-    for j in range(1, k + 1):
-        level, slope = _MP_TOWER[j - 1] + u, mp.mpf(1)
-        for _ in range(j - 1):
-            slope /= level
-            level = mp.log(level)
-        a = (1 - mp.mpf(1) / n) ** (j - 1)
-        beta = mp.mpf(alpha) if j == k else mp.mpf(1) / n
-        log_phi -= beta * mp.log1p(a * level)
-        g += beta * a * slope / (1 + a * level)
-    return mp.exp(log_phi), g
-
-
-def mp_iterlog(k, n, s):
-    """The alpha = 1 iterlog modulus at mpmath precision, from its definition."""
-    return s if s >= 1 else mp_iterlog_jet(k, 1, n, s)[0]
-
-
 @pytest.mark.parametrize("k", [1, 2, 3])
 @pytest.mark.parametrize("rho,tau", [(0.3, 1e-9), (0.3, 1e-100), (0.3, 1e-300),
                                      (1e-4, 1e-6), (0.05, 0.5), (0.0, 0.2)])
 def test_inverse_matches_mpmath_height_equation(k, rho, tau):
     n = 2
-    T = ConeMap(ModulusFunction.iterlog(depth=k, alpha=1.0, n=n), n=n) \
-        .inverse(upper_point(n, rho, tau))[-1]
+    phi = ModulusFunction.iterlog(depth=k, alpha=1.0, n=n)
+    T = ConeMap(phi, n=n).inverse(upper_point(n, rho, tau))[-1]
     with mp.workdps(50):
         def F(u):
             sigma = mp.exp(u) + rho
-            return u + mp.log(mp_iterlog(k, n, sigma) / sigma) - mp.log(tau)
+            return u + mp.log(oracles.modulus(phi, sigma) / sigma) - mp.log(tau)
 
         root = mp.findroot(F, (mp.log(mp.mpf(2) ** -1074), mp.log(tau)),
                            solver="anderson")
@@ -270,35 +248,6 @@ def test_jacobian_derives_only_what_is_read():
     assert np.array_equal(jd.inner_distortion, inv ** 3 * jd.det)
 
 
-def mp_jacobian_norms(k, alpha, point):
-    """|DH|, |DH^-1| and K_H at one point, from the matrices in mpmath.
-
-    DH(x, t) = (x, t lambda(s)) is the identity but for its last row, so
-    DH is lower triangular with determinant D and its inverse is the
-    identity but for the last row (-t lambda'(s) x/|x|, 1) / D.
-    """
-    n = len(point)
-    x, t = [mp.mpf(float(c)) for c in point[:-1]], mp.mpf(float(point[-1]))
-    rho = mp.sqrt(mp.fsum(c * c for c in x))
-    s = rho + t
-    phi, g = mp_iterlog_jet(k, alpha, n, s)
-    lam, der = phi / s, g * phi / s
-    t_lam_prime = t / s * (der - lam)           # t lambda'(s), lambda' = (phi' - lambda)/s
-    det = lam + t_lam_prime
-    row = [t_lam_prime * c / rho for c in x]
-    D, D_inv = mp.eye(n), mp.eye(n)
-    for i in range(n - 1):
-        D[n - 1, i], D_inv[n - 1, i] = row[i], -row[i] / det
-    D[n - 1, n - 1], D_inv[n - 1, n - 1] = det, 1 / det
-    assert mp.mnorm(D * D_inv - mp.eye(n), 1) \
-        <= mp.mpf(10) ** -35 * mp.mnorm(D, 1) * mp.mnorm(D_inv, 1)
-
-    def hs(A):
-        return mp.sqrt(mp.fsum(A[i, j] ** 2 for i in range(n) for j in range(n)))
-
-    return hs(D), hs(D_inv), hs(D_inv) ** n * det
-
-
 # (x, t) rows: where only D^2 overflows, where both squares do, and ordinary
 # ones.  A finiteness test on |DH^-1| alone misses the first kind: there
 # (1 + (t lambda')^2) / D^2 underflows to 0 and |DH^-1| reads sqrt(n - 1).
@@ -311,7 +260,8 @@ _JACOBIAN_ROWS = {
 
 @pytest.mark.parametrize("k,n", sorted(_JACOBIAN_ROWS))
 def test_jacobian_norms_match_a_40_digit_oracle(k, n):
-    m = ConeMap(ModulusFunction.iterlog(depth=k, alpha=1.0, n=n), n=n)
+    phi = ModulusFunction.iterlog(depth=k, alpha=1.0, n=n)
+    m = ConeMap(phi, n=n)
     det_only, both, ordinary = (np.array(rows) for rows in _JACOBIAN_ROWS[(k, n)])
     X = np.concatenate([det_only, both, ordinary])
     jd = m.jacobian(X)
@@ -326,7 +276,7 @@ def test_jacobian_norms_match_a_40_digit_oracle(k, n):
             for got, want in zip(
                     [(jd.hs_norm[i], one.hs_norm), (jd.inv_hs_norm[i], one.inv_hs_norm),
                      (jd.inner_distortion[i], one.inner_distortion)],
-                    mp_jacobian_norms(k, 1.0, x)):
+                    oracles.jacobian_norms(phi, x)):
                 for value in got:
                     assert abs(mp.mpf(value) / want - 1) <= 1e-13
 
@@ -508,6 +458,18 @@ def test_radial_validation():
         RadialMap("spiral", eps=0.5, n=2)
     with pytest.raises(ValueError):
         RadialMap("logexample", beta=0.3, n=2)   # needs beta > 1/n
+
+
+@pytest.mark.parametrize("kind,own,stray", [
+    ("power", {"eps": 0.5}, {"beta": 3.0}),
+    ("logexample", {"beta": 1.0}, {"eps": 0.5}),
+    ("logexample", {}, {"eps": 0.5})],
+    ids=["power-beta", "logexample-eps", "default-beta-eps"])
+def test_a_parameter_of_another_radial_kind_is_rejected(kind, own, stray):
+    # both used to be dropped without a word
+    RadialMap(kind, n=2, **own)
+    with pytest.raises(ValueError, match=f"the {kind} kind takes no {next(iter(stray))}"):
+        RadialMap(kind, n=2, **own, **stray)
 
 
 @pytest.mark.parametrize("kind,kw", [("power", {"eps": 0.5}), ("logexample", {"beta": 1.0})])

@@ -13,6 +13,8 @@ from bicone.moduli import (BracketError, EnergyDivergenceError, ModulusFunction,
                            quasi_inverse_defect)
 from bicone.moduli import _doubling_quadrature
 
+import oracles
+
 
 def admissible_families():
     fams = [ModulusFunction.identity(), ModulusFunction.power(0.5)]
@@ -52,6 +54,22 @@ def test_a_field_of_another_family_is_rejected(family, stray):
     ModulusFunction(family=family, n=3, **own)
     with pytest.raises(ValueError):
         ModulusFunction(family=family, n=3, **own, **stray)
+
+
+@pytest.mark.parametrize("depth", [2.0, 2.5, np.int64(2)],
+                         ids=["float", "fraction", "numpy-integer"])
+def test_iterlog_depth_is_an_integer(depth):
+    # a float depth used to pass construction and fail at its first
+    # evaluation (2.0), or be cut to an integer by the classmethod (2.5)
+    builds = (lambda: ModulusFunction(family="iterlog", depth=depth, alpha=1.0),
+              lambda: ModulusFunction.iterlog(depth, 1.0))
+    for build in builds:
+        if isinstance(depth, float):
+            with pytest.raises(ValueError, match="iterlog depth must be an integer"):
+                build()
+        else:
+            phi = build()
+            assert type(phi.depth) is int and phi == ModulusFunction.iterlog(2, 1.0)
 
 
 @pytest.mark.parametrize("phi", admissible_families())
@@ -264,10 +282,10 @@ def test_clearing_measured_constants_forces_a_new_grid_pass(monkeypatch):
 
 def test_energy_closed_forms():
     for n in (2, 3):
-        e = modulus_energy(ModulusFunction.identity(n=n), n=n)
+        e = modulus_energy(ModulusFunction.identity(n=n))
         assert e == pytest.approx(1.0 / n, rel=1e-10)
         for eps in (0.25, 0.5, 1.0):
-            e = modulus_energy(ModulusFunction.power(eps, n=n), n=n)
+            e = modulus_energy(ModulusFunction.power(eps, n=n))
             assert e == pytest.approx(1.0 / (n * eps), rel=1e-10)
         for alpha in (0.75, 1.0):
             e = modulus_energy(ModulusFunction.iterlog(depth=1, alpha=alpha, n=n))
@@ -302,12 +320,12 @@ def test_energy_tail_bound_flags():
             (ModulusFunction.iterlog(depth=1, alpha=1.0, n=2), 1.0 / 31.0),
             (ModulusFunction.iterlog(depth=2, alpha=1.0, n=2),
              2.0 / (1.0 + 0.5 * math.log1p(U)))]:
-        assert energy_tail_bound(phi, 2, U) == (pytest.approx(closed, rel=1e-14), 0.0)
+        assert energy_tail_bound(phi, U) == (pytest.approx(closed, rel=1e-14), 0.0)
     for depth in (3, 4, 5):
-        T, T_err = energy_tail_bound(ModulusFunction.iterlog(depth, 1.0, n=2), 2, U)
+        T, T_err = energy_tail_bound(ModulusFunction.iterlog(depth, 1.0, n=2), U)
         assert math.isfinite(T) and 0.0 < T_err <= 1e-12 * T
     phi = ModulusFunction.iterlog(depth=4, alpha=0.5, n=2)      # n alpha = 1
-    assert energy_tail_bound(phi, 2, U) == (math.inf, math.inf)
+    assert energy_tail_bound(phi, U) == (math.inf, math.inf)
 
 
 def test_tail_bound_dominates_true_tail():
@@ -317,51 +335,19 @@ def test_tail_bound_dominates_true_tail():
         for U in (5.0, 30.0, 200.0):
             u = np.linspace(U, U + 4000.0, 400_001)
             head = float(np.trapezoid(phi.profile_log(u)[0] ** 2, u))
-            T, _ = energy_tail_bound(phi, 2, U)
-            T_end, _ = energy_tail_bound(phi, 2, U + 4000.0)
+            T, _ = energy_tail_bound(phi, U)
+            T_end, _ = energy_tail_bound(phi, U + 4000.0)
             assert T_end > 0.0
             assert T - T_end == pytest.approx(head, rel=1e-6)
-
-
-def mp_energy(k, n):
-    """40-digit E[phi] for iterlog alpha = 1, integrated in v = L_k(u).
-
-    From the definition: u = w_{k-1} - e_{k-1} for the tower w_0 = v,
-    w_i = exp(w_{i-1}), and the integrand phi^n du/dv is summed in log
-    space.  Once w_{k-1} leaves even mpmath's range, L_j equals w_{k-j} far
-    beyond 40 digits, and 1 + a_j L_j = w_{k-j} (a_j + exp(-w_{k-j-1})).
-    """
-    with mp.workdps(40):
-        tower = [mp.mpf(0), mp.mpf(1)]
-        while len(tower) < k:
-            tower.append(mp.exp(tower[-1]))
-        a = [(1 - mp.mpf(1) / n) ** j for j in range(k)]
-
-        def integrand(v):
-            w = [v]
-            for _ in range(1, k):
-                w.append(mp.exp(w[-1]) if w[-1] is not None and w[-1] < 1e5 else None)
-            log_f = -n * mp.log1p(a[-1] * v)
-            for j in range(1, k):
-                if w[-1] is not None:
-                    L = tower[j - 1] + w[-1] - tower[k - 1]
-                    for _ in range(j - 1):
-                        L = mp.log(L)
-                    log_f += w[k - j - 1] - mp.log1p(a[j - 1] * L)
-                else:
-                    x = w[k - j - 1]
-                    log_f -= mp.log(a[j - 1] + (mp.exp(-x) if x is not None and x < 1e4 else 0))
-            return mp.exp(log_f)
-
-        return mp.quad(integrand, [0, 1, 16, mp.inf])
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_energy_against_a_40_digit_oracle(depth, n):
-    e = modulus_energy_detailed(ModulusFunction.iterlog(depth, 1.0, n=n))
+    phi = ModulusFunction.iterlog(depth, 1.0, n=n)
+    e = modulus_energy_detailed(phi)
     assert e.status == "converged"
-    assert abs(e.value - mp_energy(depth, n)) <= e.error_bound
+    assert abs(e.value - oracles.modulus_energy(phi)) <= e.error_bound
 
 
 @pytest.mark.parametrize("n,before", [(2, 7.296401214965806),
@@ -493,3 +479,39 @@ def test_the_plan_holds_the_iterlog_constants():
                          (math.e, 0.75 ** 2, 0.7, 2))
     assert phi._plan is phi._plan                   # built once
     assert ModulusFunction.power(0.5)._plan == ()
+
+
+# -- the kernel against the oracle jet ------------------------------------------
+
+# u from 0 to 1e5; s = e^-u is below the float floor (u = 745.13) from
+# u = 746 on, and profile_log never forms it
+_JET_U = np.concatenate([[0.0, 1e-300, 745.0, 746.0, 1e5], np.geomspace(1e-6, 1e5, 40)])
+
+
+def _every_family():
+    for n in (2, 3, 4):
+        yield ModulusFunction.identity(n=n)
+        yield ModulusFunction.power(0.5, n=n)
+        for k in range(1, 6):
+            for alpha in (1.0, 0.7):
+                yield ModulusFunction.iterlog(k, alpha, n=n)
+
+
+@pytest.mark.parametrize("phi", list(_every_family()), ids=lambda phi: phi.describe())
+def test_profile_log_matches_the_oracle_jet(phi):
+    # A = -log phi sums k factors (k = 1 for power), each a few roundings
+    # relative to itself: the logs of L_j, the sum 1 + a_j L_j, its log and
+    # the product with beta_j.  So A is good to a few k eps (1 + A), and
+    # exp(-A) makes that a relative error of phi and adds eps: this is the
+    # |log phi| eps the exp step costs.  g sums k positive terms of a few
+    # roundings each.  2 k eps (1 + |log phi|) and 2 k eps cover both; the
+    # worst seen is 1.6 in units of eps (1 + |log phi|) or eps.  A subnormal
+    # or underflowed phi adds its spacing 2^-1074.
+    eps, k = np.finfo(float).eps, phi.depth or 1
+    got_phi, got_g = phi.profile_log(_JET_U)
+    with mp.workdps(30):
+        for u, value, g in zip(_JET_U, got_phi, got_g):
+            want, want_g = oracles.jet(phi, u)
+            assert abs(value - want) <= 2 * k * eps * (1 + abs(mp.log(want))) * want \
+                + 2.0 ** -1074, u
+            assert abs(g - want_g) <= 2 * k * eps * want_g, u
