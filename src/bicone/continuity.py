@@ -199,9 +199,9 @@ def quasi_inverse_check(map_obj, inverse_map, center, radii, norm: str = "euclid
     in a bounded band; for the glued cone deformations the first one equals
     phi(phi(s))/s at the origin and grows without bound as s -> 0.  The pair
     is spot-checked to actually be inverse before any moduli are computed.
-    A radius whose sampled sup underflows to 0 (its preimage lies below the
-    float floor, as for the logexample radial map at small radii) gets a
-    NaN ratio.
+    A ratio is NaN ("unresolved") where a sphere it uses, of radius r about c,
+    has r < 2^20 spacing(max_i |c_i|), as an inner sup of 0 has; above that,
+    rounding moves a sphere point by at most about 2^-20 r.
     """
     center = _center_row(center, map_obj.n)
     probe = center + 0.1 * np.eye(center.size)[-1:]
@@ -214,15 +214,19 @@ def quasi_inverse_check(map_obj, inverse_map, center, radii, norm: str = "euclid
     def sups(m, about, rs):
         return _displacements(m, about, rs, norm, count, seed).max(axis=1)
 
-    def composed(m, about, inner):      # NaN where the inner sup is 0
+    def resolved(about, rs):
+        return rs >= 2.0 ** 20 * np.spacing(np.max(np.abs(about)))
+
+    def composed(m, about, inner, inner_about):     # NaN where unresolved
         ratios = np.full(radii.shape, math.nan)
-        ratios[inner > 0] = sups(m, about, inner[inner > 0]) / radii[inner > 0]
+        ok = resolved(inner_about, radii) & resolved(about, inner)
+        ratios[ok] = sups(m, about, inner[ok]) / radii[ok]
         return ratios
 
     omega_h, omega_f = sups(map_obj, center, radii), sups(inverse_map, image, radii)
     return QuasiInverseRatios(radii=radii,
-                              map_after_inverse=composed(map_obj, center, omega_f),
-                              inverse_after_map=composed(inverse_map, image, omega_h),
+                              map_after_inverse=composed(map_obj, center, omega_f, image),
+                              inverse_after_map=composed(inverse_map, image, omega_h, center),
                               samples_per_radius=count, seed=seed)
 
 

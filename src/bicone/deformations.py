@@ -14,7 +14,7 @@ Three map families:
              axis by construction.
   RadialMap  h(x) = stress(|x|) x/|x| for a scalar stress function; the
              quasiconformal benchmark (power stress) and the slow-log
-             stress whose inverse is smooth.
+             stress whose inverse is smooth, evaluated by the modulus kernel.
 
 All evaluations accept a single point (shape (n,)) or a stack of points
 (shape (m, n)) and return the same shape.  Each ConeMap operation has one
@@ -35,7 +35,7 @@ import numpy as np
 
 from ._roots import BracketError, newton_log
 from .geometry import _check_dimension, _horizontal_norm, _out, _rows, euclid_norm, reflect
-from .moduli import ModulusFunction
+from .moduli import ModulusFunction, _plan_jet
 
 __all__ = [
     "ConeMap",
@@ -275,8 +275,10 @@ class RadialMap:
 
     kind "logexample": stress(rho) = (1 - log rho)^(-1/n) * (log(e - log rho))^(-beta)
     for rho <= 1 (beta > 1/n) and the identity beyond 1; a map of the unit
-    ball onto itself with a smooth inverse, inverted by safeguarded Newton
-    steps on log rho against the closed-form log-stress.
+    ball onto itself with a smooth inverse, increasing for every beta > 1/n
+    and below the identity near rho = 1 once beta > e (1 - 1/n).  The modulus
+    kernel evaluates it as the plan (1 + L)^(-1/n) (0 + log(e + L))^(-beta),
+    L = -log rho; the inverse's Newton steps on log rho start from rho = 1.
     """
 
     domain = "whole_space"
@@ -297,38 +299,30 @@ class RadialMap:
             self.beta = 1.0 if beta is None else float(beta)
             if self.beta <= 1.0 / self.n:
                 raise ValueError("logexample stress needs beta > 1/n")
+            self._plan = ((0.0, 1.0, 1.0, 1.0 / self.n, 0), (math.e, 0.0, 1.0, self.beta, 1))
 
     def stress(self, rho):
-        rho = np.asarray(rho, dtype=float)
+        out = np.array(rho, dtype=float)            # a copy
         if self.kind == "power":
-            return rho ** self.eps
-        out = np.array(rho, copy=True)
-        inner = (rho > 0) & (rho < 1.0)
-        if inner.any():
-            L = -np.log(rho[inner])
-            out[inner] = (1.0 + L) ** (-1.0 / self.n) * np.log(math.e + L) ** (-self.beta)
+            return out ** self.eps
+        inner = (out > 0) & (out < 1.0)
+        out[inner] = np.exp(-_plan_jet(self._plan, -np.log(out[inner]), 0)[0])
         return out
 
     def inverse_stress(self, v, tol: float = 1e-12):
         """stress^-1(v); the logexample solve stops at relative residual ``tol``."""
-        v = np.asarray(v, dtype=float)
+        out = np.array(v, dtype=float)              # a copy
         if self.kind == "power":
-            return v ** (1.0 / self.eps)
-        out = np.array(v, copy=True)
-        inner = (v > 0) & (v < 1.0)
-        if inner.any():
-            log_v = np.log(v[inner])
-            inv_n, beta = 1.0 / self.n, self.beta
+            return out ** (1.0 / self.eps)
+        inner = (out > 0) & (out < 1.0)
+        log_v = np.log(out[inner])
 
-            def jet(u, idx):
-                # log stress(e^u) with L = -u, and its derivative in u
-                L = -u
-                loglog = np.log(math.e + L)
-                return (-inv_n * np.log1p(L) - beta * np.log(loglog) - log_v[idx],
-                        inv_n / (1.0 + L) + beta / ((math.e + L) * loglog))
+        def jet(u, idx):                # log stress(e^u) - log v and its slope g
+            A, g = _plan_jet(self._plan, -u, 1)
+            return -A - log_v[idx], g
 
-            out[inner] = newton_log(jet, np.zeros_like(log_v), tol,
-                                    "logexample stress below its target at rho = 1")
+        out[inner] = newton_log(jet, np.zeros_like(log_v), tol,
+                                "logexample stress below its target at rho = 1")
         return out
 
     def _radial(self, X, scalar_fn):

@@ -240,7 +240,7 @@ def _directions(u):
 # -- samplers -------------------------------------------------------------------
 
 
-def sample_cone_sphere(r, n: int = 3, norm: str = "cone",
+def sample_cone_sphere(r, n: int, norm: str = "cone",
                        restrict: str = "upper", count: int = 64, seed: int = 0):
     """Deterministic points on the sphere of radius r in the requested norm.
 
@@ -302,7 +302,7 @@ class InteriorSample:
     seed: int
 
 
-def sample_cone_interior(count: int, n: int = 2, seed: int = 0,
+def sample_cone_interior(count: int, n: int, seed: int = 0,
                          exclude_axis_margin: float = 0.0,
                          exclude_boundary_margin: float = 0.0) -> InteriorSample:
     """Uniform points in the upper cone, mapped from a Kronecker stream by inverse CDF.

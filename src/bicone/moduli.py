@@ -81,6 +81,52 @@ def _scalar_out(arr, scalar):
     return float(arr) if scalar else arr
 
 
+def _plan_jet(plan, u, order):
+    """[A, A', A''] in u, cut to `order`, for A = -log prod (c + a L)^(-beta).
+
+    ``plan`` has one (e, c, a, beta, logs) per factor, L being the logs-fold
+    log of e + u (e = 0 when logs = 0).  The chain rule goes through one log
+    at a time: log of the jet (f, f1, f2) is (log f, f1 / f, (f2 f - f1^2) / f^2).
+    Products and sums with the constants 1 and 0 of e + u and with a = 1 or
+    beta = 1 are left out; for finite u the bits are the full recurrence's.
+    """
+    A = None
+    for e, c, a, beta, logs in plan:
+        v0 = u if logs == 0 else e + u
+        v1 = v2 = None                          # None: the constants 1 and 0
+        for _ in range(logs):
+            f, v0 = v0, np.log(v0)
+            if order and v1 is None:
+                v1 = 1.0 / f
+                if order > 1:
+                    v2 = -1.0 / (f * f)
+            elif order:
+                if order > 1:
+                    v2 = (v2 * f - v1 * v1) / (f * f)
+                v1 = v1 / f
+        f = c + (v0 if a == 1.0 else a * v0)
+        jet = [np.log(f)]
+        if order and v1 is None:
+            jet.append(a / f)
+            if order > 1:
+                jet.append(-(a * a) / (f * f))
+        elif order:
+            av1 = a * v1
+            jet.append(av1 / f)
+            if order > 1:
+                jet.append((a * v2 * f - av1 * av1) / (f * f))
+        if beta != 1.0:
+            jet = [beta * x for x in jet]
+        if A is None:
+            A = jet
+            if order > 1:
+                A[2] += 0.0                     # 0.0 + x: a -0.0 curvature turns +0.0
+        else:
+            for i, x in enumerate(jet):
+                A[i] += x
+    return A
+
+
 # The parameters each family owns; constructing one with another's is an error.
 _OWN_FIELDS = {"identity": ("eps",), "power": ("eps",), "iterlog": ("depth", "alpha")}
 
@@ -143,17 +189,16 @@ class ModulusFunction:
     # -- basic descriptors ---------------------------------------------------
 
     @cached_property
-    def _plan(self) -> tuple[tuple[float, float, float, int], ...]:
-        """(e_{j-1}, a_j, beta_j, j - 1) for each iterlog factor j; empty otherwise.
+    def _plan(self) -> tuple[tuple[float, float, float, float, int], ...]:
+        """The ``_plan_jet`` factors of iterlog (empty otherwise), built once.
 
-        Factor j is (1 + a_j L_j)^(-beta_j), where L_j takes j - 1
-        logarithms of e_{j-1} + u; a_j = (1 - 1/n)^(j-1), beta_j = 1/n for
-        j < k and beta_k = alpha.  Built once per modulus.
-        """
+        Factor j is (e_{j-1}, 1.0, a_j, beta_j, j - 1), that is (1 + a_j L_j)^(-beta_j)
+        with L_j the (j-1)-fold log of e_{j-1} + u, a_j = (1 - 1/n)^(j-1),
+        beta_j = 1/n for j < k and beta_k = alpha."""
         if self.family != "iterlog":
             return ()
         base = 1.0 - 1.0 / self.n
-        return tuple((_EXP_TOWER[j - 1], base ** (j - 1),
+        return tuple((_EXP_TOWER[j - 1], 1.0, base ** (j - 1),
                       self.alpha if j == self.depth else 1.0 / self.n, j - 1)
                      for j in range(1, self.depth + 1))
 
@@ -167,61 +212,18 @@ class ModulusFunction:
     # -- the kernel ----------------------------------------------------------
 
     def _kernel(self, s=None, u=None, order=1):
-        """(phi, g, h) at s = e^-u in (0, 1], cut to `order`.
+        """(phi, g, h) at s = e^-u in (0, 1], cut to `order`: phi = exp(-A), g = A', h = A''.
 
-        Pass s or u.  The tuple holds the first order + 1 of phi, g and h,
-        and only those are computed: the value alone for order 0, (phi, g)
-        for order 1 and all three for order 2.  Power keeps the closed form
-        s**eps whenever s is given (the identity stays exact) and returns
-        g = eps, h = 0 as floats, except g as an array for ``profile_log``,
-        which passes u only.
+        Pass s or u; only the first order + 1 entries are computed.  Power
+        keeps the closed form s**eps whenever s is given (the identity stays
+        exact) and returns g = eps, h = 0 as floats, except g as an array for
+        ``profile_log``, which passes u only; iterlog reads ``_plan_jet``.
         """
         if self.family != "iterlog":
             if s is None:
                 return (np.exp(-self.eps * u), np.full_like(u, self.eps), 0.0)[:order + 1]
             return (s ** self.eps, self.eps, 0.0)[:order + 1]
-        if u is None:
-            u = -np.log(s)
-        # The jets (value, slope, curvature) in u of each factor's logarithm,
-        # by the chain rule through one log at a time: log of the jet
-        # (f, f1, f2) is (log f, f1 / f, (f2 f - f1^2) / f^2).  The slope 1
-        # and curvature 0 of e + u are constants, and so are a_1 = 1 and
-        # beta_k = alpha = 1: the products and sums with them are left out,
-        # and for finite u the bits are those of the full recurrence.
-        A = None                                # A = -log phi, then g and h
-        for e, a, beta, logs in self._plan:
-            v0 = u if logs == 0 else e + u      # e = 0 when logs = 0
-            v1 = v2 = None                      # None: the constants 1 and 0
-            for _ in range(logs):
-                f, v0 = v0, np.log(v0)
-                if order and v1 is None:
-                    v1 = 1.0 / f
-                    if order > 1:
-                        v2 = -1.0 / (f * f)
-                elif order:
-                    if order > 1:
-                        v2 = (v2 * f - v1 * v1) / (f * f)
-                    v1 = v1 / f
-            f = 1.0 + (v0 if a == 1.0 else a * v0)
-            jet = [np.log(f)]
-            if order and v1 is None:
-                jet.append(a / f)
-                if order > 1:
-                    jet.append(-(a * a) / (f * f))
-            elif order:
-                av1 = a * v1
-                jet.append(av1 / f)
-                if order > 1:
-                    jet.append((a * v2 * f - av1 * av1) / (f * f))
-            if beta != 1.0:
-                jet = [beta * x for x in jet]
-            if A is None:
-                A = jet
-                if order > 1:
-                    A[2] += 0.0                 # 0.0 + x: a -0.0 curvature turns +0.0
-            else:
-                for i, x in enumerate(jet):
-                    A[i] += x
+        A = _plan_jet(self._plan, -np.log(s) if u is None else u, order)
         return (np.exp(-A[0]), *A[1:])
 
     # -- evaluation ----------------------------------------------------------
@@ -465,7 +467,7 @@ def _iterlog_density(phi: ModulusFunction, v: np.ndarray) -> np.ndarray:
     keep u accurate near v = 0.  Where u overflows, L_j equals w_{k-j} to
     double precision (their gap is below e_{k-1}/u), so F_j = 1/(a_j + 1/w_{k-j}).
     """
-    k, a = phi.depth, [a_j for _, a_j, _, _ in phi._plan]
+    k, a = phi.depth, [a_j for _, _, a_j, _, _ in phi._plan]
     with np.errstate(over="ignore", invalid="ignore"):
         d = [v]
         for i in range(1, k):
@@ -522,7 +524,7 @@ def energy_tail_bound(phi: ModulusFunction, U: float) -> tuple[float, float]:
     na = phi.n * phi.alpha
     if na <= 1.0:
         return math.inf, math.inf
-    k, a = phi.depth, [a_j for _, a_j, _, _ in phi._plan]
+    k, a = phi.depth, [a_j for _, _, a_j, _, _ in phi._plan]
     V, slope = U, 1.0
     for i in range(k - 1, 0, -1):            # V = L_k(U), slope = u'(V)
         slope *= _EXP_TOWER[i] + V

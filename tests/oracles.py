@@ -1,11 +1,11 @@
 """mpmath oracles for the tests, each definition written once.
 
 A modulus is read for its family and parameters only, never for its float64
-calculus.  Three shared pieces run at the caller's working precision:
-``_tower`` (the iterated exponentials e_j), ``jet`` (phi(e^-u) and its
-elasticity g) and ``from_v`` (the substitution v = L_k(u) under the E[phi]
-and |DH|^n integrals).  Each oracle sets its own precision and names it in
-its docstring.
+calculus, and so is a radial map.  Three shared pieces run at the
+caller's working precision: ``_tower`` (the iterated exponentials e_j),
+``jet`` (phi(e^-u) and its elasticity g) and ``from_v`` (the substitution
+v = L_k(u) under the E[phi] and |DH|^n integrals).  Each oracle sets its
+own precision and names it in its docstring.
 """
 
 from functools import lru_cache
@@ -49,6 +49,19 @@ def jet(phi, u):
         log_phi -= beta * mp.ln(factor)
         g += beta * a * slope / factor
     return mp.exp(log_phi), g
+
+
+def radial_stress(h, L):
+    """(stress(rho), g) of a logexample RadialMap at rho = e^-L, from its definition.
+
+    stress = (1 + L)^(-1/n) log(e + L)^(-beta), and g = -d log stress / dL
+    = 1 / (n (1 + L)) + beta / ((e + L) log(e + L)).  At the caller's
+    working precision.
+    """
+    L, n, beta = mp.mpf(L), h.n, mp.mpf(h.beta)
+    loglog = mp.ln(mp.e + L)
+    return ((1 + L) ** (-mp.mpf(1) / n) * loglog ** -beta,
+            1 / (n * (1 + L)) + beta / ((mp.e + L) * loglog))
 
 
 def modulus(phi, s):

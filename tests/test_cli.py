@@ -294,6 +294,19 @@ def test_dilatation_reports_violation(capsys):
     assert "inf" in doc["result"]["ratios"]
 
 
+@pytest.mark.parametrize("threshold,verdict", [("10", "qc_violated"),
+                                                ("1e308", "qc_consistent")])
+def test_dilatation_threshold_flips_the_verdict(capsys, threshold, verdict):
+    # finite ratios from 1.857 to 2.33e19: only the threshold decides
+    code, out = run(["dilatation", "--map", "glued:phi=iterlog:k=2,alpha=1,n=2",
+                     "--radii", "log:0.05..0.5:8", "--count", "64",
+                     "--threshold", threshold], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert "inf" not in doc["result"]["ratios"]
+    assert doc["result"]["verdict"] == verdict
+
+
 def test_modulus_csv_replay_is_byte_identical(tmp_path):
     args = ["modulus", "--map", "glued:phi=iterlog:k=2,alpha=1,n=2",
             "--radii", "log:1e-4..0.5:6", "--count", "128", "--seed", "7",

@@ -17,7 +17,7 @@ from bicone.deformations import ConeMap, GluedMap, RadialMap
 from bicone import geometry
 from bicone.geometry import (cone_norm, euclid_norm, kronecker_sequence,
                              sample_cone_sphere)
-from bicone.moduli import (_GL_NODES, _GL_WEIGHTS, ModulusFunction,
+from bicone.moduli import (_GL_NODES, _GL_WEIGHTS, ModulusFunction, _plan_jet,
                            doubling_constant, measured_constants)
 
 import oracles
@@ -102,15 +102,21 @@ def test_glued_map_dilatation_blows_up():
     assert finite.size and np.max(finite) > 1e3
 
 
-def test_dilatation_threshold_is_respected():
-    # radii above phi(tiniest subnormal): finite, growing ratios that an
-    # absurd threshold should still accept
+@pytest.mark.parametrize("threshold,verdict", [(1e308, "qc_consistent"),
+                                                (1e3, "qc_violated"),
+                                                (10.0, "qc_violated")])
+def test_dilatation_threshold_is_respected(threshold, verdict):
+    # radii above phi(tiniest subnormal): finite ratios, 1.857 at r = 0.5 up
+    # to 2.33e19 at r = 0.05, that increase through seven steps toward 0.
+    # The verdict comes from the four-step rule, not from an inf ratio: an
+    # absurd threshold accepts them, and the default or 10 does not.
     g = GluedMap(k2(), n=2)
     radii = np.geomspace(0.05, 0.5, 8)
     d = linear_dilatation(g, center=0, radii=radii, count=128, seed=0,
-                          threshold=1e308)
-    assert d.verdict == "qc_consistent"
-    assert np.all(np.isfinite(d.ratios))
+                          threshold=threshold)
+    assert np.all(np.isfinite(d.ratios)) and np.all(np.diff(d.ratios) < 0)
+    assert abs(d.ratios[-1] - 1.857) <= 1e-3 and d.ratios[0] > 2e19
+    assert d.verdict == verdict
 
 
 # -- quasi-inverse composition ---------------------------------------------------
@@ -238,6 +244,19 @@ def test_quasi_inverse_masks_radii_whose_sup_underflows():
     kept = quasi_inverse_check(h, h.inverted(), 0.0, radii[~lost], count=64)
     assert np.array_equal(q.map_after_inverse[~lost], kept.map_after_inverse)
     assert np.array_equal(q.inverse_after_map[~lost], kept.inverse_after_map)
+
+
+def test_quasi_inverse_masks_spheres_lost_in_the_center_spacing():
+    # y0 = h(x0) = (0.0548, 0) has a coordinate spacing of 6.9e-18, and
+    # 2^20 times that is 7.3e-12: the spheres of radius 1e-18 to 1e-15
+    # about y0 are unresolved, and they read 1.0, 136.0, 42.8 and 37.5.
+    # Those about x0 are resolved and match the radial stretch 1/g.
+    h = RadialMap("logexample", beta=1.0, n=2)
+    x0 = np.array([1e-12, 0.0])
+    q = quasi_inverse_check(h, h.inverted(), x0, np.geomspace(1e-18, 1e-15, 4))
+    assert np.all(np.isnan(q.map_after_inverse))
+    _, g = _plan_jet(h._plan, -np.log(x0[:1]), 1)
+    assert np.max(np.abs(q.inverse_after_map * g - 1.0)) <= 0.02
 
 
 def test_sweeps_keep_their_seeded_values():

@@ -1,3 +1,5 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from bicone.deformations import (BracketError, ConeMap, DomainError, GluedMap,
                                  InverseView, RadialMap)
 from bicone.geometry import (_horizontal_norm, cone_norm, euclid_norm, reflect,
                              sample_cone_interior, sample_cone_sphere)
-from bicone.moduli import ModulusFunction, measured_constants
+from bicone.moduli import ModulusFunction, _plan_jet, measured_constants
 
 import oracles
 
@@ -449,6 +451,54 @@ def test_radial_logexample_inverse_relative_at_small_values(n):
     floor = float(h.stress(np.finfo(float).tiny))
     v = np.geomspace(floor * 1.01, 0.5, 25)
     assert np.max(np.abs(h.stress(h.inverse_stress(v)) / v - 1.0)) <= 1e-12
+
+
+# u from 0 to 1e5; rho = e^-u is below the float floor (u = 745.13) from
+# u = 746 on, and the kernel never forms it
+_STRESS_U = np.concatenate([[0.0, 1e-300, 745.0, 746.0, 1e5],
+                            np.geomspace(1e-6, 1e5, 40)])
+
+
+@pytest.mark.parametrize("beta", ["1/n + 0.1", 1.0, 2.0, 5.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_logexample_kernel_form_matches_the_oracle(n, beta):
+    # A = -log stress sums two factors: (1/n) log(1 + L) and
+    # beta log(log(e + L)).  Each log is good to eps (1 + |its value|), and
+    # its coefficient scales that, so A is good to about
+    # eps (1 + beta + A); exp(-A) makes that a relative error of the stress.
+    # g sums two positive terms of a few roundings each.  2 eps (1 + beta +
+    # |log stress|) and 2 eps g cover both; the worst seen is 0.6 and 1.2
+    # in units of eps (1 + beta + |log stress|) and eps g.
+    eps = np.finfo(float).eps
+    beta = 1 / n + 0.1 if beta == "1/n + 0.1" else beta
+    h = RadialMap("logexample", beta=beta, n=n)
+    A, got_g = _plan_jet(h._plan, _STRESS_U, 1)
+    with mp.workdps(30):
+        for u, value, g in zip(_STRESS_U, np.exp(-A), got_g):
+            want, want_g = oracles.radial_stress(h, u)
+            assert abs(value - want) <= 2 * eps * (1 + beta + abs(mp.log(want))) * want, u
+            assert abs(g - want_g) <= 2 * eps * want_g, u
+    rho = np.geomspace(1e-300, 0.5, 7)                  # stress reads the kernel
+    assert np.array_equal(h.stress(rho), np.exp(-_plan_jet(h._plan, -np.log(rho), 0)[0]))
+
+
+@pytest.mark.parametrize("beta", [2.0, 5.0])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_logexample_round_trip_below_the_identity(n, beta):
+    # For beta > e (1 - 1/n) the stress is below the identity near rho = 1,
+    # so the solve's bracket top must be rho = 1, not rho = v.  The stress and
+    # the solve's own evaluation each round log stress by up to
+    # 2 eps (1 + beta + |log stress|) (the oracle test above); g = d log
+    # stress / d log rho turns that into an error of log rho, which is the
+    # relative error of rho.  The worst seen is 0.3 of the bound.
+    eps = np.finfo(float).eps
+    h = RadialMap("logexample", beta=beta, n=n)
+    rho = np.geomspace(1e-300, 0.999, 2000)
+    v = h.stress(rho)
+    assert (v[-1] < rho[-1]) == (beta > math.e * (1 - 1 / n))
+    _, g = _plan_jet(h._plan, -np.log(rho), 1)
+    bound = 4 * eps * (1 + beta - np.log(v)) / g
+    assert np.all(np.abs(h.inverse_stress(v) / rho - 1) <= bound)
 
 
 def test_radial_validation():

@@ -319,6 +319,13 @@ def test_sphere_sample_keeps_the_modulo_bits(monkeypatch, n, count, seed):
         assert np.array_equal(got, ref)
 
 
+def test_the_samplers_take_the_dimension_from_their_caller():
+    with pytest.raises(TypeError):
+        sample_cone_sphere(0.1)
+    with pytest.raises(TypeError):
+        sample_cone_interior(10)
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, 257])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_stacked_spheres_equal_scalar_calls(n, count):

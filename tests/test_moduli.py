@@ -475,8 +475,8 @@ def test_iterlog_kernel_has_the_bits_of_the_generic_recurrence(k, n, alpha):
 
 def test_the_plan_holds_the_iterlog_constants():
     phi = ModulusFunction.iterlog(depth=3, alpha=0.7, n=4)
-    assert phi._plan == ((0.0, 1.0, 0.25, 0), (1.0, 0.75, 0.25, 1),
-                         (math.e, 0.75 ** 2, 0.7, 2))
+    assert phi._plan == ((0.0, 1.0, 1.0, 0.25, 0), (1.0, 1.0, 0.75, 0.25, 1),
+                         (math.e, 1.0, 0.75 ** 2, 0.7, 2))
     assert phi._plan is phi._plan                   # built once
     assert ModulusFunction.power(0.5)._plan == ()
 
