@@ -14,7 +14,7 @@ header, so outputs are self-describing and byte-identical under replay with
 the same seed.  Exit status: 0 all-pass, 1 verification or numerical
 failure (the failing report is still emitted), 2 usage error (an option
 the command does not read, a malformed spec, or a numeric option outside
-its usable values).
+its usable values, such as a negative seed).
 """
 
 from __future__ import annotations
@@ -181,7 +181,8 @@ _AT_LEAST_ONE = (lambda v: v >= 1, ">= 1")
 _NUMBER_RULES = {"tol": _FINITE_POSITIVE, "threshold": _FINITE_POSITIVE,
                  "samples": (lambda v: v.is_integer() and v >= _MC_MIN_SAMPLES,
                              f"a whole number >= {_MC_MIN_SAMPLES}"),
-                 "count": _AT_LEAST_ONE, "pairs": _AT_LEAST_ONE}
+                 "count": _AT_LEAST_ONE, "pairs": _AT_LEAST_ONE,
+                 "seed": (lambda v: v >= 0, ">= 0")}
 
 
 def _check_numbers(args: argparse.Namespace) -> None:

@@ -233,9 +233,11 @@ def quasi_inverse_check(map_obj, inverse_map, center, radii, norm: str = "euclid
 def doubling_probe(estimate: ModulusEstimate, factor: float) -> float:
     """max over the grid of omega(factor * t) / omega(t).
 
-    Requires the radius grid to contain matching pairs (t, factor * t) up to
-    1e-9 relative spacing error.
+    Requires factor > 1, as ``doubling_constant`` does, and the radius grid
+    to contain matching pairs (t, factor * t) up to 1e-9 relative spacing error.
     """
+    if factor <= 1.0:
+        raise ValueError("doubling factor must exceed 1")
     radii, values = estimate.radii, estimate.values
     ratios = []
     for i, r in enumerate(radii):
@@ -292,6 +294,9 @@ def _global_modulus_F(m: ConeMap, block: np.ndarray, seed: int) -> VerificationR
     the whole-cone pairs come from seed + 1."""
     consts = measured_constants(m.phi)
     M, r = consts.M, consts.concavity_radius
+    if not math.isfinite(M):
+        raise ValueError(f"the sandwich constant M of {m.phi.describe()} is "
+                         "unbounded (M = inf), so no 3 M phi bound applies")
     scale = min(1.0, r / M)
     pairs = block.shape[0] // 2
 

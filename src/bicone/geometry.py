@@ -25,6 +25,7 @@ __all__ = [
     "euclid_norm",
     "reflect",
     "sphere_surface_area",
+    "unit_ball_volume",
     "kronecker_sequence",
     "sample_cone_sphere",
     "sample_cone_interior",

@@ -53,6 +53,7 @@ __all__ = [
     "BracketError",
     "modulus_energy",
     "modulus_energy_detailed",
+    "energy_tail_bound",
     "measured_constants",
     "check_admissibility",
     "doubling_constant",
@@ -253,7 +254,8 @@ class ModulusFunction:
         if inner.any():
             si = arr[inner]
             phi, g = self._kernel(si)
-            out[inner] = g * phi / si
+            with np.errstate(over="ignore"):
+                out[inner] = g * phi / si
         return _scalar_out(out, scalar)
 
     def second_derivative(self, s):
@@ -279,7 +281,9 @@ class ModulusFunction:
         arr, scalar = _as_array(s)
         if (arr <= 0).any():
             raise ValueError("chord_slope needs s > 0")
-        return _scalar_out(self(arr) / arr, scalar)
+        phi = self(arr)
+        with np.errstate(over="ignore"):        # inf at subnormal s
+            return _scalar_out(phi / arr, scalar)
 
     def elasticity(self, s):
         """g = s * phi'(s) / phi(s), the logarithmic slope; <= 1 for admissible moduli.
@@ -362,7 +366,7 @@ def _grid_pass(phi: ModulusFunction) -> tuple[MeasuredConstants, bool, bool]:
     der = phi.derivative(grid)
     with np.errstate(divide="ignore", over="ignore"):
         ratio = val / (grid * der * der)
-    M = float(max(1.0, np.max(ratio[np.isfinite(ratio)])))
+    M = float(np.max(ratio, initial=1.0, where=~np.isnan(ratio)))
 
     dd = phi.second_derivative(grid)
     convex = dd > 1e-9
@@ -380,7 +384,8 @@ def measured_constants(phi: ModulusFunction) -> MeasuredConstants:
     """Measure the sandwich constant M and the concavity radius on a log grid.
 
     M is the smallest admissible constant sup phi / (s phi'^2) clipped below
-    by 1; the concavity radius is the largest grid prefix on which phi'' <= 0.
+    by 1, and inf where phi'^2 underflows on the grid; the concavity radius
+    is the largest grid prefix on which phi'' <= 0.
     It reads the cached grid pass that check_admissibility shares, and its
     cache_clear() clears that pass.
     """

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
+
+__all__ = ["SCHEMA_VERSION", "CheckResult", "VerificationReport"]
 
 SCHEMA_VERSION = 1
 
@@ -40,6 +42,12 @@ def _jsonable(value):
         return str(value)
 
 
+def _json_fields(items) -> dict:
+    """The ``dict_factory`` of the reports' ``asdict``: JSON values, and the
+    ``passed`` field under its JSON key ``pass``."""
+    return {"pass" if key == "passed" else key: _jsonable(value) for key, value in items}
+
+
 @dataclass
 class CheckResult:
     """Outcome of a single named check.
@@ -56,15 +64,13 @@ class CheckResult:
     tolerance: float | None = None
     detail: str = ""
 
+    def __post_init__(self):
+        self.passed = bool(self.passed)
+        if self.measured_constant is not None:
+            self.measured_constant = float(self.measured_constant)
+
     def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "pass": bool(self.passed),
-            "measured_constant": _jsonable(self.measured_constant),
-            "grid_size": self.grid_size,
-            "tolerance": _jsonable(self.tolerance),
-            "detail": self.detail,
-        }
+        return asdict(self, dict_factory=_json_fields)
 
 
 @dataclass
@@ -77,23 +83,9 @@ class VerificationReport:
     sample_count: int | None = None
     metadata: dict = field(default_factory=dict)
 
-    def add(
-        self,
-        condition: str,
-        passed: bool,
-        measured_constant: float | None = None,
-        grid_size: int | None = None,
-        tolerance: float | None = None,
-        detail: str = "",
-    ) -> CheckResult:
-        result = CheckResult(
-            condition=condition,
-            passed=bool(passed),
-            measured_constant=None if measured_constant is None else float(measured_constant),
-            grid_size=grid_size,
-            tolerance=tolerance,
-            detail=detail,
-        )
+    def add(self, condition: str, passed: bool, **fields) -> CheckResult:
+        """Append a ``CheckResult(condition, passed, **fields)`` and return it."""
+        result = CheckResult(condition, passed, **fields)
         self.checks.append(result)
         return result
 
@@ -105,15 +97,8 @@ class VerificationReport:
         return [c for c in self.checks if not c.passed]
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "title": self.title,
-            "pass": self.passed,
-            "seed": self.seed,
-            "sample_count": self.sample_count,
-            "metadata": _jsonable(self.metadata),
-            "checks": [c.to_dict() for c in self.checks],
-        }
+        return {"schema_version": SCHEMA_VERSION, "pass": self.passed,
+                **asdict(self, dict_factory=_json_fields)}
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

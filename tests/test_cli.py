@@ -219,6 +219,18 @@ def test_verify_conditions_exit_codes(capsys):
     assert failed == ["finite energy (C3)"]
 
 
+def test_verify_conditions_reports_an_unbounded_sandwich_constant(capsys):
+    # phi'^2 underflows on the whole grid: the report still prints, with C2
+    # failing at M = inf
+    code, out = run(["verify", "conditions",
+                     "--phi", "iterlog:k=1,alpha=1e-200,n=2"], capsys)
+    assert code == 1
+    result = json.loads(out)["result"]
+    c2 = next(c for c in result["checks"] if c["condition"] == "derivative sandwich (C2)")
+    assert c2["pass"] is False and c2["measured_constant"] == "inf"
+    assert result["metadata"]["M"] == "inf"
+
+
 def test_verify_conditions_csv_rows(capsys):
     code, out = run(["verify", "conditions", "--phi", "iterlog:k=2,alpha=1,n=2",
                      "--out", "csv"], capsys)
@@ -473,7 +485,13 @@ MC = ["energy", "--map", "cone:phi=iterlog:k=1,alpha=1,n=2", "--method", "mc",
     ("--pairs", ["verify", "global-f", "--phi", "iterlog:k=1,alpha=1,n=2",
                  "--pairs", "0"]),
     ("--samples", [*MC, "--samples", "500"]),
-    ("--samples", [*MC, "--samples", "-5"])])
+    ("--samples", [*MC, "--samples", "-5"]),
+    # numpy's generators refuse a negative seed
+    ("--seed", ["modulus", "--map", GLUED, "--seed", "-1"]),
+    ("--seed", ["dilatation", "--map", GLUED, "--seed", "-1"]),
+    ("--seed", [*MC, "--seed", "-1"]),
+    *(("--seed", ["verify", suite, "--phi", "iterlog:k=1,alpha=1,n=2", "--seed", "-1"])
+      for suite in ("main-theorem", "global-h", "global-f", "averaging"))])
 def test_unusable_numbers_are_usage_errors(option, argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -304,6 +304,15 @@ def test_doubling_probe_requires_matched_pairs():
         doubling_probe(p, factor=2.0)
 
 
+@pytest.mark.parametrize("factor", [1.0, 0.5])
+def test_doubling_probe_refuses_a_factor_of_at_most_one(factor):
+    h = RadialMap("power", eps=0.5, n=2)
+    p = modulus_profile(h, center=0, radii=np.array([0.01, 0.02, 0.04]),
+                        norm="euclid", count=16, seed=0)
+    with pytest.raises(ValueError, match="doubling factor must exceed 1"):
+        doubling_probe(p, factor=factor)
+
+
 # -- global modulus bounds ---------------------------------------------------
 
 def test_global_modulus_H_bound():
@@ -320,6 +329,14 @@ def test_global_modulus_F_bound():
     M = measured_constants(k2()).M
     assert report.metadata["near_origin_ratio"] <= 3.0 * M
     assert np.isfinite(report.metadata["global_ratio"])
+
+
+def test_inverse_suite_refuses_an_unbounded_sandwich_constant():
+    # with M = inf the near-origin scale r / M is 0: every near-origin ratio
+    # would be 0/0, and the inverse solve would divide by a zero slope
+    m = ConeMap(ModulusFunction.iterlog(depth=1, alpha=1e-200, n=2), n=2)
+    with pytest.raises(ValueError, match=r"unbounded \(M = inf\)"):
+        verify_global_modulus_F(m, pairs=10, seed=0)
 
 
 # -- averaging inequality ---------------------------------------------------
@@ -545,7 +562,7 @@ def test_averaging_suite_makes_few_kernel_calls(monkeypatch):
 def test_main_theorem_report(n):
     g = GluedMap(k2(n), n=n)
     report = verify_main_theorem(g, count=128, seed=0)
-    failed = [c.name for c in report.checks if not c.passed]
+    failed = [c.condition for c in report.checks if not c.passed]
     assert report.passed, failed
     assert len(report.checks) >= 10
     assert report.metadata["M"] >= 1.0

@@ -157,6 +157,15 @@ def test_second_derivative_has_no_nan_down_to_1e_300(depth):
     assert np.max(np.abs(phi.second_derivative(t) / fd - 1.0)) <= 1e-7
 
 
+@pytest.mark.parametrize("depth", [1, 5])
+def test_derivative_and_chord_slope_are_inf_at_the_smallest_subnormal(depth):
+    # phi / s overflows at s = 5e-324; like second_derivative, both return
+    # the infinite value without an overflow warning
+    phi = ModulusFunction.iterlog(depth=depth, alpha=1.0, n=2)
+    assert phi.derivative(5e-324) == math.inf
+    assert phi.chord_slope(5e-324) == math.inf
+
+
 def test_identity_is_exact():
     phi = ModulusFunction.identity()
     s = np.geomspace(5e-324, 1.0, 2001)
@@ -245,6 +254,17 @@ def test_sandwich_constant_oracles():
     M = measured_constants(ModulusFunction.iterlog(depth=1, alpha=1.0, n=2)).M
     assert M == pytest.approx(27.0 * math.exp(-2.0), rel=1e-4)
     assert measured_constants(ModulusFunction.identity()).M == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("alpha", [1e-155, 1e-200, 1e-300])
+def test_sandwich_constant_is_inf_where_phi_prime_underflows(alpha):
+    # phi'^2 underflows at s = 1 (alpha = 1e-155) or on the whole grid: those
+    # ratios phi / (s phi'^2) are +inf, so M is inf and C2 fails
+    phi = ModulusFunction.iterlog(depth=1, alpha=alpha, n=2)
+    assert measured_constants(phi).M == math.inf
+    c2 = check_admissibility(phi).checks[1]
+    assert c2.condition == "derivative sandwich (C2)"
+    assert not c2.passed and c2.measured_constant == math.inf
 
 
 def test_concavity_radius_oracle():
