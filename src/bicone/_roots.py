@@ -102,7 +102,10 @@ def newton_log(jet, hi, tol: float, straddle_message: str) -> np.ndarray:
             above = f > 0
             a = np.where(above, a, x)
             b = np.where(above, x, b)
-            step = x - f / df
+            # a zero slope gives an infinite or NaN step, which is outside
+            # the bracket and goes to the floor or the midpoint below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = x - f / df
             inside = (step > a) & (step < b)
             resolution = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
             size = np.abs(f)

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -178,36 +178,24 @@ def _panel_value(phi: ModulusFunction, u: np.ndarray, wu: np.ndarray,
 # bound T_err (0 where closed form).  The error is of order g phi^n rather
 # than phi^n, which for iterated logs ends the doubling many panels sooner.
 
-def _w_moment(n: int, weight) -> float:
-    """int_0^1 weight(w, Q, p) (1-w)^{n-2} dw with Q = 2w^2 - 2w + 1, p = n/2.
+@cache
+def _w_constants(n: int) -> tuple[float, float, float]:
+    """(W_n(1), W_n'(1), K_n) of the comment block above.
 
-    These two constants per n keep 17 dyadic panels: one panel rounds W_2(1)
-    to 2/3 + 3 ulp, and the finer grid to 2/3.  The branch points (1 +- i)/2
+    The two moments keep 17 dyadic panels: one panel rounds W_2(1) to
+    2/3 + 3 ulp, and the finer grid to 2/3.  The branch points (1 +- i)/2
     lie outside the Bernstein ellipse of rho = 4 about every panel, so the
     rule error is below 1e-18 for n <= 24 and rounding is what is left.
     """
+    p = n / 2.0
     w, ww = _w_grid(16)
     q = 2.0 * w * w - 2.0 * w + 1.0
-    return float(np.sum(ww * weight(w, q, n / 2.0) * (1.0 - w) ** (n - 2)))
-
-
-@cache
-def _w_reference(n: int) -> float:
-    """W_n(1) = int_0^1 (2w^2 - 2w + 1)^{n/2} (1-w)^{n-2} dw."""
-    return _w_moment(n, lambda w, q, p: q ** p)
-
-
-@cache
-def _w_slope(n: int) -> float:
-    """W_n'(1) = int_0^1 p Q^{p-1} 2w(2w - 1) (1-w)^{n-2} dw."""
-    return _w_moment(n, lambda w, q, p: p * q ** (p - 1.0) * 2.0 * w * (2.0 * w - 1.0))
-
-
-def _w_curvature(n: int) -> float:
-    """K_n >= sup of |W_n''| on [0, 1] (see the comment block above)."""
-    p = n / 2.0
-    return 4.0 * p * (abs(p - 1.0) * 2.0 ** max(0.0, 2.0 - p)
-                      + 2.0 ** max(0.0, 1.0 - p)) * 2.0 / ((n - 1) * n * (n + 1))
+    one_w = (1.0 - w) ** (n - 2)
+    reference = float(np.sum(ww * q ** p * one_w))
+    slope = float(np.sum(ww * (p * q ** (p - 1.0) * 2.0 * w * (2.0 * w - 1.0)) * one_w))
+    curvature = 4.0 * p * (abs(p - 1.0) * 2.0 ** max(0.0, 2.0 - p)
+                           + 2.0 ** max(0.0, 1.0 - p)) * 2.0 / ((n - 1) * n * (n + 1))
+    return reference, slope, curvature
 
 
 def _distortion_tail(phi: ModulusFunction, U: float) -> float:
@@ -242,49 +230,39 @@ def _distortion_tail(phi: ModulusFunction, U: float) -> float:
 
 # -- the tensor quadrature -----------------------------------------------------
 
-def _reduced_quadrature(phi: ModulusFunction, tol: float, kind: str):
+def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
+    phi = m.phi
     n = phi.n
+    # E[H] is finite exactly when E[phi] is; the K_H tail needs only the
+    # elasticity floor of _distortion_tail, so E[F] is finite for every phi
+    if kind == "conformal" and _energy_diverges(phi):
+        raise EnergyDivergenceError(
+            f"modulus energy of {phi.describe()} diverges at n={n} "
+            "(condition (C3) fails), so the deformation energy is infinite")
     sigma_factor = sphere_surface_area(n - 2)
-    nodes, rules = [], []
 
-    def panel(u, wu):
-        inc, rule, used = _panel_value(phi, u, wu, kind)
-        nodes.append(used)
-        rules.append(rule)
-        return inc
-
-    def conformal_remainder(U, total, inc):
+    def conformal_remainder(U, total, rule, inc):
         T, T_err = energy_tail_bound(phi, U)    # int_U^inf phi^n du
         phi_U, g_U = phi.profile_log(U)
         phi_n = phi_U ** n
         s_U = math.exp(-U)
         corr = (n / 2.0) * ((n - 1) * s_U ** 2 + 2.0 * phi_U ** 2) \
             ** (n / 2.0 - 1.0) * math.exp(-2.0 * U) / 2.0
-        value = sigma_factor * (total + _w_reference(n) * T - _w_slope(n) * phi_n / n)
-        rule = sum(rules)
-        err = sigma_factor * (_w_curvature(n) / (2 * n) * g_U * phi_n + corr + T_err
+        W, W_slope, K = _w_constants(n)
+        value = sigma_factor * (total + W * T - W_slope * phi_n / n)
+        err = sigma_factor * (K / (2 * n) * g_U * phi_n + corr + T_err
                               + rule) + 8.0 * np.finfo(float).eps * abs(value)
         return value, err, err <= 0.5 * tol * max(1.0, abs(value))
 
-    def distortion_remainder(U, total, inc):
+    def distortion_remainder(U, total, rule, inc):
         tail = _distortion_tail(phi, U)
         threshold = tol * max(1.0, abs(total))
         return sigma_factor * total, sigma_factor * (tail + inc), \
             tail <= 0.5 * threshold and inc <= 0.5 * threshold
 
-    remainder = conformal_remainder if kind == "conformal" else distortion_remainder
-    return (*_doubling_quadrature(panel, tol, remainder), sum(nodes))
-
-
-def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
-    phi = m.phi
-    # E[H] is finite exactly when E[phi] is; the K_H tail needs only the
-    # elasticity floor of _distortion_tail, so E[F] is finite for every phi
-    if kind == "conformal" and _energy_diverges(phi):
-        raise EnergyDivergenceError(
-            f"modulus energy of {phi.describe()} diverges at n={phi.n} "
-            "(condition (C3) fails), so the deformation energy is infinite")
-    value, err, status, nodes = _reduced_quadrature(phi, tol, kind)
+    value, err, status, nodes = _doubling_quadrature(
+        partial(_panel_value, phi, kind=kind), tol,
+        conformal_remainder if kind == "conformal" else distortion_remainder)
     return EnergyResult(value=value, method="tensor_quadrature",
                         samples_or_nodes=nodes, error_estimate=err,
                         status=status)

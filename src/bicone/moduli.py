@@ -431,25 +431,30 @@ _MAX_PANELS = 60
 
 
 def _doubling_quadrature(panel, tol: float, remainder):
-    """Sum ``panel(u, wu)`` over the doubling panels: (value, err, status).
+    """Sum ``panel(u, wu)`` over the doubling panels: (value, err, status, nodes).
 
-    ``remainder(U, total, inc) -> (value, err, done)`` certifies the mass
-    past U; the sum stops "converged" at the first done panel, and at the
-    cap the last value is "converged" only if its err meets tol.  A
-    non-finite value or bound is never "converged": it comes back
-    "truncated" with an infinite bound.
+    ``panel(u, wu) -> (increment, rule-error bound, nodes used)``; the
+    driver keeps the running sums of all three.  ``remainder(U, total, rule,
+    inc) -> (value, err, done)`` certifies the mass past U from the sums of
+    the increments and rule bounds so far and the last increment; the sum
+    stops "converged" at the first done panel, and at the cap the last
+    value is "converged" only if its err meets tol.  A non-finite value or
+    bound is never "converged": it comes back "truncated" with an infinite
+    bound.
     """
-    total = 0.0
+    total, rule, nodes = 0.0, 0.0, 0
     for U, u, wu in _doubling_panels(_MAX_PANELS):
-        inc = panel(u, wu)
+        inc, inc_rule, used = panel(u, wu)
         total += inc
-        value, err, done = remainder(U, total, inc)
+        rule += inc_rule
+        nodes += used
+        value, err, done = remainder(U, total, rule, inc)
         if done:
             break
     if not (math.isfinite(value) and math.isfinite(err)):
-        return value, math.inf, "truncated"
+        return value, math.inf, "truncated", nodes
     status = "converged" if done or err <= tol * max(1.0, abs(value)) else "truncated"
-    return value, err, status
+    return value, err, status, nodes
 
 
 def _energy_diverges(phi: ModulusFunction) -> bool:
@@ -580,6 +585,15 @@ def modulus_energy(phi: ModulusFunction, tol: float = 1e-9) -> float:
 # -- condition suite ----------------------------------------------------------
 
 
+def _add_parts(report: VerificationReport, condition: str, parts: dict,
+               detail: str, **fields) -> None:
+    """Add a row that passes when every part does; a failing row names its failed parts."""
+    failed = [part for part, ok in parts.items() if not ok]
+    if failed:
+        detail += "; fails: " + ", ".join(failed)
+    report.add(condition, not failed, detail=detail, **fields)
+
+
 def check_admissibility(phi: ModulusFunction) -> VerificationReport:
     """Run the four admissibility conditions and record measured constants.
 
@@ -591,14 +605,18 @@ def check_admissibility(phi: ModulusFunction) -> VerificationReport:
     constants, increasing, slope_ok = _grid_pass(phi)
 
     # endpoints and monotonicity
-    end_resid = max(abs(phi(0.0)), abs(phi(1.0) - 1.0), abs(phi(1.7) - 1.7))
-    report.add("endpoints (C1)", end_resid <= 1e-12 and increasing,
+    ends = {"phi(0)=0": abs(phi(0.0)), "phi(1)=1": abs(phi(1.0) - 1.0),
+            "identity beyond 1": abs(phi(1.7) - 1.7)}
+    end_resid = max(ends.values())
+    _add_parts(report, "endpoints (C1)",
+               {**{part: r <= 1e-12 for part, r in ends.items()},
+                "strictly increasing": increasing},
                measured_constant=end_resid, grid_size=grid_size, tolerance=1e-12,
                detail="phi(0)=0, phi(1)=1, identity beyond 1, strictly increasing")
 
     # derivative sandwich
-    sandwich_ok = slope_ok and math.isfinite(constants.M)
-    report.add("derivative sandwich (C2)", sandwich_ok,
+    _add_parts(report, "derivative sandwich (C2)",
+               {"phi' <= phi/s": slope_ok, "finite M": math.isfinite(constants.M)},
                measured_constant=constants.M, grid_size=grid_size,
                detail="phi' <= phi/s everywhere and phi/s <= M phi'^2 with finite M")
 

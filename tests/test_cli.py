@@ -231,6 +231,18 @@ def test_verify_conditions_reports_an_unbounded_sandwich_constant(capsys):
     assert result["metadata"]["M"] == "inf"
 
 
+def test_main_theorem_names_an_unbounded_sandwich_constant_without_a_warning():
+    # The axis inversion of this modulus meets a zero Newton slope; with
+    # warnings as errors the suite must still reach its M = inf refusal.
+    # A subprocess, so that -W error covers the whole command.
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "bicone.cli", "verify",
+                           "main-theorem", "--phi", "iterlog:k=1,alpha=1e-200,n=2",
+                           "--count", "16"],
+                          capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert done.returncode == 1
+    assert "M = inf" in done.stderr and "Warning" not in done.stderr
+
+
 def test_verify_conditions_csv_rows(capsys):
     code, out = run(["verify", "conditions", "--phi", "iterlog:k=2,alpha=1,n=2",
                      "--out", "csv"], capsys)

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -9,9 +10,10 @@ from hypothesis import strategies as st
 
 from bicone import _roots
 from bicone.deformations import ConeMap, GluedMap
-from bicone.energy import (_W_Q, EnergyResult, _w_rule_error, biconformal_energy,
-                           conformal_energy_H, energy_F_monte_carlo,
-                           energy_modulus_ratio, inner_distortion_integral)
+from bicone.energy import (_W_Q, EnergyResult, _w_constants, _w_rule_error,
+                           biconformal_energy, conformal_energy_H,
+                           energy_F_monte_carlo, energy_modulus_ratio,
+                           inner_distortion_integral)
 from bicone.geometry import sample_cone_interior, unit_ball_volume
 from bicone.moduli import EnergyDivergenceError, ModulusFunction, measured_constants
 
@@ -286,6 +288,47 @@ def test_one_w_panel_is_within_its_rule_error_bound(n, s, phi, g):
         assert bound == 0.0 and gap <= 1e-25 * fine        # exact for polynomials
     else:
         assert gap <= bound
+
+
+def _exact_w(n, c):
+    """(W_n(c), W_n'(c), W_n''(c)) at even n, integrated exactly in w.
+
+    W_n(c) = int_0^1 Q^p (1-w)^{n-2} dw with Q = (wc)^2 + (1-wc)^2 and
+    p = n/2; Q, dQ/dc and d^2Q/dc^2 are polynomials in w (coefficient lists).
+    """
+    def mul(*polys):
+        out = [Fraction(1)]
+        for b in polys:
+            prod = [Fraction(0)] * (len(out) + len(b) - 1)
+            for i, x in enumerate(out):
+                for j, y in enumerate(b):
+                    prod[i + j] += x * y
+            out = prod
+        return sum(a / (i + 1) for i, a in enumerate(out))   # int_0^1 dw
+
+    p = n // 2
+    Q, dQ, d2Q = [1, -2 * c, 2 * c * c], [0, -2, 4 * c], [0, 0, 4]
+    weight = [[1, -1]] * (n - 2)
+    curvature = p * mul(*[Q] * (p - 1), d2Q, *weight)
+    if p >= 2:
+        curvature += p * (p - 1) * mul(*[Q] * (p - 2), dQ, dQ, *weight)
+    return mul(*[Q] * p, *weight), p * mul(*[Q] * (p - 1), dQ, *weight), curvature
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_w_constants_match_exact_polynomial_integrals(n):
+    W, W_slope, K = _w_constants(n)
+    exact_W, exact_slope, _ = _exact_w(n, Fraction(1))
+    if n == 2:
+        assert (exact_W, exact_slope) == (Fraction(2, 3), Fraction(1, 3))
+    # The moments sum 408 rounded terms, measured 0.3-9.4 ulp off at n = 2-6.
+    # K_n of the energy module's comment block is 2n / (n^2 - 1) at even n.
+    for got, want in ((W, exact_W), (W_slope, exact_slope), (K, Fraction(2 * n, n * n - 1))):
+        assert abs(Fraction(got) - want) <= 16 * Fraction(math.ulp(float(want)))
+    # K_n bounds |W_n''| over c in [0, 1], and equals it at n = 2
+    curvatures = [abs(_exact_w(n, Fraction(i, 32))[2]) for i in range(33)]
+    assert float(max(curvatures)) <= K
+    assert n != 2 or set(curvatures) == {Fraction(4, 3)}
 
 
 # -- pointwise distortion bound ----------------------------------------------

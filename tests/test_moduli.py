@@ -210,17 +210,34 @@ def test_elasticity_is_one_sided_at_one(phi):
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_doubling_quadrature_never_certifies_a_non_finite_sum(bad):
     def panel(u, wu):                    # a decaying sum that turns non-finite
-        return bad if u[0] > 8.0 else float(np.sum(wu * np.exp(-u)))
+        return bad if u[0] > 8.0 else float(np.sum(wu * np.exp(-u))), 0.0, u.size
 
-    done = lambda U, total, inc: (total, 0.0, U > 8.0)
-    never = lambda U, total, inc: (total, 0.0, False)
+    done = lambda U, total, rule, inc: (total, 0.0, U > 8.0)
+    never = lambda U, total, rule, inc: (total, 0.0, False)
     for remainder in (done, never):
-        value, err, status = _doubling_quadrature(panel, 1e-12, remainder)
+        value, err, status, nodes = _doubling_quadrature(panel, 1e-12, remainder)
         assert status != "converged" and err == math.inf, remainder
     # a finite sum still certifies through every exit
-    finite = lambda u, wu: float(np.sum(wu * np.exp(-u)))
+    finite = lambda u, wu: (float(np.sum(wu * np.exp(-u))), 0.0, u.size)
     assert _doubling_quadrature(finite, 1e-12, done)[2] == "converged"
     assert _doubling_quadrature(finite, 1e-12, never)[2] == "converged"
+
+
+def test_doubling_quadrature_keeps_the_books_of_the_panels_that_ran():
+    seen, rules = [], []
+
+    def panel(u, wu):                    # nodes 24, 25, ...; rule bounds 1, 2, ...
+        seen.append(u.size + len(seen))
+        return float(np.sum(wu * np.exp(-u))), float(len(seen)), seen[-1]
+
+    def remainder(U, total, rule, inc):
+        rules.append(rule)
+        return total, 0.0, len(rules) == 5
+
+    value, err, status, nodes = _doubling_quadrature(panel, 1e-12, remainder)
+    assert status == "converged" and len(seen) == 5
+    assert nodes == sum(seen) == 24 + 25 + 26 + 27 + 28
+    assert rules == [1.0, 3.0, 6.0, 10.0, 15.0]
 
 
 def test_invert_round_trip():
@@ -265,6 +282,20 @@ def test_sandwich_constant_is_inf_where_phi_prime_underflows(alpha):
     c2 = check_admissibility(phi).checks[1]
     assert c2.condition == "derivative sandwich (C2)"
     assert not c2.passed and c2.measured_constant == math.inf
+
+
+def test_failing_admissibility_rows_name_the_failed_part():
+    # phi equals 1 to double precision on the whole grid: the endpoints hold
+    # (measured 0.0), but phi is not strictly increasing, and M = inf
+    c1, c2 = check_admissibility(
+        ModulusFunction.iterlog(depth=1, alpha=1e-200, n=2)).checks[:2]
+    assert not c1.passed and c1.measured_constant == 0.0
+    assert c1.detail.endswith("; fails: strictly increasing")
+    assert not c2.passed and c2.detail.endswith("; fails: finite M")
+    # a passing row keeps its text
+    ok = check_admissibility(ModulusFunction.iterlog(depth=1, alpha=1.0, n=2)).checks[0]
+    assert ok.passed
+    assert ok.detail == "phi(0)=0, phi(1)=1, identity beyond 1, strictly increasing"
 
 
 def test_concavity_radius_oracle():

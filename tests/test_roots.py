@@ -9,6 +9,8 @@ The solver runs its lanes in blocks of ``_BLOCK``; a lane's result does not
 depend on the block it lands in.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,21 @@ def test_mixed_batch_keeps_the_representable_lanes():
     assert np.array_equal(mixed[3:], [TINY, TINY])
     residual = np.abs(np.arctan(np.log(mixed[:3]) - representable))
     assert np.all(residual <= 1e-12)
+
+
+def test_a_zero_slope_is_a_step_out_of_the_bracket_without_a_warning():
+    # On the axis the cone jet's slope 1 - w(1 - g) cancels to 0 at w = 1
+    # once g is below eps; here the slope is 0 at the upper end hi = 0.
+    roots = np.array([-3.0, 0.0, _LOG_FLOOR - 10.0])
+
+    def jet(u, idx):
+        return u - roots[idx], np.where(u == 0.0, 0.0, 1.0)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = newton_log(jet, np.zeros(roots.size), 1e-12, "no straddle")
+    assert abs(np.log(x[0]) + 3.0) <= 1e-12
+    assert x[1] == 1.0 and x[2] == TINY
 
 
 def test_floor_below_the_root_keeps_the_bracket():
