@@ -16,10 +16,14 @@ with P = phi (1 - w(1-g)) = s * (Jacobian determinant) and R = -w phi (1-g)
 = s t lambda'(s).  Everything is evaluated through profile_log, which never
 materializes s, so the quadrature runs far past the underflow point of e^-u.
 
-u-panels double geometrically as in the one-dimensional E[phi] quadrature.
+u-panels double geometrically as in the one-dimensional E[phi] quadrature,
+evaluated in stacked batches of panels by moduli._doubling_quadrature.
 Each integrand gets the w-rule its singularities ask for.  K_H has a pole
-at w = 1/(1 - g), just past w = 1, so its w-panels refine dyadically
-toward w = 1 on the scale of the elasticity.  |DH|^n has no singularity
+at w = 1/(1 - g), just past w = 1 when g is small, and forming
+z = 1 - w(1 - g) there loses the relative precision eps/g.  So where
+g < 1/2 its w-integral runs in zeta = log z over [log g, 0], on
+Gauss-Legendre panels of length at most 2 (about log(1/g)/2 of them), and
+where g >= 1/2 one 24-node w-panel serves.  |DH|^n has no singularity
 within distance 1/2 of [0, 1], so one 24-node panel serves every u-node:
 exact for even n <= 24, and within a certified Bernstein-ellipse bound
 otherwise (_w_rule_error).  Convergence is certified by rigorous
@@ -110,40 +114,82 @@ def _w_rule_error(n: int, M):
         * ((1.0 + _W_A) / 2.0) ** (n - 2)
 
 
+# K_H's w-integrand has a pole at w = 1/(1 - g), just past w = 1 for small
+# g, and forming z = 1 - w(1 - g) near w = 1 cancels to a relative error
+# eps/g, which the integrand's z^(1-n) weights.  So the rows with g < 1/2
+# integrate in zeta = log z over [log g, 0], where with P = phi z,
+# R = phi (1 - z), 1 - w = (z - g)/(1 - g) and dw = z dzeta / (1 - g) the
+# cell is
+#
+#     phi s^(n-1) int [sigma^2 + (1-z)^2 + (n-1) z^2]^(n/2) (1 - g/z)^(n-2) dzeta / (1-g)^(n-1)
+#
+# with sigma = s/phi: an integrand bounded by n^(n/2), and 1 - z = -expm1(zeta)
+# and 1 - g/z = -expm1(-(zeta - log g)) free of cancellation.  It is smooth
+# on the scale of 1 in zeta (for odd n analytic in |Im zeta| < pi/4), so
+# Gauss-Legendre panels of length at most 2 serve: ceil(log(1/g_min)/2) of
+# them on every row of a batch.  Rows with g >= 1/2 keep one w-panel, the
+# pole at least 1 away from [0, 1], in the same sigma/z form.
+@cache
+def _zeta_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes/weights on [0, 1] in m equal panels."""
+    nodes, weights = zip(*(_gl_panel(j / m, (j + 1) / m) for j in range(m)))
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def _distortion_cells(n: int, s: np.ndarray, phi_u: np.ndarray,
+                      g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(w-integral of the K_H integrand over phi s^(n-1), w-nodes) per u-node."""
+    live = phi_u > 0.0
+    sigma2 = np.divide(s, phi_u, out=np.zeros_like(s), where=live) ** 2
+    cells, nodes = np.empty_like(s), np.empty(s.shape, dtype=int)
+    near = g >= 0.5
+    if near.any():
+        w, ww = _w_grid(0)
+        one_z = w * (1.0 - g[near, None])
+        z = 1.0 - one_z
+        core = (sigma2[near, None] + one_z ** 2 + (n - 1) * z ** 2) ** (n / 2.0)
+        cells[near] = np.sum(core * z ** (1 - n) * (1.0 - w) ** (n - 2) * ww, axis=1)
+        nodes[near] = w.size
+    far = ~near
+    if far.any():
+        g_far = np.maximum(g[far], np.finfo(float).tiny)     # a g underflowed to 0
+        L = -np.log(g_far)[:, None]                 # zeta runs over [-L, 0]
+        x, wx = _zeta_grid(math.ceil(float(L.max()) / 2.0))
+        zeta = L * (x - 1.0)
+        core = (sigma2[far, None] + np.expm1(zeta) ** 2
+                + (n - 1) * np.exp(2.0 * zeta)) ** (n / 2.0)
+        gap = -np.expm1(-L * x)                     # 1 - g/z
+        cells[far] = np.sum(core * gap ** (n - 2) * wx, axis=1) \
+            * L[:, 0] / (1.0 - g_far) ** (n - 1)
+        nodes[far] = x.size
+    return cells, nodes
+
+
 def _panel_value(phi: ModulusFunction, u: np.ndarray, wu: np.ndarray,
-                 kind: str) -> tuple[float, float, int]:
-    """(integral, w-rule error bound, nodes) of one (u-panel) x [0,1] cell of
-    the reduced integrand."""
+                 kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(integrals, w-rule error bounds, nodes) of a stack of (u-panel) x [0,1]
+    cells of the reduced integrand, one u-panel per row of u and wu."""
     n = phi.n
     phi_u, g = phi.profile_log(u)
     g = np.clip(g, 0.0, 1.0)
-    if kind == "conformal":
-        w, ww = _w_grid(0)
-    else:
-        # K_H varies on the w-scale of the elasticity near w = 1
-        g_end = max(float(g[-1]), 1e-12)
-        w, ww = _w_grid(int(min(40, max(8, math.ceil(-math.log2(g_end)) + 6))))
-    live = phi_u > 0.0
-    nodes = u.size * w.size
-    if not live.any():
-        return 0.0, 0.0, nodes
-    u, wu, phi_u, g = u[live], wu[live], phi_u[live], g[live]
     s = np.exp(-u)
-    one_w = (1.0 - w)[None, :]
-    P = phi_u[:, None] * (1.0 - w[None, :] * (1.0 - g[:, None]))
-    R2 = (phi_u[:, None] * w[None, :] * (1.0 - g[:, None])) ** 2
     if kind == "conformal":
-        core = ((n - 1) * (s ** 2)[:, None] + R2 + P * P) ** (n / 2.0)
+        # rows where phi underflows have s = 0 too, and add exact zeros
+        w, ww = _w_grid(0)
+        c = (1.0 - g)[..., None]
+        P = phi_u[..., None] * (1.0 - w * c)
+        R2 = (phi_u[..., None] * w * c) ** 2
+        core = ((n - 1) * (s ** 2)[..., None] + R2 + P * P) ** (n / 2.0)
         bound = _w_rule_error(n, ((n - 1) * s ** 2 + _W_Q * phi_u ** 2) ** (n / 2.0))
         # the w-integral of each u-node, then their u-sum: two short sums,
         # where one running sum over all nodes drifted by up to 9 ulp
-        inner = np.sum(core * one_w ** (n - 2) * ww, axis=1)
-        return float(np.sum(wu * inner)), float(np.sum(wu * bound)), nodes
-    s_pow = np.exp(-(n - 1) * u)
-    core = (((s ** 2)[:, None] + R2) / (P * P) + (n - 1)) ** (n / 2.0) \
-        * P * s_pow[:, None]
-    cell = core * one_w ** (n - 2)
-    return float(np.einsum("i,ij,j->", wu, cell, ww)), 0.0, nodes
+        inner = np.sum(core * (1.0 - w) ** (n - 2) * ww, axis=-1)
+        return (np.sum(wu * inner, axis=-1), np.sum(wu * bound, axis=-1),
+                np.full(len(u), u.shape[1] * w.size))
+    cells, nodes = _distortion_cells(n, s.ravel(), phi_u.ravel(), g.ravel())
+    scale = phi_u * np.exp(-(n - 1) * u)            # phi s^(n-1)
+    return (np.sum(wu * (scale * cells.reshape(u.shape)), axis=-1),
+            np.zeros(len(u)), nodes.reshape(u.shape).sum(axis=-1))
 
 
 # -- tail treatment -----------------------------------------------------------
@@ -257,8 +303,13 @@ def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
     def distortion_remainder(U, total, rule, inc):
         tail = _distortion_tail(phi, U)
         threshold = tol * max(1.0, abs(total))
-        return sigma_factor * total, sigma_factor * (tail + inc), \
-            tail <= 0.5 * threshold and inc <= 0.5 * threshold
+        value = sigma_factor * total
+        # Once tail and inc underflow to 0, this allowance for rounding is
+        # what keeps a tol below it from certifying (exactly, with err 0).
+        rounding = 8.0 * np.finfo(float).eps * abs(value)
+        done = tail <= 0.5 * threshold and inc <= 0.5 * threshold \
+            and rounding <= 0.5 * tol * max(1.0, abs(value))
+        return value, sigma_factor * (tail + inc) + rounding, done
 
     value, err, status, nodes = _doubling_quadrature(
         partial(_panel_value, phi, kind=kind), tol,

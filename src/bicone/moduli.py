@@ -428,23 +428,45 @@ def _doubling_panels(count: int):
 
 
 _MAX_PANELS = 60
+# Panels are evaluated in stacked batches, one panel per row.  The batch
+# edges suit where the package's integrals stop (|DH|^n after 3-15 panels,
+# K_H after 4-7); the panels of a batch past the stop are never consumed.
+_BATCH_EDGES = (0, 4, 8, 16, 32, _MAX_PANELS)
+
+
+@cache
+def _panel_batch(lo: int, hi: int) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
+    """(U per panel, (B, 24) nodes, (B, 24) weights) of doubling panels lo..hi-1."""
+    ends, nodes, weights = zip(*list(_doubling_panels(hi))[lo:])
+    return ends, np.stack(nodes), np.stack(weights)
+
+
+def _panel_rows(panel):
+    """(U, increment, rule bound, nodes) per doubling panel, one ``panel`` call per batch.
+
+    A batch is computed only when the row before it has been consumed.
+    """
+    for lo, hi in zip(_BATCH_EDGES, _BATCH_EDGES[1:]):
+        ends, u, wu = _panel_batch(lo, hi)
+        yield from zip(ends, *(np.asarray(col).tolist() for col in panel(u, wu)))
 
 
 def _doubling_quadrature(panel, tol: float, remainder):
     """Sum ``panel(u, wu)`` over the doubling panels: (value, err, status, nodes).
 
-    ``panel(u, wu) -> (increment, rule-error bound, nodes used)``; the
-    driver keeps the running sums of all three.  ``remainder(U, total, rule,
-    inc) -> (value, err, done)`` certifies the mass past U from the sums of
-    the increments and rule bounds so far and the last increment; the sum
-    stops "converged" at the first done panel, and at the cap the last
-    value is "converged" only if its err meets tol.  A non-finite value or
-    bound is never "converged": it comes back "truncated" with an infinite
-    bound.
+    ``panel(u, wu) -> (increments, rule-error bounds, nodes used)`` takes a
+    (B, 24) stack of consecutive panels, one per row, and returns B of each.
+    The driver consumes them in order and keeps the running sums of all
+    three.  ``remainder(U, total, rule, inc) -> (value, err, done)``
+    certifies the mass past U from the sums of the increments and rule
+    bounds so far and the last increment; the sum stops "converged" at the
+    first done panel, and at the cap the last value is "converged" only if
+    its err meets tol.  Panels of a batch past the stop count nowhere.  A
+    non-finite value or bound is never "converged": it comes back
+    "truncated" with an infinite bound.
     """
     total, rule, nodes = 0.0, 0.0, 0
-    for U, u, wu in _doubling_panels(_MAX_PANELS):
-        inc, inc_rule, used = panel(u, wu)
+    for U, inc, inc_rule, used in _panel_rows(panel):
         total += inc
         rule += inc_rule
         nodes += used

@@ -564,15 +564,19 @@ def test_mc_energy_is_an_estimate_that_exits_0(capsys):
 @pytest.mark.parametrize("spec", ["cone:phi=identity,n=2", "cone:phi=identity,n=3",
                                   "cone:phi=power:eps=0.5,n=2"])
 def test_a_nan_energy_is_never_converged(spec):
-    # Far out (u > 372) the K_H cells of these maps are 0/0.  The NaN sum
-    # must come out "truncated" with exit 1, never "converged" with exit 0.
-    # A subprocess, because the 0/0 also raises a RuntimeWarning on stderr.
+    # Far out (u > 372) s^2 + R^2 and P^2 of these maps both underflow, so
+    # their ratio would be 0/0; the K_H cells, formed from sigma = s/phi and
+    # z, stay finite.  The result is a number, with nothing on stderr, and
+    # tol 1e-300 comes out "truncated" with exit 1, never "converged" with
+    # exit 0.  A subprocess, so that a warning would show.
     done = subprocess.run([sys.executable, "-m", "bicone.cli", "energy",
                            "--integrand", "inverse", "--map", spec, "--tol", "1e-300"],
                           capture_output=True, text=True, env=_src_env(), timeout=120)
     doc = json.loads(done.stdout)["result"]
-    assert done.returncode == 1
-    assert (doc["status"], doc["value"], doc["error_estimate"]) == ("truncated", "nan", "inf")
+    assert done.returncode == 1 and done.stderr == ""
+    assert doc["status"] == "truncated"
+    assert all(isinstance(doc[key], float) and math.isfinite(doc[key])
+               for key in ("value", "error_estimate"))
 
 
 def _src_env(**extra):

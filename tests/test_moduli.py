@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bicone import energy
+from bicone.deformations import ConeMap
+from bicone.energy import conformal_energy_H
 from bicone.moduli import (BracketError, EnergyDivergenceError, ModulusFunction,
                            check_admissibility, doubling_constant,
                            energy_tail_bound, measured_constants,
                            modulus_energy, modulus_energy_detailed,
                            quasi_inverse_defect)
-from bicone.moduli import _doubling_quadrature
+from bicone.moduli import _MAX_PANELS, _doubling_panels, _doubling_quadrature
 
 import oracles
 
@@ -207,10 +210,16 @@ def test_elasticity_is_one_sided_at_one(phi):
     assert phi.derivative(1.0) == phi.elasticity(1.0)
 
 
+def _sums(u, wu):
+    """Per-panel sums of e^-u, with zero rule bounds and 24 nodes per panel."""
+    return np.sum(wu * np.exp(-u), axis=1), np.zeros(len(u)), np.full(len(u), u.shape[1])
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_doubling_quadrature_never_certifies_a_non_finite_sum(bad):
     def panel(u, wu):                    # a decaying sum that turns non-finite
-        return bad if u[0] > 8.0 else float(np.sum(wu * np.exp(-u))), 0.0, u.size
+        sums, rules, nodes = _sums(u, wu)
+        return np.where(u[:, 0] > 8.0, bad, sums), rules, nodes
 
     done = lambda U, total, rule, inc: (total, 0.0, U > 8.0)
     never = lambda U, total, rule, inc: (total, 0.0, False)
@@ -218,26 +227,96 @@ def test_doubling_quadrature_never_certifies_a_non_finite_sum(bad):
         value, err, status, nodes = _doubling_quadrature(panel, 1e-12, remainder)
         assert status != "converged" and err == math.inf, remainder
     # a finite sum still certifies through every exit
-    finite = lambda u, wu: (float(np.sum(wu * np.exp(-u))), 0.0, u.size)
-    assert _doubling_quadrature(finite, 1e-12, done)[2] == "converged"
-    assert _doubling_quadrature(finite, 1e-12, never)[2] == "converged"
+    assert _doubling_quadrature(_sums, 1e-12, done)[2] == "converged"
+    assert _doubling_quadrature(_sums, 1e-12, never)[2] == "converged"
 
 
 def test_doubling_quadrature_keeps_the_books_of_the_panels_that_ran():
-    seen, rules = [], []
+    offered, rules = [], []
 
     def panel(u, wu):                    # nodes 24, 25, ...; rule bounds 1, 2, ...
-        seen.append(u.size + len(seen))
-        return float(np.sum(wu * np.exp(-u))), float(len(seen)), seen[-1]
+        index = np.arange(len(offered), len(offered) + len(u))
+        offered.extend(index)
+        return np.sum(wu * np.exp(-u), axis=1), index + 1.0, u.shape[1] + index
 
     def remainder(U, total, rule, inc):
         rules.append(rule)
         return total, 0.0, len(rules) == 5
 
     value, err, status, nodes = _doubling_quadrature(panel, 1e-12, remainder)
-    assert status == "converged" and len(seen) == 5
-    assert nodes == sum(seen) == 24 + 25 + 26 + 27 + 28
+    # the stop at the fifth panel falls inside the batch of panels 4-7: the
+    # three computed past it count nowhere
+    assert status == "converged" and len(rules) == 5 and len(offered) == 8
+    assert nodes == 24 + 25 + 26 + 27 + 28
     assert rules == [1.0, 3.0, 6.0, 10.0, 15.0]
+
+
+def _one_panel_at_a_time(panel, tol, remainder):
+    """The doubling driver with one panel per ``panel`` call, as a reference."""
+    total, rule, nodes = 0.0, 0.0, 0
+    for U, u, wu in _doubling_panels(_MAX_PANELS):
+        inc, inc_rule, used = (np.asarray(col)[0].item() for col in panel(u[None], wu[None]))
+        total += inc
+        rule += inc_rule
+        nodes += used
+        value, err, done = remainder(U, total, rule, inc)
+        if done:
+            break
+    if not (math.isfinite(value) and math.isfinite(err)):
+        return value, math.inf, "truncated", nodes
+    status = "converged" if done or err <= tol * max(1.0, abs(value)) else "truncated"
+    return value, err, status, nodes
+
+
+@pytest.mark.parametrize("stop", [1, 3, 4, 5, 6, 8, 12, 16, 17, 31, 32, 33, 59, 60, 61])
+def test_doubling_quadrature_stops_as_one_panel_at_a_time(stop):
+    # stops at each end and inside of every batch, at the cap (60) and never
+    def panel(u, wu):
+        sums = np.sum(wu * np.exp(-u / 3.0), axis=1)      # nodes: a count per panel
+        return sums, sums * 1e-3, np.log2(u[:, -1]).astype(int) + u.shape[1]
+
+    def remainder():
+        seen = []
+
+        def check(U, total, rule, inc):
+            seen.append(U)
+            return total * 0.5, rule + inc, len(seen) == stop
+        return check
+
+    got = _doubling_quadrature(panel, 1e-3, remainder())
+    want = _one_panel_at_a_time(panel, 1e-3, remainder())
+    assert got == want and all(type(a) is type(b) for a, b in zip(got, want))
+
+
+def test_a_nan_past_the_stop_never_reaches_the_result():
+    # the stop at U = 32 (panel 5) falls inside the batch of panels 4-7,
+    # whose panels 6 and 7 are NaN in every output
+    def panel(u, wu):
+        past = u[:, 0] > 32.0
+        sums, rules, nodes = _sums(u, wu)
+        return (np.where(past, math.nan, sums), np.where(past, math.nan, rules),
+                nodes)
+
+    stop = lambda U, total, rule, inc: (total, rule, U >= 32.0)
+    result = _doubling_quadrature(panel, 1e-12, stop)
+    assert result == _one_panel_at_a_time(panel, 1e-12, stop)
+    value, err, status, nodes = result
+    assert math.isfinite(value) and (err, status, nodes) == (0.0, "converged", 6 * 24)
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-15])
+def test_conformal_energy_keeps_its_bits_panel_by_panel(monkeypatch, tol):
+    # each |DH|^n panel sums its own rows alike in any stack, so the batched
+    # driver gives every bit of the one-panel-at-a-time reference, also
+    # where tol 1e-15 runs it to the cap
+    maps = [ConeMap(phi, n=phi.n) for phi in (
+        ModulusFunction.identity(), ModulusFunction.power(0.5, n=3),
+        ModulusFunction.iterlog(depth=1, alpha=1.0, n=2),
+        ModulusFunction.iterlog(depth=3, alpha=1.0, n=3),
+        ModulusFunction.iterlog(depth=4, alpha=1.0, n=4))]
+    batched = [conformal_energy_H(m, tol=tol) for m in maps]
+    monkeypatch.setattr(energy, "_doubling_quadrature", _one_panel_at_a_time)
+    assert [conformal_energy_H(m, tol=tol) for m in maps] == batched
 
 
 def test_invert_round_trip():
