@@ -297,8 +297,8 @@ class RadialMap:
             self.eps = float(eps)
         else:
             self.beta = 1.0 if beta is None else float(beta)
-            if self.beta <= 1.0 / self.n:
-                raise ValueError("logexample stress needs beta > 1/n")
+            if not 1.0 / self.n < self.beta < math.inf:      # NaN fails too
+                raise ValueError("logexample stress needs a finite beta > 1/n")
             self._plan = ((0.0, 1.0, 1.0, 1.0 / self.n, 0), (math.e, 0.0, 1.0, self.beta, 1))
 
     def stress(self, rho):

@@ -17,7 +17,10 @@ with P = phi (1 - w(1-g)) = s * (Jacobian determinant) and R = -w phi (1-g)
 materializes s, so the quadrature runs far past the underflow point of e^-u.
 
 u-panels double geometrically as in the one-dimensional E[phi] quadrature,
-evaluated in stacked batches of panels by moduli._doubling_quadrature.
+evaluated in stacked batches of panels by moduli._doubling_quadrature,
+which also owns the stop rule and the rounding allowance: a remainder
+here only gives the value with the mass past U and a bound on the rest.
+Every panel rule comes from moduli._gl_panel and moduli._gl_rule.
 Each integrand gets the w-rule its singularities ask for.  K_H has a pole
 at w = 1/(1 - g), just past w = 1 when g is small, and forming
 z = 1 - w(1 - g) there loses the relative precision eps/g.  So where
@@ -51,7 +54,7 @@ from .deformations import ConeMap, GluedMap
 from .geometry import sample_cone_interior, sphere_surface_area, unit_ball_volume
 from .moduli import (EnergyDivergenceError, ModulusFunction,
                      _doubling_quadrature, _energy_diverges, _gl_panel,
-                     energy_tail_bound, modulus_energy_detailed)
+                     _gl_rule, energy_tail_bound, modulus_energy_detailed)
 
 __all__ = [
     "EnergyResult",
@@ -78,14 +81,7 @@ class EnergyResult:
 
 # -- quadrature grids ---------------------------------------------------------
 
-@cache
-def _w_grid(depth: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0,1] with dyadic panels toward w=1;
-    depth 0 is one panel."""
-    edges = [0.0] + [1.0 - 2.0 ** (-j) for j in range(1, depth + 1)] + [1.0]
-    nodes, weights = zip(*map(_gl_panel, edges[:-1], edges[1:]))
-    return np.concatenate(nodes), np.concatenate(weights)
-
+_W_PANEL = _gl_panel(0.0, 1.0)          # nodes and weights of one 24-node w-panel
 
 # The |DH|^n w-integrand [(n-1)s^2 + phi^2 Q]^{n/2} (1-w)^{n-2} gets one
 # 24-node panel on [0, 1].  For even n <= 24 it is a polynomial of degree
@@ -129,13 +125,6 @@ def _w_rule_error(n: int, M):
 # Gauss-Legendre panels of length at most 2 serve: ceil(log(1/g_min)/2) of
 # them on every row of a batch.  Rows with g >= 1/2 keep one w-panel, the
 # pole at least 1 away from [0, 1], in the same sigma/z form.
-@cache
-def _zeta_grid(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights on [0, 1] in m equal panels."""
-    nodes, weights = zip(*(_gl_panel(j / m, (j + 1) / m) for j in range(m)))
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def _distortion_cells(n: int, s: np.ndarray, phi_u: np.ndarray,
                       g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(w-integral of the K_H integrand over phi s^(n-1), w-nodes) per u-node."""
@@ -144,7 +133,7 @@ def _distortion_cells(n: int, s: np.ndarray, phi_u: np.ndarray,
     cells, nodes = np.empty_like(s), np.empty(s.shape, dtype=int)
     near = g >= 0.5
     if near.any():
-        w, ww = _w_grid(0)
+        w, ww = _W_PANEL
         one_z = w * (1.0 - g[near, None])
         z = 1.0 - one_z
         core = (sigma2[near, None] + one_z ** 2 + (n - 1) * z ** 2) ** (n / 2.0)
@@ -154,7 +143,8 @@ def _distortion_cells(n: int, s: np.ndarray, phi_u: np.ndarray,
     if far.any():
         g_far = np.maximum(g[far], np.finfo(float).tiny)     # a g underflowed to 0
         L = -np.log(g_far)[:, None]                 # zeta runs over [-L, 0]
-        x, wx = _zeta_grid(math.ceil(float(L.max()) / 2.0))
+        m = math.ceil(float(L.max()) / 2.0)         # panels j/m .. (j+1)/m of [0, 1]
+        x, wx = (a.ravel() for a in _gl_rule(tuple(j / m for j in range(m + 1))))
         zeta = L * (x - 1.0)
         core = (sigma2[far, None] + np.expm1(zeta) ** 2
                 + (n - 1) * np.exp(2.0 * zeta)) ** (n / 2.0)
@@ -175,7 +165,7 @@ def _panel_value(phi: ModulusFunction, u: np.ndarray, wu: np.ndarray,
     s = np.exp(-u)
     if kind == "conformal":
         # rows where phi underflows have s = 0 too, and add exact zeros
-        w, ww = _w_grid(0)
+        w, ww = _W_PANEL
         c = (1.0 - g)[..., None]
         P = phi_u[..., None] * (1.0 - w * c)
         R2 = (phi_u[..., None] * w * c) ** 2
@@ -234,7 +224,8 @@ def _w_constants(n: int) -> tuple[float, float, float]:
     rule error is below 1e-18 for n <= 24 and rounding is what is left.
     """
     p = n / 2.0
-    w, ww = _w_grid(16)
+    dyadic = (0.0, *(1.0 - 2.0 ** -j for j in range(1, 17)), 1.0)
+    w, ww = _gl_rule(dyadic)
     q = 2.0 * w * w - 2.0 * w + 1.0
     one_w = (1.0 - w) ** (n - 2)
     reference = float(np.sum(ww * q ** p * one_w))
@@ -295,21 +286,11 @@ def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
         corr = (n / 2.0) * ((n - 1) * s_U ** 2 + 2.0 * phi_U ** 2) \
             ** (n / 2.0 - 1.0) * math.exp(-2.0 * U) / 2.0
         W, W_slope, K = _w_constants(n)
-        value = sigma_factor * (total + W * T - W_slope * phi_n / n)
-        err = sigma_factor * (K / (2 * n) * g_U * phi_n + corr + T_err
-                              + rule) + 8.0 * np.finfo(float).eps * abs(value)
-        return value, err, err <= 0.5 * tol * max(1.0, abs(value))
+        return (sigma_factor * (total + W * T - W_slope * phi_n / n),
+                sigma_factor * (K / (2 * n) * g_U * phi_n + corr + T_err + rule))
 
     def distortion_remainder(U, total, rule, inc):
-        tail = _distortion_tail(phi, U)
-        threshold = tol * max(1.0, abs(total))
-        value = sigma_factor * total
-        # Once tail and inc underflow to 0, this allowance for rounding is
-        # what keeps a tol below it from certifying (exactly, with err 0).
-        rounding = 8.0 * np.finfo(float).eps * abs(value)
-        done = tail <= 0.5 * threshold and inc <= 0.5 * threshold \
-            and rounding <= 0.5 * tol * max(1.0, abs(value))
-        return value, sigma_factor * (tail + inc) + rounding, done
+        return sigma_factor * total, sigma_factor * (_distortion_tail(phi, U) + inc)
 
     value, err, status, nodes = _doubling_quadrature(
         partial(_panel_value, phi, kind=kind), tol,

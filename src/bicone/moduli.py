@@ -408,23 +408,28 @@ class ModulusEnergy:
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
+_EPS = float(np.finfo(float).eps)
+_ROUNDING = 8.0 * _EPS      # the rounding allowance of a sum, per unit of |value|
 
 
-def _gl_panel(lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """24-point Gauss-Legendre nodes and weights on [lo, hi]."""
+def _gl_panel(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """24-point Gauss-Legendre nodes and weights on [lo, hi]; (P, 1) edge
+    arrays give (P, 24), one panel per row."""
     half = 0.5 * (hi - lo)
     return lo + half * (_GL_NODES + 1.0), half * _GL_WEIGHTS
 
 
-def _doubling_panels(count: int):
-    """(U, nodes, weights) of the panels [0, 1], [1, 2], [2, 4], ..., [., U].
+@cache
+def _gl_rule(edges: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(P, 24) nodes and weights of the composite rule on P consecutive panels."""
+    ends = np.array(edges)[:, None]
+    return _gl_panel(ends[:-1], ends[1:])
 
-    The panels double geometrically up to U = 2^(count-1), U being each
-    panel's right end; every doubling quadrature of the package runs on them.
-    """
-    for m in range(count):
-        lo, hi = (0.0, 1.0) if m == 0 else (2.0 ** (m - 1), 2.0 ** m)
-        yield (hi, *_gl_panel(lo, hi))
+
+@cache
+def _doubling_edges(count: int) -> tuple[float, ...]:
+    """Edges of the panels [0, 1], [1, 2], [2, 4], ..., [., 2^(count-1)]."""
+    return (0.0, *(2.0 ** m for m in range(count)))
 
 
 _MAX_PANELS = 60
@@ -434,21 +439,17 @@ _MAX_PANELS = 60
 _BATCH_EDGES = (0, 4, 8, 16, 32, _MAX_PANELS)
 
 
-@cache
-def _panel_batch(lo: int, hi: int) -> tuple[tuple[float, ...], np.ndarray, np.ndarray]:
-    """(U per panel, (B, 24) nodes, (B, 24) weights) of doubling panels lo..hi-1."""
-    ends, nodes, weights = zip(*list(_doubling_panels(hi))[lo:])
-    return ends, np.stack(nodes), np.stack(weights)
-
-
 def _panel_rows(panel):
     """(U, increment, rule bound, nodes) per doubling panel, one ``panel`` call per batch.
 
-    A batch is computed only when the row before it has been consumed.
+    U is the panel's right end.  A batch is computed only when the row
+    before it has been consumed.
     """
+    ends = _doubling_edges(_MAX_PANELS)
+    u, wu = _gl_rule(ends)
     for lo, hi in zip(_BATCH_EDGES, _BATCH_EDGES[1:]):
-        ends, u, wu = _panel_batch(lo, hi)
-        yield from zip(ends, *(np.asarray(col).tolist() for col in panel(u, wu)))
+        yield from zip(ends[lo + 1:hi + 1],
+                       *(np.asarray(col).tolist() for col in panel(u[lo:hi], wu[lo:hi])))
 
 
 def _doubling_quadrature(panel, tol: float, remainder):
@@ -457,38 +458,42 @@ def _doubling_quadrature(panel, tol: float, remainder):
     ``panel(u, wu) -> (increments, rule-error bounds, nodes used)`` takes a
     (B, 24) stack of consecutive panels, one per row, and returns B of each.
     The driver consumes them in order and keeps the running sums of all
-    three.  ``remainder(U, total, rule, inc) -> (value, err, done)``
-    certifies the mass past U from the sums of the increments and rule
-    bounds so far and the last increment; the sum stops "converged" at the
-    first done panel, and at the cap the last value is "converged" only if
-    its err meets tol.  Panels of a batch past the stop count nowhere.  A
-    non-finite value or bound is never "converged": it comes back
-    "truncated" with an infinite bound.
+    three.  ``remainder(U, total, rule, inc) -> (value, bound)`` gives the
+    value with the mass past U and a bound on its error, from the sums of
+    the increments and rule bounds so far and the last increment.  The
+    driver owns the verdict.  err is the bound plus a rounding allowance
+    of 8 eps |value|, and the sum stops "converged" at the first panel with
+    err <= tol/2 max(1, |value|).  It stops "truncated" early once the
+    allowance alone exceeds tol max(1, |value|) and the bound is within it,
+    since no later panel can then meet tol.  At the cap of 60 panels the
+    last value is "converged" only if its err meets tol.  Panels of a batch
+    past the stop count nowhere.  A non-finite value or bound is never
+    "converged": it comes back "truncated" with an infinite bound.
     """
     total, rule, nodes = 0.0, 0.0, 0
     for U, inc, inc_rule, used in _panel_rows(panel):
         total += inc
         rule += inc_rule
         nodes += used
-        value, err, done = remainder(U, total, rule, inc)
-        if done:
+        value, bound = remainder(U, total, rule, inc)
+        rounding = _ROUNDING * abs(value)
+        err, scale = bound + rounding, max(1.0, abs(value))
+        if err <= 0.5 * tol * scale:
+            status = "converged"
             break
+        if rounding > tol * scale and bound <= rounding:
+            status = "truncated"
+            break
+    else:
+        status = "converged" if err <= tol * scale else "truncated"
     if not (math.isfinite(value) and math.isfinite(err)):
         return value, math.inf, "truncated", nodes
-    status = "converged" if done or err <= tol * max(1.0, abs(value)) else "truncated"
     return value, err, status, nodes
 
 
 def _energy_diverges(phi: ModulusFunction) -> bool:
     """E[phi] is infinite: iterlog with n alpha <= 1."""
     return phi.family == "iterlog" and phi.n * phi.alpha <= 1.0
-
-
-@cache
-def _stacked_panels(count: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nodes and weights of ``_doubling_panels(count)`` in one array each."""
-    _, nodes, weights = zip(*_doubling_panels(count))
-    return np.concatenate(nodes), np.concatenate(weights)
 
 
 def _iterlog_density(phi: ModulusFunction, v: np.ndarray) -> np.ndarray:
@@ -517,7 +522,6 @@ def _iterlog_density(phi: ModulusFunction, v: np.ndarray) -> np.ndarray:
 
 
 _V_SPAN = 64.0          # energy_tail_bound integrates C_k - C_inf over [V, V + 64]
-_EPS = float(np.finfo(float).eps)
 
 
 def energy_tail_bound(phi: ModulusFunction, U: float) -> tuple[float, float]:
@@ -568,7 +572,7 @@ def energy_tail_bound(phi: ModulusFunction, U: float) -> tuple[float, float]:
     h = min(1.0, 0.5 * (1.0 + U) / slope)
     count = math.ceil(math.log2(_V_SPAN / h)) + 1
     scale = _V_SPAN / 2.0 ** (count - 1)
-    x, wx = _stacked_panels(count)
+    x, wx = _gl_rule(_doubling_edges(count))
     v = V + scale * x
     decay = (1.0 + a[-1] * v) ** (-na)
     density = _iterlog_density(phi, v)
@@ -590,7 +594,7 @@ def modulus_energy_detailed(phi: ModulusFunction, tol: float = 1e-9) -> ModulusE
     if _energy_diverges(phi):
         return ModulusEnergy(math.inf, math.inf, "diverged")
     T, T_err = energy_tail_bound(phi, 0.0)
-    err = T_err + 8.0 * _EPS * abs(T)
+    err = T_err + _ROUNDING * abs(T)
     status = "converged" if err <= tol * max(1.0, abs(T)) else "truncated"
     return ModulusEnergy(T, err, status)
 

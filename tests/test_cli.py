@@ -403,6 +403,19 @@ def test_a_radial_map_below_dimension_two_is_a_usage_error(argv, capsys):
     assert "dimension n must be an integer >= 2" in captured.err
 
 
+@pytest.mark.parametrize("beta", ["nan", "inf"])
+@pytest.mark.parametrize("command,points", [("eval", "--points"), ("invert", "--point")])
+def test_a_logexample_beta_that_is_not_finite_is_a_usage_error(command, points, beta, capsys):
+    # beta = nan used to print NaN images (eval) or a non-preimage (invert)
+    # with exit 0, and beta = inf mapped (0.3, 0.4) to the origin
+    assert main([command, "--map", f"radial:logexample:beta={beta},n=2",
+                 points, "0.3,0.4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("bicone: error: bad map spec")
+    assert "needs a finite beta > 1/n" in captured.err
+
+
 PHI = "iterlog:k=2,alpha=1,n=2"
 
 

@@ -510,6 +510,14 @@ def test_radial_validation():
         RadialMap("logexample", beta=0.3, n=2)   # needs beta > 1/n
 
 
+@pytest.mark.parametrize("beta", [math.nan, math.inf])
+def test_logexample_needs_a_finite_beta(beta):
+    # NaN passed the old beta <= 1/n check and mapped points to NaN; inf
+    # mapped (0.3, 0.4) to the origin
+    with pytest.raises(ValueError, match="needs a finite beta > 1/n"):
+        RadialMap("logexample", beta=beta, n=2)
+
+
 @pytest.mark.parametrize("kind,own,stray", [
     ("power", {"eps": 0.5}, {"beta": 3.0}),
     ("logexample", {"beta": 1.0}, {"eps": 0.5}),

@@ -15,7 +15,8 @@ from bicone.energy import (_W_Q, EnergyResult, _panel_value, _w_constants,
                            energy_F_monte_carlo, energy_modulus_ratio,
                            inner_distortion_integral)
 from bicone.geometry import sample_cone_interior, unit_ball_volume
-from bicone.moduli import EnergyDivergenceError, ModulusFunction, measured_constants
+from bicone.moduli import (_MAX_PANELS, EnergyDivergenceError, ModulusFunction,
+                           _doubling_edges, _gl_rule, measured_constants)
 
 import oracles
 
@@ -484,12 +485,46 @@ def test_identity_inverse_energy_is_within_its_bound_of_the_oracle():
 @pytest.mark.parametrize("family,n,kw", [("identity", 2, {}), ("identity", 3, {}),
                                          ("power", 2, {"eps": 0.5})])
 def test_inverse_energy_stays_finite_far_past_underflow(family, n, kw):
-    # tol 1e-300 runs the doubling to U = 2^59, where s and phi underflow;
-    # the cells stay finite (a RuntimeWarning fails the test) and the tol,
-    # below the rounding allowance, is not certified
+    # tol 1e-300, below the rounding allowance, is not certified; the
+    # panels far past the underflow of s and phi are checked below
     r = inner_distortion_integral(cone_map(family, n=n, **kw), tol=1e-300)
     assert math.isfinite(r.value) and math.isfinite(r.error_estimate)
     assert r.status == "truncated" and r.error_estimate > 0.0
+    # every doubling panel up to U = 2^59, where s and phi underflow, gives
+    # finite K_H cells (a RuntimeWarning fails the test)
+    u, wu = _gl_rule(_doubling_edges(_MAX_PANELS))
+    assert np.isfinite(_panel_value(cone_map(family, n=n, **kw).phi, u, wu,
+                                    "distortion")[0]).all()
+
+
+@pytest.mark.parametrize("family,n,kw,kind,tol,nodes", [
+    ("iterlog", 3, {"depth": 1, "alpha": 1.0}, "distortion", 1e-15, 7_488),
+    ("iterlog", 3, {"depth": 4, "alpha": 1.0}, "distortion", 1e-15, 9_624),
+    ("identity", 2, {}, "conformal", 1e-300, 3_456),
+    ("identity", 2, {}, "distortion", 1e-300, 4_032)])
+def test_a_tol_below_the_rounding_allowance_stops_early(family, n, kw, kind, tol, nodes):
+    # no bound can meet a tol below about 16 eps, so the driver stops
+    # "truncated" at the first panel whose bound is within the allowance,
+    # not at the 60-panel cap (34,560 nodes for these integrands at g >= 1/2,
+    # up to about 490,000 for K_H of iterlog)
+    quad = conformal_energy_H if kind == "conformal" else inner_distortion_integral
+    m = cone_map(family, n=n, **kw)
+    r, ref = quad(m, tol=tol), quad(m, tol=1e-10)
+    assert (r.status, r.samples_or_nodes, ref.status) == ("truncated", nodes, "converged")
+    assert abs(r.value - ref.value) <= r.error_estimate + ref.error_estimate
+
+
+@pytest.mark.parametrize("kind,depth,alpha,n,tol", [
+    ("conformal", 1, 1.0, 2, 1e-2), ("conformal", 1, 1.0, 3, 1e-4),
+    ("distortion", 1, 1.0, 2, 1e-2), ("distortion", 1, 1.0, 3, 1e-4),
+    ("distortion", 2, 0.2, 5, 1e-6)])         # E[phi] diverges there: K_H only
+def test_a_converged_quadrature_meets_half_its_tol(kind, depth, alpha, n, tol):
+    # one stop rule for both integrands: a sum that stops before the cap is
+    # "converged" only with err <= tol/2 max(1, |value|)
+    quad = conformal_energy_H if kind == "conformal" else inner_distortion_integral
+    r = quad(cone_map("iterlog", n=n, depth=depth, alpha=alpha), tol=tol)
+    assert r.status == "converged"
+    assert r.error_estimate <= 0.5 * tol * max(1.0, abs(r.value))
 
 
 @pytest.mark.parametrize("family,kw", [

@@ -14,7 +14,8 @@ from bicone.moduli import (BracketError, EnergyDivergenceError, ModulusFunction,
                            energy_tail_bound, measured_constants,
                            modulus_energy, modulus_energy_detailed,
                            quasi_inverse_defect)
-from bicone.moduli import _MAX_PANELS, _doubling_panels, _doubling_quadrature
+from bicone.moduli import (_EPS, _MAX_PANELS, _doubling_edges, _doubling_quadrature,
+                           _gl_rule)
 
 import oracles
 
@@ -221,8 +222,8 @@ def test_doubling_quadrature_never_certifies_a_non_finite_sum(bad):
         sums, rules, nodes = _sums(u, wu)
         return np.where(u[:, 0] > 8.0, bad, sums), rules, nodes
 
-    done = lambda U, total, rule, inc: (total, 0.0, U > 8.0)
-    never = lambda U, total, rule, inc: (total, 0.0, False)
+    done = lambda U, total, rule, inc: (total, 0.0 if U > 8.0 else 1.0)
+    never = lambda U, total, rule, inc: (total, 0.75e-12)  # meets tol at the cap only
     for remainder in (done, never):
         value, err, status, nodes = _doubling_quadrature(panel, 1e-12, remainder)
         assert status != "converged" and err == math.inf, remainder
@@ -241,7 +242,7 @@ def test_doubling_quadrature_keeps_the_books_of_the_panels_that_ran():
 
     def remainder(U, total, rule, inc):
         rules.append(rule)
-        return total, 0.0, len(rules) == 5
+        return total, 0.0 if len(rules) == 5 else 1.0
 
     value, err, status, nodes = _doubling_quadrature(panel, 1e-12, remainder)
     # the stop at the fifth panel falls inside the batch of panels 4-7: the
@@ -253,19 +254,37 @@ def test_doubling_quadrature_keeps_the_books_of_the_panels_that_ran():
 
 def _one_panel_at_a_time(panel, tol, remainder):
     """The doubling driver with one panel per ``panel`` call, as a reference."""
+    ends = _doubling_edges(_MAX_PANELS)
     total, rule, nodes = 0.0, 0.0, 0
-    for U, u, wu in _doubling_panels(_MAX_PANELS):
+    for U, u, wu in zip(ends[1:], *_gl_rule(ends)):
         inc, inc_rule, used = (np.asarray(col)[0].item() for col in panel(u[None], wu[None]))
         total += inc
         rule += inc_rule
         nodes += used
-        value, err, done = remainder(U, total, rule, inc)
-        if done:
+        value, bound = remainder(U, total, rule, inc)
+        rounding = 8.0 * _EPS * abs(value)
+        err, scale = bound + rounding, max(1.0, abs(value))
+        if err <= 0.5 * tol * scale:
+            status = "converged"
             break
+        if rounding > tol * scale and bound <= rounding:
+            status = "truncated"
+            break
+    else:
+        status = "converged" if err <= tol * scale else "truncated"
     if not (math.isfinite(value) and math.isfinite(err)):
         return value, math.inf, "truncated", nodes
-    status = "converged" if done or err <= tol * max(1.0, abs(value)) else "truncated"
     return value, err, status, nodes
+
+
+def test_a_tol_no_bound_can_meet_stops_truncated_at_the_first_resolved_panel():
+    # at tol 1e-17 the allowance 8 eps |value| alone fails tol; the sum stops
+    # at the first panel whose bound is within it (U = 16), not at the cap
+    resolved = lambda U, total, rule, inc: (total, 0.0 if U > 8.0 else 1.0)
+    result = _doubling_quadrature(_sums, 1e-17, resolved)
+    assert result == _one_panel_at_a_time(_sums, 1e-17, resolved)
+    value, err, status, nodes = result
+    assert (err, status, nodes) == (8.0 * _EPS * value, "truncated", 5 * 24)
 
 
 @pytest.mark.parametrize("stop", [1, 3, 4, 5, 6, 8, 12, 16, 17, 31, 32, 33, 59, 60, 61])
@@ -278,9 +297,9 @@ def test_doubling_quadrature_stops_as_one_panel_at_a_time(stop):
     def remainder():
         seen = []
 
-        def check(U, total, rule, inc):
+        def check(U, total, rule, inc):       # rule + inc never meets tol/2
             seen.append(U)
-            return total * 0.5, rule + inc, len(seen) == stop
+            return total * 0.5, rule * 0.1 if len(seen) == stop else rule + inc
         return check
 
     got = _doubling_quadrature(panel, 1e-3, remainder())
@@ -297,11 +316,12 @@ def test_a_nan_past_the_stop_never_reaches_the_result():
         return (np.where(past, math.nan, sums), np.where(past, math.nan, rules),
                 nodes)
 
-    stop = lambda U, total, rule, inc: (total, rule, U >= 32.0)
+    stop = lambda U, total, rule, inc: (total, rule if U >= 32.0 else 1.0)
     result = _doubling_quadrature(panel, 1e-12, stop)
     assert result == _one_panel_at_a_time(panel, 1e-12, stop)
     value, err, status, nodes = result
-    assert math.isfinite(value) and (err, status, nodes) == (0.0, "converged", 6 * 24)
+    assert math.isfinite(value)
+    assert (err, status, nodes) == (8.0 * _EPS * value, "converged", 6 * 24)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-15])
