@@ -20,6 +20,8 @@ u-panels double geometrically as in the one-dimensional E[phi] quadrature,
 evaluated in stacked batches of panels by moduli._doubling_quadrature,
 which also owns the stop rule and the rounding allowance: a remainder
 here only gives the value with the mass past U and a bound on the rest.
+Both remainders read phi and g at the panel ends from one cached array
+call (ModulusFunction._end_profile).
 Every panel rule comes from moduli._gl_panel and moduli._gl_rule.
 Each integrand gets the w-rule its singularities ask for.  K_H has a pole
 at w = 1/(1 - g), just past w = 1 when g is small, and forming
@@ -34,7 +36,10 @@ remainders: the |DH|^n tail reduces to the one-dimensional remainder T(U)
 of moduli.energy_tail_bound, available for every built-in family, plus a
 first-order term in the elasticity g that integrates exactly; what is left
 is at most (K_n / 2n) g(U) phi(U)^n (see the conformal branch below, with
-K_n = 4/3 at n = 2).  The K_H tail has a majorant decaying like
+K_n = 4/3 at n = 2).  T(U) is taken only at panels whose cheap terms let
+the driver's stop rule end the sum (T(U) <= T(0) caps the value there),
+and always at the 60-panel cap and at tol < 16 eps: 2-3 calls to
+energy_tail_bound per sum where every panel took one.  The K_H tail has a majorant decaying like
 e^{-(n-1)U}, because the s^{n-1} factor saves it even where E[phi]
 diverges: the inverse's energy is finite for every admissible phi, and
 only the |DH|^n integral is refused when (C3) fails.
@@ -141,7 +146,7 @@ def _distortion_cells(n: int, s: np.ndarray, phi_u: np.ndarray,
         nodes[near] = w.size
     far = ~near
     if far.any():
-        g_far = np.maximum(g[far], np.finfo(float).tiny)     # a g underflowed to 0
+        g_far = np.maximum(g[far], np.finfo(float).smallest_subnormal)   # a g of 0
         L = -np.log(g_far)[:, None]                 # zeta runs over [-L, 0]
         m = math.ceil(float(L.max()) / 2.0)         # panels j/m .. (j+1)/m of [0, 1]
         x, wx = (a.ravel() for a in _gl_rule(tuple(j / m for j in range(m + 1))))
@@ -235,8 +240,8 @@ def _w_constants(n: int) -> tuple[float, float, float]:
     return reference, slope, curvature
 
 
-def _distortion_tail(phi: ModulusFunction, U: float) -> float:
-    """Rigorous bound for the K_H integral beyond u = U.
+def _distortion_tail(phi: ModulusFunction, U: float, phi_U: float) -> float:
+    """Rigorous bound for the K_H integral beyond u = U, where phi(e^-U) = phi_U.
 
     With z = 1 - w(1-g) and sigma = s/phi one has P = phi z, s/P = sigma/z
     and R/P = (1-z)/z <= 1/z, so the integrand is at most
@@ -245,23 +250,31 @@ def _distortion_tail(phi: ModulusFunction, U: float) -> float:
     non-increasing in u, so its value at U serves the whole tail, and
     z >= g(u).  The built-in families give g(u) >= c0/(1+u) (iterlog,
     first factor alone) or g = eps (power, the identity at eps = 1),
-    leaving a closed-form integral of (1+u)^{n-1} e^{-(n-1)u}.
+    leaving c0^(1-n) times a closed-form integral of (1+u)^{n-1}
+    e^{-(n-1)u}.  Where c0^(1-n) overflows (power eps = 1e-200 at n = 3),
+    the product c0^(1-n) e^{-(n-1)U} is formed in log space instead: inf
+    while it overflows, finite once U is past about log(1/c0).
     """
     n = phi.n
-    phi_U, g_U = phi.profile_log(U)
     if phi_U <= 0.0:
         return 0.0
     sigma = math.exp(-U) / phi_U
     C = (4.0 * (sigma ** 2 + 1.0) + (n - 1)) ** (n / 2.0)
     m = n - 1
     if phi.family != "iterlog":
-        poly = phi.eps ** (1 - n) / m
+        c0, poly = phi.eps, None                # the integral is 1/(n-1)
     else:
         c0 = phi.alpha if phi.depth == 1 else 1.0 / n
         # int_U^inf ((1+u)/c0)^{n-1} e^{-(n-1)(u-U)} du, expanded binomially
-        poly = c0 ** (1 - n) * sum(
-            math.comb(m, i) * (1.0 + U) ** (m - i) * math.factorial(i) / m ** (i + 1)
-            for i in range(m + 1))
+        poly = sum(math.comb(m, i) * (1.0 + U) ** (m - i) * math.factorial(i) / m ** (i + 1)
+                   for i in range(m + 1))
+    try:
+        lead = c0 ** (1 - n)
+    except OverflowError:
+        with np.errstate(over="ignore"):
+            decay = float(np.exp(-m * (U + math.log(c0))))    # c0^(1-n) e^{-(n-1)U}
+        return C * phi_U * decay * (1.0 / m if poly is None else poly)
+    poly = lead / m if poly is None else lead * poly
     return C * phi_U * math.exp(-m * U) * poly
 
 
@@ -277,20 +290,31 @@ def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
             f"modulus energy of {phi.describe()} diverges at n={n} "
             "(condition (C3) fails), so the deformation energy is infinite")
     sigma_factor = sphere_surface_area(n - 2)
+    ends = phi._end_profile
+    if kind == "conformal":
+        W, W_slope, K = _w_constants(n)
+        E_phi = energy_tail_bound(phi, 0.0)[0]      # T(0) >= T(U)
 
-    def conformal_remainder(U, total, rule, inc):
-        T, T_err = energy_tail_bound(phi, U)    # int_U^inf phi^n du
-        phi_U, g_U = phi.profile_log(U)
+    def conformal_remainder(U, total, rule, inc, may_stop):
+        phi_U, g_U = ends[U]
         phi_n = phi_U ** n
         s_U = math.exp(-U)
         corr = (n / 2.0) * ((n - 1) * s_U ** 2 + 2.0 * phi_U ** 2) \
             ** (n / 2.0 - 1.0) * math.exp(-2.0 * U) / 2.0
-        W, W_slope, K = _w_constants(n)
+        head = K / (2 * n) * g_U * phi_n + corr
+        # the bound is at least sigma (head + rule), as T_err >= 0, and
+        # T(U) <= T(0) caps |value| with room to spare: a panel that cannot
+        # stop with these two takes no T(U)
+        ceiling = 2.0 * sigma_factor * (abs(total) + W * E_phi + abs(W_slope) * phi_n / n)
+        if not may_stop(sigma_factor * (head + rule), ceiling):
+            return None
+        T, T_err = energy_tail_bound(phi, U)    # int_U^inf phi^n du
         return (sigma_factor * (total + W * T - W_slope * phi_n / n),
-                sigma_factor * (K / (2 * n) * g_U * phi_n + corr + T_err + rule))
+                sigma_factor * (head + T_err + rule))
 
-    def distortion_remainder(U, total, rule, inc):
-        return sigma_factor * total, sigma_factor * (_distortion_tail(phi, U) + inc)
+    def distortion_remainder(U, total, rule, inc, may_stop):
+        tail = _distortion_tail(phi, U, ends[U][0])
+        return sigma_factor * total, sigma_factor * (tail + inc)
 
     value, err, status, nodes = _doubling_quadrature(
         partial(_panel_value, phi, kind=kind), tol,

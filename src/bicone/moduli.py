@@ -203,6 +203,15 @@ class ModulusFunction:
                       self.alpha if j == self.depth else 1.0 / self.n, j - 1)
                      for j in range(1, self.depth + 1))
 
+    @cached_property
+    def _end_profile(self) -> dict[float, tuple[float, float]]:
+        """``profile_log`` at the right ends U = 1, 2, 4, ..., 2^59 of the
+        doubling panels, keyed by U, from one array call; the remainders of
+        both tensor quadratures read it."""
+        ends = _doubling_edges(_MAX_PANELS)[1:]
+        phi, g = self.profile_log(np.array(ends))
+        return dict(zip(ends, zip(phi.tolist(), g.tolist())))
+
     def describe(self) -> str:
         """The family spec that parses back to this modulus (n=2 if absent)."""
         if self.family == "iterlog":
@@ -458,10 +467,10 @@ def _doubling_quadrature(panel, tol: float, remainder):
     ``panel(u, wu) -> (increments, rule-error bounds, nodes used)`` takes a
     (B, 24) stack of consecutive panels, one per row, and returns B of each.
     The driver consumes them in order and keeps the running sums of all
-    three.  ``remainder(U, total, rule, inc) -> (value, bound)`` gives the
-    value with the mass past U and a bound on its error, from the sums of
-    the increments and rule bounds so far and the last increment.  The
-    driver owns the verdict.  err is the bound plus a rounding allowance
+    three.  ``remainder(U, total, rule, inc, may_stop) -> (value, bound)``
+    gives the value with the mass past U and a bound on its error, from the
+    sums of the increments and rule bounds so far and the last increment.
+    The driver owns the verdict.  err is the bound plus a rounding allowance
     of 8 eps |value|, and the sum stops "converged" at the first panel with
     err <= tol/2 max(1, |value|).  It stops "truncated" early once the
     allowance alone exceeds tol max(1, |value|) and the bound is within it,
@@ -469,16 +478,29 @@ def _doubling_quadrature(panel, tol: float, remainder):
     last value is "converged" only if its err meets tol.  Panels of a batch
     past the stop count nowhere.  A non-finite value or bound is never
     "converged": it comes back "truncated" with an infinite bound.
+
+    ``may_stop(low, high)`` is the stop rule for a bound of at least low and
+    a |value| of at most high.  Where it is false the panel cannot stop, and
+    the remainder may return None instead of its value.  For tol >= 16 eps
+    the early truncation cannot fire, so only the stop rule reads a value;
+    below that, and at the cap, ``may_stop`` is always true.
     """
+    meets = lambda bound, value: bound <= 0.5 * tol * max(1.0, abs(value))
+    whole = lambda low, high: True
+    lazy = tol >= 2.0 * _ROUNDING
+    cap = _doubling_edges(_MAX_PANELS)[-1]
     total, rule, nodes = 0.0, 0.0, 0
     for U, inc, inc_rule, used in _panel_rows(panel):
         total += inc
         rule += inc_rule
         nodes += used
-        value, bound = remainder(U, total, rule, inc)
+        taken = remainder(U, total, rule, inc, meets if lazy and U < cap else whole)
+        if taken is None:
+            continue
+        value, bound = taken
         rounding = _ROUNDING * abs(value)
         err, scale = bound + rounding, max(1.0, abs(value))
-        if err <= 0.5 * tol * scale:
+        if meets(err, value):
             status = "converged"
             break
         if rounding > tol * scale and bound <= rounding:

@@ -146,6 +146,23 @@ def test_emit_json_prints_non_finite_floats_as_strings(capsys):
                       "nested": {"top": "inf"}}
 
 
+@pytest.mark.parametrize("integrand,spec", [
+    ("inverse", "cone:phi=power:eps=1e-200,n=3"),
+    ("inverse", "cone:phi=power:eps=1e-60,n=7"),
+    ("bi", "glued:phi=power:eps=1e-300,n=3"),
+])
+def test_an_overflowing_inverse_tail_constant_still_certifies(integrand, spec, capsys):
+    # eps^(1-n) of the K_H tail majorant overflows a float; the run prints
+    # strict JSON with finite numbers, nothing on stderr, and its exit code
+    # matches its status
+    code = main(["energy", "--integrand", integrand, "--map", spec])
+    captured = capsys.readouterr()
+    result = json.loads(captured.out, parse_constant=_strict)["result"]
+    assert captured.err == ""
+    assert math.isfinite(result["value"]) and math.isfinite(result["error_estimate"])
+    assert (code, result["status"]) == (0, "converged")
+
+
 @pytest.mark.parametrize("args", [
     ["--map", "cone:phi=iterlog:k=4,alpha=1,n=2"],
     ["--integrand", "bi", "--map", "glued:phi=iterlog:k=4,alpha=1,n=2"],

@@ -8,15 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bicone import _roots
+from bicone import _roots, energy
 from bicone.deformations import ConeMap, GluedMap
-from bicone.energy import (_W_Q, EnergyResult, _panel_value, _w_constants,
-                           _w_rule_error, biconformal_energy, conformal_energy_H,
-                           energy_F_monte_carlo, energy_modulus_ratio,
-                           inner_distortion_integral)
+from bicone.energy import (_W_Q, EnergyResult, _distortion_tail, _panel_value,
+                           _w_constants, _w_rule_error, biconformal_energy,
+                           conformal_energy_H, energy_F_monte_carlo,
+                           energy_modulus_ratio, inner_distortion_integral)
 from bicone.geometry import sample_cone_interior, unit_ball_volume
 from bicone.moduli import (_MAX_PANELS, EnergyDivergenceError, ModulusFunction,
-                           _doubling_edges, _gl_rule, measured_constants)
+                           _doubling_edges, _doubling_quadrature, _gl_rule,
+                           measured_constants)
 
 import oracles
 
@@ -495,6 +496,84 @@ def test_inverse_energy_stays_finite_far_past_underflow(family, n, kw):
     u, wu = _gl_rule(_doubling_edges(_MAX_PANELS))
     assert np.isfinite(_panel_value(cone_map(family, n=n, **kw).phi, u, wu,
                                     "distortion")[0]).all()
+
+
+@pytest.mark.parametrize("family,n,kw", [("power", 3, {"eps": 1e-200}),
+                                         ("power", 7, {"eps": 1e-60}),
+                                         ("iterlog", 3, {"depth": 1, "alpha": 1e-200})])
+def test_the_inverse_tail_majorant_survives_an_overflowing_elasticity_floor(family, n, kw):
+    # c0^(1-n) overflows a float here (c0 = eps, or alpha at depth 1); the
+    # majorant is inf while c0^(1-n) e^{-(n-1)U} overflows, and matches the
+    # same closed form in 40 digits where it is a normal float
+    phi = cone_map(family, n=n, **kw).phi
+    m, c0 = n - 1, mp.mpf(kw.get("eps", kw.get("alpha")))
+    with mp.workdps(40):
+        for U in _doubling_edges(_MAX_PANELS)[1:]:
+            phi_U = phi.profile_log(U)[0]
+            sigma = mp.exp(-U) / phi_U
+            C = (4 * (sigma ** 2 + 1) + m) ** (mp.mpf(n) / 2)
+            if family == "power":
+                poly = mp.mpf(1) / m
+            else:
+                poly = sum(math.comb(m, i) * (1 + mp.mpf(U)) ** (m - i)
+                           * math.factorial(i) / mp.mpf(m) ** (i + 1) for i in range(m + 1))
+            want = C * phi_U * c0 ** (1 - n) * mp.exp(-m * U) * poly
+            got = _distortion_tail(phi, U, phi_U)
+            if want > np.finfo(float).max:
+                assert got == math.inf, U
+            elif want >= np.finfo(float).tiny:
+                assert abs(got - want) <= 1e-12 * want, U
+            else:                           # past the float range at the bottom
+                assert 0.0 <= got < np.finfo(float).tiny, U
+
+
+@pytest.mark.parametrize("eps", [1e-310, 5e-324])
+def test_inverse_energy_at_a_subnormal_power_eps_meets_the_closed_form(eps):
+    # 1/eps overflows, and log(1/eps) is past the log of the smallest normal
+    # float, which the K_H cells must not clip to
+    c = 1.0 - eps
+    exact = 2.0 * (-math.log(eps) / (c * (3.0 - eps))
+                   + (-c - math.log(eps) / c) / (1.0 + eps))
+    r = inner_distortion_integral(cone_map("power", eps=eps), tol=1e-10)
+    assert r.status == "converged" and math.isfinite(r.error_estimate)
+    assert abs(r.value - exact) <= r.error_estimate
+
+
+def _eager(panel, tol, remainder):
+    """The doubling driver with the whole remainder taken at every panel."""
+    def whole(U, total, rule, inc, may_stop):
+        return remainder(U, total, rule, inc, lambda low, high: True)
+    return _doubling_quadrature(panel, tol, whole)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 0.7, 0.3])
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_the_lazy_remainder_keeps_every_bit_of_the_eager_one(monkeypatch, depth, alpha):
+    # tol 1e-14 lazy (at least 16 eps), 1e-15 and 1e-300 eager; n alpha <= 1
+    # diverges.  k = 3, alpha = 1, n = 2 at tol 1e-14 runs to the cap.
+    cases = [(cone_map("iterlog", n=n, depth=depth, alpha=alpha), tol)
+             for n in range(2, 8) if n * alpha > 1.0
+             for tol in (1e-2, 1e-6, 1e-10, 1e-14, 1e-15, 1e-300)]
+    lazy = [conformal_energy_H(m, tol=tol) for m, tol in cases]
+    monkeypatch.setattr(energy, "_doubling_quadrature", _eager)
+    assert [conformal_energy_H(m, tol=tol) for m, tol in cases] == lazy
+    if (depth, alpha) == (3, 1.0):
+        assert lazy[3].samples_or_nodes == _MAX_PANELS * 24 * 24
+
+
+def test_the_conformal_remainder_takes_few_tails(monkeypatch):
+    # T(0) for the value ceiling, then T(U) only where the cheap terms of
+    # the bound could stop the sum (7-14 calls when taken at every panel)
+    calls = []
+
+    def counted(phi, U):
+        calls.append(U)
+        return tail_bound(phi, U)
+
+    tail_bound = energy.energy_tail_bound
+    monkeypatch.setattr(energy, "energy_tail_bound", counted)
+    r = conformal_energy_H(cone_map("iterlog", n=3, depth=4, alpha=1.0), tol=1e-10)
+    assert r.status == "converged" and len(calls) <= 3, calls
 
 
 @pytest.mark.parametrize("family,n,kw,kind,tol,nodes", [

@@ -222,8 +222,8 @@ def test_doubling_quadrature_never_certifies_a_non_finite_sum(bad):
         sums, rules, nodes = _sums(u, wu)
         return np.where(u[:, 0] > 8.0, bad, sums), rules, nodes
 
-    done = lambda U, total, rule, inc: (total, 0.0 if U > 8.0 else 1.0)
-    never = lambda U, total, rule, inc: (total, 0.75e-12)  # meets tol at the cap only
+    done = lambda U, total, rule, inc, may_stop: (total, 0.0 if U > 8.0 else 1.0)
+    never = lambda U, total, rule, inc, may_stop: (total, 0.75e-12)  # meets tol at the cap only
     for remainder in (done, never):
         value, err, status, nodes = _doubling_quadrature(panel, 1e-12, remainder)
         assert status != "converged" and err == math.inf, remainder
@@ -240,7 +240,7 @@ def test_doubling_quadrature_keeps_the_books_of_the_panels_that_ran():
         offered.extend(index)
         return np.sum(wu * np.exp(-u), axis=1), index + 1.0, u.shape[1] + index
 
-    def remainder(U, total, rule, inc):
+    def remainder(U, total, rule, inc, may_stop):
         rules.append(rule)
         return total, 0.0 if len(rules) == 5 else 1.0
 
@@ -253,7 +253,9 @@ def test_doubling_quadrature_keeps_the_books_of_the_panels_that_ran():
 
 
 def _one_panel_at_a_time(panel, tol, remainder):
-    """The doubling driver with one panel per ``panel`` call, as a reference."""
+    """The doubling driver with one panel per ``panel`` call, as a reference.
+
+    It takes every remainder whole: its ``may_stop`` is always true."""
     ends = _doubling_edges(_MAX_PANELS)
     total, rule, nodes = 0.0, 0.0, 0
     for U, u, wu in zip(ends[1:], *_gl_rule(ends)):
@@ -261,7 +263,7 @@ def _one_panel_at_a_time(panel, tol, remainder):
         total += inc
         rule += inc_rule
         nodes += used
-        value, bound = remainder(U, total, rule, inc)
+        value, bound = remainder(U, total, rule, inc, lambda low, high: True)
         rounding = 8.0 * _EPS * abs(value)
         err, scale = bound + rounding, max(1.0, abs(value))
         if err <= 0.5 * tol * scale:
@@ -280,7 +282,7 @@ def _one_panel_at_a_time(panel, tol, remainder):
 def test_a_tol_no_bound_can_meet_stops_truncated_at_the_first_resolved_panel():
     # at tol 1e-17 the allowance 8 eps |value| alone fails tol; the sum stops
     # at the first panel whose bound is within it (U = 16), not at the cap
-    resolved = lambda U, total, rule, inc: (total, 0.0 if U > 8.0 else 1.0)
+    resolved = lambda U, total, rule, inc, may_stop: (total, 0.0 if U > 8.0 else 1.0)
     result = _doubling_quadrature(_sums, 1e-17, resolved)
     assert result == _one_panel_at_a_time(_sums, 1e-17, resolved)
     value, err, status, nodes = result
@@ -297,7 +299,7 @@ def test_doubling_quadrature_stops_as_one_panel_at_a_time(stop):
     def remainder():
         seen = []
 
-        def check(U, total, rule, inc):       # rule + inc never meets tol/2
+        def check(U, total, rule, inc, may_stop):   # rule + inc never meets tol/2
             seen.append(U)
             return total * 0.5, rule * 0.1 if len(seen) == stop else rule + inc
         return check
@@ -316,12 +318,37 @@ def test_a_nan_past_the_stop_never_reaches_the_result():
         return (np.where(past, math.nan, sums), np.where(past, math.nan, rules),
                 nodes)
 
-    stop = lambda U, total, rule, inc: (total, rule if U >= 32.0 else 1.0)
+    stop = lambda U, total, rule, inc, may_stop: (total, rule if U >= 32.0 else 1.0)
     result = _doubling_quadrature(panel, 1e-12, stop)
     assert result == _one_panel_at_a_time(panel, 1e-12, stop)
     value, err, status, nodes = result
     assert math.isfinite(value)
     assert (err, status, nodes) == (8.0 * _EPS * value, "converged", 6 * 24)
+
+
+@pytest.mark.parametrize("tol", [1e-12, 16 * _EPS, 15 * _EPS])
+def test_a_remainder_may_skip_only_panels_the_stop_rule_cannot_end(tol):
+    # may_stop(low, high) is the stop rule for a bound >= low and a
+    # |value| <= high; it is always true at the cap, and at every panel
+    # where tol < 16 eps lets the early truncation read the value
+    offered = []
+
+    def remainder(U, total, rule, inc, may_stop):
+        offered.append(may_stop(math.inf, 1.0))
+        return (total, 1.0) if offered[-1] else None
+
+    lazy = tol >= 16 * _EPS
+    result = _doubling_quadrature(_sums, tol, remainder)
+    assert offered == [not lazy] * (_MAX_PANELS - 1) + [True]
+    assert result == _one_panel_at_a_time(_sums, tol, remainder)
+    assert result[2:] == ("truncated", _MAX_PANELS * 24)
+
+    def probe(U, total, rule, inc, may_stop):
+        offered[:] = [may_stop(0.5 * tol, 1.0), may_stop(0.6 * tol, 1.0),
+                      may_stop(0.6 * tol, -2.0)]
+        return total, 0.0
+    _doubling_quadrature(_sums, tol, probe)
+    assert offered == ([True, False, True] if lazy else [True] * 3)
 
 
 @pytest.mark.parametrize("tol", [1e-6, 1e-10, 1e-15])
@@ -337,6 +364,22 @@ def test_conformal_energy_keeps_its_bits_panel_by_panel(monkeypatch, tol):
     batched = [conformal_energy_H(m, tol=tol) for m in maps]
     monkeypatch.setattr(energy, "_doubling_quadrature", _one_panel_at_a_time)
     assert [conformal_energy_H(m, tol=tol) for m in maps] == batched
+
+
+@pytest.mark.parametrize("phi", [
+    ModulusFunction.identity(), ModulusFunction.identity(n=5),
+    ModulusFunction.power(0.5, n=3), ModulusFunction.power(1e-200, n=3),
+    ModulusFunction.power(5e-324, n=2),
+    *(ModulusFunction.iterlog(depth=k, alpha=alpha, n=n) for k in range(1, 6)
+      for alpha, n in ((1.0, 2), (0.7, 3), (0.3, 4), (1e-200, 7)))],
+    ids=ModulusFunction.describe)
+def test_the_end_profile_has_the_bits_of_scalar_profile_log(phi):
+    # the remainders read one array kernel call, and the pinned quadrature
+    # results hold only if it gives scalar profile_log's bits on every CPU
+    ends = _doubling_edges(_MAX_PANELS)[1:]
+    assert tuple(phi._end_profile) == ends
+    for U in ends:
+        assert phi._end_profile[U] == phi.profile_log(U), U
 
 
 def test_invert_round_trip():
