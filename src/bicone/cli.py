@@ -200,25 +200,25 @@ def _config_echo(args: argparse.Namespace) -> dict:
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 
-def _emit_json(args, result: dict) -> None:
-    """Write the payload as strict JSON: non-finite floats print as strings."""
-    payload = _jsonable({"schema_version": SCHEMA_VERSION,
-                         "config": {**_config_echo(args), "out": "json"},
-                         "result": result})
-    _write(args, json.dumps(payload, indent=2, sort_keys=True,
-                            allow_nan=False) + "\n")
+def _emit(args, result: dict, table: tuple | None = None) -> None:
+    """Print a run's result under its resolved options, to --output or stdout.
 
-
-def _emit_csv(args, header: list, rows: list) -> None:
-    lines = [f"# schema_version={SCHEMA_VERSION}"]
-    lines += [f"# {k}={v}" for k, v in {**_config_echo(args), "out": "csv"}.items()]
-    lines.append(",".join(header))
-    lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
-    _write(args, "\n".join(lines) + "\n")
-
-
-def _write(args, text: str) -> None:
+    JSON is strict: non-finite floats print as strings.  With --out csv the
+    command's ``table`` prints instead, a (header, rows) pair whose floats
+    print by repr.  A command without --out prints JSON.
+    """
+    config = {**_config_echo(args), "out": getattr(args, "out", "json")}
+    if config["out"] == "csv":
+        header, rows = table
+        lines = [f"# schema_version={SCHEMA_VERSION}",
+                 *(f"# {k}={v}" for k, v in config.items()), ",".join(header)]
+        lines += [",".join(repr(v) if isinstance(v, float) else str(v) for v in row)
+                  for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        payload = _jsonable({"schema_version": SCHEMA_VERSION, "config": config,
+                             "result": result})
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text)
@@ -233,11 +233,8 @@ def _cmd_modulus(args) -> int:
     center = parse_center(args.center, m.n)
     est = modulus_profile(m, center, parse_radii(args.radii), norm=args.norm,
                           count=args.count, seed=args.seed)
-    if args.out == "csv":
-        _emit_csv(args, ["radius", "value"],
-                  list(zip(est.radii.tolist(), est.values.tolist())))
-    else:
-        _emit_json(args, dataclasses.asdict(est))
+    _emit(args, dataclasses.asdict(est),
+          (["radius", "value"], zip(est.radii.tolist(), est.values.tolist())))
     return 0
 
 
@@ -273,9 +270,9 @@ def _cmd_energy(args) -> int:
             res = energy_F_monte_carlo(m, samples=int(args.samples),
                                        seed=args.seed)
     except EnergyDivergenceError as diverged:
-        _emit_json(args, {"status": "divergent", "detail": str(diverged)})
+        _emit(args, {"status": "divergent", "detail": str(diverged)})
         return 1
-    _emit_json(args, dataclasses.asdict(res))
+    _emit(args, dataclasses.asdict(res))
     return 0 if res.status in ("converged", "estimated") else 1
 
 
@@ -311,14 +308,12 @@ def _cmd_verify(args) -> int:
     if not args.phi:
         raise SpecError(f"verify {args.suite} needs --phi")
     report = _SUITES[args.suite][1](args, parse_family(args.phi))
-    if args.out == "csv":
-        rows = [(c.condition, "pass" if c.passed else "fail",
-                 "" if c.measured_constant is None else float(c.measured_constant),
-                 "" if c.tolerance is None else float(c.tolerance))
-                for c in report.checks]
-        _emit_csv(args, ["condition", "status", "measured", "tolerance"], rows)
-    else:
-        _emit_json(args, report.to_dict())
+    rows = [(c.condition, "pass" if c.passed else "fail",
+             "" if c.measured_constant is None else float(c.measured_constant),
+             "" if c.tolerance is None else float(c.tolerance))
+            for c in report.checks]
+    _emit(args, report.to_dict(),
+          (["condition", "status", "measured", "tolerance"], rows))
     return 0 if report.passed else 1
 
 
@@ -328,11 +323,8 @@ def _cmd_dilatation(args) -> int:
     est = linear_dilatation(m, center, parse_radii(args.radii),
                             count=args.count, seed=args.seed,
                             threshold=args.threshold)
-    if args.out == "csv":
-        _emit_csv(args, ["radius", "ratio"],
-                  list(zip(est.radii.tolist(), est.ratios.tolist())))
-    else:
-        _emit_json(args, dataclasses.asdict(est))
+    _emit(args, dataclasses.asdict(est),
+          (["radius", "ratio"], zip(est.radii.tolist(), est.ratios.tolist())))
     return 0
 
 
@@ -340,7 +332,7 @@ def _cmd_invert(args) -> int:
     m = parse_map(args.map)
     pts = parse_points(args.point, m.n)
     img = np.atleast_2d(m.inverse(pts, tol=args.tol))
-    _emit_json(args, {"points": pts.tolist(), "images": img.tolist()})
+    _emit(args, {"points": pts.tolist(), "images": img.tolist()})
     return 0
 
 
@@ -351,10 +343,7 @@ def _cmd_eval(args) -> int:
         rows = list(zip(s.tolist(), phi(s).tolist(), phi.derivative(s).tolist(),
                         phi.chord_slope(s).tolist(), phi.elasticity(s).tolist()))
         header = ["s", "phi", "derivative", "chord_slope", "elasticity"]
-        if args.out == "csv":
-            _emit_csv(args, header, rows)
-        else:
-            _emit_json(args, {"columns": header, "rows": rows})
+        _emit(args, {"columns": header, "rows": rows}, (header, rows))
         return 0
     if args.map:
         if args.out == "csv":
@@ -362,7 +351,7 @@ def _cmd_eval(args) -> int:
         m = parse_map(args.map)
         pts = parse_points(args.points, m.n)
         img = np.atleast_2d(m(pts))
-        _emit_json(args, {"points": pts.tolist(), "images": img.tolist()})
+        _emit(args, {"points": pts.tolist(), "images": img.tolist()})
         return 0
     raise SpecError("eval needs --phi or --map")
 

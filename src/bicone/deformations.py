@@ -222,9 +222,6 @@ class ConeMap:
                 "T * lambda(T + |y|) < tau at T = tau: chord slope below 1")
         return _out(out, single)
 
-    def inverted(self) -> "InverseView":
-        return InverseView(self)
-
 
 class GluedMap:
     """Whole-space homeomorphism: cone map above, reflected inverse below.
@@ -357,6 +354,3 @@ class InverseView:
 
     def inverse(self, Y):
         return self.base(Y)
-
-    def inverted(self):
-        return self.base

@@ -300,7 +300,6 @@ class InteriorSample:
     points: np.ndarray
     acceptance_rate: float
     attempts: int
-    seed: int
 
 
 def sample_cone_interior(count: int, n: int, seed: int = 0,
@@ -366,4 +365,4 @@ def sample_cone_interior(count: int, n: int, seed: int = 0,
         got += kept
     points = accepted[0] if len(accepted) == 1 else np.vstack(accepted)
     return InteriorSample(points=points[:count],
-                          acceptance_rate=got / attempts, attempts=attempts, seed=seed)
+                          acceptance_rate=got / attempts, attempts=attempts)

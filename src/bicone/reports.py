@@ -36,10 +36,9 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.ndarray):
         return _jsonable(value.tolist())
-    try:
-        return _jsonable(float(value))
-    except (TypeError, ValueError):
-        return str(value)
+    if isinstance(value, np.generic):           # an int, bool or float, exactly
+        return _jsonable(value.item())
+    return value                                # json.dumps rejects the rest
 
 
 def _json_fields(items) -> dict:

@@ -139,8 +139,8 @@ def _strict(name):
 
 def test_emit_json_prints_non_finite_floats_as_strings(capsys):
     args = cli.build_parser().parse_args(["invert", "--map", "x", "--point", "0"])
-    cli._emit_json(args, {"ratios": [1.5, math.inf, -math.inf, math.nan],
-                          "value": np.float64(math.nan), "nested": {"top": math.inf}})
+    cli._emit(args, {"ratios": [1.5, math.inf, -math.inf, math.nan],
+                     "value": np.float64(math.nan), "nested": {"top": math.inf}})
     result = json.loads(capsys.readouterr().out, parse_constant=_strict)["result"]
     assert result == {"ratios": [1.5, "inf", "-inf", "nan"], "value": "nan",
                       "nested": {"top": "inf"}}
@@ -161,6 +161,17 @@ def test_an_overflowing_inverse_tail_constant_still_certifies(integrand, spec, c
     assert captured.err == ""
     assert math.isfinite(result["value"]) and math.isfinite(result["error_estimate"])
     assert (code, result["status"]) == (0, "converged")
+
+
+@pytest.mark.parametrize("integrand", ["forward", "inverse"])
+def test_a_one_sided_energy_of_a_glued_map_is_its_cone_maps(integrand, capsys):
+    phi = "phi=iterlog:k=2,alpha=1,n=2"
+    results = []
+    for spec in (f"glued:{phi}", f"cone:{phi}"):
+        code, out = run(["energy", "--integrand", integrand, "--map", spec], capsys)
+        assert code == 0
+        results.append(json.loads(out, parse_constant=_strict)["result"])
+    assert results[0] == results[1] and results[0]["status"] == "converged"
 
 
 @pytest.mark.parametrize("args", [
@@ -220,6 +231,20 @@ def test_invert_radial_power(capsys):
     doc = json.loads(out)
     got = np.array(doc["result"]["images"])
     assert np.allclose(got, [[0.0625, 0.0]], atol=1e-14)
+
+
+def test_eval_map_prints_the_images_as_json(capsys):
+    # the map's own bits, one row per point: the lower row goes through the
+    # glued map's reflected cone inverse
+    spec = "glued:phi=iterlog:k=2,alpha=1,n=2"
+    code, out = run(["eval", "--map", spec, "--points", "0.1,0.2;0,-0.3"], capsys)
+    assert code == 0
+    doc = json.loads(out, parse_constant=_strict)
+    assert doc["config"] == {"command": "eval", "map": spec, "out": "json",
+                             "phi": None, "points": "0.1,0.2;0,-0.3"}
+    pts = np.array([[0.1, 0.2], [0.0, -0.3]])
+    assert doc["result"] == {"points": pts.tolist(),
+                             "images": parse_map(spec)(pts).tolist()}
 
 
 def test_verify_conditions_exit_codes(capsys):
@@ -400,7 +425,9 @@ def test_non_finite_input_is_a_usage_error(argv, capsys):
      ["energy", "--map", "cone:phi=power:eps=2"]),
     ("iterlog needs n=", ["verify", "conditions", "--phi", "iterlog:k=2"]),
     ("eval --map prints JSON only",
-     ["eval", "--map", "cone:phi=identity", "--points", "0.3,0.1", "--out", "csv"])])
+     ["eval", "--map", "cone:phi=identity", "--points", "0.3,0.1", "--out", "csv"]),
+    ("energy integrals are defined for cone/glued maps",
+     ["energy", "--map", "radial:power:eps=0.5"])])
 def test_malformed_requests_are_usage_errors(message, argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

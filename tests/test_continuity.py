@@ -133,6 +133,13 @@ def test_quasi_inverse_ratio_matches_double_composition():
     assert np.all(q.map_after_inverse >= 1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("center", [(0.1, 0.2, 0.3), [[0.1, 0.2]], (0.1,)])
+def test_a_center_of_the_wrong_shape_is_refused(center):
+    h = RadialMap("power", eps=0.5, n=2)
+    with pytest.raises(ValueError, match=r"center must be a point in R\^2"):
+        modulus_profile(h, center=center, radii=np.array([0.01, 0.02]), count=8)
+
+
 def test_quasi_inverse_check_rejects_wrong_inverse():
     g = GluedMap(k2(), n=2)
     other = GluedMap(ModulusFunction.power(0.5, n=2), n=2)
@@ -366,6 +373,15 @@ def test_averaging_inequality_random_pairs(phi):
         a, b = rng.uniform(-r_c / 2, r_c / 2, size=(2, 2))
         rep = averaging_lemma_check(phi.derivative, a, b, lower_integral=phi)
         assert rep.passed, rep.metadata
+
+
+@pytest.mark.parametrize("a, b", [((0.0, 0.0), (0.1, 0.0)), ((0.1, 0.0), (0.0, 0.0)),
+                                  ((0.6, 0.0), (0.1, 0.0)), ((0.1, 0.0), (0.3, 0.5))])
+def test_averaging_check_needs_both_endpoints_in_the_punctured_ball(a, b):
+    phi = ModulusFunction.power(0.5, n=2)
+    with pytest.raises(ValueError, match=r"need 0 < \|a\|, \|b\| <= r"):
+        averaging_lemma_check(phi.derivative, np.array(a), np.array(b), r=0.5,
+                              lower_integral=phi)
 
 
 # Integrable kernels whose panel increments grow before the float floor.

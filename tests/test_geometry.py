@@ -299,6 +299,14 @@ def test_samplers_need_an_integer_dimension_of_two_or_more(n):
     assert sample_cone_sphere(0.5, n=np.int64(2), count=4).shape == (4, 2)
 
 
+@pytest.mark.parametrize("count", [0, -3])
+def test_samplers_need_a_count_of_at_least_one(count):
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        sample_cone_interior(count, n=2)
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        sample_cone_sphere(0.5, n=2, count=count)
+
+
 @pytest.mark.parametrize("count", [1e4, 1000.0, "1000", None])
 def test_interior_sample_rejects_a_non_integer_count(count):
     with pytest.raises(TypeError, match="count must be an integer"):

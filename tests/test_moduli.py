@@ -46,6 +46,21 @@ def test_parameter_validation():
         ModulusFunction.iterlog(depth=2, alpha=1.5, n=2)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda phi: ModulusFunction(family="mystery"), "unknown modulus family"),
+    (lambda phi: phi(np.array([0.5, -1e-300])), "modulus argument must be >= 0"),
+    (lambda phi: phi.derivative(0.0), "derivative needs s > 0"),
+    (lambda phi: phi.second_derivative(0.0), r"second_derivative is defined on \(0, 1\]"),
+    (lambda phi: phi.second_derivative(1.5), r"second_derivative is defined on \(0, 1\]"),
+    (lambda phi: phi.chord_slope(-0.5), "chord_slope needs s > 0"),
+    (lambda phi: phi.elasticity(0.0), "elasticity needs s > 0"),
+    (lambda phi: phi.profile_log(-1.0), "profile_log needs u >= 0"),
+    (lambda phi: phi.invert(-0.1), "invert needs v >= 0")])
+def test_arguments_outside_the_domain_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call(ModulusFunction.iterlog(depth=2, alpha=1.0, n=2))
+
+
 @pytest.mark.parametrize("family, stray", [
     ("identity", {"eps": 0.5}), ("identity", {"depth": 1}), ("identity", {"alpha": 1.0}),
     ("power", {"depth": 1}), ("power", {"alpha": 1.0}),

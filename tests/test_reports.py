@@ -29,3 +29,17 @@ def test_the_json_form_writes_passed_as_pass_and_non_finite_floats_as_strings():
                    "checks": [row.to_dict(),
                               {"condition": "b", "pass": True, "measured_constant": None,
                                "grid_size": None, "tolerance": None, "detail": ""}]}
+
+
+def test_numpy_scalars_keep_their_json_type():
+    # np.int64 and np.bool_ subclass neither int nor bool; a row built with
+    # grid_size=np.int64(4096) used to print 4096.0, and np.bool_(True) 1.0
+    row = CheckResult("c", True, grid_size=np.int64(4096), tolerance=np.float32(0.5))
+    report = VerificationReport("t", checks=[row], metadata={
+        "flag": np.bool_(True), "top": np.float32(math.inf)})
+    doc = report.to_dict()
+    got = [doc["checks"][0]["grid_size"], doc["checks"][0]["tolerance"],
+           doc["metadata"]["flag"], doc["metadata"]["top"]]
+    assert [(type(v), v) for v in got] == [(int, 4096), (float, 0.5), (bool, True),
+                                           (str, "inf")]
+    assert '"grid_size": 4096,' in report.to_json()
