@@ -35,7 +35,7 @@ import numpy as np
 
 from ._roots import BracketError, newton_log
 from .geometry import _check_dimension, _horizontal_norm, _out, _rows, euclid_norm, reflect
-from .moduli import ModulusFunction, _plan_jet
+from .moduli import ModulusFunction, _plan_curvature, _plan_jet
 
 __all__ = [
     "ConeMap",
@@ -171,11 +171,15 @@ class ConeMap:
 
         with g the elasticity of phi at sigma; F' = D / lambda > 0 (D the
         Jacobian determinant), so F is increasing.  phi(sigma) and g come
-        from one ``profile_log`` call per Newton iteration.
+        from one ``profile_log`` call per Newton iteration.  The solver
+        stops a lane once its step provably lands on the root, by the bound
+        |F''| = |h w^2 + (1 - g) w (1 - w)| <= 1/4 + sup|h| (h = A'').
 
         Bracket (0, tau]: the product vanishes as T -> 0 and at T = tau it
         is tau * lambda(tau + |y|) >= tau since lambda >= 1.  (This is
         tighter than the a-priori bound T <= M tau and needs no constant.)
+        Inside it sigma <= |y| + tau <= 1, so the bound holds there; a
+        point up to 1e-9 past the slant has its root at T = tau, F = 0.
         The straddle is still checked; its failure means lambda < 1
         somewhere, i.e. a modulus violating its own admissibility.
 
@@ -219,7 +223,8 @@ class ConeMap:
 
             out[pos, -1] = newton_log(
                 jet, log_tau, tol,
-                "T * lambda(T + |y|) < tau at T = tau: chord slope below 1")
+                "T * lambda(T + |y|) < tau at T = tau: chord slope below 1",
+                curvature=0.25 + self.phi._curvature)
         return _out(out, single)
 
 
@@ -297,6 +302,7 @@ class RadialMap:
             if not 1.0 / self.n < self.beta < math.inf:      # NaN fails too
                 raise ValueError("logexample stress needs a finite beta > 1/n")
             self._plan = ((0.0, 1.0, 1.0, 1.0 / self.n, 0), (math.e, 0.0, 1.0, self.beta, 1))
+            self._curvature = _plan_curvature(self._plan)
 
     def stress(self, rho):
         out = np.array(rho, dtype=float)            # a copy
@@ -319,7 +325,8 @@ class RadialMap:
             return -A - log_v[idx], g
 
         out[inner] = newton_log(jet, np.zeros_like(log_v), tol,
-                                "logexample stress below its target at rho = 1")
+                                "logexample stress below its target at rho = 1",
+                                curvature=self._curvature)
         return out
 
     def _radial(self, X, scalar_fn):

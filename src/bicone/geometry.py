@@ -325,7 +325,8 @@ def sample_cone_interior(count: int, n: int, seed: int = 0,
     rows whose accepted points go straight into the batch's one (batch, n)
     array, so the temporaries of the mapping stay in cache.  Every step acts
     row by row (the direction norms add their squares in coordinate order
-    at every n), so the points have the same bits in any block size.
+    at every n), so the points have the same bits in any block size.  When
+    fewer than half of a batch's rows are kept, they are copied out of it.
     """
     if not isinstance(count, numbers.Integral):
         raise TypeError(f"count must be an integer, got {count!r}")
@@ -361,7 +362,8 @@ def sample_cone_interior(count: int, n: int, seed: int = 0,
             np.multiply(_directions(ub[:, : n - 1]), rho[:, None], out=rows[:, :-1])
             rows[:, -1] = t
             kept += t.size
-        accepted.append(pts[:kept])
+        # a view would keep the whole batch alive, up to 1/rate times its rows
+        accepted.append(pts[:kept] if 2 * kept >= batch else pts[:kept].copy())
         got += kept
     points = accepted[0] if len(accepted) == 1 else np.vstack(accepted)
     return InteriorSample(points=points[:count],

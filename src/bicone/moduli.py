@@ -128,6 +128,16 @@ def _plan_jet(plan, u, order):
     return A
 
 
+def _plan_curvature(plan) -> float:
+    """sup |A''| over u >= 0 of a ``_plan_jet`` plan: |A''(0)|, 0 for no factor.
+
+    Factor (e, c, a, beta, logs) adds beta (a L''/(c + a L) - (a L')^2/(c + a L)^2)
+    to A''.  L' > 0 and L'' <= 0 shrink as u grows while c + a L grows, so
+    each term is <= 0 and largest in size at u = 0.
+    """
+    return abs(float(_plan_jet(plan, np.zeros(1), 2)[2][0])) if plan else 0.0
+
+
 # The parameters each family owns; constructing one with another's is an error.
 _OWN_FIELDS = {"identity": ("eps",), "power": ("eps",), "iterlog": ("depth", "alpha")}
 
@@ -202,6 +212,12 @@ class ModulusFunction:
         return tuple((_EXP_TOWER[j - 1], 1.0, base ** (j - 1),
                       self.alpha if j == self.depth else 1.0 / self.n, j - 1)
                      for j in range(1, self.depth + 1))
+
+    @cached_property
+    def _curvature(self) -> float:
+        """sup |h| = sup |A''| over u >= 0, the bound the Newton inverses stop
+        with: |A''(0)| for iterlog, 0 for power (and the identity)."""
+        return _plan_curvature(self._plan)
 
     @cached_property
     def _end_profile(self) -> dict[float, tuple[float, float]]:
@@ -331,11 +347,13 @@ class ModulusFunction:
 
         Safeguarded Newton on u = log s for F(u) = log phi(e^u) - log v,
         whose slope F' = g is the elasticity; value and slope come from one
-        ``profile_log`` call per iteration.  The bracket [2^-1074, min(v, 1)]
-        is valid because phi(s) >= s on [0, 1]; it is checked and a
-        BracketError signals a modulus violating that (broken sandwich
-        condition).  For log-type moduli and very small v the true preimage
-        underflows and the result pins at the smallest subnormal.
+        ``profile_log`` call per iteration.  F'' = -h bounds the step's
+        error, so a power modulus (h = 0) stops after one evaluation.  The
+        bracket [2^-1074, min(v, 1)] is valid because phi(s) >= s on
+        [0, 1]; it is checked and a BracketError signals a modulus
+        violating that (broken sandwich condition).  For log-type moduli
+        and very small v the true preimage underflows and the result pins
+        at the smallest subnormal.
         """
         arr, scalar = _as_array(v)
         if (arr < 0).any():
@@ -351,7 +369,8 @@ class ModulusFunction:
 
             out[inner] = newton_log(
                 jet, log_v, tol,
-                "phi(min(v,1)) < v: modulus is below the identity, bracket invalid")
+                "phi(min(v,1)) < v: modulus is below the identity, bracket invalid",
+                curvature=self._curvature)
         return _scalar_out(out, scalar)
 
 

@@ -51,6 +51,27 @@ def jet(phi, u):
     return mp.exp(log_phi), g
 
 
+def cone_preimage(phi, rho, tau):
+    """T with T phi(T + rho) / (T + rho) = tau at 50 digits: the height of
+    the cone map's preimage of (y, tau), |y| = rho > 0.
+
+    mp.findroot brackets u = log T between log 2^-1074 - 2000, where
+    u - log tau + log(phi(sigma)/sigma) <= u - log tau - log rho is negative
+    for rho, tau >= 1e-300, and log tau, where it is >= 0; phi(sigma) = sigma
+    from sigma = 1 on.  A root below the float floor comes back as it is.
+    """
+    with mp.workdps(50):
+        rho, log_tau = mp.mpf(rho), mp.log(mp.mpf(tau))
+
+        def F(u):
+            sigma = mp.exp(u) + rho
+            return u + mp.log(modulus(phi, sigma) / sigma) - log_tau
+
+        lo = mp.log(mp.mpf(2) ** -1074) - 2000
+        return mp.exp(mp.findroot(F, (lo, log_tau), solver="anderson",
+                                   maxsteps=500))
+
+
 def radial_stress(h, L):
     """(stress(rho), g) of a logexample RadialMap at rho = e^-L, from its definition.
 

@@ -605,7 +605,7 @@ def test_mc_energy_seeded(capsys):
     code, out = run(args, capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["result"]["value"] == 2.1453558647238324
+    assert doc["result"]["value"] == 2.145355864723833
     assert doc["result"]["method"] == "monte_carlo"
 
 

@@ -272,14 +272,14 @@ def test_sweeps_keep_their_seeded_values():
     p = modulus_profile(g, [0.05, -0.02], np.geomspace(1e-6, 0.5, 5),
                         norm="cone", count=64, seed=3)
     assert p.values.tolist() == [
-        1.047412863138756e-06, 2.7852345075766657e-05, 0.0007406971769100324,
-        0.019747258631665862, 0.6163213361418559]
+        1.0474128631326844e-06, 2.7852345075766657e-05, 0.0007406971769100294,
+        0.01974725863166586, 0.6163213361418559]
     g = GluedMap(ModulusFunction.iterlog(depth=2, alpha=1.0, n=3), n=3)
     d = linear_dilatation(g, [0.02, 0.01, -0.03], np.geomspace(1e-4, 0.2, 5),
                           count=64, seed=4)
     assert d.ratios.tolist() == [
-        10.821119093504768, 10.84061599154025, 10.971094749158267,
-        11.850656065131274, 15.686209046061782]
+        10.821119093507342, 10.840615991541013, 10.971094749158278,
+        11.850656065131282, 15.686209046061789]
     g = GluedMap(ModulusFunction.iterlog(depth=1, alpha=1.0, n=2), n=2)
     q = quasi_inverse_check(g, g.inverted(), 0, np.geomspace(1e-6, 0.5, 5),
                             norm="cone", count=64, seed=5)

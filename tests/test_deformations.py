@@ -185,6 +185,37 @@ def test_inverse_matches_mpmath_height_equation(k, rho, tau):
         assert abs(mp.mpf(T) / mp.exp(root) - 1) <= 1e-12 / slope
 
 
+@pytest.mark.parametrize("phi", [ModulusFunction.iterlog(1, 1.0, n=2),
+                                 ModulusFunction.iterlog(2, 1.0, n=2),
+                                 ModulusFunction.iterlog(3, 0.7, n=3),
+                                 ModulusFunction.power(0.3, n=3)], ids=lambda p: p.describe())
+def test_inverse_heights_match_the_preimage_oracle(phi):
+    # Preimages with |x| and t log-uniform in [1e-300, 0.3], mapped forward
+    # and back.  The jet forms F as (log phi(sigma) + v) + u - log tau with
+    # v = -log sigma and u = log T, which near the float floor nearly cancel:
+    # about eps (1 + |u| + |v|) of F is rounding, and the slope
+    # F' = 1 - w (1 - g) magnifies it into T (ROADMAP item 11).  Each height
+    # is within 1e-11 of the 50-digit root, or within twice that
+    # conditioning where it is larger; the worst seen is 0.67 of it.
+    eps, count = np.finfo(float).eps, 100
+    rng = np.random.default_rng(11)
+    X = np.zeros((count, phi.n))
+    X[:, 0], X[:, -1] = 10.0 ** rng.uniform(-300.0, math.log10(0.3), (2, count))
+    m = ConeMap(phi)
+    Y = m(X)
+    checked = 0
+    for rho, tau, T in zip(Y[:, 0], Y[:, -1], m.inverse(Y)[:, -1]):
+        exact = oracles.cone_preimage(phi, rho, tau)
+        if exact <= 1e-290:
+            continue
+        sigma = float(exact) + rho
+        slope = 1.0 - float(exact) / sigma * (1.0 - phi.elasticity(sigma))
+        conditioning = eps * (1.0 + abs(math.log(exact)) + abs(math.log(sigma))) / slope
+        assert abs(T / exact - 1) <= max(1e-11, 2.0 * conditioning), (rho, tau)
+        checked += 1
+    assert checked >= count // 2
+
+
 # -- jacobian --------------------------------------------------------------
 
 @pytest.mark.parametrize("phi,n", family_grid())
@@ -480,6 +511,21 @@ def test_logexample_kernel_form_matches_the_oracle(n, beta):
             assert abs(g - want_g) <= 2 * eps * want_g, u
     rho = np.geomspace(1e-300, 0.5, 7)                  # stress reads the kernel
     assert np.array_equal(h.stress(rho), np.exp(-_plan_jet(h._plan, -np.log(rho), 0)[0]))
+
+
+@pytest.mark.parametrize("beta", ["1/n + 1e-3", 2.0, 10.0])
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_the_logexample_curvature_bound_is_the_size_of_h_at_0(n, beta):
+    # the inverse stress stops with sup |h| of its two-factor plan, taken at L = 0
+    h = RadialMap("logexample", beta=1 / n + 1e-3 if beta == "1/n + 1e-3" else beta, n=n)
+    L = np.concatenate([[0.0], np.geomspace(1e-8, 1e300, 400)])
+    with np.errstate(over="ignore"):                # (1 + L)^2 past 1e154
+        curvature = _plan_jet(h._plan, L, 2)[2]
+    assert h._curvature == abs(curvature[0])
+    assert np.all(np.abs(curvature) <= h._curvature)
+    with mp.workdps(30):
+        want = abs(mp.diff(lambda u: oracles.radial_stress(h, u)[1], 0))
+    assert abs(h._curvature - want) <= 1e-14 * want
 
 
 @pytest.mark.parametrize("beta", [2.0, 5.0])

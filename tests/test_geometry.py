@@ -235,6 +235,17 @@ def test_interior_sample_has_the_bits_of_the_row_major_sampler(n, a, b):
         assert s.acceptance_rate < 1.0
 
 
+def test_a_sparse_batch_keeps_only_its_accepted_rows():
+    # a = 0.95 at n = 2 keeps 1 row in 400: a view of the kept rows held the
+    # whole 400000-row batch (6.4 MB) for 1000 points
+    count, n, a = 1000, 2, 0.95
+    s = sample_cone_interior(count, n=n, seed=6, exclude_axis_margin=a)
+    assert s.acceptance_rate < 0.5
+    assert s.points.base is None or s.points.base.nbytes <= 2 * s.points.nbytes
+    ref, attempts = _row_major_interior(count, n, 6, a, 0.0)
+    assert s.points.tobytes() == ref.tobytes() and s.attempts == attempts
+
+
 def _interior_bits(count, n, seed, a, b):
     s = sample_cone_interior(count, n=n, seed=seed, exclude_axis_margin=a,
                              exclude_boundary_margin=b)

@@ -689,6 +689,33 @@ def test_the_plan_holds_the_iterlog_constants():
     assert ModulusFunction.power(0.5)._plan == ()
 
 
+# u = 0 and a log grid on [1e-8, 1e300]
+_CURVATURE_U = np.concatenate([[0.0], np.geomspace(1e-8, 1e300, 400)])
+
+
+@pytest.mark.parametrize("alpha", [1e-200, 0.3, 1.0])
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_the_curvature_bound_is_the_size_of_h_at_0(k, n, alpha):
+    # the Newton inverses stop with sup |h|, h = A'' <= 0, which every plan
+    # factor takes at u = 0; the oracle differentiates g there
+    phi = ModulusFunction.iterlog(k, alpha, n=n)
+    with np.errstate(over="ignore"):                # (1 + a u)^2 past 1e154
+        h = phi._kernel(u=_CURVATURE_U, order=2)[2]
+    assert phi._curvature == abs(h[0])
+    assert np.all(np.abs(h) <= phi._curvature)
+    with mp.workdps(30):
+        want = abs(mp.diff(lambda u: oracles.jet(phi, u)[1], 0))
+    assert abs(phi._curvature - want) <= 1e-14 * want
+
+
+@pytest.mark.parametrize("phi", [ModulusFunction.identity(), ModulusFunction.power(0.3, n=3),
+                                 ModulusFunction.power(1e-200, n=8)],
+                         ids=lambda phi: phi.describe())
+def test_power_moduli_have_no_curvature(phi):
+    assert phi._curvature == 0.0
+
+
 # -- the kernel against the oracle jet ------------------------------------------
 
 # u from 0 to 1e5; s = e^-u is below the float floor (u = 745.13) from

@@ -6,9 +6,11 @@ the floor once and pins the lane there, instead of halving the bracket down
 to it (about 50 evaluations, during which the whole call stays open).
 
 The solver runs its lanes in blocks of ``_BLOCK``; a lane's result does not
-depend on the block it lands in.
+depend on the block it lands in.  Each solve passes a bound on |F''|, with
+which a lane stops on a Newton step that provably lands on the root.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -22,6 +24,8 @@ from bicone.deformations import ConeMap
 from bicone.moduli import ModulusFunction
 
 TINY = 2.0 ** -1074
+# sup |d^2/du^2 arctan(u)| = 3 sqrt(3) / 8, at u = -1/sqrt(3)
+ARCTAN_CURVATURE = 3.0 * 3.0 ** 0.5 / 8.0
 
 
 class CountingJet:
@@ -29,11 +33,13 @@ class CountingJet:
 
     F' = 1 / (1 + (u - root)^2) is tiny far from the root, so the Newton
     step from u = 0 lands far below the floor for every root used here.
+    ``curvature`` bounds |F''|, for the solver's stop rule.
     """
 
     def __init__(self, roots):
         self.roots = np.asarray(roots, dtype=float)
         self.calls = 0
+        self.curvature = ARCTAN_CURVATURE
 
     def __call__(self, u, idx):
         self.calls += 1
@@ -43,7 +49,8 @@ class CountingJet:
 
 def solve(roots, tol=1e-12):
     jet = CountingJet(roots)
-    return newton_log(jet, np.zeros(len(roots)), tol, "no straddle"), jet
+    return newton_log(jet, np.zeros(len(roots)), tol, "no straddle",
+                      curvature=jet.curvature), jet
 
 
 def test_root_below_the_floor_pins_in_one_floor_evaluation():
@@ -72,7 +79,7 @@ def test_a_zero_slope_is_a_step_out_of_the_bracket_without_a_warning():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = newton_log(jet, np.zeros(roots.size), 1e-12, "no straddle")
+        x = newton_log(jet, np.zeros(roots.size), 1e-12, "no straddle", curvature=0.0)
     assert abs(np.log(x[0]) + 3.0) <= 1e-12
     assert x[1] == 1.0 and x[2] == TINY
 
@@ -101,19 +108,34 @@ def test_lanes_open_at_the_iteration_cap_return_their_last_iterate(cap, monkeypa
     assert np.all((TINY <= x) & (x <= 1.0))
 
 
+def test_a_certified_step_ends_its_lane_one_evaluation_early():
+    # With |F''| <= 3 sqrt(3) / 8 a step of d with curvature d^2 / 2 <= 4 eps
+    # lands on the root; without a bound (infinite curvature) the lane
+    # evaluates there first.  Both answers sit within float resolution of u.
+    roots = np.linspace(-30.0, -0.5, 200)
+    bounded, jet = solve(roots)
+    unbounded = CountingJet(roots)
+    x = newton_log(unbounded, np.zeros(roots.size), 1e-12, "no straddle",
+                   curvature=math.inf)
+    assert jet.calls < unbounded.calls
+    eps = np.finfo(float).eps
+    for answer in (bounded, x):
+        assert np.all(np.abs(np.log(answer) - roots) <= 4 * eps * np.abs(roots))
+
+
 @pytest.fixture
 def iterations(monkeypatch):
     """Jet calls of every newton_log solve made by the maps and moduli."""
     counts = []
 
-    def counting(jet, hi, tol, message):
+    def counting(jet, hi, tol, message, **kwargs):
         calls = [0]
 
         def counted(u, idx):
             calls[0] += 1
             return jet(u, idx)
 
-        out = newton_log(counted, hi, tol, message)
+        out = newton_log(counted, hi, tol, message, **kwargs)
         counts.append(calls[0])
         return out
 
@@ -135,6 +157,17 @@ def test_axis_heights_below_phi_of_the_floor_pin_quickly(k, n, iterations):
     assert np.all(phi.invert(heights) == TINY)
     assert len(iterations) == 2
     assert max(iterations) <= 10
+
+
+@pytest.mark.parametrize("phi", [ModulusFunction.identity(), ModulusFunction.power(0.5),
+                                 ModulusFunction.power(0.3, n=3)], ids=lambda p: p.describe())
+def test_power_invert_takes_one_evaluation_per_lane(phi, iterations):
+    # h = 0 bounds F'' = -h: the first Newton step lands on the root
+    v = np.geomspace(1e-12, 0.99, 1000)
+    psi = phi.invert(v)
+    assert iterations == [1]
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(psi / v ** (1.0 / phi.eps) - 1.0) <= 4 * eps * (1 - np.log(psi)))
 
 
 @pytest.mark.parametrize("k", [1, 3])
@@ -170,6 +203,7 @@ class ScaledJet(CountingJet):
         super().__init__(roots)
         self.scale = scale
         self.lanes = []
+        self.curvature = ARCTAN_CURVATURE / np.min(scale) ** 2
 
     def __call__(self, u, idx):
         self.calls += 1
@@ -182,9 +216,10 @@ class ScaledJet(CountingJet):
 def test_blocks_give_the_bits_of_one_block(size, monkeypatch):
     roots, scale = mixed_roots(size)
     hi = np.where(np.arange(size) % 3 == 0, 0.0, np.maximum(roots, _LOG_FLOOR) + 5.0)
-    blocked = newton_log(ScaledJet(roots, scale), hi, 1e-12, "no straddle")
+    jet = ScaledJet(roots, scale)
+    blocked = newton_log(jet, hi, 1e-12, "no straddle", curvature=jet.curvature)
     monkeypatch.setattr(bicone._roots, "_BLOCK", 10 * size)
-    one_block = newton_log(ScaledJet(roots, scale), hi, 1e-12, "no straddle")
+    one_block = newton_log(jet, hi, 1e-12, "no straddle", curvature=jet.curvature)
     assert np.array_equal(blocked, one_block)
     assert np.all(blocked[::97] == TINY)
 
@@ -193,7 +228,7 @@ def test_jet_sees_global_lane_indices():
     size = 3 * _BLOCK + 7
     roots, scale = mixed_roots(size, seed=1)
     jet = ScaledJet(roots, scale)
-    newton_log(jet, np.zeros(size), 1e-12, "no straddle")
+    newton_log(jet, np.zeros(size), 1e-12, "no straddle", curvature=jet.curvature)
     blocks = [lanes[0] // _BLOCK for lanes in jet.lanes]
     assert blocks == sorted(blocks) and set(blocks) == {0, 1, 2, 3}
     previous = None
@@ -224,7 +259,7 @@ def test_straddle_failure_past_the_first_block_raises():
     roots[_BLOCK + 11] = 1.0           # F(hi = 0) = arctan(-1) < 0
     jet = CountingJet(roots)
     with pytest.raises(BracketError, match="no straddle"):
-        newton_log(jet, np.zeros(size), 1e-12, "no straddle")
+        newton_log(jet, np.zeros(size), 1e-12, "no straddle", curvature=jet.curvature)
     assert jet.calls > 1               # the first block was solved first
 
 
@@ -234,7 +269,8 @@ def test_solve_leaves_its_upper_ends_unchanged(size):
     roots, scale = mixed_roots(size, seed=2)
     hi = np.maximum(roots, _LOG_FLOOR) + 5.0
     given = hi.copy()
-    newton_log(ScaledJet(roots, scale), hi, 1e-12, "no straddle")
+    jet = ScaledJet(roots, scale)
+    newton_log(jet, hi, 1e-12, "no straddle", curvature=jet.curvature)
     assert hi.tobytes() == given.tobytes()
 
 
@@ -271,7 +307,8 @@ def test_cone_inverse_keeps_its_bits_on_the_slant(phi):
     for Y in (slant, inside, np.concatenate([inside, slant])):
         rho = np.linalg.norm(Y[:, :-1], axis=1)
         log_tau = np.log(Y[:, -1])
-        ref = newton_log(where_jet(phi, rho, log_tau), log_tau, 1e-12, "no straddle")
+        ref = newton_log(where_jet(phi, rho, log_tau), log_tau, 1e-12, "no straddle",
+                         curvature=0.25 + phi._curvature)
         X = m.inverse(Y)
         assert X[:, -1].tobytes() == ref.tobytes()
         assert np.array_equal(X[:, :-1], Y[:, :-1])
