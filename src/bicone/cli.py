@@ -51,6 +51,8 @@ def _parse_kv(body: str) -> dict:
         key, sep, value = item.partition("=")
         if not sep:
             raise SpecError(f"expected key=value, got {item!r}")
+        if key in out:
+            raise SpecError(f"repeated parameter {key!r} in {body!r}")
         out[key] = value
     return out
 
@@ -220,7 +222,11 @@ def _emit(args, result: dict, table: tuple | None = None) -> None:
                              "result": result})
         text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.output:
-        with open(args.output, "w") as fh:
+        try:
+            fh = open(args.output, "w")
+        except OSError as bad:
+            raise SpecError(f"cannot write --output {args.output!r}: {bad.strerror}") from None
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -539,7 +539,6 @@ def verify_main_theorem(g: GluedMap, radii=None, count: int = 512,
                            count=count, seed=seed),
         sample_cone_sphere(1.8, n=n, norm="euclid", restrict="both",
                            count=count, seed=seed + 1)])
-    outside = outside[cone_norm(outside) > 1.0 + 1e-12]
     report.add("identity outside the double cone",
                bool(np.array_equal(g(outside), outside)),
                grid_size=outside.shape[0])

@@ -17,11 +17,12 @@ with P = phi (1 - w(1-g)) = s * (Jacobian determinant) and R = -w phi (1-g)
 materializes s, so the quadrature runs far past the underflow point of e^-u.
 
 u-panels double geometrically as in the one-dimensional E[phi] quadrature,
-evaluated in stacked batches of panels by moduli._doubling_quadrature,
-which also owns the stop rule and the rounding allowance: a remainder
-here only gives the value with the mass past U and a bound on the rest.
-Both remainders read phi and g at the panel ends from one cached array
-call (ModulusFunction._end_profile).
+evaluated in stacked batches of panels by _doubling_quadrature below,
+which also owns the stop rule and the rounding allowance.  Each integrand
+hands it its own panel (_conformal_panel, _distortion_panel) and its own
+remainder, which only gives the value with the mass past U and a bound on
+the rest.  Both remainders read phi and g at the panel ends from one
+array call per modulus value (_end_profile).
 Every panel rule comes from moduli._gl_panel and moduli._gl_rule.
 Each integrand gets the w-rule its singularities ask for.  K_H has a pole
 at w = 1/(1 - g), just past w = 1 when g is small, and forming
@@ -35,7 +36,7 @@ otherwise (_w_rule_error).  Convergence is certified by rigorous
 remainders: the |DH|^n tail reduces to the one-dimensional remainder T(U)
 of moduli.energy_tail_bound, available for every built-in family, plus a
 first-order term in the elasticity g that integrates exactly; what is left
-is at most (K_n / 2n) g(U) phi(U)^n (see the conformal branch below, with
+is at most (K_n / 2n) g(U) phi(U)^n (see "The |DH|^n tail" below, with
 K_n = 4/3 at n = 2).  T(U) is taken only at panels whose cheap terms let
 the driver's stop rule end the sum (T(U) <= T(0) caps the value there),
 and always at the 60-panel cap and at tol < 16 eps: 2-3 calls to
@@ -50,16 +51,16 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, lru_cache, partial
 
 import numpy as np
 
 from . import _roots
 from .deformations import ConeMap, GluedMap
 from .geometry import sample_cone_interior, sphere_surface_area, unit_ball_volume
-from .moduli import (EnergyDivergenceError, ModulusFunction,
-                     _doubling_quadrature, _energy_diverges, _gl_panel,
-                     _gl_rule, energy_tail_bound, modulus_energy_detailed)
+from .moduli import (_ROUNDING, EnergyDivergenceError, ModulusFunction,
+                     _doubling_edges, _energy_diverges, _gl_panel, _gl_rule,
+                     energy_tail_bound, modulus_energy_detailed)
 
 __all__ = [
     "EnergyResult",
@@ -84,7 +85,91 @@ class EnergyResult:
                                  # | "estimated" (Monte Carlo: no certified bound)
 
 
-# -- quadrature grids ---------------------------------------------------------
+# -- the doubling driver -------------------------------------------------------
+
+_MAX_PANELS = 60
+# Panels are evaluated in stacked batches, one panel per row.  The batch
+# edges suit where the package's integrals stop (|DH|^n after 3-15 panels,
+# K_H after 4-7); the panels of a batch past the stop are never consumed.
+_BATCH_EDGES = (0, 4, 8, 16, 32, _MAX_PANELS)
+
+
+@lru_cache(maxsize=128)
+def _end_profile(phi: ModulusFunction) -> dict[float, tuple[float, float]]:
+    """``profile_log`` at the right ends U = 1, 2, 4, ..., 2^59 of the
+    doubling panels, keyed by U, from one array call per modulus value;
+    the remainders of both integrands read it."""
+    ends = _doubling_edges(_MAX_PANELS)[1:]
+    phi_U, g_U = phi.profile_log(np.array(ends))
+    return dict(zip(ends, zip(phi_U.tolist(), g_U.tolist())))
+
+
+def _panel_rows(panel):
+    """(U, increment, rule bound, nodes) per doubling panel, one ``panel`` call per batch.
+
+    U is the panel's right end.  A batch is computed only when the row
+    before it has been consumed.
+    """
+    ends = _doubling_edges(_MAX_PANELS)
+    u, wu = _gl_rule(ends)
+    for lo, hi in zip(_BATCH_EDGES, _BATCH_EDGES[1:]):
+        yield from zip(ends[lo + 1:hi + 1],
+                       *(np.asarray(col).tolist() for col in panel(u[lo:hi], wu[lo:hi])))
+
+
+def _doubling_quadrature(panel, tol: float, remainder):
+    """Sum ``panel(u, wu)`` over the doubling panels: (value, err, status, nodes).
+
+    ``panel(u, wu) -> (increments, rule-error bounds, nodes used)`` takes a
+    (B, 24) stack of consecutive panels, one per row, and returns B of each.
+    The driver consumes them in order and keeps the running sums of all
+    three.  ``remainder(U, total, rule, inc, may_stop) -> (value, bound)``
+    gives the value with the mass past U and a bound on its error, from the
+    sums of the increments and rule bounds so far and the last increment.
+    The driver owns the verdict.  err is the bound plus a rounding allowance
+    of 8 eps |value|, and the sum stops "converged" at the first panel with
+    err <= tol/2 max(1, |value|).  It stops "truncated" early once the
+    allowance alone exceeds tol max(1, |value|) and the bound is within it,
+    since no later panel can then meet tol.  At the cap of 60 panels the
+    last value is "converged" only if its err meets tol.  Panels of a batch
+    past the stop count nowhere.  A non-finite value or bound is never
+    "converged": it comes back "truncated" with an infinite bound.
+
+    ``may_stop(low, high)`` is the stop rule for a bound of at least low and
+    a |value| of at most high.  Where it is false the panel cannot stop, and
+    the remainder may return None instead of its value.  For tol >= 16 eps
+    the early truncation cannot fire, so only the stop rule reads a value;
+    below that, and at the cap, ``may_stop`` is always true.
+    """
+    meets = lambda bound, value: bound <= 0.5 * tol * max(1.0, abs(value))
+    whole = lambda low, high: True
+    lazy = tol >= 2.0 * _ROUNDING
+    cap = _doubling_edges(_MAX_PANELS)[-1]
+    total, rule, nodes = 0.0, 0.0, 0
+    for U, inc, inc_rule, used in _panel_rows(panel):
+        total += inc
+        rule += inc_rule
+        nodes += used
+        taken = remainder(U, total, rule, inc, meets if lazy and U < cap else whole)
+        if taken is None:
+            continue
+        value, bound = taken
+        rounding = _ROUNDING * abs(value)
+        err, scale = bound + rounding, max(1.0, abs(value))
+        if meets(err, value):
+            status = "converged"
+            break
+        if rounding > tol * scale and bound <= rounding:
+            status = "truncated"
+            break
+    else:
+        status = "converged" if err <= tol * scale else "truncated"
+    if not (math.isfinite(value) and math.isfinite(err)):
+        return value, math.inf, "truncated", nodes
+    return value, err, status, nodes
+
+
+# -- the panels of the two integrands -----------------------------------------
 
 _W_PANEL = _gl_panel(0.0, 1.0)          # nodes and weights of one 24-node w-panel
 
@@ -115,6 +200,27 @@ def _w_rule_error(n: int, M):
         * ((1.0 + _W_A) / 2.0) ** (n - 2)
 
 
+def _conformal_panel(phi: ModulusFunction, u: np.ndarray,
+                     wu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(integrals, w-rule error bounds, nodes) of the |DH|^n integrand on a
+    stack of (u-panel) x [0,1] cells, one u-panel per row of u and wu."""
+    n = phi.n
+    phi_u, g = phi.profile_log(u)
+    s = np.exp(-u)
+    # rows where phi underflows have s = 0 too, and add exact zeros
+    w, ww = _W_PANEL
+    c = (1.0 - np.clip(g, 0.0, 1.0))[..., None]
+    P = phi_u[..., None] * (1.0 - w * c)
+    R2 = (phi_u[..., None] * w * c) ** 2
+    core = ((n - 1) * (s ** 2)[..., None] + R2 + P * P) ** (n / 2.0)
+    bound = _w_rule_error(n, ((n - 1) * s ** 2 + _W_Q * phi_u ** 2) ** (n / 2.0))
+    # the w-integral of each u-node, then their u-sum: two short sums,
+    # where one running sum over all nodes drifted by up to 9 ulp
+    inner = np.sum(core * (1.0 - w) ** (n - 2) * ww, axis=-1)
+    return (np.sum(wu * inner, axis=-1), np.sum(wu * bound, axis=-1),
+            np.full(len(u), u.shape[1] * w.size))
+
+
 # K_H's w-integrand has a pole at w = 1/(1 - g), just past w = 1 for small
 # g, and forming z = 1 - w(1 - g) near w = 1 cancels to a relative error
 # eps/g, which the integrand's z^(1-n) weights.  So the rows with g < 1/2
@@ -130,11 +236,15 @@ def _w_rule_error(n: int, M):
 # Gauss-Legendre panels of length at most 2 serve: ceil(log(1/g_min)/2) of
 # them on every row of a batch.  Rows with g >= 1/2 keep one w-panel, the
 # pole at least 1 away from [0, 1], in the same sigma/z form.
-def _distortion_cells(n: int, s: np.ndarray, phi_u: np.ndarray,
-                      g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(w-integral of the K_H integrand over phi s^(n-1), w-nodes) per u-node."""
-    live = phi_u > 0.0
-    sigma2 = np.divide(s, phi_u, out=np.zeros_like(s), where=live) ** 2
+def _distortion_panel(phi: ModulusFunction, u: np.ndarray,
+                      wu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(integrals, zero rule bounds, nodes) of the K_H integrand on a stack
+    of (u-panel) x [0,1] cells, one u-panel per row of u and wu."""
+    n = phi.n
+    phi_u, g = phi.profile_log(u)
+    # the w-integral over phi s^(n-1), and its node count, per u-node
+    s, phi_s, g = np.exp(-u).ravel(), phi_u.ravel(), np.clip(g, 0.0, 1.0).ravel()
+    sigma2 = np.divide(s, phi_s, out=np.zeros_like(s), where=phi_s > 0.0) ** 2
     cells, nodes = np.empty_like(s), np.empty(s.shape, dtype=int)
     near = g >= 0.5
     if near.any():
@@ -157,31 +267,6 @@ def _distortion_cells(n: int, s: np.ndarray, phi_u: np.ndarray,
         cells[far] = np.sum(core * gap ** (n - 2) * wx, axis=1) \
             * L[:, 0] / (1.0 - g_far) ** (n - 1)
         nodes[far] = x.size
-    return cells, nodes
-
-
-def _panel_value(phi: ModulusFunction, u: np.ndarray, wu: np.ndarray,
-                 kind: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(integrals, w-rule error bounds, nodes) of a stack of (u-panel) x [0,1]
-    cells of the reduced integrand, one u-panel per row of u and wu."""
-    n = phi.n
-    phi_u, g = phi.profile_log(u)
-    g = np.clip(g, 0.0, 1.0)
-    s = np.exp(-u)
-    if kind == "conformal":
-        # rows where phi underflows have s = 0 too, and add exact zeros
-        w, ww = _W_PANEL
-        c = (1.0 - g)[..., None]
-        P = phi_u[..., None] * (1.0 - w * c)
-        R2 = (phi_u[..., None] * w * c) ** 2
-        core = ((n - 1) * (s ** 2)[..., None] + R2 + P * P) ** (n / 2.0)
-        bound = _w_rule_error(n, ((n - 1) * s ** 2 + _W_Q * phi_u ** 2) ** (n / 2.0))
-        # the w-integral of each u-node, then their u-sum: two short sums,
-        # where one running sum over all nodes drifted by up to 9 ulp
-        inner = np.sum(core * (1.0 - w) ** (n - 2) * ww, axis=-1)
-        return (np.sum(wu * inner, axis=-1), np.sum(wu * bound, axis=-1),
-                np.full(len(u), u.shape[1] * w.size))
-    cells, nodes = _distortion_cells(n, s.ravel(), phi_u.ravel(), g.ravel())
     scale = phi_u * np.exp(-(n - 1) * u)            # phi s^(n-1)
     return (np.sum(wu * (scale * cells.reshape(u.shape)), axis=-1),
             np.zeros(len(u)), nodes.reshape(u.shape).sum(axis=-1))
@@ -189,7 +274,7 @@ def _panel_value(phi: ModulusFunction, u: np.ndarray, wu: np.ndarray,
 
 # -- tail treatment -----------------------------------------------------------
 #
-# Conformal branch.  Write the reduced integrand as [ (n-1)s^2 + phi^2 Q ]^{n/2}
+# The |DH|^n tail.  Write the reduced integrand as [ (n-1)s^2 + phi^2 Q ]^{n/2}
 # with Q = (wc)^2 + (1-wc)^2 in [1/2, 1], c = 1 - g.  Beyond u = U the s^2
 # part contributes at most
 #
@@ -280,22 +365,22 @@ def _distortion_tail(phi: ModulusFunction, U: float, phi_U: float) -> float:
 
 # -- the tensor quadrature -----------------------------------------------------
 
-def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
+def conformal_energy_H(m: ConeMap, tol: float = 1e-6) -> EnergyResult:
+    """int over the upper cone of |DH|^n by axially reduced quadrature."""
     phi = m.phi
     n = phi.n
     # E[H] is finite exactly when E[phi] is; the K_H tail needs only the
     # elasticity floor of _distortion_tail, so E[F] is finite for every phi
-    if kind == "conformal" and _energy_diverges(phi):
+    if _energy_diverges(phi):
         raise EnergyDivergenceError(
             f"modulus energy of {phi.describe()} diverges at n={n} "
             "(condition (C3) fails), so the deformation energy is infinite")
     sigma_factor = sphere_surface_area(n - 2)
-    ends = phi._end_profile
-    if kind == "conformal":
-        W, W_slope, K = _w_constants(n)
-        E_phi = energy_tail_bound(phi, 0.0)[0]      # T(0) >= T(U)
+    ends = _end_profile(phi)
+    W, W_slope, K = _w_constants(n)
+    E_phi = energy_tail_bound(phi, 0.0)[0]      # T(0) >= T(U)
 
-    def conformal_remainder(U, total, rule, inc, may_stop):
+    def remainder(U, total, rule, inc, may_stop):
         phi_U, g_U = ends[U]
         phi_n = phi_U ** n
         s_U = math.exp(-U)
@@ -312,21 +397,10 @@ def _quad_energy(m: ConeMap, tol: float, kind: str) -> EnergyResult:
         return (sigma_factor * (total + W * T - W_slope * phi_n / n),
                 sigma_factor * (head + T_err + rule))
 
-    def distortion_remainder(U, total, rule, inc, may_stop):
-        tail = _distortion_tail(phi, U, ends[U][0])
-        return sigma_factor * total, sigma_factor * (tail + inc)
-
     value, err, status, nodes = _doubling_quadrature(
-        partial(_panel_value, phi, kind=kind), tol,
-        conformal_remainder if kind == "conformal" else distortion_remainder)
+        partial(_conformal_panel, phi), tol, remainder)
     return EnergyResult(value=value, method="tensor_quadrature",
-                        samples_or_nodes=nodes, error_estimate=err,
-                        status=status)
-
-
-def conformal_energy_H(m: ConeMap, tol: float = 1e-6) -> EnergyResult:
-    """int over the upper cone of |DH|^n by axially reduced quadrature."""
-    return _quad_energy(m, tol, "conformal")
+                        samples_or_nodes=nodes, error_estimate=err, status=status)
 
 
 def inner_distortion_integral(m: ConeMap, tol: float = 1e-6) -> EnergyResult:
@@ -336,7 +410,18 @@ def inner_distortion_integral(m: ConeMap, tol: float = 1e-6) -> EnergyResult:
     the inverse map F over the same cone, which is what the Monte-Carlo
     estimator measures directly.
     """
-    return _quad_energy(m, tol, "distortion")
+    phi = m.phi
+    sigma_factor = sphere_surface_area(phi.n - 2)
+    ends = _end_profile(phi)
+
+    def remainder(U, total, rule, inc, may_stop):
+        tail = _distortion_tail(phi, U, ends[U][0])
+        return sigma_factor * total, sigma_factor * (tail + inc)
+
+    value, err, status, nodes = _doubling_quadrature(
+        partial(_distortion_panel, phi), tol, remainder)
+    return EnergyResult(value=value, method="tensor_quadrature",
+                        samples_or_nodes=nodes, error_estimate=err, status=status)
 
 
 # The Monte-Carlo sample keeps this distance from the axis, base and slant,
@@ -411,5 +496,5 @@ def biconformal_energy(g: GluedMap, tol: float = 1e-6) -> EnergyResult:
 def energy_modulus_ratio(m: ConeMap, tol: float = 1e-6) -> float:
     """conformal_energy_H divided by E[phi]; finite constants only."""
     energy = conformal_energy_H(m, tol=tol)
-    reference = modulus_energy_detailed(m.phi, tol=min(tol, 1e-9))
+    reference = modulus_energy_detailed(m.phi)
     return energy.value / reference.value

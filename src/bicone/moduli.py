@@ -219,15 +219,6 @@ class ModulusFunction:
         with: |A''(0)| for iterlog, 0 for power (and the identity)."""
         return _plan_curvature(self._plan)
 
-    @cached_property
-    def _end_profile(self) -> dict[float, tuple[float, float]]:
-        """``profile_log`` at the right ends U = 1, 2, 4, ..., 2^59 of the
-        doubling panels, keyed by U, from one array call; the remainders of
-        both tensor quadratures read it."""
-        ends = _doubling_edges(_MAX_PANELS)[1:]
-        phi, g = self.profile_log(np.array(ends))
-        return dict(zip(ends, zip(phi.tolist(), g.tolist())))
-
     def describe(self) -> str:
         """The family spec that parses back to this modulus (n=2 if absent)."""
         if self.family == "iterlog":
@@ -460,78 +451,6 @@ def _doubling_edges(count: int) -> tuple[float, ...]:
     return (0.0, *(2.0 ** m for m in range(count)))
 
 
-_MAX_PANELS = 60
-# Panels are evaluated in stacked batches, one panel per row.  The batch
-# edges suit where the package's integrals stop (|DH|^n after 3-15 panels,
-# K_H after 4-7); the panels of a batch past the stop are never consumed.
-_BATCH_EDGES = (0, 4, 8, 16, 32, _MAX_PANELS)
-
-
-def _panel_rows(panel):
-    """(U, increment, rule bound, nodes) per doubling panel, one ``panel`` call per batch.
-
-    U is the panel's right end.  A batch is computed only when the row
-    before it has been consumed.
-    """
-    ends = _doubling_edges(_MAX_PANELS)
-    u, wu = _gl_rule(ends)
-    for lo, hi in zip(_BATCH_EDGES, _BATCH_EDGES[1:]):
-        yield from zip(ends[lo + 1:hi + 1],
-                       *(np.asarray(col).tolist() for col in panel(u[lo:hi], wu[lo:hi])))
-
-
-def _doubling_quadrature(panel, tol: float, remainder):
-    """Sum ``panel(u, wu)`` over the doubling panels: (value, err, status, nodes).
-
-    ``panel(u, wu) -> (increments, rule-error bounds, nodes used)`` takes a
-    (B, 24) stack of consecutive panels, one per row, and returns B of each.
-    The driver consumes them in order and keeps the running sums of all
-    three.  ``remainder(U, total, rule, inc, may_stop) -> (value, bound)``
-    gives the value with the mass past U and a bound on its error, from the
-    sums of the increments and rule bounds so far and the last increment.
-    The driver owns the verdict.  err is the bound plus a rounding allowance
-    of 8 eps |value|, and the sum stops "converged" at the first panel with
-    err <= tol/2 max(1, |value|).  It stops "truncated" early once the
-    allowance alone exceeds tol max(1, |value|) and the bound is within it,
-    since no later panel can then meet tol.  At the cap of 60 panels the
-    last value is "converged" only if its err meets tol.  Panels of a batch
-    past the stop count nowhere.  A non-finite value or bound is never
-    "converged": it comes back "truncated" with an infinite bound.
-
-    ``may_stop(low, high)`` is the stop rule for a bound of at least low and
-    a |value| of at most high.  Where it is false the panel cannot stop, and
-    the remainder may return None instead of its value.  For tol >= 16 eps
-    the early truncation cannot fire, so only the stop rule reads a value;
-    below that, and at the cap, ``may_stop`` is always true.
-    """
-    meets = lambda bound, value: bound <= 0.5 * tol * max(1.0, abs(value))
-    whole = lambda low, high: True
-    lazy = tol >= 2.0 * _ROUNDING
-    cap = _doubling_edges(_MAX_PANELS)[-1]
-    total, rule, nodes = 0.0, 0.0, 0
-    for U, inc, inc_rule, used in _panel_rows(panel):
-        total += inc
-        rule += inc_rule
-        nodes += used
-        taken = remainder(U, total, rule, inc, meets if lazy and U < cap else whole)
-        if taken is None:
-            continue
-        value, bound = taken
-        rounding = _ROUNDING * abs(value)
-        err, scale = bound + rounding, max(1.0, abs(value))
-        if meets(err, value):
-            status = "converged"
-            break
-        if rounding > tol * scale and bound <= rounding:
-            status = "truncated"
-            break
-    else:
-        status = "converged" if err <= tol * scale else "truncated"
-    if not (math.isfinite(value) and math.isfinite(err)):
-        return value, math.inf, "truncated", nodes
-    return value, err, status, nodes
-
-
 def _energy_diverges(phi: ModulusFunction) -> bool:
     """E[phi] is infinite: iterlog with n alpha <= 1."""
     return phi.family == "iterlog" and phi.n * phi.alpha <= 1.0
@@ -640,9 +559,9 @@ def modulus_energy_detailed(phi: ModulusFunction, tol: float = 1e-9) -> ModulusE
     return ModulusEnergy(T, err, status)
 
 
-def modulus_energy(phi: ModulusFunction, tol: float = 1e-9) -> float:
+def modulus_energy(phi: ModulusFunction) -> float:
     """E[phi] as a plain float; raises EnergyDivergenceError when it diverges."""
-    result = modulus_energy_detailed(phi, tol=tol)
+    result = modulus_energy_detailed(phi)
     if result.status == "diverged":
         raise EnergyDivergenceError(
             f"energy integral of {phi.describe()} diverges (exponent n={phi.n})")

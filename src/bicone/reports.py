@@ -9,7 +9,6 @@ keyword).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -68,9 +67,6 @@ class CheckResult:
         if self.measured_constant is not None:
             self.measured_constant = float(self.measured_constant)
 
-    def to_dict(self) -> dict:
-        return asdict(self, dict_factory=_json_fields)
-
 
 @dataclass
 class VerificationReport:
@@ -92,12 +88,6 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
     def to_dict(self) -> dict:
         return {"schema_version": SCHEMA_VERSION, "pass": self.passed,
                 **asdict(self, dict_factory=_json_fields)}
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)

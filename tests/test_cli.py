@@ -308,7 +308,7 @@ def test_verify_global_suites_run_the_library_check(suite, check, capsys):
     code, out = run(["verify", suite, "--phi", phi, "--pairs", "1000"], capsys)
     assert code == 0
     expected = check(ConeMap(parse_family(phi)), pairs=1000, seed=0)
-    assert json.loads(out)["result"] == json.loads(expected.to_json())
+    assert json.loads(out)["result"] == json.loads(json.dumps(expected.to_dict()))
     assert expected.passed and expected.sample_count == 1000
 
 
@@ -384,6 +384,15 @@ def test_modulus_csv_replay_is_byte_identical(tmp_path):
     assert a.read_bytes().startswith(b"# schema_version=1")
 
 
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "out.json"
+    assert main(["eval", "--phi", "identity", "--points", "0.5",
+                 "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.exists()
+    assert captured.err.startswith(f"bicone: error: cannot write --output '{target}'")
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["energy", "--map", "cone:phi=mystery"]) == 2
     capsys.readouterr()
@@ -427,7 +436,12 @@ def test_non_finite_input_is_a_usage_error(argv, capsys):
     ("eval --map prints JSON only",
      ["eval", "--map", "cone:phi=identity", "--points", "0.3,0.1", "--out", "csv"]),
     ("energy integrals are defined for cone/glued maps",
-     ["energy", "--map", "radial:power:eps=0.5"])])
+     ["energy", "--map", "radial:power:eps=0.5"]),
+    ("repeated parameter 'eps'", ["eval", "--phi", "power:eps=0.5,eps=0.7",
+                                  "--points", "0.25"]),
+    ("repeated parameter 'n'",
+     ["invert", "--map", "radial:power:eps=0.5,n=2,n=3", "--point", "0.1,0.1"]),
+    ("repeated parameter 'n'", ["verify", "conditions", "--phi", "identity,n=2,n=3"])])
 def test_malformed_requests_are_usage_errors(message, argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

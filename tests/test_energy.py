@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from bicone import _roots, energy
 from bicone.deformations import ConeMap, GluedMap
-from bicone.energy import (_W_Q, EnergyResult, _distortion_tail, _panel_value,
-                           _w_constants, _w_rule_error, biconformal_energy,
-                           conformal_energy_H, energy_F_monte_carlo,
-                           energy_modulus_ratio, inner_distortion_integral)
+from bicone.energy import (_MAX_PANELS, _W_Q, EnergyResult, _distortion_panel,
+                           _distortion_tail, _doubling_quadrature, _w_constants,
+                           _w_rule_error, biconformal_energy, conformal_energy_H,
+                           energy_F_monte_carlo, energy_modulus_ratio,
+                           inner_distortion_integral)
 from bicone.geometry import sample_cone_interior, unit_ball_volume
-from bicone.moduli import (_MAX_PANELS, EnergyDivergenceError, ModulusFunction,
-                           _doubling_edges, _doubling_quadrature, _gl_rule,
-                           measured_constants)
+from bicone.moduli import (EnergyDivergenceError, ModulusFunction, _doubling_edges,
+                           _gl_rule, measured_constants)
 
 import oracles
 
@@ -457,7 +457,7 @@ def test_distortion_cell_against_the_z_form_oracle(n):
     for sigma in (1e-3, 0.5, 1.0):
         u = np.full((1, 24), -math.log(sigma))
         for g in (0.9, 0.5, 1e-2, 1e-6, 1e-12):
-            inc = _panel_value(_FixedProfile(n, g), u, wu, "distortion")[0][0]
+            inc = _distortion_panel(_FixedProfile(n, g), u, wu)[0][0]
             cell = inc / math.exp(-(n - 1) * u[0, 0])
             oracle = oracles.inverse_cell(n, math.exp(-u[0, 0]), g)
             assert abs(cell / oracle - 1) <= 1e-14, (sigma, g)
@@ -494,8 +494,7 @@ def test_inverse_energy_stays_finite_far_past_underflow(family, n, kw):
     # every doubling panel up to U = 2^59, where s and phi underflow, gives
     # finite K_H cells (a RuntimeWarning fails the test)
     u, wu = _gl_rule(_doubling_edges(_MAX_PANELS))
-    assert np.isfinite(_panel_value(cone_map(family, n=n, **kw).phi, u, wu,
-                                    "distortion")[0]).all()
+    assert np.isfinite(_distortion_panel(cone_map(family, n=n, **kw).phi, u, wu)[0]).all()
 
 
 @pytest.mark.parametrize("family,n,kw", [("power", 3, {"eps": 1e-200}),
@@ -574,6 +573,26 @@ def test_the_conformal_remainder_takes_few_tails(monkeypatch):
     monkeypatch.setattr(energy, "energy_tail_bound", counted)
     r = conformal_energy_H(cone_map("iterlog", n=3, depth=4, alpha=1.0), tol=1e-10)
     assert r.status == "converged" and len(calls) <= 3, calls
+
+
+def test_equal_moduli_share_one_end_profile(monkeypatch):
+    # two equal moduli built apart: the remainders of both integrands read
+    # the panel ends of one profile_log call, made for the first of them
+    ends = []
+    profile_log = ModulusFunction.profile_log
+
+    def counted(self, u):
+        if np.shape(u) == (_MAX_PANELS,):
+            ends.append(self)
+        return profile_log(self, u)
+
+    energy._end_profile.cache_clear()
+    monkeypatch.setattr(ModulusFunction, "profile_log", counted)
+    first, second = (cone_map("iterlog", n=3, depth=2, alpha=1.0) for _ in range(2))
+    assert first.phi is not second.phi and first.phi == second.phi
+    conformal_energy_H(first)
+    inner_distortion_integral(second)
+    assert len(ends) == 1 and ends[0] is first.phi
 
 
 @pytest.mark.parametrize("family,n,kw,kind,tol,nodes", [
