@@ -276,7 +276,11 @@ def _cmd_energy(args) -> int:
             res = energy_F_monte_carlo(m, samples=int(args.samples),
                                        seed=args.seed)
     except EnergyDivergenceError as diverged:
-        _emit(args, {"status": "divergent", "detail": str(diverged)})
+        result = {"status": "divergent", "detail": str(diverged)}
+        if args.integrand == "bi":      # E[F] is finite for every phi: print it
+            result["inverse"] = dataclasses.asdict(
+                inner_distortion_integral(m.cone, tol=args.tol))
+        _emit(args, result)
         return 1
     _emit(args, dataclasses.asdict(res))
     return 0 if res.status in ("converged", "estimated") else 1

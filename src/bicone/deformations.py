@@ -249,7 +249,11 @@ class GluedMap:
         arr, single = _rows(X)
         out = arr.copy()
         t = arr[:, -1]
-        inside = _horizontal_norm(arr) + np.abs(t) <= 1.0
+        norm = _horizontal_norm(arr) + np.abs(t)
+        big = ~np.isfinite(norm)            # or a finite row whose squares overflow
+        if big.any() and not np.isfinite(arr[big]).all():
+            raise DomainError("point with a non-finite coordinate")
+        inside = norm <= 1.0
         up = inside & (t >= 0)
         lo = inside & (t < 0)
         if up.any():
@@ -332,6 +336,8 @@ class RadialMap:
     def _radial(self, X, scalar_fn):
         arr, single = _rows(X)
         norms = euclid_norm(arr)
+        if not np.isfinite(norms).all():
+            raise DomainError("point with a non-finite norm")
         out = np.zeros_like(arr)
         pos = norms > 0
         if pos.any():

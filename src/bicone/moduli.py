@@ -247,7 +247,7 @@ class ModulusFunction:
 
     def __call__(self, s):
         arr, scalar = _as_array(s)
-        if (arr < 0).any():
+        if not (arr >= 0).all():                # NaN fails each gate too
             raise ValueError("modulus argument must be >= 0")
         out = np.array(arr, dtype=float, copy=True)
         inner = (arr > 0) & (arr < 1.0)
@@ -263,7 +263,7 @@ class ModulusFunction:
         the one-sided family form is used, since the calculus lives on (0, 1].
         """
         arr, scalar = _as_array(s)
-        if (arr <= 0).any():
+        if not (arr > 0).all():
             raise ValueError("derivative needs s > 0")
         out = np.ones_like(arr)
         inner = arr <= 1.0
@@ -281,7 +281,7 @@ class ModulusFunction:
         float range (iterlog near s = 1e-300) the result is -inf, not NaN.
         """
         arr, scalar = _as_array(s)
-        if (arr <= 0).any() or (arr > 1.0).any():
+        if not ((arr > 0) & (arr <= 1.0)).all():
             raise ValueError("second_derivative is defined on (0, 1]")
         phi, g, h = self._kernel(arr, order=2)
         with np.errstate(over="ignore"):
@@ -292,14 +292,15 @@ class ModulusFunction:
         """phi(s)/s, the slope of the chord from the origin.
 
         This is the vertical stretch factor of the cone deformation; it is
-        >= 1 and non-increasing for admissible moduli, and equals 1 for s >= 1.
+        >= 1 and non-increasing for admissible moduli, and equals 1 for s >= 1
+        (the identity extension, so s = inf gives 1 too).
         """
         arr, scalar = _as_array(s)
-        if (arr <= 0).any():
+        if not (arr > 0).all():
             raise ValueError("chord_slope needs s > 0")
         phi = self(arr)
-        with np.errstate(over="ignore"):        # inf at subnormal s
-            return _scalar_out(phi / arr, scalar)
+        with np.errstate(over="ignore", invalid="ignore"):   # inf at subnormal s
+            return _scalar_out(np.where(arr < 1.0, phi / arr, 1.0), scalar)
 
     def elasticity(self, s):
         """g = s * phi'(s) / phi(s), the logarithmic slope; <= 1 for admissible moduli.
@@ -308,7 +309,7 @@ class ModulusFunction:
         to the g of ``profile_log(0)``) and 1 beyond, on the identity extension.
         """
         arr, scalar = _as_array(s)
-        if (arr <= 0).any():
+        if not (arr > 0).all():
             raise ValueError("elasticity needs s > 0")
         out = np.ones_like(arr)
         inner = arr <= 1.0
@@ -324,7 +325,7 @@ class ModulusFunction:
         Newton inverses rely on it.
         """
         arr, scalar = _as_array(u)
-        if (arr < 0).any():
+        if not (arr >= 0).all():
             raise ValueError("profile_log needs u >= 0")
         phi, g = self._kernel(u=arr)
         if scalar:
@@ -347,7 +348,7 @@ class ModulusFunction:
         at the smallest subnormal.
         """
         arr, scalar = _as_array(v)
-        if (arr < 0).any():
+        if not (arr >= 0).all():
             raise ValueError("invert needs v >= 0")
         out = np.array(arr, dtype=float, copy=True)
         inner = (arr > 0) & (arr < 1.0)

@@ -12,9 +12,9 @@ from bicone.continuity import (averaging_lemma_check, doubling_probe,
                                optimal_modulus, quasi_inverse_check,
                                verify_averaging, verify_global_modulus_F,
                                verify_global_modulus_H, verify_main_theorem)
-from bicone.continuity import _AVERAGING_GROUP, _segment_integrals
+from bicone.continuity import _AVERAGING_GROUP, _averaging_pairs, _segment_integrals
 from bicone.deformations import ConeMap, GluedMap, RadialMap
-from bicone import geometry
+from bicone import continuity, geometry
 from bicone.geometry import (cone_norm, euclid_norm, kronecker_sequence,
                              sample_cone_sphere)
 from bicone.moduli import (_GL_NODES, _GL_WEIGHTS, ModulusFunction, _plan_jet,
@@ -525,21 +525,12 @@ def test_segment_integrals_against_an_mpmath_oracle(phi):
 def _averaging_suite_per_pair(phi, pairs, seed, tol):
     """The suite's draws, one averaging_lemma_check call per pair."""
     rc = measured_constants(phi).concavity_radius
-    rng = np.random.default_rng(seed)
-    worst, failed = -np.inf, 0
-    for _ in range(pairs):
-        a, b = rng.normal(size=(2, phi.n))
-        a *= rng.uniform(0.02, 1.0) * rc / math.sqrt(_dot(a, a))
-        b *= rng.uniform(0.02, 1.0) * rc / math.sqrt(_dot(b, b))
-        rep = averaging_lemma_check(phi.derivative, a, b, quad_tol=tol, r=rc,
-                                    lower_integral=phi)
-        worst = max(worst, rep.checks[0].measured_constant)
-        failed += 0 if rep.passed else 1
-    a = np.zeros(phi.n)
-    a[0] = 0.5 * rc
-    eq = averaging_lemma_check(phi.derivative, a, -a, quad_tol=tol, r=rc,
-                               lower_integral=phi)
-    return [(failed == 0, worst), (eq.passed, eq.checks[-1].measured_constant)]
+    A, B = _averaging_pairs(phi.n, pairs, seed, rc)
+    *drawn, eq = [averaging_lemma_check(phi.derivative, a, b, quad_tol=tol, r=rc,
+                                        lower_integral=phi) for a, b in zip(A, B)]
+    worst = max(rep.checks[0].measured_constant for rep in drawn)
+    return [(all(rep.passed for rep in drawn), worst),
+            (eq.passed, eq.checks[-1].measured_constant)]
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -551,6 +542,47 @@ def test_averaging_suite_equals_a_per_pair_loop(family, n):
         report = verify_averaging(phi, pairs=16, seed=seed, tol=1e-10)
         assert [(c.passed, c.measured_constant) for c in report.checks] == \
             _averaging_suite_per_pair(phi, 16, seed, 1e-10)
+
+
+def test_averaging_pairs_are_a_prefix_of_a_longer_run(monkeypatch):
+    # the 16 random pairs of a short run are the first 16 of a 50-pair run,
+    # and each run ends with its equality pair (a, -a)
+    phi = ModulusFunction.iterlog(depth=2, alpha=1.0, n=3)
+    seen = []
+    margins = continuity._averaging_margins
+
+    def captured(Phi, A, B, *args):
+        seen.append((A.copy(), B.copy()))
+        return margins(Phi, A, B, *args)
+
+    monkeypatch.setattr(continuity, "_averaging_margins", captured)
+    for pairs in (16, 50):
+        assert verify_averaging(phi, pairs=pairs, seed=5, tol=1e-10).passed
+    (A16, B16), (A50, B50) = seen
+    assert A16.shape == B16.shape == (17, 3) and A50.shape == (51, 3)
+    assert np.array_equal(A16[:16], A50[:16]) and np.array_equal(B16[:16], B50[:16])
+    for A, B in seen:
+        assert np.array_equal(B[-1], -A[-1]) and A[-1, 1:].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("suite", ["global-f", "main-theorem"])
+def test_the_inverse_suites_draw_one_interior_block(suite, monkeypatch):
+    # the whole-cone constant of global-f is measured on the block the
+    # near-origin pairs scale, so each suite makes one interior draw
+    calls = []
+    sample = continuity.sample_cone_interior
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(continuity, "sample_cone_interior", counted)
+    if suite == "global-f":
+        report = verify_global_modulus_F(ConeMap(k2()), pairs=500, seed=3)
+    else:
+        report = verify_main_theorem(GluedMap(k2()), count=64, seed=3)
+    assert report.passed
+    assert len(calls) == 1
 
 
 def test_averaging_suite_makes_few_kernel_calls(monkeypatch):

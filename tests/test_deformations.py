@@ -71,6 +71,31 @@ def test_domain_is_enforced():
         m.inverse(np.array([0.2, -0.1]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("build", [
+    lambda: GluedMap(ModulusFunction.power(0.5)),
+    lambda: RadialMap("power", eps=0.5, n=2),
+    lambda: RadialMap("logexample", beta=1.0, n=2)], ids=["glued", "radial-power",
+                                                         "radial-logexample"])
+def test_a_non_finite_row_is_outside_every_map(build, bad):
+    # a NaN row went to the origin (radial) or through as "outside" (glued)
+    m = build()
+    for col in (0, 1):
+        Y = np.array([[0.1, 0.2], [0.3, 0.4]])
+        Y[1, col] = bad
+        for evaluate in (m, m.inverse, m.inverted()):
+            with pytest.raises(DomainError, match="non-finite"):
+                evaluate(Y)
+
+
+def test_the_glued_map_keeps_a_huge_finite_row_outside():
+    # its cone norm overflows to inf, yet the row is outside the double cone
+    g = GluedMap(ModulusFunction.power(0.5))
+    X = np.array([[1e200, 0.0], [0.1, 0.2]])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(g(X)[0], X[0]) and np.array_equal(g.inverse(X)[0], X[0])
+
+
 @pytest.mark.parametrize("build", [ConeMap, GluedMap])
 def test_a_map_takes_its_modulus_dimension(build):
     # (C3) of this phi holds at n = 3, but its energy diverges at n = 2

@@ -61,6 +61,29 @@ def test_arguments_outside_the_domain_are_refused(call, message):
         call(ModulusFunction.iterlog(depth=2, alpha=1.0, n=2))
 
 
+@pytest.mark.parametrize("method, message", [
+    ("__call__", "modulus argument must be >= 0"), ("derivative", "derivative needs s > 0"),
+    ("second_derivative", r"second_derivative is defined on \(0, 1\]"),
+    ("chord_slope", "chord_slope needs s > 0"), ("elasticity", "elasticity needs s > 0"),
+    ("profile_log", "profile_log needs u >= 0"), ("invert", "invert needs v >= 0")])
+def test_a_nan_argument_is_refused(method, message):
+    # NaN fails every comparison, so each gate is written to pass only on it
+    phi = ModulusFunction.iterlog(depth=2, alpha=1.0, n=2)
+    for arg in (math.nan, np.array([0.5, math.nan])):
+        with pytest.raises(ValueError, match=message):
+            getattr(phi, method)(arg)
+
+
+@pytest.mark.parametrize("phi", [ModulusFunction.identity(),
+                                 ModulusFunction.power(0.5, n=3),
+                                 ModulusFunction.iterlog(depth=2, alpha=1.0, n=2)],
+                         ids=lambda p: p.describe())
+def test_the_chord_slope_is_one_on_the_identity_extension(phi):
+    # inf / inf would be NaN with a RuntimeWarning, which tier-1 makes an error
+    assert phi.chord_slope(math.inf) == 1.0
+    assert phi.chord_slope(np.array([1.0, 2.0, 1e300, math.inf])).tolist() == [1.0] * 4
+
+
 @pytest.mark.parametrize("family, stray", [
     ("identity", {"eps": 0.5}), ("identity", {"depth": 1}), ("identity", {"alpha": 1.0}),
     ("power", {"depth": 1}), ("power", {"alpha": 1.0}),
