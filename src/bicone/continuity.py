@@ -6,10 +6,9 @@ module; every sphere sample includes the axis poles, so for the cone
 deformations, whose oscillation is attained on the vertical axis, the
 sampled sup at the origin is exact rather than a lower bound.
 Everything is deterministic under a fixed seed, and enlarging the sample
-count only extends the point set (never decreases an estimate).  A sweep
-over many radii draws the spheres of all its radii in one sampler call and
-maps them in one batch, so the sampler and the map are called once per
-sweep rather than once per radius.
+count only extends the point set (never decreases an estimate).  Every
+probe reduces its spheres in _sphere_extremes: one sampler call and one
+map batch per sweep of radii, with norms that keep their precision at any scale.
 
 The verification suites assert the bounds that come with explicit constants
 (the global 4 phi bound of the forward map, the 3 M phi near-origin bound of
@@ -57,10 +56,6 @@ __all__ = [
 ]
 
 
-def _restrict_for(map_obj) -> str:
-    return "upper" if map_obj.domain == "upper_cone" else "both"
-
-
 def _center_row(center, n: int) -> np.ndarray:
     c = np.asarray(center, dtype=float)
     if c.ndim == 0 and c == 0:
@@ -103,38 +98,33 @@ class QuasiInverseRatios:
     seed: int
 
 
-def _displacements(map_obj, center: np.ndarray, radii, norm: str,
-                   count: int, seed: int) -> np.ndarray:
-    """||map(X) - map(center)|| on the sphere of each radius, one row per radius.
-
-    One sampler call draws the spheres of all radii, stacked, and one map
-    call serves the whole sweep, plus one call for map(center).  The maps
-    act row by row, so each row has the same bits as a sweep that samples
-    and maps once per radius.
-    """
+def _sphere_extremes(map_obj, center: np.ndarray, radii, norm: str,
+                     count: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sup, inf) of ||map(X) - map(center)|| over the sphere of each radius,
+    from one sampler call on the stacked spheres (their upper halves for a map
+    of the upper cone), one map call on them and one on the center.  Maps and
+    norms act row by row, so each radius has the bits of a one-radius probe."""
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:
-        return np.empty((0, count))
-    spheres = sample_cone_sphere(radii, n=center.size, norm=norm,
-                                 restrict=_restrict_for(map_obj), count=count,
-                                 seed=seed)
+        return np.empty(0), np.empty(0)
+    spheres = sample_cone_sphere(radii, n=center.size, norm=norm, count=count, seed=seed,
+                                 restrict="upper" if map_obj.domain == "upper_cone" else "both")
     image = np.atleast_2d(map_obj(center + spheres))
     base = np.atleast_2d(map_obj(center))[0]
-    return _named_norm(norm)(image - base).reshape(radii.size, -1)
+    d = _named_norm(norm)(image - base).reshape(radii.size, -1)
+    return d.max(axis=1), d.min(axis=1)
 
 
 def optimal_modulus(map_obj, center, radius: float, norm: str = "cone",
                     count: int = 256, seed: int = 0) -> float:
-    """Sampled sup of ||map(X) - map(center)|| over the sphere of one radius.
+    """Sampled sup of ||map(X) - map(center)|| over the sphere of one radius,
+    the modulus_profile of the one-radius grid.
 
     Axis poles are always in the sample, so for the cone deformations at
     the origin the value equals the true optimal oscillation; elsewhere it
-    is a lower bound of the sup.  The sphere (and the displacement) use the
-    requested norm.
-    """
-    center = _center_row(center, map_obj.n)
-    return float(np.max(_displacements(map_obj, center, [radius], norm, count,
-                                       seed)))
+    is a lower bound of the sup.  The sphere and the displacement use the
+    requested norm."""
+    return float(modulus_profile(map_obj, center, [radius], norm, count, seed).values[0])
 
 
 def modulus_profile(map_obj, center, radii, norm: str = "cone",
@@ -147,7 +137,7 @@ def modulus_profile(map_obj, center, radii, norm: str = "cone",
     """
     center = _center_row(center, map_obj.n)
     radii = np.sort(np.asarray(radii, dtype=float))
-    values = _displacements(map_obj, center, radii, norm, count, seed).max(axis=1)
+    values = _sphere_extremes(map_obj, center, radii, norm, count, seed)[0]
     return ModulusEstimate(center=center, radii=radii,
                            values=np.maximum.accumulate(values),
                            norm_used=norm, samples_per_radius=count, seed=seed)
@@ -160,7 +150,10 @@ def linear_dilatation(map_obj, center, radii, count: int = 256, seed: int = 0,
     The verdict is "qc_violated" when the ratios keep increasing as the
     radius shrinks through at least four consecutive grid steps and exceed
     `threshold` (or become non-finite); otherwise "qc_consistent".
-    A heuristic probe, not a decision procedure.
+    A heuristic probe, not a decision procedure.  A ratio is infinite only
+    where the smallest displacement is 0 or the quotient overflows: the
+    norms keep displacements far below 1e-154, so tiny radii do not read as
+    infinite ratios by underflow.
 
     At the origin the cone deformations attain both extremes on the forced
     axis points, so the ratio there is exact.  Off the origin it is a
@@ -172,9 +165,8 @@ def linear_dilatation(map_obj, center, radii, count: int = 256, seed: int = 0,
     """
     center = _center_row(center, map_obj.n)
     radii = np.sort(np.asarray(radii, dtype=float))
-    d = _displacements(map_obj, center, radii, "euclid", count, seed)
-    top, bottom = d.max(axis=1), d.min(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    top, bottom = _sphere_extremes(map_obj, center, radii, "euclid", count, seed)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratios = np.where(bottom > 0, top / bottom, math.inf)
     increases = 0
     violated = bool(np.any(~np.isfinite(ratios)))
@@ -212,7 +204,7 @@ def quasi_inverse_check(map_obj, inverse_map, center, radii, norm: str = "euclid
     image = np.atleast_2d(map_obj(center))[0]
 
     def sups(m, about, rs):
-        return _displacements(m, about, rs, norm, count, seed).max(axis=1)
+        return _sphere_extremes(m, about, rs, norm, count, seed)[0]
 
     def resolved(about, rs):
         return rs >= 2.0 ** 20 * np.spacing(np.max(np.abs(about)))
@@ -304,7 +296,8 @@ def _global_modulus_F(m: ConeMap, block: np.ndarray, seed: int) -> VerificationR
         num = cone_norm(X[:pairs] - X[pairs:])
         return float(np.max(num / m.phi(cone_norm(Y[:pairs] - Y[pairs:]))))
 
-    near_ratio, global_ratio = ratio(block * scale), ratio(block)
+    global_ratio = ratio(block)         # block * 1.0 has the block's bits
+    near_ratio = global_ratio if scale == 1.0 else ratio(block * scale)
     report = VerificationReport(
         title="global modulus of continuity, inverse cone map",
         seed=seed, sample_count=pairs,
@@ -574,7 +567,7 @@ def verify_main_theorem(g: GluedMap, radii=None, count: int = 512,
 
     axis_gap_H = float(np.max(np.abs(euclid_norm(up_image) - target)))
     axis_gap_F = float(np.max(np.abs(euclid_norm(down_preimage) - target)))
-    sups = [_displacements(m, origin, radii, "cone", count, seed).max(axis=1)
+    sups = [_sphere_extremes(m, origin, radii, "cone", count, seed)[0]
             for m in (g, g.inverted())]
     sup_gap_H, sup_gap_F = (max(0.0, float(np.max(sup - target))) for sup in sups)
     report.add("forward axis oscillation equals phi(r)", axis_gap_H <= 1e-12,

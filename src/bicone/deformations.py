@@ -250,7 +250,7 @@ class GluedMap:
         out = arr.copy()
         t = arr[:, -1]
         norm = _horizontal_norm(arr) + np.abs(t)
-        big = ~np.isfinite(norm)            # or a finite row whose squares overflow
+        big = ~np.isfinite(norm)            # or a finite row with |x| + |t| > 1.8e308
         if big.any() and not np.isfinite(arr[big]).all():
             raise DomainError("point with a non-finite coordinate")
         inside = norm <= 1.0

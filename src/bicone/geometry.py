@@ -2,6 +2,8 @@
 
 Points are rows (x_1, ..., x_{n-1}, t); the cone norm is |x| + |t|, whose
 closed unit ball is the double cone.  The upper cone is the part with t >= 0.
+Every point norm (Euclidean, cone, and the maps' |x|) is _scaled_norm,
+which keeps a few ulps of precision on tiny and huge rows alike.
 Samplers are deterministic functions of their seed, and the quasi-random ones
 have the prefix property: the first N points of a longer run coincide with a
 shorter run, so sampled suprema are monotone under sample growth.  Both map a
@@ -79,6 +81,7 @@ def _row_norm(x: np.ndarray) -> np.ndarray:
     A row has the same bits alone and in any stack, at every width.  Up to 7
     entries numpy's norm adds in this order too; longer rows it sums
     pairwise, pairing a lone row's squares differently from a stack's.
+    Unscaled, for rows of known unit scale; point norms take _scaled_norm.
     """
     return _root_sum_squares((x[..., i] for i in range(x.shape[-1])), x.shape[:-1])
 
@@ -95,22 +98,26 @@ def _offset_row_norm(c: np.ndarray, d: np.ndarray, t: np.ndarray) -> np.ndarray:
                              t.shape)
 
 
-def _horizontal_norm(arr: np.ndarray) -> np.ndarray:
-    """|x| of the points (x, t) in the last axis of arr.
+def _scaled_norm(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis at every scale (Blue, ACM TOMS 4(1), 1978).
 
-    Where |x| < 1e-150 the squares of its coordinates lose bits in the
-    subnormal range or vanish, so those rows are divided by their largest
-    |x_i| first; every other row is _row_norm's.
+    Every row whose plain norm is in [1e-150, inf) is _row_norm's.  The
+    squares of the others lost bits in the subnormal range, vanished or
+    overflowed, so those rows are divided by their largest |x_i| first.
     """
-    x = arr[..., :-1]
-    out = _row_norm(x)
-    tiny = out < 1e-150
-    if np.any(tiny):
-        small = x[tiny]
-        scale = np.max(np.abs(small), axis=-1)
-        safe = np.where(scale > 0.0, scale, 1.0)
-        out[tiny] = scale * _row_norm(small / safe[:, None])
+    with np.errstate(over="ignore"):
+        out = _row_norm(x)
+        odd = ~((out >= 1e-150) & (out < math.inf))
+        if odd.any():
+            scale = np.max(np.abs(x[odd]), axis=-1)
+            safe = np.where((scale > 0.0) & (scale < math.inf), scale, 1.0)
+            out[odd] = scale * _row_norm(x[odd] / safe[:, None])
     return out
+
+
+def _horizontal_norm(arr: np.ndarray) -> np.ndarray:
+    """|x| of the points (x, t) in the last axis of arr, by _scaled_norm."""
+    return _scaled_norm(arr[..., :-1])
 
 
 def cone_norm(X):
@@ -122,7 +129,7 @@ def cone_norm(X):
 def euclid_norm(X):
     """The Euclidean norm of points with coordinates (..., x_{n-1}, t)."""
     arr, single = _rows(X)
-    return _out(_row_norm(arr), single)
+    return _out(_scaled_norm(arr), single)
 
 
 def reflect(X):

@@ -149,6 +149,14 @@ def w_integral(n, s, phi, g, lo, hi, count):
     return mp.fsum(terms)
 
 
+def w_moment(n):
+    """W_n(1) = int_0^1 (w^2 + (1-w)^2)^(n/2) (1-w)^(n-2) dw at 30 digits: the
+    w-integral of |DH|^n / phi^n where s is negligible against phi."""
+    with mp.workdps(30):
+        return mp.quad(lambda w: (w * w + (1 - w) ** 2) ** (mp.mpf(n) / 2) * (1 - w) ** (n - 2),
+                       [0, 1])
+
+
 def modulus_energy(phi):
     """E[phi] = int_0^inf phi(e^-u)^n du at 40 digits, integrated in v (from_v)."""
     with mp.workdps(40):

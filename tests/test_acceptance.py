@@ -151,6 +151,17 @@ def test_criterion_08_power_map_gains_equal_losses():
     ok("criterion 08 radial power stretch is quasiconformal")
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_criterion_08_dilatation_holds_at_tiny_radii(n):
+    # below |x| ~ 1.5e-154 the squares of the sphere's coordinates underflow;
+    # the displacements keep their precision, so the ratios stay 1
+    h = RadialMap("power", eps=0.5, n=n)
+    d = linear_dilatation(h, 0, np.geomspace(1e-300, 1e-100, 8), count=256, seed=0)
+    assert d.verdict == "qc_consistent"
+    assert float(np.max(np.abs(d.ratios - 1.0))) <= 1e-9
+    ok(f"criterion 08 radial power stretch keeps dilatation 1 at tiny radii, n = {n}")
+
+
 def test_criterion_09_glued_map_is_not_quasiconformal():
     phi = ModulusFunction.iterlog(depth=2, alpha=1.0, n=2)
     s = 10.0 ** -np.arange(2, 13)

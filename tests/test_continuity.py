@@ -209,7 +209,8 @@ def test_stacked_sweeps_equal_per_radius_sweeps(m, radii, center):
     ratios = []
     for r in radii:
         disp = _sphere_displacements(m, center, r, "euclid")
-        ratios.append(disp.max() / disp.min() if disp.min() > 0 else np.inf)
+        with np.errstate(over="ignore"):    # a subnormal minimum: an infinite ratio
+            ratios.append(disp.max() / disp.min() if disp.min() > 0 else np.inf)
     assert np.array_equal(d.ratios, ratios)
 
     inv = m.inverted()
@@ -336,6 +337,28 @@ def test_global_modulus_F_bound():
     M = measured_constants(k2()).M
     assert report.metadata["near_origin_ratio"] <= 3.0 * M
     assert np.isfinite(report.metadata["global_ratio"])
+
+
+@pytest.mark.parametrize("phi,inverse_calls", [
+    (ModulusFunction.identity(), 1), (ModulusFunction.power(1.0), 1),
+    (ModulusFunction.power(0.5), 2), (k2(), 2)],
+    ids=["identity", "power:eps=1", "power:eps=0.5", "iterlog:k=2"])
+def test_global_f_inverts_an_unscaled_block_once(phi, inverse_calls, monkeypatch):
+    # at near-origin scale 1 the near-origin pairs are the block itself
+    calls = []
+    inverse = ConeMap.inverse
+
+    def counted(self, Y, tol=1e-12):
+        calls.append(Y.shape)
+        return inverse(self, Y, tol)
+
+    monkeypatch.setattr(ConeMap, "inverse", counted)
+    report = verify_global_modulus_F(ConeMap(phi), pairs=2000, seed=0)
+    meta = report.metadata
+    assert report.passed and (meta["near_origin_scale"] == 1.0) == (inverse_calls == 1)
+    assert calls == [(4000, 2)] * inverse_calls
+    if inverse_calls == 1:
+        assert meta["near_origin_ratio"] == meta["global_ratio"]
 
 
 def test_inverse_suite_refuses_an_unbounded_sandwich_constant():

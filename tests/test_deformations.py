@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 
 from bicone.deformations import (BracketError, ConeMap, DomainError, GluedMap,
                                  InverseView, RadialMap)
-from bicone.geometry import (_horizontal_norm, cone_norm, euclid_norm, reflect,
-                             sample_cone_interior, sample_cone_sphere)
+from bicone.geometry import (_directions, _horizontal_norm, cone_norm, euclid_norm,
+                             kronecker_sequence, reflect, sample_cone_interior,
+                             sample_cone_sphere)
 from bicone.moduli import ModulusFunction, _plan_jet, measured_constants
 
 import oracles
@@ -89,7 +91,7 @@ def test_a_non_finite_row_is_outside_every_map(build, bad):
 
 
 def test_the_glued_map_keeps_a_huge_finite_row_outside():
-    # its cone norm overflows to inf, yet the row is outside the double cone
+    # a row far outside the double cone maps to itself
     g = GluedMap(ModulusFunction.power(0.5))
     X = np.array([[1e200, 0.0], [0.1, 0.2]])
     with np.errstate(over="ignore"):
@@ -498,6 +500,35 @@ def test_radial_logexample_monotone_and_invertible():
     err = euclid_norm(h.inverse(h(X)) - X)
     assert np.max(err) <= 1e-11
     assert np.array_equal(h(np.array([[1.5, 0.0]])), np.array([[1.5, 0.0]]))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind,kw", [("power", {"eps": 0.5}), ("logexample", {"beta": 1.0})])
+def test_radial_maps_keep_relative_precision_on_tiny_rows(kind, kw, n):
+    # |x| log-uniform in [1e-300, 1e-150], where the squares of the
+    # coordinates underflow: the image has norm stress(|x|) and the direction
+    # of x, and the inverse's image maps back onto it
+    h = RadialMap(kind, n=n, **kw)
+    rho = 10.0 ** (-150.0 - 150.0 * kronecker_sequence(400, 1, seed=7)[:, 0])
+    X = _directions(kronecker_sequence(400, n, seed=8)) * rho[:, None]
+    Y = h(X)
+    assert np.max(np.abs(euclid_norm(Y) / h.stress(rho) - 1.0)) <= 1e-12
+    assert np.max(euclid_norm(Y / euclid_norm(Y)[:, None] - X / rho[:, None])) <= 1e-12
+    back = h.inverse(Y)
+    assert np.max(euclid_norm(h(back) - Y) / euclid_norm(Y)) <= 1e-12
+    if kind == "power":         # elasticity 1/2: the preimage is as exact
+        assert np.max(euclid_norm(back - X) / rho) <= 1e-12
+
+
+def test_the_logexample_image_of_a_tiny_row_is_its_stress():
+    h = RadialMap("logexample", beta=1.0)
+    assert h([1e-200, 0.0])[0] == h.stress(1e-200)
+
+
+def test_the_power_map_takes_a_row_whose_squares_overflow():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert RadialMap("power", eps=0.5)([1e200, 0.0]).tolist() == [1e100, 0.0]
 
 
 @pytest.mark.parametrize("n", [2, 3])

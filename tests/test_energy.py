@@ -15,9 +15,9 @@ from bicone.energy import (_MAX_PANELS, _W_Q, EnergyResult, _distortion_panel,
                            _w_rule_error, biconformal_energy, conformal_energy_H,
                            energy_F_monte_carlo, energy_modulus_ratio,
                            inner_distortion_integral)
-from bicone.geometry import sample_cone_interior, unit_ball_volume
+from bicone.geometry import sample_cone_interior, sphere_surface_area, unit_ball_volume
 from bicone.moduli import (EnergyDivergenceError, ModulusFunction, _doubling_edges,
-                           _gl_rule, measured_constants)
+                           _gl_rule, measured_constants, modulus_energy)
 
 import oracles
 
@@ -633,6 +633,32 @@ def test_a_converged_quadrature_meets_half_its_tol(kind, depth, alpha, n, tol):
 def test_energy_modulus_ratio_finite(family, kw):
     ratio = energy_modulus_ratio(cone_map(family, **kw), tol=1e-7)
     assert math.isfinite(ratio) and ratio > 0
+
+
+# -- the energy threshold: alpha = 1/n + d, d -> 0 ---------------------------
+
+@pytest.mark.parametrize("d", [1e-2, 1e-4, 1e-6])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_the_modulus_energy_diverges_like_one_over_n_alpha_minus_one(n, k, d):
+    # (n alpha - 1) E[phi] -> 1 / prod_{j<=k} a_j with a_j = (1 - 1/n)^(j-1):
+    # within 2 ulp for k = 1, 2, and 0.53 d relative for k = 3, 4
+    alpha = 1.0 / n + d
+    limit = (n / (n - 1)) ** (k * (k - 1) / 2)
+    got = (n * alpha - 1.0) * modulus_energy(ModulusFunction.iterlog(depth=k, alpha=alpha, n=n))
+    assert abs(got / limit - 1.0) <= n * alpha - 1.0
+
+
+@pytest.mark.parametrize("d", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("n", [2, 3])
+def test_the_energy_ratio_tends_to_the_w_moment_at_the_threshold(n, k, d):
+    # E[phi] diverges in its tail, where |x|, t << phi and the w-integral of
+    # |DH|^n / phi^n is W_n(1): E[H]/E[phi] -> sigma_{n-2} W_n(1), within 8.2 d
+    limit = sphere_surface_area(n - 2) * float(oracles.w_moment(n))
+    assert limit == pytest.approx({2: 4.0 / 3.0, 3: 1.741556755187338}[n], rel=1e-15)
+    m = ConeMap(ModulusFunction.iterlog(depth=k, alpha=1.0 / n + d, n=n))
+    assert abs(energy_modulus_ratio(m, tol=1e-10) / limit - 1.0) <= 10.0 * d
 
 
 def test_energy_result_is_frozen():

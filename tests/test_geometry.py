@@ -23,6 +23,23 @@ def test_horizontal_norm_keeps_ordinary_bits_and_rescales_tiny_rows():
     assert cone_norm(np.array([2.2e-265, 1.25e-304])) == 2.2e-265
 
 
+@given(st.lists(st.floats(-2.0, 2.0, allow_subnormal=False), min_size=2, max_size=6),
+       st.integers(-1070, 1020))
+def test_point_norms_keep_their_precision_at_every_scale(row, k):
+    # 2^k x is exact until its coordinates leave the normal range; the norms
+    # of tiny rows and of rows whose squares overflow still follow 2^k to 4 ulp
+    x = np.array(row)
+    scaled = np.ldexp(x, k)
+    for norm in (euclid_norm, cone_norm):
+        want = math.ldexp(float(norm(x)), k)
+        assert abs(float(norm(scaled)) - want) <= 4.0 * np.spacing(want)
+    with np.errstate(over="ignore"):
+        plain = float(geometry._row_norm(scaled))
+    if 1e-150 <= plain <= 1e150:            # ordinary scale: _row_norm's bits
+        assert euclid_norm(scaled) == plain
+        assert geometry._horizontal_norm(scaled[None]) == geometry._row_norm(scaled[:-1])
+
+
 def _scaled_rows(cols, scale):
     rng = np.random.default_rng(cols)
     return scale * rng.standard_normal((257, cols)) * np.exp(rng.uniform(-5, 5, (257, cols)))
