@@ -13,14 +13,14 @@ floor itself, once per lane.  If F is still positive there, the root has no
 representable value and the lane pins at the smallest float after that one
 evaluation, instead of halving its bracket down to the floor.
 
-Because F is a difference of logarithms, the stopping rule |F| <= tol is a
-*relative* residual on the original equation, valid at every scale.  Each
-caller also passes a bound C on |F''| over the bracket, derived from its
-own equation.  Newton's error bound |F(u - d)| <= C d^2 / 2 for the step
-d = F/F' then certifies a step before it is evaluated: once C d^2 / 2 is
-at most 4 eps and the step stays inside the bracket, the lane stops and
-returns that step.  Its residual is at float resolution, not merely below
-tol, one evaluation earlier than an evaluated residual would show it.
+Because F is a difference of logarithms, |F| is a *relative* residual on
+the original equation, valid at every scale, and every lane stops at one
+target, float resolution: |F| <= 4 eps.  Each caller passes a bound C on
+|F''| over the bracket, derived from its own equation.  Newton's error
+bound |F(u - d)| <= C d^2 / 2 for the step d = F/F' then certifies a step
+before it is evaluated: once C d^2 / 2 is at most 4 eps and the step stays
+inside the bracket, the lane stops and returns that step, one evaluation
+earlier than an evaluated residual would show it.
 
 The lanes are solved in blocks of ``_BLOCK``, one block after the other.
 Each Newton iteration makes a few dozen elementwise passes over its lanes;
@@ -67,8 +67,7 @@ class BracketError(RuntimeError):
     """Raised when a root bracket does not straddle its target."""
 
 
-def newton_log(jet, hi, tol: float, straddle_message: str, *,
-               curvature: float) -> np.ndarray:
+def newton_log(jet, hi, straddle_message: str, *, curvature: float) -> np.ndarray:
     """Solve F(u) = 0 lane by lane for u = log x, F increasing; returns x.
 
     The bracket is [log 2^-1074, hi].  ``jet(u, idx)`` returns (F(u), F'(u))
@@ -86,9 +85,9 @@ def newton_log(jet, hi, tol: float, straddle_message: str, *,
     The test is |d| <= reach, with the scalar reach = sqrt(8 eps / curvature)
     (infinite for curvature 0, where every step inside the bracket stops;
     0 for an unknown bound, curvature = inf).  A lane also stops when
-    |F| <= max(tol, 4 eps), when its bracket has shrunk to the float
-    resolution of u, or when |d| falls below that resolution.  A lane stopped on its residual returns its final Newton
-    iterate, which costs no evaluation and leaves a residual far below tol.
+    |F| <= 4 eps, when its bracket has shrunk to the float resolution of u,
+    or when |d| falls below that resolution.  A lane stopped on its residual
+    returns its final Newton iterate, which costs no evaluation.
 
     When a Newton step would leave the bracket through the float floor and
     the floor has not been evaluated yet, the next iterate is the floor
@@ -103,7 +102,6 @@ def newton_log(jet, hi, tol: float, straddle_message: str, *,
     """
     hi = np.asarray(hi, dtype=float)
     out = np.empty(hi.size)
-    stop = max(tol, 4.0 * _EPS)
     reach = math.sqrt(8.0 * _EPS / curvature) if curvature else math.inf
     for first in range(0, hi.size, _BLOCK):
         idx = np.arange(first, min(first + _BLOCK, hi.size))
@@ -125,7 +123,7 @@ def newton_log(jet, hi, tol: float, straddle_message: str, *,
             inside = (step > a) & (step < b)
             resolution = 4.0 * _EPS * np.maximum(1.0, np.abs(x))
             np.abs(delta, out=delta)
-            done = (np.abs(f) <= stop) | (b - a <= resolution) | (delta <= resolution)
+            done = (np.abs(f) <= 4.0 * _EPS) | (b - a <= resolution) | (delta <= resolution)
             done |= inside & (delta <= reach)      # the step lands on the root
             x = np.where(inside, step, x)     # the Newton step, or the stopped iterate
             bisect = ~(inside | done)

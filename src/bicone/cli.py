@@ -341,7 +341,7 @@ def _cmd_dilatation(args) -> int:
 def _cmd_invert(args) -> int:
     m = parse_map(args.map)
     pts = parse_points(args.point, m.n)
-    img = np.atleast_2d(m.inverse(pts, tol=args.tol))
+    img = np.atleast_2d(m.inverse(pts))
     _emit(args, {"points": pts.tolist(), "images": img.tolist()})
     return 0
 
@@ -377,8 +377,8 @@ _OPTIONS = {
     "method": {"choices": tuple(_ENERGY_METHODS)},
     "integrand": {"choices": ("forward", "inverse", "bi")},
     "count": {"type": int}, "pairs": {"type": int}, "seed": {"type": int},
-    "tol": {"type": float, "help": "the certified bound (energy), the relative "
-            "residual of the root solve (invert) or the slack (verify averaging)"},
+    "tol": {"type": float,
+            "help": "the certified bound (energy) or the slack (verify averaging)"},
     "samples": {"type": float}, "threshold": {"type": float},
     "out": {"choices": ("json", "csv")}, "output": {"metavar": "PATH"},
 }
@@ -394,7 +394,7 @@ _COMMANDS = {
                    {"map": ..., "center": "0", "radii": "log:1e-10..0.1",
                     "count": 256, "threshold": 1e3, "seed": 0, "out": "json"}),
     "invert": (_cmd_invert, "apply the inverse map to points",
-               {"map": ..., "point": ..., "tol": 1e-12}),
+               {"map": ..., "point": ...}),
     "eval": (_cmd_eval, "evaluate a family (JSON or CSV) or a map (JSON) pointwise",
              {"phi": None, "map": None, "points": ..., "out": "json"}),
 }

@@ -292,7 +292,7 @@ def _global_modulus_F(m: ConeMap, block: np.ndarray, seed: int) -> VerificationR
     pairs = block.shape[0] // 2
 
     def ratio(Y):                 # one inverse call: its lanes are independent
-        X = m.inverse(Y, tol=1e-13)
+        X = m.inverse(Y)
         num = cone_norm(X[:pairs] - X[pairs:])
         return float(np.max(num / m.phi(cone_norm(Y[:pairs] - Y[pairs:]))))
 

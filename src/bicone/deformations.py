@@ -34,7 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from ._roots import BracketError, newton_log
-from .geometry import _check_dimension, _horizontal_norm, _out, _rows, euclid_norm, reflect
+from .geometry import (_check_dimension, _horizontal_norm, _out, _rows, cone_norm,
+                       euclid_norm, reflect)
 from .moduli import ModulusFunction, _plan_curvature, _plan_jet
 
 __all__ = [
@@ -58,7 +59,9 @@ def _upper_cone_norm(arr):
     """
     rho = _horizontal_norm(arr)
     t = arr[:, -1]
-    if not bool(np.all((t >= -1e-9) & (rho + np.abs(t) <= 1.0 + 1e-9))):
+    with np.errstate(over="ignore"):
+        norm = rho + np.abs(t)
+    if not bool(np.all((t >= -1e-9) & (norm <= 1.0 + 1e-9))):
         raise DomainError("point outside the upper cone")
     return rho
 
@@ -160,11 +163,10 @@ class ConeMap:
 
     # -- inversion -----------------------------------------------------------
 
-    def inverse(self, Y, tol: float = 1e-12):
+    def inverse(self, Y):
         """Solve (y, T) with T * lambda(T + |y|) = tau for Y = (y, tau).
 
-        ``tol`` bounds the relative residual of that height equation.  The
-        unknown is u = log T and the equation
+        The unknown is u = log T and the equation
 
             F(u) = log(T lambda(sigma)) - log tau,   sigma = T + |y|,
             F'(u) = 1 - w (1 - g),                   w = T / sigma,
@@ -184,10 +186,10 @@ class ConeMap:
         somewhere, i.e. a modulus violating its own admissibility.
 
         Newton starts at T = tau, so preimages anywhere in the float range
-        (the log-type moduli push them to 1e-250 and beyond) resolve to the
-        relative tolerance in a handful of steps.  Heights below the value
-        of the smallest subnormal have no representable preimage at all;
-        those lanes pin at the float floor, one evaluation after their
+        (the log-type moduli push them to 1e-250 and beyond) reach a
+        relative residual of 4 eps in a handful of steps.  Heights below the
+        value of the smallest subnormal have no representable preimage at
+        all; those lanes pin at the float floor, one evaluation after their
         Newton step leaves through it.
         """
         arr, single = _rows(Y)
@@ -222,7 +224,7 @@ class ConeMap:
                 return log_lam, T
 
             out[pos, -1] = newton_log(
-                jet, log_tau, tol,
+                jet, log_tau,
                 "T * lambda(T + |y|) < tau at T = tau: chord slope below 1",
                 curvature=0.25 + self.phi._curvature)
         return _out(out, single)
@@ -234,8 +236,8 @@ class GluedMap:
     Evaluation is the identity outside the double cone and on the base, so
     the two branches meet continuously.  The inverse is assembled from the
     same two branch maps with their roles swapped, which makes the pair
-    exactly inverse by construction (up to the relative tolerance of the
-    cone inverse, 1e-12 in the lower branch of the map).
+    exactly inverse by construction (up to the float-resolution residual
+    of the cone inverse in the lower branch of the map).
     """
 
     domain = "whole_space"
@@ -249,7 +251,7 @@ class GluedMap:
         arr, single = _rows(X)
         out = arr.copy()
         t = arr[:, -1]
-        norm = _horizontal_norm(arr) + np.abs(t)
+        norm = cone_norm(arr)
         big = ~np.isfinite(norm)            # or a finite row with |x| + |t| > 1.8e308
         if big.any() and not np.isfinite(arr[big]).all():
             raise DomainError("point with a non-finite coordinate")
@@ -265,8 +267,8 @@ class GluedMap:
     def __call__(self, X):
         return self._piecewise(X, self.cone, self.cone.inverse)
 
-    def inverse(self, Y, tol: float = 1e-12):
-        return self._piecewise(Y, lambda Z: self.cone.inverse(Z, tol), self.cone)
+    def inverse(self, Y):
+        return self._piecewise(Y, self.cone.inverse, self.cone)
 
     def inverted(self) -> "InverseView":
         return InverseView(self)
@@ -316,8 +318,8 @@ class RadialMap:
         out[inner] = np.exp(-_plan_jet(self._plan, -np.log(out[inner]), 0)[0])
         return out
 
-    def inverse_stress(self, v, tol: float = 1e-12):
-        """stress^-1(v); the logexample solve stops at relative residual ``tol``."""
+    def inverse_stress(self, v):
+        """stress^-1(v); the logexample solve stops at relative residual 4 eps."""
         out = np.array(v, dtype=float)              # a copy
         if self.kind == "power":
             return out ** (1.0 / self.eps)
@@ -328,7 +330,7 @@ class RadialMap:
             A, g = _plan_jet(self._plan, -u, 1)
             return -A - log_v[idx], g
 
-        out[inner] = newton_log(jet, np.zeros_like(log_v), tol,
+        out[inner] = newton_log(jet, np.zeros_like(log_v),
                                 "logexample stress below its target at rho = 1",
                                 curvature=self._curvature)
         return out
@@ -347,8 +349,8 @@ class RadialMap:
     def __call__(self, X):
         return self._radial(X, self.stress)
 
-    def inverse(self, Y, tol: float = 1e-12):
-        return self._radial(Y, lambda v: self.inverse_stress(v, tol))
+    def inverse(self, Y):
+        return self._radial(Y, self.inverse_stress)
 
     def inverted(self) -> "InverseView":
         return InverseView(self)

@@ -103,8 +103,11 @@ def _scaled_norm(x: np.ndarray) -> np.ndarray:
 
     Every row whose plain norm is in [1e-150, inf) is _row_norm's.  The
     squares of the others lost bits in the subnormal range, vanished or
-    overflowed, so those rows are divided by their largest |x_i| first.
+    overflowed, so those rows are divided by their largest |x_i| first.  A
+    1-D x is one row, with the value it has in a stack.
     """
+    if x.ndim == 1:
+        return _scaled_norm(x[None])[0]
     with np.errstate(over="ignore"):
         out = _row_norm(x)
         odd = ~((out >= 1e-150) & (out < math.inf))
@@ -121,9 +124,10 @@ def _horizontal_norm(arr: np.ndarray) -> np.ndarray:
 
 
 def cone_norm(X):
-    """|x| + |t| for points with coordinates (..., x_{n-1}, t)."""
+    """|x| + |t| for points with coordinates (..., x_{n-1}, t); inf where it overflows."""
     arr, single = _rows(X)
-    return _out(_horizontal_norm(arr) + np.abs(arr[..., -1]), single)
+    with np.errstate(over="ignore"):
+        return _out(_horizontal_norm(arr) + np.abs(arr[..., -1]), single)
 
 
 def euclid_norm(X):

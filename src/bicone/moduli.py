@@ -334,12 +334,13 @@ class ModulusFunction:
 
     # -- inversion -----------------------------------------------------------
 
-    def invert(self, v, tol: float = 1e-12):
-        """Inverse value psi(v) = phi^{-1}(v) with relative residual <= tol.
+    def invert(self, v):
+        """Inverse value psi(v) = phi^{-1}(v), to a relative residual of 4 eps.
 
         Safeguarded Newton on u = log s for F(u) = log phi(e^u) - log v,
         whose slope F' = g is the elasticity; value and slope come from one
-        ``profile_log`` call per iteration.  F'' = -h bounds the step's
+        ``profile_log`` call per iteration.  The solve stops once |F| <= 4 eps
+        or a step is certified to land there: F'' = -h bounds the step's
         error, so a power modulus (h = 0) stops after one evaluation.  The
         bracket [2^-1074, min(v, 1)] is valid because phi(s) >= s on
         [0, 1]; it is checked and a BracketError signals a modulus
@@ -360,7 +361,7 @@ class ModulusFunction:
                 return np.log(phi) - log_v[idx], g
 
             out[inner] = newton_log(
-                jet, log_v, tol,
+                jet, log_v,
                 "phi(min(v,1)) < v: modulus is below the identity, bracket invalid",
                 curvature=self._curvature)
         return _scalar_out(out, scalar)

@@ -85,6 +85,21 @@ def radial_stress(h, L):
             1 / (n * (1 + L)) + beta / ((mp.e + L) * loglog))
 
 
+def log_preimage(profile, v):
+    """(s, g) with profile(L) = (v, g) at s = e^-L, at 50 digits.
+
+    ``profile(L)`` gives a value and its g at s = e^-L, as ``jet`` and
+    ``radial_stress`` do, the value falling from 1 at L = 0; v is in (0, 1).
+    mp.findroot brackets L between 0 and 700, where the value must have
+    fallen below v: the preimage is above e^-700 ~ 1e-304.
+    """
+    with mp.workdps(50):
+        log_v = mp.log(mp.mpf(v))
+        L = mp.findroot(lambda L: mp.log(profile(L)[0]) - log_v, (0, 700),
+                        solver="anderson", maxsteps=500)
+        return mp.exp(-L), profile(L)[1]
+
+
 def modulus(phi, s):
     """phi(s) for s > 0, the identity from s = 1 on."""
     return s if s >= 1 else jet(phi, -mp.log(s))[0]

@@ -489,7 +489,8 @@ PHI = "iterlog:k=2,alpha=1,n=2"
     ["verify", "main-theorem", "--phi", PHI, "--pairs", "5"],
     ["verify", "global-h", "--phi", PHI, "--tol", "1e-3"],
     ["verify", "averaging", "--phi", PHI, "--count", "5"],
-    ["modulus", "--map", f"glued:phi={PHI}", "--coun", "8"]])
+    ["modulus", "--map", f"glued:phi={PHI}", "--coun", "8"],
+    ["invert", "--map", f"glued:phi={PHI}", "--point", "0.3,0.1", "--tol", "nan"]])
 def test_an_option_the_command_does_not_read_is_a_usage_error(argv, capsys):
     with pytest.raises(SystemExit) as e:
         main(argv)
@@ -555,7 +556,8 @@ MC = ["energy", "--map", "cone:phi=iterlog:k=1,alpha=1,n=2", "--method", "mc",
     ("--tol", ["energy", "--integrand", "bi", "--map", GLUED, "--tol", "inf"]),
     ("--tol", ["energy", "--integrand", "bi", "--map", GLUED, "--tol", "nan"]),
     ("--tol", ["energy", "--integrand", "bi", "--map", GLUED, "--tol", "-1"]),
-    ("--tol", ["invert", "--map", GLUED, "--point", "0.3,0.1", "--tol", "nan"]),
+    ("--tol", ["verify", "averaging", "--phi", "iterlog:k=1,alpha=1,n=2",
+               "--tol", "nan"]),
     ("--tol", ["verify", "averaging", "--phi", "iterlog:k=1,alpha=1,n=2",
                "--tol", "0"]),
     ("--threshold", ["dilatation", "--map", GLUED, "--threshold", "nan"]),
@@ -689,15 +691,12 @@ def test_verify_averaging_replays_under_any_blas_kernel():
     assert outs[0] == outs[1]
 
 
-def test_invert_radial_logexample_honours_tol(capsys):
+def test_invert_radial_logexample_meets_its_residual(capsys):
     h = RadialMap("logexample", beta=1.0, n=2)
-    images = {}
-    for tol in ("1e-2", "1e-12"):
-        code, out = run(["invert", "--map", "radial:logexample:beta=1,n=2",
-                         "--point", "0.3,0.4", "--tol", tol], capsys)
-        assert code == 0
-        images[tol] = np.array(json.loads(out)["result"]["images"][0])
-        # relative residual of stress(|x|) = |y| = 0.5
-        residual = abs(np.log(h.stress(np.linalg.norm(images[tol])) / 0.5))
-        assert residual <= float(tol)
-    assert not np.array_equal(images["1e-2"], images["1e-12"])
+    code, out = run(["invert", "--map", "radial:logexample:beta=1,n=2",
+                     "--point", "0.3,0.4"], capsys)
+    assert code == 0
+    image = np.array(json.loads(out)["result"]["images"][0])
+    # relative residual of stress(|x|) = |y| = 0.5
+    residual = abs(np.log(h.stress(np.linalg.norm(image)) / 0.5))
+    assert residual <= 1e-12

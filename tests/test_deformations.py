@@ -113,9 +113,9 @@ def test_a_map_takes_its_modulus_dimension(build):
 def test_round_trip_interior(phi, n):
     m = ConeMap(phi, n=n)
     X = interior(n, 2000)
-    err = cone_norm(m.inverse(m(X), tol=1e-12) - X)
+    err = cone_norm(m.inverse(m(X)) - X)
     assert np.max(err) <= 1e-9
-    err2 = cone_norm(m(m.inverse(X, tol=1e-12)) - X)
+    err2 = cone_norm(m(m.inverse(X)) - X)
     assert np.max(err2) <= 1e-9
 
 
@@ -123,7 +123,7 @@ def test_inverse_height_equation_residual():
     phi = ModulusFunction.iterlog(depth=2, alpha=1.0, n=2)
     m = ConeMap(phi, n=2)
     Y = interior(2, 500, seed=3)
-    X = m.inverse(Y, tol=1e-13)
+    X = m.inverse(Y)
     s = np.linalg.norm(X[:, :-1], axis=1) + X[:, -1]
     resid = X[:, -1] * phi(s) / s - Y[:, -1]
     assert np.max(np.abs(resid)) <= 1e-12
@@ -166,14 +166,14 @@ def test_inverse_relative_round_trip_property(k, n, exponent, frac):
 @given(k=st.integers(1, 3), n=st.integers(2, 3),
        exponent=st.floats(-307.0, 0.0), frac_exponent=st.floats(-300.0, -0.0044))
 def test_forward_then_inverse_relative_round_trip_property(k, n, exponent, frac_exponent):
-    # The solve holds the height equation to a relative 1e-12; its slope in
+    # The solve holds the height equation to a relative 4 eps; its slope in
     # log T is 1 - (T/s)(1 - g(s)) >= g(s), so T itself is good to 1e-12/g(s).
     # |x| runs down to 1e-300 (1 - t), where the plain norm's square underflows.
     phi = ModulusFunction.iterlog(depth=k, alpha=1.0, n=n)
     m = ConeMap(phi, n=n)
     t = 10.0 ** exponent
     x = upper_point(n, 10.0 ** frac_exponent * (1.0 - t), t)
-    back = m.inverse(m(x), tol=1e-12)
+    back = m.inverse(m(x))
     assert np.array_equal(back[:-1], x[:-1])
     assert abs(back[-1] - t) <= 1e-12 / phi.elasticity(x[0] + t) * t
 
@@ -206,9 +206,9 @@ def test_inverse_matches_mpmath_height_equation(k, rho, tau):
         root = mp.findroot(F, (mp.log(mp.mpf(2) ** -1074), mp.log(tau)),
                            solver="anderson")
         slope = mp.diff(F, root)
-        # the float answer solves the equation to the relative tolerance...
+        # the float answer solves the equation to a relative 1e-12...
         assert abs(F(mp.log(T))) <= 1e-12
-        # ...and so sits within tol / F' of the true preimage
+        # ...and so sits within 1e-12 / F' of the true preimage
         assert abs(mp.mpf(T) / mp.exp(root) - 1) <= 1e-12 / slope
 
 
@@ -447,8 +447,9 @@ def test_glued_map_takes_one_norm_per_call_and_branch(n, monkeypatch):
     up, lo = X[:, -1] >= 0, X[:, -1] < 0
     inside = cone_norm(X) <= 1.0
     assert (inside & up).sum() > 100 and (inside & lo).sum() > 100
-    # the glued map takes |x| of all rows to split them, and each branch
-    # (the public cone map or inverse) takes it again of its own rows only
+    # the glued map takes |x| of all rows to split them (in cone_norm), and
+    # each branch (the public cone map or inverse) takes it again of its own
+    # rows only
     expected = {}
     for name, upper, lower in (("map", g.cone, g.cone.inverse),
                                ("inverse", g.cone.inverse, g.cone)):
@@ -463,6 +464,7 @@ def test_glued_map_takes_one_norm_per_call_and_branch(n, monkeypatch):
         return _horizontal_norm(arr)
 
     monkeypatch.setattr("bicone.deformations._horizontal_norm", counted)
+    monkeypatch.setattr("bicone.geometry._horizontal_norm", counted)
     assert np.array_equal(g(X), expected["map"])
     assert np.array_equal(g.inverse(X), expected["inverse"])
     split = [X.shape, ((inside & up).sum(), n), ((inside & lo).sum(), n)]
@@ -531,6 +533,19 @@ def test_the_power_map_takes_a_row_whose_squares_overflow():
         assert RadialMap("power", eps=0.5)([1e200, 0.0]).tolist() == [1e100, 0.0]
 
 
+def test_a_finite_row_whose_cone_norm_overflows_lies_outside_the_cone():
+    # |x| + |t| = 3e308 overflows to inf, which compares as outside
+    phi = ModulusFunction.iterlog(depth=2, alpha=1.0, n=2)
+    row = np.array([1.5e308, 1.5e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cone_norm(row[None]).tolist() == [math.inf]
+        assert GluedMap(phi)(row).tolist() == row.tolist()
+        assert GluedMap(phi).inverse(row).tolist() == row.tolist()
+        with pytest.raises(DomainError):
+            ConeMap(phi)(row)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_radial_logexample_inverse_relative_at_small_values(n):
     h = RadialMap("logexample", beta=1.0, n=n)
@@ -538,6 +553,22 @@ def test_radial_logexample_inverse_relative_at_small_values(n):
     floor = float(h.stress(np.finfo(float).tiny))
     v = np.geomspace(floor * 1.01, 0.5, 25)
     assert np.max(np.abs(h.stress(h.inverse_stress(v)) / v - 1.0)) <= 1e-12
+
+
+@pytest.mark.parametrize("beta", [0.6, 1.0, 2.0])
+def test_logexample_inverse_stress_matches_the_preimage_oracle(beta):
+    # Targets log-uniform from stress(1e-300) to 1; the solve is
+    # ModulusFunction.invert's on the stress, so its preimages meet the same
+    # bound: within 1e-11 of the 50-digit root, or within twice the
+    # conditioning eps (1 + |log rho|) / g where that is larger.  The worst
+    # seen is 0.01 of the bound.
+    eps = np.finfo(float).eps
+    h = RadialMap("logexample", beta=beta, n=2)
+    v = np.exp(np.random.default_rng(13).uniform(math.log(h.stress(1e-300)), 0.0, 25))
+    for target, rho in zip(v, h.inverse_stress(v)):
+        exact, g = oracles.log_preimage(lambda L: oracles.radial_stress(h, L), target)
+        conditioning = eps * (1.0 + abs(math.log(exact))) / g
+        assert abs(rho / exact - 1) <= max(1e-11, 2.0 * conditioning), target
 
 
 # u from 0 to 1e5; rho = e^-u is below the float floor (u = 745.13) from

@@ -30,9 +30,11 @@ def test_point_norms_keep_their_precision_at_every_scale(row, k):
     # of tiny rows and of rows whose squares overflow still follow 2^k to 4 ulp
     x = np.array(row)
     scaled = np.ldexp(x, k)
-    for norm in (euclid_norm, cone_norm):
+    # _scaled_norm of a 1-D row is that row's value in a stack
+    for norm in (euclid_norm, cone_norm, geometry._scaled_norm):
         want = math.ldexp(float(norm(x)), k)
         assert abs(float(norm(scaled)) - want) <= 4.0 * np.spacing(want)
+    assert geometry._scaled_norm(scaled) == geometry._scaled_norm(scaled[None])[0]
     with np.errstate(over="ignore"):
         plain = float(geometry._row_norm(scaled))
     if 1e-150 <= plain <= 1e150:            # ordinary scale: _row_norm's bits

@@ -47,9 +47,9 @@ class CountingJet:
         return np.arctan(d), 1.0 / (1.0 + d * d)
 
 
-def solve(roots, tol=1e-12):
+def solve(roots):
     jet = CountingJet(roots)
-    return newton_log(jet, np.zeros(len(roots)), tol, "no straddle",
+    return newton_log(jet, np.zeros(len(roots)), "no straddle",
                       curvature=jet.curvature), jet
 
 
@@ -79,7 +79,7 @@ def test_a_zero_slope_is_a_step_out_of_the_bracket_without_a_warning():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        x = newton_log(jet, np.zeros(roots.size), 1e-12, "no straddle", curvature=0.0)
+        x = newton_log(jet, np.zeros(roots.size), "no straddle", curvature=0.0)
     assert abs(np.log(x[0]) + 3.0) <= 1e-12
     assert x[1] == 1.0 and x[2] == TINY
 
@@ -115,7 +115,7 @@ def test_a_certified_step_ends_its_lane_one_evaluation_early():
     roots = np.linspace(-30.0, -0.5, 200)
     bounded, jet = solve(roots)
     unbounded = CountingJet(roots)
-    x = newton_log(unbounded, np.zeros(roots.size), 1e-12, "no straddle",
+    x = newton_log(unbounded, np.zeros(roots.size), "no straddle",
                    curvature=math.inf)
     assert jet.calls < unbounded.calls
     eps = np.finfo(float).eps
@@ -128,14 +128,14 @@ def iterations(monkeypatch):
     """Jet calls of every newton_log solve made by the maps and moduli."""
     counts = []
 
-    def counting(jet, hi, tol, message, **kwargs):
+    def counting(jet, hi, message, **kwargs):
         calls = [0]
 
         def counted(u, idx):
             calls[0] += 1
             return jet(u, idx)
 
-        out = newton_log(counted, hi, tol, message, **kwargs)
+        out = newton_log(counted, hi, message, **kwargs)
         counts.append(calls[0])
         return out
 
@@ -217,9 +217,9 @@ def test_blocks_give_the_bits_of_one_block(size, monkeypatch):
     roots, scale = mixed_roots(size)
     hi = np.where(np.arange(size) % 3 == 0, 0.0, np.maximum(roots, _LOG_FLOOR) + 5.0)
     jet = ScaledJet(roots, scale)
-    blocked = newton_log(jet, hi, 1e-12, "no straddle", curvature=jet.curvature)
+    blocked = newton_log(jet, hi, "no straddle", curvature=jet.curvature)
     monkeypatch.setattr(bicone._roots, "_BLOCK", 10 * size)
-    one_block = newton_log(jet, hi, 1e-12, "no straddle", curvature=jet.curvature)
+    one_block = newton_log(jet, hi, "no straddle", curvature=jet.curvature)
     assert np.array_equal(blocked, one_block)
     assert np.all(blocked[::97] == TINY)
 
@@ -228,7 +228,7 @@ def test_jet_sees_global_lane_indices():
     size = 3 * _BLOCK + 7
     roots, scale = mixed_roots(size, seed=1)
     jet = ScaledJet(roots, scale)
-    newton_log(jet, np.zeros(size), 1e-12, "no straddle", curvature=jet.curvature)
+    newton_log(jet, np.zeros(size), "no straddle", curvature=jet.curvature)
     blocks = [lanes[0] // _BLOCK for lanes in jet.lanes]
     assert blocks == sorted(blocks) and set(blocks) == {0, 1, 2, 3}
     previous = None
@@ -259,7 +259,7 @@ def test_straddle_failure_past_the_first_block_raises():
     roots[_BLOCK + 11] = 1.0           # F(hi = 0) = arctan(-1) < 0
     jet = CountingJet(roots)
     with pytest.raises(BracketError, match="no straddle"):
-        newton_log(jet, np.zeros(size), 1e-12, "no straddle", curvature=jet.curvature)
+        newton_log(jet, np.zeros(size), "no straddle", curvature=jet.curvature)
     assert jet.calls > 1               # the first block was solved first
 
 
@@ -270,7 +270,7 @@ def test_solve_leaves_its_upper_ends_unchanged(size):
     hi = np.maximum(roots, _LOG_FLOOR) + 5.0
     given = hi.copy()
     jet = ScaledJet(roots, scale)
-    newton_log(jet, hi, 1e-12, "no straddle", curvature=jet.curvature)
+    newton_log(jet, hi, "no straddle", curvature=jet.curvature)
     assert hi.tobytes() == given.tobytes()
 
 
@@ -307,7 +307,7 @@ def test_cone_inverse_keeps_its_bits_on_the_slant(phi):
     for Y in (slant, inside, np.concatenate([inside, slant])):
         rho = np.linalg.norm(Y[:, :-1], axis=1)
         log_tau = np.log(Y[:, -1])
-        ref = newton_log(where_jet(phi, rho, log_tau), log_tau, 1e-12, "no straddle",
+        ref = newton_log(where_jet(phi, rho, log_tau), log_tau, "no straddle",
                          curvature=0.25 + phi._curvature)
         X = m.inverse(Y)
         assert X[:, -1].tobytes() == ref.tobytes()
