@@ -15,8 +15,9 @@ The verification suites assert the bounds that come with explicit constants
 the inverse, the segment-averaging inequality for non-increasing kernels,
 and the shared optimal-modulus statement for the glued pair) and record the
 measured constants for the remaining, constant-free statements.  The
-averaging inequality takes the kernel's antiderivative in closed form and
-runs its segment quadrature on stacks of pairs: one pair for
+averaging inequality takes the modulus phi, whose slope phi' is the kernel
+and phi itself its antiderivative in closed form, and runs its segment
+quadrature on stacks of pairs: one pair for
 averaging_lemma_check, groups of 16 pairs for the randomized suite
 verify_averaging, with the same bits either way.  Each side of a segment
 gets as many panels as its distance from 0 asks for, and every dot product
@@ -331,9 +332,10 @@ def _pair_sums(rows: np.ndarray, terms: np.ndarray, pairs: int) -> np.ndarray:
     return np.bincount(rows, weights=terms, minlength=pairs).astype(float, copy=False)
 
 
-def _segment_integrals(Phi, A: np.ndarray, B: np.ndarray,
-                       G) -> tuple[np.ndarray, np.ndarray]:
-    """Row i: (int_0^1 Phi(|gamma A_i + (1-gamma) B_i|) d gamma, strip bound).
+def _segment_integrals(phi: ModulusFunction, A: np.ndarray,
+                       B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i: (int_0^1 Phi(|gamma A_i + (1-gamma) B_i|) d gamma, strip bound),
+    for the kernel Phi = phi', whose antiderivative is phi.
 
     The point gamma* of closest approach c* splits [0, 1], and each side,
     of length L (in gamma), gets panels sized by its own geometry.  With
@@ -352,13 +354,12 @@ def _segment_integrals(Phi, A: np.ndarray, B: np.ndarray,
     A side with c_min = 0 (the segment crosses 0), or whose D reaches
     _SEGMENT_DEPTH, keeps _SEGMENT_DEPTH dyadic panels and no closing
     panel.  Its unresolved strip of width w is bounded by
-    G(w |a-b|)/|a-b| >= its true contribution (with equality when the
+    phi(w |a-b|)/|a-b| >= its true contribution (with equality when the
     segment passes through 0), and that bound is returned separately so
-    callers can use it one-sidedly; the other sides contribute 0 to it.  G
-    is the antiderivative of Phi, and both take arrays.
+    callers can use it one-sidedly; the other sides contribute 0 to it.
 
-    The stack makes one Phi call (panel nodes and points of closest
-    approach) and one G call (the strips).  Every step acts on the pairs
+    The stack makes one phi' call (panel nodes and points of closest
+    approach) and one phi call (the strips).  Every step acts on the pairs
     elementwise, the dot products and norms add their terms in coordinate
     order, and each pair adds its panels in order, so a row has the bits of
     a stack of that pair alone.
@@ -393,7 +394,7 @@ def _segment_integrals(Phi, A: np.ndarray, B: np.ndarray,
     nodes = _offset_row_norm(C[rows[side]], D[rows[side]], sign[:, None] * off)
     strip = ~closed
     capped = strip & (c_min[rows] > 0)
-    vals = np.asarray(Phi(np.concatenate([
+    vals = np.asarray(phi.derivative(np.concatenate([
         nodes.ravel(), c_min[rows[capped]], _row_norm(A[~live])])))
     k, m = nodes.size, capped.sum()
     panels = np.sum(_GL_WEIGHTS * vals[:k].reshape(-1, _GL_NODES.size), axis=1)
@@ -402,29 +403,29 @@ def _segment_integrals(Phi, A: np.ndarray, B: np.ndarray,
     # On the leftover strip |c| >= max(c_min, off |d|), so either bound
     # below is valid; the first is exact when the segment crosses 0.
     w = L[strip] * 2.0 ** -_SEGMENT_DEPTH
-    bound = np.asarray(G(w * root[strip])) / root[strip]
+    bound = np.asarray(phi(w * root[strip])) / root[strip]
     cap = capped[strip]
     by_min = w[cap] * vals[k:k + m]
     bound[cap] = np.where(by_min < bound[cap], by_min, bound[cap])
     return total, _pair_sums(rows[strip], bound, pairs)
 
 
-def _averaging_margins(Phi, A: np.ndarray, B: np.ndarray, G, quad_tol: float,
-                       r: float):
-    """Per row pair (A_i, B_i) of the averaging inequality: (lhs, rhs, strip,
-    antiparallel, holds, equal), with _AVERAGING_GROUP pairs to one stacked
-    segment quadrature.  ``holds`` is lhs <= rhs up to quad_tol and
-    ``equal`` is lhs = rhs up to 1e-8, both relative to max(1, rhs); a pair
-    passes when it holds and, if antiparallel, is equal."""
+def _averaging_margins(phi: ModulusFunction, A: np.ndarray, B: np.ndarray,
+                       quad_tol: float, r: float):
+    """Per row pair (A_i, B_i) of the averaging inequality for the kernel
+    phi': (lhs, rhs, strip, antiparallel, holds, equal), with _AVERAGING_GROUP
+    pairs to one stacked segment quadrature.  ``holds`` is lhs <= rhs up to
+    quad_tol and ``equal`` is lhs = rhs up to 1e-8, both relative to
+    max(1, rhs); a pair passes when it holds and, if antiparallel, is equal."""
     na, nb = _row_norm(A), _row_norm(B)
     if not np.all((0 < na) & (na <= r) & (0 < nb) & (nb <= r)):
         raise ValueError("need 0 < |a|, |b| <= r")
-    ends = np.asarray(G(np.stack([na, nb], axis=1).ravel())).reshape(-1, 2)
+    ends = np.asarray(phi(np.stack([na, nb], axis=1).ravel())).reshape(-1, 2)
     rhs = (ends[:, 0] + ends[:, 1]) / (na + nb)
     seg, strip = np.empty((2, A.shape[0]))
     for lo in range(0, A.shape[0], _AVERAGING_GROUP):
         group = slice(lo, lo + _AVERAGING_GROUP)
-        seg[group], strip[group] = _segment_integrals(Phi, A[group], B[group], G)
+        seg[group], strip[group] = _segment_integrals(phi, A[group], B[group])
     lhs = seg + strip
     n = A.shape[1]
     cross = _root_sum_squares((A[:, i] * B[:, j] - B[:, i] * A[:, j]
@@ -435,9 +436,9 @@ def _averaging_margins(Phi, A: np.ndarray, B: np.ndarray, G, quad_tol: float,
             np.abs(lhs - rhs) <= 1e-8 * scale)
 
 
-def averaging_lemma_check(Phi, a, b, quad_tol: float = 1e-10, r: float = 1.0, *,
-                          lower_integral) -> VerificationReport:
-    """Verify the segment-averaging inequality for a non-increasing kernel:
+def averaging_lemma_check(phi: ModulusFunction, a, b, quad_tol: float = 1e-10,
+                          r: float = 1.0) -> VerificationReport:
+    """Verify the segment-averaging inequality for the kernel Phi = phi':
 
         int_0^1 Phi(|gamma a + (1-gamma) b|) d gamma
             <= [ int_0^|a| Phi + int_0^|b| Phi ] / (|a| + |b|),
@@ -445,15 +446,14 @@ def averaging_lemma_check(Phi, a, b, quad_tol: float = 1e-10, r: float = 1.0, *,
     with equality when a is a negative multiple of b.  The segment side is
     computed by quadrature plus an unresolved-strip bound that is exact in
     the equality configuration and an overestimate otherwise, so a passing
-    inequality is conservative.  `lower_integral` is the exact
-    antiderivative x -> int_0^x Phi (for a modulus slope phi' it is phi
-    itself); like Phi it must take arrays.
+    inequality is conservative.  The endpoint integrals int_0^x Phi are
+    phi(x) in closed form, and Phi is non-increasing on (0, r] for r up to
+    the concavity radius of phi.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     lhs, rhs, strip, antiparallel, holds, equal = (
-        x[0].item() for x in _averaging_margins(Phi, a[None], b[None],
-                                                lower_integral, quad_tol, r))
+        x[0].item() for x in _averaging_margins(phi, a[None], b[None], quad_tol, r))
     report = VerificationReport(
         title="segment averaging inequality for a non-increasing kernel",
         metadata={"lhs": lhs, "rhs": rhs, "strip_bound": strip,
@@ -487,8 +487,7 @@ def verify_averaging(phi: ModulusFunction, pairs: int, seed: int = 0,
     The pairs of a k-pair run are the first k of any longer run's."""
     rc = measured_constants(phi).concavity_radius
     A, B = _averaging_pairs(phi.n, pairs, seed, rc)
-    lhs, rhs, _, antiparallel, holds, equal = _averaging_margins(
-        phi.derivative, A, B, phi, tol, rc)
+    lhs, rhs, _, antiparallel, holds, equal = _averaging_margins(phi, A, B, tol, rc)
     margins = lhs - rhs
     passed = holds & (equal | ~antiparallel)
     worst = float(np.max(margins[:pairs], initial=-np.inf))

@@ -9,9 +9,9 @@ Three map families:
              residual; the map from T to that product is strictly
              increasing with slope >= 1/M, so the bracket is guaranteed.
   GluedMap   the whole-space homeomorphism: ConeMap on the upper cone, the
-             doubly reflected inverse on the lower cone, identity outside elsewhere.
-             Built so the map and its inverse share the modulus phi on the
-             axis by construction.
+             doubly reflected inverse on the lower cone, identity elsewhere.
+             Its inverse is the map mirrored in the base, so the map and its
+             inverse share the modulus phi on the axis by construction.
   RadialMap  h(x) = stress(|x|) x/|x| for a scalar stress function; the
              quasiconformal benchmark (power stress) and the slow-log
              stress whose inverse is smooth, evaluated by the modulus kernel.
@@ -234,10 +234,11 @@ class GluedMap:
     """Whole-space homeomorphism: cone map above, reflected inverse below.
 
     Evaluation is the identity outside the double cone and on the base, so
-    the two branches meet continuously.  The inverse is assembled from the
-    same two branch maps with their roles swapped, which makes the pair
+    the two branches meet continuously.  With R the reflection in the base,
+    the map is H = cone map above and R (cone inverse) R below, so its
+    inverse is F = R H R: the same two branches with their roles swapped,
     exactly inverse by construction (up to the float-resolution residual
-    of the cone inverse in the lower branch of the map).
+    of the cone inverse).
     """
 
     domain = "whole_space"
@@ -246,8 +247,7 @@ class GluedMap:
         self.cone = ConeMap(phi, n)
         self.phi, self.n = self.cone.phi, self.cone.n
 
-    def _piecewise(self, X, upper_fn, lower_fn):
-        """Apply upper_fn to the rows above the base and its reflection below."""
+    def __call__(self, X):
         arr, single = _rows(X)
         out = arr.copy()
         t = arr[:, -1]
@@ -259,16 +259,13 @@ class GluedMap:
         up = inside & (t >= 0)
         lo = inside & (t < 0)
         if up.any():
-            out[up] = upper_fn(arr[up])
+            out[up] = self.cone(arr[up])
         if lo.any():
-            out[lo] = reflect(lower_fn(reflect(arr[lo])))
+            out[lo] = reflect(self.cone.inverse(reflect(arr[lo])))
         return _out(out, single)
 
-    def __call__(self, X):
-        return self._piecewise(X, self.cone, self.cone.inverse)
-
     def inverse(self, Y):
-        return self._piecewise(Y, self.cone.inverse, self.cone)
+        return reflect(self(reflect(Y)))
 
     def inverted(self) -> "InverseView":
         return InverseView(self)

@@ -345,8 +345,8 @@ def sample_cone_interior(count: int, n: int, seed: int = 0,
         raise ValueError("count must be >= 1")
     n = _check_dimension(n)
     a, b = exclude_axis_margin, exclude_boundary_margin
-    if a < 0 or b < 0:
-        raise ValueError("margins must be >= 0")
+    if not (0 <= a < math.inf and 0 <= b < math.inf):     # NaN fails too
+        raise ValueError("margins must be finite and >= 0")
     height = 1.0 - (1.0 + math.sqrt(2.0)) * b
     # share of the trimmed cone inside the axis cylinder |x| < a
     lost = (n * (height - a) * a ** (n - 1) + a ** n) / height ** n if height > a else 1.0

@@ -314,7 +314,7 @@ class ModulusFunction:
         out = np.ones_like(arr)
         inner = arr <= 1.0
         if inner.any():
-            out[inner] = self.profile_log(-np.log(arr[inner]))[1]
+            out[inner] = self._kernel(arr[inner])[1]
         return _scalar_out(out, scalar)
 
     def profile_log(self, u):
@@ -425,7 +425,7 @@ class ModulusEnergy:
 
     value: float
     error_bound: float
-    status: str  # "converged" | "truncated" | "diverged"
+    status: str  # "converged" | "truncated" (non-finite bound) | "diverged"
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -546,19 +546,18 @@ def energy_tail_bound(phi: ModulusFunction, U: float) -> tuple[float, float]:
     return T, beyond + 8.0 * k * _EPS * mass
 
 
-def modulus_energy_detailed(phi: ModulusFunction, tol: float = 1e-9) -> ModulusEnergy:
+def modulus_energy_detailed(phi: ModulusFunction) -> ModulusEnergy:
     """E[phi] = int_0^1 phi(s)^n ds/s, n = phi.n, with an explicit convergence verdict.
 
-    E[phi] = T(0) of ``energy_tail_bound``, bounded by T_err + 8 eps E[phi]
-    and "converged" when that meets tol; iterlog diverges exactly when
-    n alpha <= 1.
+    E[phi] = T(0) of ``energy_tail_bound``, certified to T_err + 8 eps E[phi]:
+    "converged" with that bound, "truncated" only where it is not finite.
+    Iterlog diverges exactly when n alpha <= 1.
     """
     if _energy_diverges(phi):
         return ModulusEnergy(math.inf, math.inf, "diverged")
     T, T_err = energy_tail_bound(phi, 0.0)
     err = T_err + _ROUNDING * abs(T)
-    status = "converged" if err <= tol * max(1.0, abs(T)) else "truncated"
-    return ModulusEnergy(T, err, status)
+    return ModulusEnergy(T, err, "converged" if math.isfinite(err) else "truncated")
 
 
 def modulus_energy(phi: ModulusFunction) -> float:
@@ -589,7 +588,7 @@ def check_admissibility(phi: ModulusFunction) -> VerificationReport:
     constant M, the concavity radius, and the energy value in its metadata.
     """
     report = VerificationReport(title=f"admissibility of {phi.describe()}")
-    grid_size, energy_tol = _GRID_SIZE, 1e-6
+    grid_size = _GRID_SIZE
     constants, increasing, slope_ok = _grid_pass(phi)
 
     # endpoints and monotonicity
@@ -609,10 +608,9 @@ def check_admissibility(phi: ModulusFunction) -> VerificationReport:
                detail="phi' <= phi/s everywhere and phi/s <= M phi'^2 with finite M")
 
     # finite energy: decided analytically
-    energy = modulus_energy_detailed(phi, tol=energy_tol)
+    energy = modulus_energy_detailed(phi)
     report.add("finite energy (C3)", energy.status != "diverged",
                measured_constant=energy.value if math.isfinite(energy.value) else None,
-               tolerance=energy_tol,
                detail=f"status {energy.status}, error bound {energy.error_bound:.3g}")
 
     # concavity near the origin
@@ -636,12 +634,15 @@ def check_admissibility(phi: ModulusFunction) -> VerificationReport:
 def doubling_constant(phi: ModulusFunction, factor: float) -> float:
     """sup of phi(factor * t) / phi(t) over t in (0, 1/factor], measured on a log grid.
 
-    The grid includes the endpoint t = 1/factor, where the supremum sits for
-    the built-in families (the ratio increases toward it).
+    The grid runs from 1e-12 (1e-12/factor once factor > 1e12, so that it
+    stays inside the range) to the endpoint t = 1/factor, where the supremum
+    sits for the built-in families (the ratio increases toward it).
     """
+    if not math.isfinite(factor):
+        raise ValueError(f"doubling factor must be finite, got {factor}")
     if factor <= 1.0:
         raise ValueError("doubling factor must exceed 1")
-    grid = np.geomspace(1e-12, 1.0 / factor, 4096)
+    grid = np.geomspace(1e-12 if factor <= 1e12 else 1e-12 / factor, 1.0 / factor, 4096)
     return float(np.max(phi(factor * grid) / phi(grid)))
 
 

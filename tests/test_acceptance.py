@@ -196,11 +196,10 @@ def test_criterion_11_averaging_inequality():
         r_c = measured_constants(phi).concavity_radius
         for _ in range(100):
             a, b = rng.uniform(-r_c / 2, r_c / 2, size=(2, 2))
-            rep = averaging_lemma_check(phi.derivative, a, b,
-                                        lower_integral=phi)
+            rep = averaging_lemma_check(phi, a, b)
             assert rep.passed, (phi.describe(), a, b, rep.metadata)
         a = np.array([r_c / 3, 0.0])
-        rep = averaging_lemma_check(phi.derivative, a, -a, lower_integral=phi)
+        rep = averaging_lemma_check(phi, a, -a)
         assert rep.passed
         defect = abs(rep.metadata["lhs"] - rep.metadata["rhs"])
         assert defect <= 1e-8 * max(1.0, abs(rep.metadata["rhs"]))

@@ -301,7 +301,7 @@ def test_verify_conditions_csv_rows(capsys):
                                      ["derivative sandwich (C2)", "pass"],
                                      ["finite energy (C3)", "pass"],
                                      ["concavity near 0 (C4)", "pass"]]
-    assert rows[2][2:] == ["2.0", "1e-06"]       # E[phi] = 2 at tolerance 1e-6
+    assert rows[2][2:] == ["2.0", ""]            # E[phi] = 2, certified: no tolerance
     assert rows[1][3] == ""                      # no tolerance: an empty cell
 
 

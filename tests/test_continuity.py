@@ -382,7 +382,7 @@ CONCAVE_KERNELS = [
 def test_averaging_equality_for_antiparallel_pairs(phi):
     a = np.array([0.03, 0.0])
     b = -a
-    rep = averaging_lemma_check(phi.derivative, a, b, lower_integral=phi)
+    rep = averaging_lemma_check(phi, a, b)
     assert rep.passed
     assert abs(rep.metadata["lhs"] - rep.metadata["rhs"]) <= 1e-10
     assert rep.metadata["antiparallel"]
@@ -394,7 +394,7 @@ def test_averaging_inequality_random_pairs(phi):
     r_c = measured_constants(phi).concavity_radius
     for _ in range(25):
         a, b = rng.uniform(-r_c / 2, r_c / 2, size=(2, 2))
-        rep = averaging_lemma_check(phi.derivative, a, b, lower_integral=phi)
+        rep = averaging_lemma_check(phi, a, b)
         assert rep.passed, rep.metadata
 
 
@@ -403,8 +403,7 @@ def test_averaging_inequality_random_pairs(phi):
 def test_averaging_check_needs_both_endpoints_in_the_punctured_ball(a, b):
     phi = ModulusFunction.power(0.5, n=2)
     with pytest.raises(ValueError, match=r"need 0 < \|a\|, \|b\| <= r"):
-        averaging_lemma_check(phi.derivative, np.array(a), np.array(b), r=0.5,
-                              lower_integral=phi)
+        averaging_lemma_check(phi, np.array(a), np.array(b), r=0.5)
 
 
 # Integrable kernels whose panel increments grow before the float floor.
@@ -415,7 +414,7 @@ SLOW_KERNELS = [(ModulusFunction.iterlog(depth=2, alpha=1.0, n=2), 1e-3),
 @pytest.mark.parametrize("phi, x", SLOW_KERNELS, ids=["k2-1e-3", "k1-1e-14"])
 def test_closed_form_antiderivative_avoids_the_raise(phi, x):
     a, b = np.array([x, 0.0]), np.array([0.0, 0.5 * x])
-    assert averaging_lemma_check(phi.derivative, a, b, lower_integral=phi).passed
+    assert averaging_lemma_check(phi, a, b).passed
 
 
 def _dot(x, y):
@@ -506,14 +505,14 @@ def test_stacked_segment_integral_equals_per_panel_loop(phi, case):
     def G(x):
         return float(phi(x))
 
-    got = _segment_integrals(phi.derivative, a[None], b[None], phi)
+    got = _segment_integrals(phi, a[None], b[None])
     assert [x.tolist() for x in got] == \
         [[x] for x in _segment_integral_per_panel(phi.derivative, a, b, G)]
     # the same case as one row of a stack of all cases, embedded in R^4
     cases = _segment_cases()
     A = np.array([_padded(c[1]) for c in cases])
     B = np.array([_padded(c[2]) for c in cases])
-    total, strip = _segment_integrals(phi.derivative, A, B, phi)
+    total, strip = _segment_integrals(phi, A, B)
     row = [c[0] for c in cases].index(case[0])
     assert (total[row], strip[row]) == _segment_integral_per_panel(
         phi.derivative, A[row], B[row], G)
@@ -526,7 +525,7 @@ def test_segment_integrals_against_an_mpmath_oracle(phi):
     cases = _segment_cases()
     A = np.array([_padded(c[1]) for c in cases])
     B = np.array([_padded(c[2]) for c in cases])
-    total, strip = _segment_integrals(phi.derivative, A, B, phi)
+    total, strip = _segment_integrals(phi, A, B)
     for (name, a, b), got, bound in zip(cases, total, strip):
         if name == "antiparallel":
             # a = -b: the closed form phi(|a|) / |a|, which the strip bound meets
@@ -549,8 +548,8 @@ def _averaging_suite_per_pair(phi, pairs, seed, tol):
     """The suite's draws, one averaging_lemma_check call per pair."""
     rc = measured_constants(phi).concavity_radius
     A, B = _averaging_pairs(phi.n, pairs, seed, rc)
-    *drawn, eq = [averaging_lemma_check(phi.derivative, a, b, quad_tol=tol, r=rc,
-                                        lower_integral=phi) for a, b in zip(A, B)]
+    *drawn, eq = [averaging_lemma_check(phi, a, b, quad_tol=tol, r=rc)
+                  for a, b in zip(A, B)]
     worst = max(rep.checks[0].measured_constant for rep in drawn)
     return [(all(rep.passed for rep in drawn), worst),
             (eq.passed, eq.checks[-1].measured_constant)]
@@ -574,9 +573,9 @@ def test_averaging_pairs_are_a_prefix_of_a_longer_run(monkeypatch):
     seen = []
     margins = continuity._averaging_margins
 
-    def captured(Phi, A, B, *args):
+    def captured(phi, A, B, *args):
         seen.append((A.copy(), B.copy()))
-        return margins(Phi, A, B, *args)
+        return margins(phi, A, B, *args)
 
     monkeypatch.setattr(continuity, "_averaging_margins", captured)
     for pairs in (16, 50):

@@ -442,14 +442,19 @@ def test_glued_map_takes_one_norm_per_call_and_branch(n, monkeypatch):
     g = GluedMap(ModulusFunction.iterlog(depth=2, alpha=1.0, n=n), n=n)
     rng = np.random.default_rng(4)
     X = rng.uniform(-1.2, 1.2, size=(2000, n)) * 10.0 ** rng.uniform(-300, 0, (2000, 1))
-    X[:4] = 0.0
+    X[:8] = 0.0
     X[1, -1], X[2, 0], X[3, 0] = 0.5, 0.5, 1.0       # axis, base, slant corner
-    up, lo = X[:, -1] >= 0, X[:, -1] < 0
+    X[4:8, 0] = 0.3, 0.3, 1.5, 1.5                  # heights +0.0 and -0.0, inside
+    X[[5, 7], -1] = -0.0                            # and outside the double cone
+    t = X[:, -1]
+    up, lo = t >= 0, t < 0
     inside = cone_norm(X) <= 1.0
     assert (inside & up).sum() > 100 and (inside & lo).sum() > 100
     # the glued map takes |x| of all rows to split them (in cone_norm), and
     # each branch (the public cone map or inverse) takes it again of its own
-    # rows only
+    # rows only; the inverse is the map on the mirrored rows, so its cone map
+    # takes the rows with t <= 0 and its cone inverse those with t > 0.
+    # Images keep every bit of the branch composition, signed zeros included.
     expected = {}
     for name, upper, lower in (("map", g.cone, g.cone.inverse),
                                ("inverse", g.cone.inverse, g.cone)):
@@ -465,10 +470,13 @@ def test_glued_map_takes_one_norm_per_call_and_branch(n, monkeypatch):
 
     monkeypatch.setattr("bicone.deformations._horizontal_norm", counted)
     monkeypatch.setattr("bicone.geometry._horizontal_norm", counted)
-    assert np.array_equal(g(X), expected["map"])
-    assert np.array_equal(g.inverse(X), expected["inverse"])
-    split = [X.shape, ((inside & up).sum(), n), ((inside & lo).sum(), n)]
-    assert calls == split + split
+    assert g(X).tobytes() == expected["map"].tobytes()
+    assert g.inverse(X).tobytes() == expected["inverse"].tobytes()
+
+    def split(upper):
+        return [X.shape, ((inside & upper).sum(), n), ((inside & ~upper).sum(), n)]
+
+    assert calls == split(t >= 0) + split(t <= 0)
 
 
 def test_glued_continuity_across_slant():

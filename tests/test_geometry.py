@@ -445,6 +445,11 @@ def test_interior_prefix_survives_axis_redraws(monkeypatch, n, margin):
 def test_interior_sample_refuses_degenerate_margins():
     with pytest.raises(ValueError):
         sample_cone_interior(10, n=3, exclude_axis_margin=-1e-3)
+    # a NaN or infinite margin is refused as such, not as a zero acceptance rate
+    for bad in (math.nan, math.inf):
+        for margin in ("exclude_axis_margin", "exclude_boundary_margin"):
+            with pytest.raises(ValueError, match="margins must be finite and >= 0"):
+                sample_cone_interior(10, n=3, **{margin: bad})
     # the trimmed cone has height 1 - (1 + sqrt 2) 0.3 < 0.5: nothing is left
     with pytest.raises(RuntimeError):
         sample_cone_interior(10, n=3, exclude_axis_margin=0.5,

@@ -546,8 +546,7 @@ def test_energy_closed_forms():
 
 
 def test_energy_depth3_status_and_error_bound():
-    e = modulus_energy_detailed(ModulusFunction.iterlog(depth=3, alpha=1.0, n=2),
-                                tol=1e-9)
+    e = modulus_energy_detailed(ModulusFunction.iterlog(depth=3, alpha=1.0, n=2))
     assert e.status == "converged"
     assert e.error_bound <= 1e-8 * e.value
     assert e.value == pytest.approx(7.2964012112, rel=1e-8)
@@ -636,6 +635,18 @@ def test_doubling_constant_oracles():
     assert c1 == pytest.approx(1.0 + math.log(2.0), rel=1e-9)
     with pytest.raises(ValueError):
         doubling_constant(ModulusFunction.identity(), 1.0)
+    for factor in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="doubling factor must be finite"):
+            doubling_constant(ModulusFunction.identity(), factor)
+
+
+@pytest.mark.parametrize("factor", [2.0, 1e6, 1e13, 1e100, 1e300])
+@pytest.mark.parametrize("eps", [0.5, 0.1])
+def test_doubling_constant_of_a_power_is_factor_to_the_eps(eps, factor):
+    # past factor 1e12 the grid starts at 1e-12/factor, so that every t of
+    # it has factor t <= 1, where phi(factor t)/phi(t) = factor**eps
+    got = doubling_constant(ModulusFunction.power(eps), factor)
+    assert got == pytest.approx(factor ** eps, rel=1e-12)
 
 
 def test_quasi_inverse_defect_oracles():
